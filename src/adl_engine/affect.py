@@ -11,14 +11,17 @@ a good/bad experience label.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import fmean
 from typing import Iterable, TextIO
 
 from .definitions import ComplexActivityDefinition, most_important_pair
-from .recognition import Observation, OccurrenceVerdict
+from .recognition import Observation, OccurrenceVerdict, ScoredOccurrence
+from .temporal import minute_of_day
+
+# a verdict in memory, or its row read back from the verdict CSV
+Verdict = OccurrenceVerdict | ScoredOccurrence
 
 DEFAULT_WINDOW = 5
 DEFAULT_EPSILON = 0.05
@@ -43,7 +46,7 @@ def infer_emotion(
     defn: ComplexActivityDefinition,
     history: list[float],
     observation: Observation,
-    verdict: OccurrenceVerdict,
+    verdict: Verdict,
     window: int = DEFAULT_WINDOW,
     epsilon: float = DEFAULT_EPSILON,
 ) -> EmotionLabel:
@@ -100,32 +103,6 @@ class UXModel:
     epsilon: float = DEFAULT_EPSILON
     bucket_width: int = DEFAULT_BUCKET_WIDTH
 
-    def to_json(self) -> str:
-        payload = {
-            "window": self.window,
-            "epsilon": self.epsilon,
-            "bucket_width": self.bucket_width,
-            "table": {
-                f"{emotion}|{activity}|{bucket}": label.value
-                for (emotion, activity, bucket), label in self.table.items()
-            },
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "UXModel":
-        payload = json.loads(text)
-        table: dict[tuple[str, str, int], UXLabel] = {}
-        for key, value in payload.get("table", {}).items():
-            emotion, activity, bucket = key.rsplit("|", 2)
-            table[(emotion, activity, int(bucket))] = UXLabel(value)
-        return UXModel(
-            table=table,
-            window=int(payload.get("window", DEFAULT_WINDOW)),
-            epsilon=float(payload.get("epsilon", DEFAULT_EPSILON)),
-            bucket_width=int(payload.get("bucket_width", DEFAULT_BUCKET_WIDTH)),
-        )
-
 
 def train_ux_mapper(
     examples: list[tuple[EmotionLabel, str, int, UXLabel]],
@@ -175,7 +152,7 @@ class AffectAnnotation:
 
 
 def annotate(
-    items: list[tuple[ComplexActivityDefinition, Observation, OccurrenceVerdict, int, int]],
+    items: list[tuple[ComplexActivityDefinition, Observation, Verdict, int, int]],
     model: UXModel,
 ) -> list[AffectAnnotation]:
     """Run emotion inference over occurrences in order, then map UX.
@@ -193,8 +170,7 @@ def annotate(
             defn, history, observation, verdict,
             window=model.window, epsilon=model.epsilon,
         )
-        minute = (end % 86400) // 60
-        bucket = time_bucket(minute, model.bucket_width)
+        bucket = time_bucket(minute_of_day(end), model.bucket_width)
         ux = map_ux(model, emotion, defn.name, bucket)
         annotations.append(
             AffectAnnotation(
@@ -209,14 +185,6 @@ def annotate(
         )
         history.append(verdict.score)
     return annotations
-
-
-def write_ux_model(model: UXModel, stream: TextIO) -> None:
-    stream.write(model.to_json())
-
-
-def read_ux_model(stream: TextIO) -> UXModel:
-    return UXModel.from_json(stream.read())
 
 
 ANNOTATED_FIELDS = [

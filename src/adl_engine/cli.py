@@ -1,10 +1,14 @@
 """Command-line front door: `adl-engine <subcommand> --config <path> ...`.
 
-Subcommands cover each pipeline stage plus an end-to-end `pipeline` run.
-Every stage reads and writes plain CSV/JSON artifacts in the configured
-output directory, so any stage can be re-run from the previous stage's
-files.  Outputs carry no timestamps or machine state: identical inputs and
-config produce byte-identical artifacts.
+The engine is one ordered table of stages, `STAGES`: ingest, recognize,
+affect, cluster, train, recommend, evaluate.  A stage reads its inputs from
+the invocation's value store, writes its artifacts into the configured
+output directory and returns its one-line summary.  `pipeline` runs every
+stage on one store, so each value passes to later stages in memory.  A
+stage subcommand runs its one entry; an input that no stage of the run made
+is loaded from the previous stage's file in the output directory, or from
+the file its flag names.  Outputs carry no timestamps or machine state:
+identical inputs and config produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ import csv
 import logging
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, Iterator
 
 from . import affect as affect_mod
 from . import definitions as defs_mod
@@ -68,19 +74,159 @@ def _load_all_definitions(paths: tuple[str, ...]) -> defs_mod.DefinitionSet:
     return defs_mod.DefinitionSet(definitions=merged)
 
 
-def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _open_write(path: Path):
     return open(path, "w", newline="")
 
 
-def _ingest_records(
-    config: RunConfig, defs: defs_mod.DefinitionSet
-) -> list[ingest_mod.OccurrenceRecord]:
+def _csv_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
+    """Line number and fields of each CSV row; a short row is an input error."""
+    with open(path) as stream:
+        reader = csv.DictReader(stream)
+        for row in reader:
+            if None in row.values():
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: fewer fields than the header"
+                )
+            yield reader.line_num, row
+
+
+# ---------------------------------------------------------------------------
+# Value store and input loaders
+# ---------------------------------------------------------------------------
+
+class Store:
+    """Values of one invocation, by name; a missing input is loaded on first use."""
+
+    def __init__(self, config: RunConfig, args: argparse.Namespace) -> None:
+        self.config = config
+        self.args = args
+        self.out = Path(config.out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.values: dict[str, Any] = {}
+
+    def __getitem__(self, key: str) -> Any:
+        if key not in self.values:
+            source = _INPUTS[key]
+            given = source.option and getattr(self.args, source.option, None)
+            if given:
+                path = Path(given)
+            else:
+                path = self.out / source.default if source.default else None
+            self.values[key] = source.read(self, path)
+        return self.values[key]
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        self.values[key] = value
+
+
+def _read_definitions(store: Store, _path: None) -> defs_mod.DefinitionSet:
+    return _load_all_definitions(store.config.definitions)
+
+
+def _read_records(store: Store, path: Path) -> list[ingest_mod.OccurrenceRecord]:
+    with open(path) as stream:
+        return ingest_mod.read_occurrences(stream)
+
+
+def _read_verdicts(store: Store, path: Path) -> list[recog_mod.ScoredOccurrence]:
+    """Saved verdicts, which must pair up with the occurrences row for row."""
+    with open(path) as stream:
+        verdicts = recog_mod.read_verdicts(stream)
+    keys = [(v.activity, v.start, v.end) for v in verdicts]
+    if keys != [(r.activity, r.start, r.end) for r in store["records"]]:
+        raise ValueError(
+            f"{path}: rows do not match the occurrences row for row; re-run recognize"
+        )
+    return verdicts
+
+
+def _read_annotations(store: Store, path: Path) -> list[affect_mod.AffectAnnotation]:
+    with open(path) as stream:
+        return affect_mod.read_annotated(stream)
+
+
+def _read_model(store: Store, path: Path) -> recom_mod.RecommenderModel:
+    with open(path) as stream:
+        return recom_mod.read_model(stream)
+
+
+def _read_features(
+    store: Store, path: Path
+) -> list[tuple[str, recom_mod.FeatureVector]]:
+    """Feature rows, each with its true next activity ("" when unknown)."""
+    rows = []
+    for lineno, row in _csv_rows(path):
+        try:
+            previous = row.get("previous_activity", "").strip()
+            features = recom_mod.FeatureVector(
+                time_bucket=int(row["time_bucket"]),
+                previous_activity=(
+                    None if previous in ("", recom_mod.NO_PREVIOUS) else previous
+                ),
+                emotion=affect_mod.EmotionLabel(row["emotion"].strip()),
+                ux=affect_mod.UXLabel(row["ux"].strip()),
+                day_kind=recom_mod.DayKind(row["day_kind"].strip()),
+            )
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        rows.append((row.get("activity", "").strip(), features))
+    return rows
+
+
+def _read_predictions(store: Store, path: Path) -> list[tuple[str, str]]:
+    """(predicted, true) activity pairs from a predictions CSV."""
+    pairs = []
+    for lineno, row in _csv_rows(path):
+        true_label = row.get("activity", "").strip()
+        if not true_label:
+            raise ValueError(f"{path}: line {lineno}: missing true activity label")
+        pairs.append((row.get("prediction", "").strip(), true_label))
+    return pairs
+
+
+@dataclass(frozen=True)
+class _Input:
+    """How a stage input is loaded when no earlier stage of the run made it."""
+
+    read: Callable[[Store, Path | None], Any]
+    default: str | None = None  # file name in the output directory
+    option: str | None = None  # --<option> names the file instead
+    help: str = ""
+
+
+_INPUTS = {
+    "defs": _Input(_read_definitions),
+    "records": _Input(
+        _read_records, "occurrences.csv", "occurrences",
+        "occurrence CSV (default: <out>/occurrences.csv)",
+    ),
+    "verdicts": _Input(_read_verdicts, "verdicts.csv"),
+    "annotations": _Input(
+        _read_annotations, "annotated.csv", "annotated",
+        "annotated CSV (default: <out>/annotated.csv)",
+    ),
+    "model": _Input(
+        _read_model, "model.json", "model", "model JSON (default: <out>/model.json)"
+    ),
+    "features": _Input(
+        _read_features, None, "features",
+        "feature rows CSV "
+        "(time_bucket,previous_activity,emotion,ux,day_kind[,activity])",
+    ),
+    "predictions": _Input(
+        _read_predictions, "predictions.csv", "predictions",
+        "predictions CSV (default: <out>/predictions.csv)",
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# Stages
+# ---------------------------------------------------------------------------
+
+def _ingest(store: Store) -> str:
+    config = store.config
+    defs = store["defs"]
     if not config.datasets:
         raise ConfigError("config key 'datasets': at least one entry is required")
     per_file: list[list[ingest_mod.OccurrenceRecord]] = []
@@ -98,114 +244,151 @@ def _ingest_records(
                 records = ingest_mod.parse_adl_log(stream, defs)
         logger.info("ingested %d occurrences from %s", len(records), spec.path)
         per_file.append(records)
-    return ingest_mod.merge_sorted(per_file)
+    records = store["records"] = ingest_mod.merge_sorted(per_file)
+    path = store.out / "occurrences.csv"
+    with _open_write(path) as stream:
+        ingest_mod.write_occurrences(records, stream)
+    return f"wrote {len(records)} occurrences to {path}"
 
 
-def _score_records(
-    records: list[ingest_mod.OccurrenceRecord],
-    defs: defs_mod.DefinitionSet,
-    lam: float,
-) -> list[tuple[ingest_mod.OccurrenceRecord, recog_mod.OccurrenceVerdict]]:
-    scored = []
-    for record in records:
-        defn = defs[record.activity]
+def _recognize(store: Store) -> str:
+    defs = store["defs"]
+    verdicts = []
+    for r in store["records"]:
         verdict = recog_mod.detect_occurrence(
-            defn, recog_mod.Observation.from_record(record), lam
+            defs[r.activity], recog_mod.Observation.from_record(r), store.config.lam
         )
-        scored.append((record, verdict))
-    return scored
+        verdicts.append(recog_mod.ScoredOccurrence(
+            activity=r.activity, start=r.start, end=r.end,
+            score=verdict.score, completed=verdict.completed,
+        ))
+    store["verdicts"] = verdicts
+    path = store.out / "verdicts.csv"
+    with _open_write(path) as stream:
+        recog_mod.write_verdicts(verdicts, stream)
+    completed = sum(1 for v in verdicts if v.completed)
+    return f"wrote {len(verdicts)} verdicts ({completed} completed) to {path}"
 
 
-def _annotate_records(
-    scored: list[tuple[ingest_mod.OccurrenceRecord, recog_mod.OccurrenceVerdict]],
-    defs: defs_mod.DefinitionSet,
-    config: RunConfig,
-) -> tuple[list[affect_mod.AffectAnnotation], affect_mod.UXModel]:
-    base_model = affect_mod.UXModel(
-        table={},
-        window=config.window,
-        epsilon=config.epsilon,
-        bucket_width=config.bucket_width,
-    )
+def _affect(store: Store) -> str:
+    config = store.config
+    defs = store["defs"]
     items = [
-        (
-            defs[record.activity],
-            recog_mod.Observation.from_record(record),
-            verdict,
-            record.start,
-            record.end,
-        )
-        for record, verdict in scored
+        (defs[r.activity], recog_mod.Observation.from_record(r), v, r.start, r.end)
+        for r, v in zip(store["records"], store["verdicts"])
     ]
-    annotations = affect_mod.annotate(items, base_model)
-    examples = [
-        (
-            a.emotion,
-            a.activity,
-            affect_mod.time_bucket((a.end % 86400) // 60, config.bucket_width),
-            a.ux,
-        )
-        for a in annotations
-    ]
-    trained = affect_mod.train_ux_mapper(
-        examples,
-        window=config.window,
-        epsilon=config.epsilon,
-        bucket_width=config.bucket_width,
+    # no UX labels exist to learn from, so UX follows the sign of the emotion
+    ux_model = affect_mod.UXModel(
+        window=config.window, epsilon=config.epsilon, bucket_width=config.bucket_width
     )
-    return annotations, trained
+    annotations = store["annotations"] = affect_mod.annotate(items, ux_model)
+    path = store.out / "annotated.csv"
+    with _open_write(path) as stream:
+        affect_mod.write_annotated(annotations, stream)
+    positive = sum(
+        1 for a in annotations if a.emotion is affect_mod.EmotionLabel.POSITIVE
+    )
+    return f"wrote {len(annotations)} annotations ({positive} positive) to {path}"
 
 
-def _split(items: list, config: RunConfig) -> tuple[list, list]:
+def _cluster(store: Store) -> str:
+    rows = temporal_mod.cluster_report(store["records"])
+    path = store.out / "clusters.csv"
+    with _open_write(path) as stream:
+        temporal_mod.write_clusters(rows, stream)
+    return f"wrote {len(rows)} cluster rows to {path}"
+
+
+def _train(store: Store) -> str:
+    """Fit on the training split; the held-out split feeds `recommend`."""
+    config = store.config
+    defs = store["defs"]
+    transitions = recom_mod.extract_transitions(
+        store["annotations"], config.bucket_width
+    )
     if config.split == "random":
-        return eval_mod.split_random(items, config.train_fraction, config.seed)
-    return eval_mod.split_chronological(items, config.train_fraction)
+        parts = eval_mod.split_random(transitions, config.train_fraction, config.seed)
+    else:
+        parts = eval_mod.split_chronological(transitions, config.train_fraction)
+    train_part, test_part = parts
+    model = store["model"] = recom_mod.train(
+        train_part,
+        alpha=config.alpha,
+        bucket_width=config.bucket_width,
+        activities=defs.names,
+    )
+    store["features"] = [(t.next_activity, t.features) for t in test_part]
+    path = store.out / "model.json"
+    with _open_write(path) as stream:
+        recom_mod.write_model(model, stream)
+    return (
+        f"trained on {len(train_part)} of {len(transitions)} transitions, "
+        f"wrote {path}"
+    )
 
 
-def _prediction_header(model: recom_mod.RecommenderModel) -> list[str]:
-    return ["activity", "prediction"] + [
-        f"confidence({name})" for name in model.activities
-    ]
-
-
-def _write_predictions(
-    path: Path,
-    model: recom_mod.RecommenderModel,
-    rows: list[tuple[str, recom_mod.ConfidenceVector]],
-) -> None:
+def _recommend(store: Store) -> str:
+    model = store["model"]
+    rows = []
+    for true_label, features in store["features"]:
+        vector = recom_mod.predict_confidences(model, features)
+        rows.append((true_label, recom_mod.recommend(vector), vector))
+    path = store.out / "predictions.csv"
     with _open_write(path) as stream:
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(_prediction_header(model))
-        for true_label, vector in rows:
+        writer.writerow(["activity", "prediction"] + [
+            f"confidence({name})" for name in model.activities
+        ])
+        for true_label, predicted, vector in rows:
             writer.writerow(
-                [true_label, recom_mod.recommend(vector)]
+                [true_label, predicted]
                 + [repr(vector[name]) for name in model.activities]
             )
+    store["predictions"] = [(predicted, label) for label, predicted, _ in rows]
+    return f"wrote {len(rows)} predictions to {path}"
 
 
-def _report_csv_with_seed(report: eval_mod.MetricsReport, seed: int) -> str:
-    lines = eval_mod.emit_report(report, "csv").split("\n")
-    lines.insert(1, f"seed,,{seed}")
-    return "\n".join(lines)
-
-
-def _evaluate_pairs(
-    pairs: list[tuple[str, str]],
-    labels: tuple[str, ...],
-    config: RunConfig,
-    out: Path,
-) -> eval_mod.MetricsReport:
-    cm = eval_mod.build_confusion(pairs, labels)
+def _evaluate(store: Store) -> str:
+    labels = tuple(sorted(store["defs"].names))
+    cm = eval_mod.build_confusion(store["predictions"], labels)
     report = eval_mod.build_report(cm)
-    with _open_write(out / "confusion.csv") as stream:
+    with _open_write(store.out / "confusion.csv") as stream:
         eval_mod.write_confusion(cm, stream)
-    (out / "report.csv").write_text(_report_csv_with_seed(report, config.seed))
-    (out / "report.json").write_text(eval_mod.emit_report(report, "json"))
-    return report
+    lines = eval_mod.emit_report(report, "csv").split("\n")
+    lines.insert(1, f"seed,,{store.config.seed}")
+    (store.out / "report.csv").write_text("\n".join(lines))
+    (store.out / "report.json").write_text(eval_mod.emit_report(report, "json"))
+    return f"accuracy: {report.accuracy * 100:.2f}% over {report.grand_total} pairs"
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline step: the store values it reads, and what it does."""
+
+    name: str
+    help: str
+    inputs: tuple[str, ...]
+    run: Callable[[Store], str]
+
+
+STAGES = (
+    Stage("ingest", "parse datasets into occurrence records", ("defs",), _ingest),
+    Stage("recognize", "score occurrences against their definitions",
+          ("defs", "records"), _recognize),
+    Stage("affect", "attach emotion and UX labels to occurrences",
+          ("defs", "records", "verdicts"), _affect),
+    Stage("cluster", "lay out occurrences on the day clock", ("records",), _cluster),
+    Stage("train", "fit the next-activity model on the training split",
+          ("defs", "annotations"), _train),
+    Stage("recommend", "predict confidence vectors for feature rows",
+          ("model", "features"), _recommend),
+    Stage("evaluate", "score saved predictions into a metrics report",
+          ("defs", "predictions"), _evaluate),
+)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# validate: the one subcommand outside the stage table
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(config: RunConfig | None, args: argparse.Namespace) -> int:
@@ -229,213 +412,6 @@ def _cmd_validate(config: RunConfig | None, args: argparse.Namespace) -> int:
         print(f"FAIL {failure}")
     print(f"{passed} of {total} definitions passed")
     return 0 if passed == total else 1
-
-
-def _cmd_ingest(config: RunConfig) -> int:
-    defs = _load_all_definitions(config.definitions)
-    records = _ingest_records(config, defs)
-    out = _out_dir(config)
-    with _open_write(out / "occurrences.csv") as stream:
-        ingest_mod.write_occurrences(records, stream)
-    print(f"wrote {len(records)} occurrences to {out / 'occurrences.csv'}")
-    return 0
-
-
-def _cmd_recognize(config: RunConfig, args: argparse.Namespace) -> int:
-    defs = _load_all_definitions(config.definitions)
-    out = _out_dir(config)
-    source = Path(args.occurrences) if args.occurrences else out / "occurrences.csv"
-    with open(source) as stream:
-        records = ingest_mod.read_occurrences(stream)
-    scored = _score_records(records, defs, config.lam)
-    rows = [
-        recog_mod.ScoredOccurrence(
-            activity=r.activity, start=r.start, end=r.end,
-            score=v.score, completed=v.completed,
-        )
-        for r, v in scored
-    ]
-    with _open_write(out / "verdicts.csv") as stream:
-        recog_mod.write_verdicts(rows, stream)
-    completed = sum(1 for row in rows if row.completed)
-    print(f"wrote {len(rows)} verdicts ({completed} completed) to {out / 'verdicts.csv'}")
-    return 0
-
-
-def _cmd_affect(config: RunConfig, args: argparse.Namespace) -> int:
-    defs = _load_all_definitions(config.definitions)
-    out = _out_dir(config)
-    source = Path(args.occurrences) if args.occurrences else out / "occurrences.csv"
-    with open(source) as stream:
-        records = ingest_mod.read_occurrences(stream)
-    scored = _score_records(records, defs, config.lam)
-    annotations, model = _annotate_records(scored, defs, config)
-    with _open_write(out / "annotated.csv") as stream:
-        affect_mod.write_annotated(annotations, stream)
-    with _open_write(out / "ux_model.json") as stream:
-        affect_mod.write_ux_model(model, stream)
-    positive = sum(
-        1 for a in annotations if a.emotion is affect_mod.EmotionLabel.POSITIVE
-    )
-    print(
-        f"wrote {len(annotations)} annotations ({positive} positive) "
-        f"to {out / 'annotated.csv'}"
-    )
-    return 0
-
-
-def _cmd_cluster(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
-    source = Path(args.occurrences) if args.occurrences else out / "occurrences.csv"
-    with open(source) as stream:
-        records = ingest_mod.read_occurrences(stream)
-    rows = temporal_mod.cluster_report(records)
-    with _open_write(out / "clusters.csv") as stream:
-        temporal_mod.write_clusters(rows, stream)
-    print(f"wrote {len(rows)} cluster rows to {out / 'clusters.csv'}")
-    return 0
-
-
-def _cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
-    defs = _load_all_definitions(config.definitions)
-    out = _out_dir(config)
-    source = Path(args.annotated) if args.annotated else out / "annotated.csv"
-    with open(source) as stream:
-        annotations = affect_mod.read_annotated(stream)
-    transitions = recom_mod.extract_transitions(annotations, config.bucket_width)
-    train_part, _ = _split(transitions, config)
-    model = recom_mod.train(
-        train_part,
-        alpha=config.alpha,
-        bucket_width=config.bucket_width,
-        activities=defs.names,
-    )
-    with _open_write(out / "model.json") as stream:
-        recom_mod.write_model(model, stream)
-    print(
-        f"trained on {len(train_part)} of {len(transitions)} transitions, "
-        f"wrote {out / 'model.json'}"
-    )
-    return 0
-
-
-def _parse_feature_row(
-    row: dict[str, str], lineno: int
-) -> tuple[str, recom_mod.FeatureVector]:
-    try:
-        previous = row.get("previous_activity", "").strip()
-        features = recom_mod.FeatureVector(
-            time_bucket=int(row["time_bucket"]),
-            previous_activity=(
-                None if previous in ("", recom_mod.NO_PREVIOUS) else previous
-            ),
-            emotion=affect_mod.EmotionLabel(row["emotion"].strip()),
-            ux=affect_mod.UXLabel(row["ux"].strip()),
-            day_kind=recom_mod.DayKind(row["day_kind"].strip()),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"features line {lineno}: {exc}") from None
-    return row.get("activity", "").strip(), features
-
-
-def _cmd_recommend(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
-    model_path = Path(args.model) if args.model else out / "model.json"
-    with open(model_path) as stream:
-        model = recom_mod.read_model(stream)
-    with open(args.features) as stream:
-        reader = csv.DictReader(stream)
-        parsed = [
-            _parse_feature_row(row, lineno)
-            for lineno, row in enumerate(reader, start=2)
-        ]
-    rows = [
-        (true_label, recom_mod.predict_confidences(model, features))
-        for true_label, features in parsed
-    ]
-    _write_predictions(out / "predictions.csv", model, rows)
-    print(f"wrote {len(rows)} predictions to {out / 'predictions.csv'}")
-    return 0
-
-
-def _cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
-    defs = _load_all_definitions(config.definitions)
-    out = _out_dir(config)
-    source = Path(args.predictions) if args.predictions else out / "predictions.csv"
-    pairs: list[tuple[str, str]] = []
-    with open(source) as stream:
-        reader = csv.DictReader(stream)
-        for lineno, row in enumerate(reader, start=2):
-            true_label = row.get("activity", "").strip()
-            predicted = row.get("prediction", "").strip()
-            if not true_label:
-                raise ValueError(
-                    f"{source}: line {lineno}: missing true activity label"
-                )
-            pairs.append((predicted, true_label))
-    labels = tuple(sorted(defs.names))
-    report = _evaluate_pairs(pairs, labels, config, out)
-    print(f"accuracy: {report.accuracy * 100:.2f}% over {report.grand_total} pairs")
-    return 0
-
-
-def _cmd_pipeline(config: RunConfig) -> int:
-    defs = _load_all_definitions(config.definitions)
-    out = _out_dir(config)
-
-    records = _ingest_records(config, defs)
-    with _open_write(out / "occurrences.csv") as stream:
-        ingest_mod.write_occurrences(records, stream)
-
-    scored = _score_records(records, defs, config.lam)
-    verdict_rows = [
-        recog_mod.ScoredOccurrence(
-            activity=r.activity, start=r.start, end=r.end,
-            score=v.score, completed=v.completed,
-        )
-        for r, v in scored
-    ]
-    with _open_write(out / "verdicts.csv") as stream:
-        recog_mod.write_verdicts(verdict_rows, stream)
-
-    annotations, ux_model = _annotate_records(scored, defs, config)
-    with _open_write(out / "annotated.csv") as stream:
-        affect_mod.write_annotated(annotations, stream)
-    with _open_write(out / "ux_model.json") as stream:
-        affect_mod.write_ux_model(ux_model, stream)
-
-    with _open_write(out / "clusters.csv") as stream:
-        temporal_mod.write_clusters(temporal_mod.cluster_report(records), stream)
-
-    transitions = recom_mod.extract_transitions(annotations, config.bucket_width)
-    train_part, test_part = _split(transitions, config)
-    model = recom_mod.train(
-        train_part,
-        alpha=config.alpha,
-        bucket_width=config.bucket_width,
-        activities=defs.names,
-    )
-    with _open_write(out / "model.json") as stream:
-        recom_mod.write_model(model, stream)
-
-    prediction_rows = [
-        (t.next_activity, recom_mod.predict_confidences(model, t.features))
-        for t in test_part
-    ]
-    _write_predictions(out / "predictions.csv", model, prediction_rows)
-
-    pairs = [
-        (recom_mod.recommend(vector), true_label)
-        for true_label, vector in prediction_rows
-    ]
-    report = _evaluate_pairs(pairs, model.activities, config, out)
-
-    print(
-        f"pipeline: {len(records)} occurrences, {len(transitions)} transitions "
-        f"({len(train_part)} train / {len(test_part)} test)"
-    )
-    print(f"accuracy: {report.accuracy * 100:.2f}% over {report.grand_total} pairs")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, help="score slack below history mean")
         p.add_argument("--bucket-width", type=int, dest="bucket_width",
                        help="time bucket width in minutes")
-        p.add_argument("--k", type=int, help="neighbor count for temporal KNN")
         p.add_argument("--alpha", type=float, help="additive smoothing constant")
         p.add_argument("--train-fraction", type=float, dest="train_fraction",
                        help="training share in (0, 1)")
@@ -477,28 +452,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("files", nargs="*", help="definition JSON files")
     add_common(p_validate)
 
-    for name, help_text in [
-        ("ingest", "parse datasets into occurrence records"),
-        ("recognize", "score occurrences against their definitions"),
-        ("affect", "attach emotion and UX labels to occurrences"),
-        ("cluster", "lay out occurrences on the day clock"),
-        ("train", "fit the next-activity model on the training split"),
-        ("recommend", "predict confidence vectors for feature rows"),
-        ("evaluate", "score saved predictions into a metrics report"),
-        ("pipeline", "run every stage end to end"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=stage.help)
         add_common(p)
-        if name in ("recognize", "affect", "cluster"):
-            p.add_argument("--occurrences", help="occurrence CSV (default: <out>/occurrences.csv)")
-        if name == "train":
-            p.add_argument("--annotated", help="annotated CSV (default: <out>/annotated.csv)")
-        if name == "recommend":
-            p.add_argument("--model", help="model JSON (default: <out>/model.json)")
-            p.add_argument("--features", required=True,
-                           help="feature rows CSV (time_bucket,previous_activity,emotion,ux,day_kind[,activity])")
-        if name == "evaluate":
-            p.add_argument("--predictions", help="predictions CSV (default: <out>/predictions.csv)")
+        for key in stage.inputs:
+            source = _INPUTS[key]
+            if source.option:
+                p.add_argument(f"--{source.option}", required=source.default is None,
+                               help=source.help)
+    add_common(sub.add_parser("pipeline", help="run every stage end to end"))
 
     return parser
 
@@ -517,7 +479,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig | None:
         window=args.window,
         epsilon=args.epsilon,
         bucket_width=args.bucket_width,
-        k=args.k,
         alpha=args.alpha,
         train_fraction=args.train_fraction,
         split=args.split,
@@ -534,23 +495,17 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_validate(config, args)
         if config is None:
             parser.error(f"{args.command} requires --config")
-        if args.command == "ingest":
-            return _cmd_ingest(config)
-        if args.command == "recognize":
-            return _cmd_recognize(config, args)
-        if args.command == "affect":
-            return _cmd_affect(config, args)
-        if args.command == "cluster":
-            return _cmd_cluster(config, args)
-        if args.command == "train":
-            return _cmd_train(config, args)
-        if args.command == "recommend":
-            return _cmd_recommend(config, args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(config, args)
+        store = Store(config, args)
+        for stage in STAGES:
+            if args.command in (stage.name, "pipeline"):
+                print(stage.run(store))
         if args.command == "pipeline":
-            return _cmd_pipeline(config)
-        parser.error(f"unknown subcommand {args.command!r}")
+            trained = store["model"].n_transitions
+            tested = len(store["features"])
+            print(
+                f"pipeline: {len(store['records'])} occurrences, "
+                f"{trained + tested} transitions ({trained} train / {tested} test)"
+            )
     except _RECOVERABLE as exc:
         logger.debug("command failed", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)

@@ -39,7 +39,6 @@ class RunConfig:
     window: int = 5
     epsilon: float = 0.05
     bucket_width: int = 30
-    k: int = 3
     alpha: float = 1.0
     train_fraction: float = 0.7
     split: str = "chronological"
@@ -65,7 +64,6 @@ def validate_config(config: RunConfig) -> None:
         1 <= config.bucket_width <= 1440, "bucket_width",
         f"must be in [1, 1440], got {config.bucket_width}",
     )
-    _require(config.k >= 1, "k", f"must be >= 1, got {config.k}")
     _require(config.alpha > 0, "alpha", f"must be > 0, got {config.alpha}")
     _require(
         0.0 < config.train_fraction < 1.0, "train_fraction",
@@ -109,7 +107,7 @@ def load_config(path: str | Path) -> RunConfig:
     defaults = RunConfig()
     known = {
         "definitions", "datasets", "channel_map", "on_watts", "gap_tolerance",
-        "lambda", "window", "epsilon", "bucket_width", "k", "alpha",
+        "lambda", "window", "epsilon", "bucket_width", "alpha",
         "train_fraction", "split", "seed", "out_dir",
     }
     unknown = sorted(set(payload) - known)
@@ -157,7 +155,6 @@ def load_config(path: str | Path) -> RunConfig:
         window=integer("window", defaults.window),
         epsilon=number("epsilon", defaults.epsilon),
         bucket_width=integer("bucket_width", defaults.bucket_width),
-        k=integer("k", defaults.k),
         alpha=number("alpha", defaults.alpha),
         train_fraction=number("train_fraction", defaults.train_fraction),
         split=str(payload.get("split", defaults.split)),

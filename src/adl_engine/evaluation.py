@@ -54,9 +54,6 @@ class ConfusionMatrix:
         j = self.index(label)
         return sum(row[j] for row in self.counts)
 
-    def transpose(self) -> "ConfusionMatrix":
-        return ConfusionMatrix(labels=self.labels, counts=tuple(zip(*self.counts)))
-
 
 # ---------------------------------------------------------------------------
 # Splitting

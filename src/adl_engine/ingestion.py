@@ -35,7 +35,6 @@ class AnnotationParseError(ValueError):
 class Source(str, Enum):
     POWER_TRACE = "power-trace"
     ANNOTATION = "annotation"
-    SYNTHETIC = "synthetic"
 
 
 @dataclass(frozen=True)

@@ -104,33 +104,6 @@ def detect_occurrence(
 
 
 # ---------------------------------------------------------------------------
-# Boundaries
-# ---------------------------------------------------------------------------
-
-def detect_boundaries(
-    defn: ComplexActivityDefinition,
-    events: list[tuple[int, int]],
-) -> tuple[int, int] | None:
-    """Locate an occurrence's extent from timestamped atomic events.
-
-    ``events`` pairs ``(timestamp, atomic_id)``.  The start is the earliest
-    event whose id is in the definition's start set; the end is the latest
-    event in its end set.  Returns None when either anchor is missing or the
-    anchors are out of order.
-    """
-    start_ts: int | None = None
-    end_ts: int | None = None
-    for ts, atomic_id in events:
-        if atomic_id in defn.start_atomics and (start_ts is None or ts < start_ts):
-            start_ts = ts
-        if atomic_id in defn.end_atomics and (end_ts is None or ts > end_ts):
-            end_ts = ts
-    if start_ts is None or end_ts is None or end_ts < start_ts:
-        return None
-    return (start_ts, end_ts)
-
-
-# ---------------------------------------------------------------------------
 # Verdict CSV
 # ---------------------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import Iterator, Sequence, TextIO
 
-from .affect import AffectAnnotation, EmotionLabel, UXLabel
+from .affect import AffectAnnotation, EmotionLabel, UXLabel, time_bucket
 from .temporal import minute_of_day
 
 DEFAULT_ALPHA = 1.0
@@ -178,7 +178,7 @@ def extract_transitions(
     transitions: list[LabeledTransition] = []
     for current, nxt in zip(annotated, annotated[1:]):
         features = FeatureVector(
-            time_bucket=minute_of_day(current.end) // bucket_width,
+            time_bucket=time_bucket(minute_of_day(current.end), bucket_width),
             previous_activity=current.activity,
             emotion=current.emotion,
             ux=current.ux,

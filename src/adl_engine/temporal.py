@@ -16,6 +16,7 @@ from typing import Sequence, TextIO
 from .ingestion import OccurrenceRecord
 
 MINUTES_PER_DAY = 1440
+SECONDS_PER_DAY = 86400
 DEFAULT_K = 3
 
 
@@ -44,7 +45,12 @@ class LabeledInstant:
 
 def minute_of_day(timestamp: int) -> int:
     """Minute within the UTC day for a unix timestamp."""
-    return (timestamp % 86400) // 60
+    return (timestamp % SECONDS_PER_DAY) // 60
+
+
+def day_index(timestamp: int) -> int:
+    """Whole UTC days since the unix epoch for a unix timestamp."""
+    return timestamp // SECONDS_PER_DAY
 
 
 def _minute(value: TimeInstant | int) -> int:
@@ -106,7 +112,7 @@ def instants_from_records(
         LabeledInstant(
             instant=TimeInstant(
                 minute_of_day=minute_of_day(r.start),
-                day_index=r.start // 86400,
+                day_index=day_index(r.start),
             ),
             activity=r.activity,
         )

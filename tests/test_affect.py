@@ -17,11 +17,9 @@ from adl_engine.affect import (
     infer_emotion,
     map_ux,
     read_annotated,
-    read_ux_model,
     time_bucket,
     train_ux_mapper,
     write_annotated,
-    write_ux_model,
 )
 from adl_engine.recognition import Observation, OccurrenceVerdict, detect_occurrence
 
@@ -209,18 +207,6 @@ def test_map_ux_is_total(emotion, activity, bucket):
     assert map_ux(UXModel(), emotion, activity, bucket) in (UXLabel.GOOD, UXLabel.BAD)
 
 
-def test_ux_model_json_round_trip():
-    model = train_ux_mapper(
-        [
-            (EmotionLabel.POSITIVE, "Breakfast", 15, UXLabel.GOOD),
-            (EmotionLabel.NEGATIVE, "Lunch", 24, UXLabel.BAD),
-        ],
-        window=3, epsilon=0.1, bucket_width=60,
-    )
-    restored = UXModel.from_json(model.to_json())
-    assert restored == model
-
-
 # ---------------------------------------------------------------------------
 # annotate
 # ---------------------------------------------------------------------------
@@ -266,12 +252,3 @@ def test_annotated_csv_round_trip():
     buf = io.StringIO()
     write_annotated(rows, buf)
     assert read_annotated(io.StringIO(buf.getvalue())) == rows
-
-
-def test_ux_model_stream_round_trip():
-    model = train_ux_mapper([
-        (EmotionLabel.POSITIVE, "Breakfast", 15, UXLabel.GOOD),
-    ])
-    buf = io.StringIO()
-    write_ux_model(model, buf)
-    assert read_ux_model(io.StringIO(buf.getvalue())) == model

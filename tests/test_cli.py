@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from adl_engine import recognition as recog_mod
 from adl_engine.cli import main
 from adl_engine.config import (
     ConfigError,
@@ -17,8 +18,7 @@ from adl_engine.config import (
 from helpers import CONFIGS_DIR, DEFINITIONS_DIR
 
 PIPELINE_ARTIFACTS = {
-    "occurrences.csv", "verdicts.csv", "annotated.csv", "ux_model.json",
-    "clusters.csv", "model.json", "predictions.csv", "confusion.csv",
+    "occurrences.csv", "verdicts.csv", "annotated.csv", "clusters.csv", "model.json", "predictions.csv", "confusion.csv",
     "report.csv", "report.json",
 }
 
@@ -74,6 +74,13 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"onwatts": 25}))
     with pytest.raises(ConfigError, match="onwatts"):
+        load_config(path)
+
+
+def test_config_rejects_removed_k_key(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"k": 3}))
+    with pytest.raises(ConfigError, match="unknown config keys"):
         load_config(path)
 
 
@@ -227,9 +234,48 @@ def test_stage_subcommands_match_pipeline(tmp_path, capsys):
     pipe_files = _snapshot(piped)
     for name in (
         "occurrences.csv", "verdicts.csv", "annotated.csv",
-        "ux_model.json", "clusters.csv", "model.json",
+        "clusters.csv", "model.json",
     ):
         assert stage_files[name] == pipe_files[name], name
+
+
+def test_affect_reuses_saved_verdicts(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    config = ["--config", str(ADL_CONFIG), "--out", str(out)]
+    assert main(["ingest", *config]) == 0
+    calls = []
+    original = recog_mod.detect_occurrence
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(recog_mod, "detect_occurrence", counting)
+    assert main(["recognize", *config]) == 0
+    assert main(["affect", *config]) == 0
+    capsys.readouterr()
+    occurrences = len((out / "occurrences.csv").read_text().splitlines()) - 1
+    assert len(calls) == occurrences == 144
+
+
+@pytest.mark.parametrize("edit", ["delete", "swap"])
+def test_affect_rejects_verdicts_out_of_step(tmp_path, capsys, edit):
+    out = tmp_path / "run"
+    config = ["--config", str(ADL_CONFIG), "--out", str(out)]
+    assert main(["ingest", *config]) == 0
+    assert main(["recognize", *config]) == 0
+    lines = (out / "verdicts.csv").read_text().splitlines()
+    if edit == "delete":
+        del lines[5]
+    else:
+        lines[5], lines[6] = lines[6], lines[5]
+    (out / "verdicts.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["affect", *config])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "verdicts.csv: rows do not match the occurrences" in err
+    assert not (out / "annotated.csv").exists()
 
 
 def test_evaluate_reproduces_pipeline_report(tmp_path, capsys):
@@ -324,3 +370,37 @@ def test_recommend_rejects_malformed_feature_rows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 2" in err
+
+
+def test_recommend_rejects_short_feature_rows(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    features = tmp_path / "features.csv"
+    features.write_text(
+        "time_bucket,previous_activity,emotion,ux,day_kind,activity\n"
+        "15,Eating Breakfast\n"
+    )
+    capsys.readouterr()
+    code = main([
+        "recommend", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--features", str(features),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {features}: line 2:" in err
+
+
+def test_evaluate_rejects_short_prediction_rows(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    predictions = out / "predictions.csv"
+    header = predictions.read_text().splitlines()[0]
+    predictions.write_text(f"{header}\nLeaving\n")
+    capsys.readouterr()
+    code = main([
+        "evaluate", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--predictions", str(predictions),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {predictions}: line 2:" in err

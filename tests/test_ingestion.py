@@ -291,7 +291,7 @@ def test_serialize_then_parse_is_identity(adl_defs):
 def test_occurrence_csv_round_trip_with_partial_sets():
     records = [
         OccurrenceRecord("Watching TV", 100, 200, frozenset({1, 3}),
-                         frozenset(), Source.SYNTHETIC),
+                         frozenset(), Source.POWER_TRACE),
         OccurrenceRecord("Sleeping", 300, 400, frozenset({1, 2, 3, 4, 5}),
                          frozenset({2, 5}), Source.ANNOTATION),
     ]
@@ -301,8 +301,8 @@ def test_occurrence_csv_round_trip_with_partial_sets():
 
 
 def test_merge_sorted_orders_by_start_then_activity():
-    a = OccurrenceRecord("B", 100, 110, frozenset({1}), frozenset(), Source.SYNTHETIC)
-    b = OccurrenceRecord("A", 100, 120, frozenset({1}), frozenset(), Source.SYNTHETIC)
-    c = OccurrenceRecord("C", 50, 60, frozenset({1}), frozenset(), Source.SYNTHETIC)
+    a = OccurrenceRecord("B", 100, 110, frozenset({1}), frozenset(), Source.ANNOTATION)
+    b = OccurrenceRecord("A", 100, 120, frozenset({1}), frozenset(), Source.ANNOTATION)
+    c = OccurrenceRecord("C", 50, 60, frozenset({1}), frozenset(), Source.ANNOTATION)
     merged = merge_sorted([[a], [b, c]])
     assert [r.activity for r in merged] == ["C", "A", "B"]

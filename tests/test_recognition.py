@@ -16,7 +16,6 @@ from adl_engine.ingestion import OccurrenceRecord, Source
 from adl_engine.recognition import (
     Observation,
     ScoredOccurrence,
-    detect_boundaries,
     detect_occurrence,
     occurrence_weight,
     read_verdicts,
@@ -182,28 +181,6 @@ def test_completed_independent_of_id_enumeration_order(ukdale_defs):
 
 
 # ---------------------------------------------------------------------------
-# detect_boundaries
-# ---------------------------------------------------------------------------
-
-def test_boundaries_from_ordered_events(ukdale_defs):
-    defn = ukdale_defs["Using Microwave"]
-    events = [(100 + i, i + 1) for i in range(7)]  # At1..At7 at t0..t6
-    assert detect_boundaries(defn, events) == (100, 106)
-
-
-def test_boundaries_missing_start_set(ukdale_defs):
-    defn = ukdale_defs["Using Microwave"]
-    events = [(100, 4), (101, 5)]  # core only, no AtS member
-    assert detect_boundaries(defn, events) is None
-
-
-def test_boundaries_end_before_start(ukdale_defs):
-    defn = ukdale_defs["Using Microwave"]
-    events = [(100, 7), (200, 1)]  # the only AtE precedes the only AtS
-    assert detect_boundaries(defn, events) is None
-
-
-# ---------------------------------------------------------------------------
 # Verdict CSV
 # ---------------------------------------------------------------------------
 
@@ -219,7 +196,7 @@ def test_verdict_csv_round_trip():
 
 def test_observation_from_record(ukdale_defs):
     record = OccurrenceRecord(
-        "Watching TV", 5, 9, frozenset({1, 2}), frozenset({3}), Source.SYNTHETIC)
+        "Watching TV", 5, 9, frozenset({1, 2}), frozenset({3}), Source.ANNOTATION)
     obs = Observation.from_record(record)
     assert obs.activity == "Watching TV"
     assert obs.observed_atomics == frozenset({1, 2})
