@@ -17,6 +17,7 @@ from statistics import fmean
 from typing import Iterable, TextIO
 
 from .definitions import ComplexActivityDefinition, most_important_pair
+from .ingestion import csv_rows
 from .recognition import Observation, OccurrenceVerdict, ScoredOccurrence
 from .temporal import minute_of_day
 
@@ -203,7 +204,7 @@ def write_annotated(rows: Iterable[AffectAnnotation], stream: TextIO) -> None:
 
 
 def read_annotated(stream: TextIO) -> list[AffectAnnotation]:
-    reader = csv.DictReader(stream)
+    """Parse an annotated CSV; a short row raises ValueError with its line number."""
     return [
         AffectAnnotation(
             activity=row["activity"],
@@ -214,5 +215,5 @@ def read_annotated(stream: TextIO) -> list[AffectAnnotation]:
             emotion=EmotionLabel(row["emotion"]),
             ux=UXLabel(row["ux"]),
         )
-        for row in reader
+        for _, row in csv_rows(stream)
     ]

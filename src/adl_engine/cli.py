@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, TextIO
 
 from . import affect as affect_mod
 from . import definitions as defs_mod
@@ -81,13 +81,19 @@ def _open_write(path: Path):
 def _csv_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
     """Line number and fields of each CSV row; a short row is an input error."""
     with open(path) as stream:
-        reader = csv.DictReader(stream)
-        for row in reader:
-            if None in row.values():
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: fewer fields than the header"
-                )
-            yield reader.line_num, row
+        try:
+            yield from ingest_mod.csv_rows(stream)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_file(path: Path, parse: Callable[[TextIO], Any]) -> Any:
+    """`parse` applied to the opened file; a ValueError names the file."""
+    with open(path) as stream:
+        try:
+            return parse(stream)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +130,12 @@ def _read_definitions(store: Store, _path: None) -> defs_mod.DefinitionSet:
 
 
 def _read_records(store: Store, path: Path) -> list[ingest_mod.OccurrenceRecord]:
-    with open(path) as stream:
-        return ingest_mod.read_occurrences(stream)
+    return _parse_file(path, ingest_mod.read_occurrences)
 
 
 def _read_verdicts(store: Store, path: Path) -> list[recog_mod.ScoredOccurrence]:
     """Saved verdicts, which must pair up with the occurrences row for row."""
-    with open(path) as stream:
-        verdicts = recog_mod.read_verdicts(stream)
+    verdicts = _parse_file(path, recog_mod.read_verdicts)
     keys = [(v.activity, v.start, v.end) for v in verdicts]
     if keys != [(r.activity, r.start, r.end) for r in store["records"]]:
         raise ValueError(
@@ -141,8 +145,7 @@ def _read_verdicts(store: Store, path: Path) -> list[recog_mod.ScoredOccurrence]
 
 
 def _read_annotations(store: Store, path: Path) -> list[affect_mod.AffectAnnotation]:
-    with open(path) as stream:
-        return affect_mod.read_annotated(stream)
+    return _parse_file(path, affect_mod.read_annotated)
 
 
 def _read_model(store: Store, path: Path) -> recom_mod.RecommenderModel:
@@ -231,16 +234,20 @@ def _ingest(store: Store) -> str:
         raise ConfigError("config key 'datasets': at least one entry is required")
     per_file: list[list[ingest_mod.OccurrenceRecord]] = []
     for spec in config.datasets:
-        with open(spec.path) as stream:
-            if spec.kind == "power-trace":
-                samples = ingest_mod.parse_power_trace(stream, spec.channel)
-                series = ingest_mod.binarize(
-                    samples, config.on_watts, config.gap_tolerance
+        if spec.kind == "power-trace":
+            if spec.channel not in config.channel_map:
+                raise ConfigError(
+                    f"config key 'channel_map': channel {spec.channel!r} "
+                    "has no activity mapping"
                 )
-                records = ingest_mod.segment_occurrences(
-                    series, config.channel_map, defs
+            defn = defs[config.channel_map[spec.channel]]
+            with open(spec.path) as stream:
+                records = ingest_mod.trace_occurrences(
+                    ingest_mod.iter_power_trace(stream, spec.channel),
+                    defn, config.on_watts, config.gap_tolerance,
                 )
-            else:
+        else:
+            with open(spec.path) as stream:
                 records = ingest_mod.parse_adl_log(stream, defs)
         logger.info("ingested %d occurrences from %s", len(records), spec.path)
         per_file.append(records)

@@ -6,9 +6,15 @@ Two wire formats are supported:
   one sample per line (per-appliance channel files);
 * annotation log: CSV with header ``start_iso8601,end_iso8601,activity``.
 
-Continuous power signals are binarized against an on-threshold and segmented
-into timed occurrence records; annotation rows become records directly.
-Parsers are pure per-stream and raise with the offending line number.
+A power trace becomes occurrence records in one pass: `iter_power_trace`
+parses and checks each line into a ``(timestamp, watts)`` pair, and
+`trace_occurrences` thresholds each pair against ``on_watts``, bridges
+dropouts of at most ``gap_tolerance`` samples, and keeps only the open run's
+bounds, so memory does not grow with trace length.  The three-step path
+`parse_power_trace` -> `binarize` -> `segment_occurrences`, which materializes
+every sample and state, is kept as the reference the tests check that pass
+against.  Annotation rows become records directly.  Parsers are pure
+per-stream and raise with the offending line number.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
-from .definitions import DefinitionSet
+from .definitions import ComplexActivityDefinition, DefinitionSet
 
 
 class TraceParseError(ValueError):
@@ -39,7 +45,11 @@ class Source(str, Enum):
 
 @dataclass(frozen=True)
 class SensorSample:
-    """One appliance power reading (UTC seconds, watts >= 0)."""
+    """One appliance power reading (UTC seconds, watts >= 0).
+
+    Built only by the reference path `parse_power_trace`; ingest streams
+    ``(timestamp, watts)`` pairs instead.
+    """
 
     timestamp: int
     channel: str
@@ -48,7 +58,10 @@ class SensorSample:
 
 @dataclass(frozen=True)
 class BinarySeries:
-    """Per-channel on/off states at strictly increasing timestamps."""
+    """Per-channel on/off states at strictly increasing timestamps.
+
+    Built only by the reference path `binarize`.
+    """
 
     channel: str
     points: tuple[tuple[int, int], ...]
@@ -70,30 +83,34 @@ class OccurrenceRecord:
 # Power traces
 # ---------------------------------------------------------------------------
 
-def parse_power_trace(stream: TextIO, channel: str) -> list[SensorSample]:
-    """Parse a two-column power-trace stream into samples, in input order.
+def iter_power_trace(stream: TextIO, channel: str) -> Iterator[tuple[int, float]]:
+    """Yield ``(timestamp, watts)`` per sample of a power-trace stream, in order.
 
-    Sub-second timestamps are truncated to whole seconds.  Raises
-    TraceParseError on a malformed row (with its line number), a negative
-    value, or a timestamp not strictly greater than its predecessor.
+    Blank lines are skipped and sub-second timestamps are truncated to whole
+    seconds.  Raises TraceParseError, naming the channel and line number, on
+    a malformed row, a non-finite timestamp, a negative or non-finite value,
+    or a timestamp not strictly greater than its predecessor.
     """
-    samples: list[SensorSample] = []
     last_ts: int | None = None
     for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 2:
             raise TraceParseError(
-                f"{channel}: line {lineno}: expected 'timestamp watts', got {line!r}"
+                f"{channel}: line {lineno}: expected 'timestamp watts', "
+                f"got {line.strip()!r}"
             )
         try:
             ts = int(float(parts[0]))
             value = float(parts[1])
         except ValueError:
             raise TraceParseError(
-                f"{channel}: line {lineno}: non-numeric field in {line!r}"
+                f"{channel}: line {lineno}: non-numeric field in {line.strip()!r}"
+            ) from None
+        except OverflowError:
+            raise TraceParseError(
+                f"{channel}: line {lineno}: timestamp must be finite, got {parts[0]!r}"
             ) from None
         if value < 0 or not math.isfinite(value):
             raise TraceParseError(
@@ -104,8 +121,70 @@ def parse_power_trace(stream: TextIO, channel: str) -> list[SensorSample]:
                 f"{channel}: line {lineno}: timestamp {ts} not after {last_ts}"
             )
         last_ts = ts
-        samples.append(SensorSample(timestamp=ts, channel=channel, value=value))
-    return samples
+        yield ts, value
+
+
+def _check_thresholds(on_watts: float, gap_tolerance: int) -> None:
+    if on_watts <= 0:
+        raise ValueError(f"on_watts must be > 0, got {on_watts}")
+    if gap_tolerance < 0:
+        raise ValueError(f"gap_tolerance must be >= 0, got {gap_tolerance}")
+
+
+def trace_occurrences(
+    samples: Iterable[tuple[int, float]],
+    defn: ComplexActivityDefinition,
+    on_watts: float,
+    gap_tolerance: int,
+) -> list[OccurrenceRecord]:
+    """One record per on-run of a ``(timestamp, watts)`` stream, in one pass.
+
+    Gives the records of ``segment_occurrences(binarize(...))`` with O(1)
+    state: the open run's first and last on-sample and the count of off
+    samples since the last on-sample.  An on-sample after more than
+    ``gap_tolerance`` off samples closes the run; trailing off samples never
+    extend one.  Like ``segment_occurrences``, each record carries the full
+    id sets of ``defn``, the activity the channel maps to.
+    """
+    _check_thresholds(on_watts, gap_tolerance)
+    runs: list[tuple[int, int]] = []
+    run_start = run_end = None
+    off = 0  # off samples since the last on-sample
+    for ts, watts in samples:
+        if watts > on_watts:
+            if run_start is None:
+                run_start = ts
+            elif off > gap_tolerance:
+                runs.append((run_start, run_end))
+                run_start = ts
+            run_end = ts
+            off = 0
+        else:
+            off += 1
+    if run_start is not None:
+        runs.append((run_start, run_end))
+    return [
+        OccurrenceRecord(
+            activity=defn.name,
+            start=start,
+            end=end,
+            observed_atomics=defn.atomic_ids,
+            satisfied_contexts=defn.context_ids,
+            source=Source.POWER_TRACE,
+        )
+        for start, end in runs
+    ]
+
+
+# The three-step path below builds every sample, a states list and a points
+# tuple.  No stage runs it; tests hold `trace_occurrences` to its records.
+
+def parse_power_trace(stream: TextIO, channel: str) -> list[SensorSample]:
+    """All samples of a power-trace stream, as parsed by `iter_power_trace`."""
+    return [
+        SensorSample(timestamp=ts, channel=channel, value=value)
+        for ts, value in iter_power_trace(stream, channel)
+    ]
 
 
 def binarize(
@@ -117,11 +196,7 @@ def binarize(
     ``gap_tolerance`` samples flanked by on-states on both sides are promoted
     to on, so brief sensor dropouts do not split one activity in two.
     """
-    if on_watts <= 0:
-        raise ValueError(f"on_watts must be > 0, got {on_watts}")
-    if gap_tolerance < 0:
-        raise ValueError(f"gap_tolerance must be >= 0, got {gap_tolerance}")
-
+    _check_thresholds(on_watts, gap_tolerance)
     channel = samples[0].channel if samples else ""
     states = [1 if s.value > on_watts else 0 for s in samples]
 
@@ -311,20 +386,65 @@ def write_occurrences(records: Iterable[OccurrenceRecord], stream: TextIO) -> No
 
 
 def read_occurrences(stream: TextIO) -> list[OccurrenceRecord]:
-    reader = csv.DictReader(stream)
+    """Parse an occurrence CSV as written by `write_occurrences`.
+
+    Raises ValueError with the line number on a header other than
+    OCCURRENCE_FIELDS, a row with another field count, or a malformed field.
+    """
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        return []
+    if header != OCCURRENCE_FIELDS:
+        raise ValueError(
+            f"line 1: expected header {','.join(OCCURRENCE_FIELDS)!r}, "
+            f"got {','.join(header)!r}"
+        )
+    sources = {s.value: s for s in Source}
+    # records share few distinct id sets, so each field text is parsed once
+    id_sets: dict[str, frozenset[int]] = {}
     records = []
     for row in reader:
-        records.append(
-            OccurrenceRecord(
-                activity=row["activity"],
-                start=int(row["start"]),
-                end=int(row["end"]),
-                observed_atomics=_field_to_ids(row["observed_atomics"]),
-                satisfied_contexts=_field_to_ids(row["satisfied_contexts"]),
-                source=Source(row["source"]),
+        if not row:
+            continue
+        if len(row) != len(OCCURRENCE_FIELDS):
+            raise ValueError(
+                f"line {reader.line_num}: expected {len(OCCURRENCE_FIELDS)} fields, "
+                f"got {len(row)}"
             )
-        )
+        activity, start, end, atomics, contexts, source = row
+        try:
+            if atomics not in id_sets:
+                id_sets[atomics] = _field_to_ids(atomics)
+            if contexts not in id_sets:
+                id_sets[contexts] = _field_to_ids(contexts)
+            if source not in sources:
+                raise ValueError(f"unknown source {source!r}")
+            records.append(
+                OccurrenceRecord(
+                    activity=activity,
+                    start=int(start),
+                    end=int(end),
+                    observed_atomics=id_sets[atomics],
+                    satisfied_contexts=id_sets[contexts],
+                    source=sources[source],
+                )
+            )
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return records
+
+
+def csv_rows(stream: TextIO) -> Iterator[tuple[int, dict[str, str]]]:
+    """Line number and fields of each row of a CSV with a header row.
+
+    A row with fewer fields than the header raises ValueError.
+    """
+    reader = csv.DictReader(stream)
+    for row in reader:
+        if None in row.values():
+            raise ValueError(f"line {reader.line_num}: fewer fields than the header")
+        yield reader.line_num, row
 
 
 def merge_sorted(record_lists: Iterable[list[OccurrenceRecord]]) -> list[OccurrenceRecord]:

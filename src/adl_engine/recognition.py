@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 from .definitions import ComplexActivityDefinition
-from .ingestion import OccurrenceRecord
+from .ingestion import OccurrenceRecord, csv_rows
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def write_verdicts(rows: Iterable[ScoredOccurrence], stream: TextIO) -> None:
 
 
 def read_verdicts(stream: TextIO) -> list[ScoredOccurrence]:
-    reader = csv.DictReader(stream)
+    """Parse a verdict CSV; a short row raises ValueError with its line number."""
     return [
         ScoredOccurrence(
             activity=row["activity"],
@@ -140,5 +140,5 @@ def read_verdicts(stream: TextIO) -> list[ScoredOccurrence]:
             score=float(row["score"]),
             completed=row["completed"] == "true",
         )
-        for row in reader
+        for _, row in csv_rows(stream)
     ]

@@ -252,3 +252,13 @@ def test_annotated_csv_round_trip():
     buf = io.StringIO()
     write_annotated(rows, buf)
     assert read_annotated(io.StringIO(buf.getvalue())) == rows
+
+
+def test_read_annotated_rejects_short_rows():
+    text = (
+        "activity,start,end,score,completed,emotion,ux\n"
+        "Breakfast,100,200,1.0,true,positive,good\n"
+        "Lunch,300,400\n"
+    )
+    with pytest.raises(ValueError, match="line 3: fewer fields than the header"):
+        read_annotated(io.StringIO(text))

@@ -302,6 +302,41 @@ def test_ingest_ukdale_power_traces(tmp_path, capsys):
     assert len(lines) == 8  # header plus one row per occurrence
 
 
+UKDALE_OCCURRENCES = """\
+activity,start,end,observed_atomics,satisfied_contexts,source
+Using Microwave,1709537400,1709537754,1;2;3;4;5;6;7,1;2;3;4;5;6;7,power-trace
+Using Washing Machine,1709546400,1709548194,1;2;3;4;5;6;7,1;2;3;4;5;6;7,power-trace
+Using Washing Machine,1709548560,1709550594,1;2;3;4;5;6;7,1;2;3;4;5;6;7,power-trace
+Using Microwave,1709554500,1709554914,1;2;3;4;5;6;7,1;2;3;4;5;6;7,power-trace
+Watching TV,1709571600,1709573094,1;2;3;4;5;6;7,1;2;3;4;5;6;7,power-trace
+Using Microwave,1709579100,1709579454,1;2;3;4;5;6;7,1;2;3;4;5;6;7,power-trace
+Watching TV,1709580600,1709588694,1;2;3;4;5;6;7,1;2;3;4;5;6;7,power-trace
+"""
+
+
+def test_ingest_ukdale_writes_pinned_occurrences(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["ingest", "--config", str(UKDALE_CONFIG), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "occurrences.csv").read_bytes() == UKDALE_OCCURRENCES.encode()
+
+
+def test_ingest_rejects_unmapped_channel_before_reading(tmp_path, capsys):
+    trace = tmp_path / "sauna.dat"
+    trace.write_text("")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "definitions": [str(DEFINITIONS_DIR / "ukdale.json")],
+        "datasets": [{"path": str(trace), "kind": "power-trace", "channel": "sauna"}],
+        "channel_map": {"tv": "Watching TV"},
+        "out_dir": str(tmp_path / "out"),
+    }))
+    code = main(["ingest", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "channel 'sauna' has no activity mapping" in err
+
+
 def test_recommend_subcommand(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
@@ -404,3 +439,18 @@ def test_evaluate_rejects_short_prediction_rows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {predictions}: line 2:" in err
+
+
+def test_cluster_rejects_short_occurrence_rows(tmp_path, capsys):
+    out = tmp_path / "run"
+    config = ["--config", str(ADL_CONFIG), "--out", str(out)]
+    assert main(["ingest", *config]) == 0
+    occurrences = out / "occurrences.csv"
+    lines = occurrences.read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:2])
+    occurrences.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["cluster", *config])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {occurrences}: line 4: expected 6 fields, got 2" in err

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adl_engine.ingestion import (
@@ -14,12 +15,14 @@ from adl_engine.ingestion import (
     Source,
     TraceParseError,
     binarize,
+    iter_power_trace,
     merge_sorted,
     parse_adl_log,
     parse_power_trace,
     read_occurrences,
     segment_occurrences,
     serialize_adl_log,
+    trace_occurrences,
     write_occurrences,
 )
 
@@ -72,6 +75,13 @@ def test_parse_power_trace_rejects_malformed_second_line(line, fragment):
 def test_parse_power_trace_rejects_non_monotonic_timestamp():
     text = "1700000000 1.0\n1700000000 2.0\n"
     with pytest.raises(TraceParseError, match="not after"):
+        parse_power_trace(io.StringIO(text), "tv")
+
+
+@pytest.mark.parametrize("stamp", ["inf", "-inf", "1e400"])
+def test_parse_power_trace_rejects_infinite_timestamp(stamp):
+    text = f"1699999994 1.0\n{stamp} 5.0\n"
+    with pytest.raises(TraceParseError, match="tv: line 2: timestamp must be finite"):
         parse_power_trace(io.StringIO(text), "tv")
 
 
@@ -194,6 +204,88 @@ def test_segment_conserves_active_time(values, ukdale_defs):
 
 
 # ---------------------------------------------------------------------------
+# trace_occurrences: the one-pass ingest path, checked against the
+# parse_power_trace -> binarize -> segment_occurrences reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _trace_lines(draw):
+    """Trace lines built from alternating on and off stretches.
+
+    Off stretches of 1-7 samples straddle every gap_tolerance drawn below,
+    so dropouts are bridged or not, inside runs and at both edges.
+    """
+    lines = []
+    ts = 1_700_000_000
+    on = draw(st.booleans())
+    for length in draw(st.lists(st.integers(1, 7), max_size=12)):
+        for _ in range(length):
+            watts = draw(
+                st.floats(10.0, 3000.0, exclude_min=True) if on
+                else st.floats(0.0, 10.0)
+            )
+            lines.append(f"{ts} {watts!r}")
+            ts += draw(st.integers(1, 9))
+        on = not on
+    return lines
+
+
+@settings(max_examples=200, derandomize=True)
+@given(lines=_trace_lines(), tolerance=st.integers(0, 5))
+@example(lines=["1 0.0", "2 1.0", "3 0.5"], tolerance=2)  # all off
+@example(lines=["1 50.0", "2 60.0", "3 70.0"], tolerance=0)  # all on
+@example(lines=["1 0.0", "2 50.0", "3 0.0", "4 50.0", "5 0.0"], tolerance=5)
+def test_trace_occurrences_matches_three_step_reference(lines, tolerance, ukdale_defs):
+    text = "\n".join(lines) + "\n"
+    expected = segment_occurrences(
+        binarize(parse_power_trace(io.StringIO(text), "tv"), 10.0, tolerance),
+        {"tv": "Watching TV"}, ukdale_defs,
+    )
+    records = trace_occurrences(
+        iter_power_trace(io.StringIO(text), "tv"),
+        ukdale_defs["Watching TV"], 10.0, tolerance,
+    )
+    assert records == expected
+
+
+def test_trace_occurrences_parameter_validation(ukdale_defs):
+    defn = ukdale_defs["Watching TV"]
+    with pytest.raises(ValueError, match="on_watts"):
+        trace_occurrences([], defn, on_watts=0, gap_tolerance=0)
+    with pytest.raises(ValueError, match="gap_tolerance"):
+        trace_occurrences([], defn, on_watts=10, gap_tolerance=-1)
+
+
+def _ten_run_lines(samples: int):
+    """A 6 s trace with ten on-runs, each holding one bridged dropout."""
+    period = samples // 10
+    for i in range(samples):
+        phase = i % period
+        on = phase < period // 2 and phase != period // 4
+        yield f"{1_700_000_000 + 6 * i} {1200.0 if on else 1.5}\n"
+
+
+def _peak_traced_bytes(samples: int, defn) -> int:
+    tracemalloc.start()
+    try:
+        records = trace_occurrences(
+            iter_power_trace(_ten_run_lines(samples), "tv"), defn, 10.0, 2
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 10
+    return peak
+
+
+def test_trace_occurrences_memory_does_not_grow_with_trace_length(ukdale_defs):
+    defn = ukdale_defs["Watching TV"]
+    short = _peak_traced_bytes(20_000, defn)
+    long = _peak_traced_bytes(200_000, defn)
+    assert long - short < 64 * 1024
+
+
+# ---------------------------------------------------------------------------
 # parse_adl_log
 # ---------------------------------------------------------------------------
 
@@ -288,6 +380,9 @@ def test_serialize_then_parse_is_identity(adl_defs):
 # Occurrence CSV round-trip and merging
 # ---------------------------------------------------------------------------
 
+_OCCURRENCE_HEADER = "activity,start,end,observed_atomics,satisfied_contexts,source"
+_OCCURRENCE_ROW = "Watching TV,100,200,1;3,,power-trace"
+
 def test_occurrence_csv_round_trip_with_partial_sets():
     records = [
         OccurrenceRecord("Watching TV", 100, 200, frozenset({1, 3}),
@@ -298,6 +393,19 @@ def test_occurrence_csv_round_trip_with_partial_sets():
     buf = io.StringIO()
     write_occurrences(records, buf)
     assert read_occurrences(io.StringIO(buf.getvalue())) == records
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("activity,start,end\n", "line 1: expected header"),
+    (f"{_OCCURRENCE_HEADER}\n{_OCCURRENCE_ROW}\nSleeping,300\n", "line 3: expected 6 fields"),
+    (f"{_OCCURRENCE_HEADER}\n{_OCCURRENCE_ROW},extra\n", "line 2: expected 6 fields"),
+    (f"{_OCCURRENCE_HEADER}\nSleeping,soon,400,1,2,annotation\n", "line 2: invalid literal"),
+    (f"{_OCCURRENCE_HEADER}\nSleeping,300,400,1;x,2,annotation\n", "line 2: invalid literal"),
+    (f"{_OCCURRENCE_HEADER}\nSleeping,300,400,1,2,dream\n", "line 2: unknown source 'dream'"),
+], ids=["header", "short-row", "long-row", "start", "id-set", "source"])
+def test_read_occurrences_rejects_malformed_rows(text, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        read_occurrences(io.StringIO(text))
 
 
 def test_merge_sorted_orders_by_start_then_activity():

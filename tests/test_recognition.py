@@ -194,6 +194,16 @@ def test_verdict_csv_round_trip():
     assert read_verdicts(io.StringIO(buf.getvalue())) == rows
 
 
+def test_read_verdicts_rejects_short_rows():
+    text = (
+        "activity,start,end,score,completed\n"
+        "Watching TV,100,200,1.0,true\n"
+        "Sleeping,300,400\n"
+    )
+    with pytest.raises(ValueError, match="line 3: fewer fields than the header"):
+        read_verdicts(io.StringIO(text))
+
+
 def test_observation_from_record(ukdale_defs):
     record = OccurrenceRecord(
         "Watching TV", 5, 9, frozenset({1, 2}), frozenset({3}), Source.ANNOTATION)
