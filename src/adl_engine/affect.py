@@ -10,14 +10,13 @@ a good/bad experience label.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import fmean
 from typing import Iterable, TextIO
 
 from .definitions import ComplexActivityDefinition, most_important_pair
-from .ingestion import csv_rows
+from .ingestion import parse_flag, read_table, write_table
 from .recognition import Observation, OccurrenceVerdict, ScoredOccurrence
 from .temporal import minute_of_day
 
@@ -194,26 +193,28 @@ ANNOTATED_FIELDS = [
 
 
 def write_annotated(rows: Iterable[AffectAnnotation], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(ANNOTATED_FIELDS)
-    for r in rows:
-        writer.writerow([
+    write_table(stream, ANNOTATED_FIELDS, (
+        [
             r.activity, r.start, r.end, repr(r.score),
             str(r.completed).lower(), r.emotion.value, r.ux.value,
-        ])
+        ]
+        for r in rows
+    ))
+
+
+def _parse_annotation(row: list[str]) -> AffectAnnotation:
+    activity, start, end, score, completed, emotion, ux = row
+    return AffectAnnotation(
+        activity=activity,
+        start=int(start),
+        end=int(end),
+        score=float(score),
+        completed=parse_flag(completed),
+        emotion=EmotionLabel(emotion),
+        ux=UXLabel(ux),
+    )
 
 
 def read_annotated(stream: TextIO) -> list[AffectAnnotation]:
-    """Parse an annotated CSV; a short row raises ValueError with its line number."""
-    return [
-        AffectAnnotation(
-            activity=row["activity"],
-            start=int(row["start"]),
-            end=int(row["end"]),
-            score=float(row["score"]),
-            completed=row["completed"] == "true",
-            emotion=EmotionLabel(row["emotion"]),
-            ux=UXLabel(row["ux"]),
-        )
-        for _, row in csv_rows(stream)
-    ]
+    """Parse an annotated CSV; a malformed row raises ValueError with its line number."""
+    return read_table(stream, ANNOTATED_FIELDS, _parse_annotation)

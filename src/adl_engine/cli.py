@@ -79,15 +79,22 @@ def _open_write(path: Path):
 
 
 def _csv_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
-    """Line number and fields of each CSV row; a short row is an input error."""
+    """Line number and fields, by column name, of each row of a user-supplied CSV.
+
+    A short or unreadable row raises ValueError naming the file and line.
+    """
     with open(path) as stream:
+        reader = csv.DictReader(stream)
         try:
-            yield from ingest_mod.csv_rows(stream)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            for row in reader:
+                if None in row.values():
+                    raise ValueError("fewer fields than the header")
+                yield reader.line_num, row
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _parse_file(path: Path, parse: Callable[[TextIO], Any]) -> Any:
+def _parse_file(path: str | Path, parse: Callable[[TextIO], Any]) -> Any:
     """`parse` applied to the opened file; a ValueError names the file."""
     with open(path) as stream:
         try:
@@ -247,8 +254,9 @@ def _ingest(store: Store) -> str:
                     defn, config.on_watts, config.gap_tolerance,
                 )
         else:
-            with open(spec.path) as stream:
-                records = ingest_mod.parse_adl_log(stream, defs)
+            records = _parse_file(
+                spec.path, lambda stream: ingest_mod.parse_adl_log(stream, defs)
+            )
         logger.info("ingested %d occurrences from %s", len(records), spec.path)
         per_file.append(records)
     records = store["records"] = ingest_mod.merge_sorted(per_file)
@@ -340,17 +348,15 @@ def _recommend(store: Store) -> str:
     for true_label, features in store["features"]:
         vector = recom_mod.predict_confidences(model, features)
         rows.append((true_label, recom_mod.recommend(vector), vector))
+    header = ["activity", "prediction"] + [
+        f"confidence({name})" for name in model.activities
+    ]
     path = store.out / "predictions.csv"
     with _open_write(path) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["activity", "prediction"] + [
-            f"confidence({name})" for name in model.activities
-        ])
-        for true_label, predicted, vector in rows:
-            writer.writerow(
-                [true_label, predicted]
-                + [repr(vector[name]) for name in model.activities]
-            )
+        ingest_mod.write_table(stream, header, (
+            [true_label, predicted] + [repr(vector[name]) for name in model.activities]
+            for true_label, predicted, vector in rows
+        ))
     store["predictions"] = [(predicted, label) for label, predicted, _ in rows]
     return f"wrote {len(rows)} predictions to {path}"
 

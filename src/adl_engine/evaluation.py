@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, TextIO, TypeVar
 
+from .ingestion import write_table
+
 T = TypeVar("T")
 
 
@@ -166,15 +168,14 @@ def _percent(value: float | None) -> str:
 def emit_report(report: MetricsReport, format: str = "csv") -> str:
     """Render a report; percentages print with two decimals, n/a when undefined."""
     if format == "csv":
+        rows = [["accuracy", "", _percent(report.accuracy)]]
+        for label in report.labels:
+            rows.append(["precision", label, _percent(report.precision[label])])
+        for label in report.labels:
+            rows.append(["recall", label, _percent(report.recall[label])])
+        rows.append(["grand_total", "", str(report.grand_total)])
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["metric", "label", "value"])
-        writer.writerow(["accuracy", "", _percent(report.accuracy)])
-        for label in report.labels:
-            writer.writerow(["precision", label, _percent(report.precision[label])])
-        for label in report.labels:
-            writer.writerow(["recall", label, _percent(report.recall[label])])
-        writer.writerow(["grand_total", "", str(report.grand_total)])
+        write_table(buf, ["metric", "label", "value"], rows)
         return buf.getvalue()
     if format == "json":
         payload = {
@@ -207,10 +208,9 @@ def report_from_json(text: str) -> MetricsReport:
 
 def write_confusion(cm: ConfusionMatrix, stream: TextIO) -> None:
     """CSV grid: label header row/column, predicted rows by true columns."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["pred\\true", *cm.labels])
-    for label, row in zip(cm.labels, cm.counts):
-        writer.writerow([label, *row])
+    write_table(stream, ["pred\\true", *cm.labels], (
+        [label, *row] for label, row in zip(cm.labels, cm.counts)
+    ))
 
 
 def read_confusion(stream: TextIO) -> ConfusionMatrix:

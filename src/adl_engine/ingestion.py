@@ -1,6 +1,6 @@
 """Ingestion of appliance power traces and activity annotation logs.
 
-Two wire formats are supported:
+Two input wire formats are supported:
 
 * power trace: whitespace-separated text, two columns ``unix_timestamp watts``,
   one sample per line (per-appliance channel files);
@@ -15,6 +15,10 @@ bounds, so memory does not grow with trace length.  The three-step path
 every sample and state, is kept as the reference the tests check that pass
 against.  Annotation rows become records directly.  Parsers are pure
 per-stream and raise with the offending line number.
+
+Every CSV table the engine writes goes through `write_table`.  The stage
+tables read back go through `read_table`, which wants the exact header, the
+header's field count on every row, and ``true``/``false`` flags.
 """
 
 from __future__ import annotations
@@ -25,9 +29,12 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .definitions import ComplexActivityDefinition, DefinitionSet
+
+
+T = TypeVar("T")
 
 
 class TraceParseError(ValueError):
@@ -290,6 +297,9 @@ def _parse_iso8601(text: str, lineno: int) -> int:
     return int(dt.timestamp())
 
 
+ADL_LOG_FIELDS = ["start_iso8601", "end_iso8601", "activity"]
+
+
 def parse_adl_log(stream: TextIO, defs: DefinitionSet) -> list[OccurrenceRecord]:
     """Parse an annotation CSV into records sorted by start time.
 
@@ -298,44 +308,48 @@ def parse_adl_log(stream: TextIO, defs: DefinitionSet) -> list[OccurrenceRecord]
     sets (partial observations are constructed in-process, not on the wire).
     """
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    expected = ["start_iso8601", "end_iso8601", "activity"]
-    if [h.strip() for h in header] != expected:
-        raise AnnotationParseError(
-            f"line 1: expected header {','.join(expected)!r}, got {','.join(header)!r}"
-        )
-
     records: list[OccurrenceRecord] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise AnnotationParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        start = _parse_iso8601(row[0], lineno)
-        end = _parse_iso8601(row[1], lineno)
-        activity = row[2].strip()
-        if activity not in defs:
+    try:
+        header = next(reader, None)
+        if header is None:
+            return []
+        if [h.strip() for h in header] != ADL_LOG_FIELDS:
             raise AnnotationParseError(
-                f"line {lineno}: unknown activity label {activity!r}"
+                f"line 1: expected header {','.join(ADL_LOG_FIELDS)!r}, "
+                f"got {','.join(header)!r}"
             )
-        if end < start:
-            raise AnnotationParseError(
-                f"line {lineno}: end {row[1].strip()!r} before start {row[0].strip()!r}"
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise AnnotationParseError(
+                    f"line {lineno}: expected 3 fields, got {len(row)}"
+                )
+            start = _parse_iso8601(row[0], lineno)
+            end = _parse_iso8601(row[1], lineno)
+            activity = row[2].strip()
+            if activity not in defs:
+                raise AnnotationParseError(
+                    f"line {lineno}: unknown activity label {activity!r}"
+                )
+            if end < start:
+                raise AnnotationParseError(
+                    f"line {lineno}: end {row[1].strip()!r} before start "
+                    f"{row[0].strip()!r}"
+                )
+            defn = defs[activity]
+            records.append(
+                OccurrenceRecord(
+                    activity=activity,
+                    start=start,
+                    end=end,
+                    observed_atomics=defn.atomic_ids,
+                    satisfied_contexts=defn.context_ids,
+                    source=Source.ANNOTATION,
+                )
             )
-        defn = defs[activity]
-        records.append(
-            OccurrenceRecord(
-                activity=activity,
-                start=start,
-                end=end,
-                observed_atomics=defn.atomic_ids,
-                satisfied_contexts=defn.context_ids,
-                source=Source.ANNOTATION,
-            )
-        )
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise AnnotationParseError(f"line {reader.line_num}: {exc}") from None
     records.sort(key=lambda r: (r.start, r.activity))
     return records
 
@@ -343,15 +357,68 @@ def parse_adl_log(stream: TextIO, defs: DefinitionSet) -> list[OccurrenceRecord]
 def serialize_adl_log(records: Iterable[OccurrenceRecord]) -> str:
     """Render records back to the annotation wire format (parse round-trips)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["start_iso8601", "end_iso8601", "activity"])
-    for r in records:
-        writer.writerow([_iso(r.start), _iso(r.end), r.activity])
+    write_table(
+        buf, ADL_LOG_FIELDS, ([_iso(r.start), _iso(r.end), r.activity] for r in records)
+    )
     return buf.getvalue()
 
 
 def _iso(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
+
+
+# ---------------------------------------------------------------------------
+# Stage tables
+# ---------------------------------------------------------------------------
+
+def write_table(
+    stream: TextIO, header: list[str], rows: Iterable[Iterable[object]]
+) -> None:
+    """Write a CSV table: the header row, then each row, ending lines in LF."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def read_table(
+    stream: TextIO, header: list[str], parse: Callable[[list[str]], T]
+) -> list[T]:
+    """``parse(row)`` for each row of a table written by `write_table`.
+
+    An empty stream gives ``[]`` and blank lines are skipped.  The first row
+    must equal ``header`` and every other row must have ``len(header)``
+    fields.  A violation, a row the csv module cannot read, or a ValueError
+    from ``parse`` raises ValueError prefixed with ``line N:``.
+    """
+    width = len(header)
+    reader = csv.reader(stream)
+    values: list[T] = []
+    try:
+        first = next(reader, None)
+        if first is None:
+            return []
+        if first != header:
+            raise ValueError(
+                f"expected header {','.join(header)!r}, got {','.join(first)!r}"
+            )
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            values.append(parse(row))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return values
+
+
+def parse_flag(text: str) -> bool:
+    """A boolean table field: ``true`` or ``false``, nothing else."""
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    raise ValueError(f"expected 'true' or 'false', got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -374,77 +441,45 @@ def _field_to_ids(field_text: str) -> frozenset[int]:
 
 
 def write_occurrences(records: Iterable[OccurrenceRecord], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(OCCURRENCE_FIELDS)
-    for r in records:
-        writer.writerow([
+    write_table(stream, OCCURRENCE_FIELDS, (
+        [
             r.activity, r.start, r.end,
             _ids_to_field(r.observed_atomics),
             _ids_to_field(r.satisfied_contexts),
             r.source.value,
-        ])
+        ]
+        for r in records
+    ))
 
 
 def read_occurrences(stream: TextIO) -> list[OccurrenceRecord]:
     """Parse an occurrence CSV as written by `write_occurrences`.
 
-    Raises ValueError with the line number on a header other than
-    OCCURRENCE_FIELDS, a row with another field count, or a malformed field.
+    Raises ValueError with the line number as `read_table` does, and on a
+    malformed start, end, id set or source.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None:
-        return []
-    if header != OCCURRENCE_FIELDS:
-        raise ValueError(
-            f"line 1: expected header {','.join(OCCURRENCE_FIELDS)!r}, "
-            f"got {','.join(header)!r}"
-        )
     sources = {s.value: s for s in Source}
     # records share few distinct id sets, so each field text is parsed once
     id_sets: dict[str, frozenset[int]] = {}
-    records = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(OCCURRENCE_FIELDS):
-            raise ValueError(
-                f"line {reader.line_num}: expected {len(OCCURRENCE_FIELDS)} fields, "
-                f"got {len(row)}"
-            )
+
+    def parse(row: list[str]) -> OccurrenceRecord:
         activity, start, end, atomics, contexts, source = row
-        try:
-            if atomics not in id_sets:
-                id_sets[atomics] = _field_to_ids(atomics)
-            if contexts not in id_sets:
-                id_sets[contexts] = _field_to_ids(contexts)
-            if source not in sources:
-                raise ValueError(f"unknown source {source!r}")
-            records.append(
-                OccurrenceRecord(
-                    activity=activity,
-                    start=int(start),
-                    end=int(end),
-                    observed_atomics=id_sets[atomics],
-                    satisfied_contexts=id_sets[contexts],
-                    source=sources[source],
-                )
-            )
-        except ValueError as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
-    return records
+        if atomics not in id_sets:
+            id_sets[atomics] = _field_to_ids(atomics)
+        if contexts not in id_sets:
+            id_sets[contexts] = _field_to_ids(contexts)
+        if source not in sources:
+            raise ValueError(f"unknown source {source!r}")
+        return OccurrenceRecord(
+            activity=activity,
+            start=int(start),
+            end=int(end),
+            observed_atomics=id_sets[atomics],
+            satisfied_contexts=id_sets[contexts],
+            source=sources[source],
+        )
 
-
-def csv_rows(stream: TextIO) -> Iterator[tuple[int, dict[str, str]]]:
-    """Line number and fields of each row of a CSV with a header row.
-
-    A row with fewer fields than the header raises ValueError.
-    """
-    reader = csv.DictReader(stream)
-    for row in reader:
-        if None in row.values():
-            raise ValueError(f"line {reader.line_num}: fewer fields than the header")
-        yield reader.line_num, row
+    return read_table(stream, OCCURRENCE_FIELDS, parse)
 
 
 def merge_sorted(record_lists: Iterable[list[OccurrenceRecord]]) -> list[OccurrenceRecord]:

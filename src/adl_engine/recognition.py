@@ -8,13 +8,12 @@ counts as completed when that weight reaches the definition's threshold.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 from .definitions import ComplexActivityDefinition
-from .ingestion import OccurrenceRecord, csv_rows
+from .ingestion import OccurrenceRecord, parse_flag, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -122,23 +121,23 @@ VERDICT_FIELDS = ["activity", "start", "end", "score", "completed"]
 
 
 def write_verdicts(rows: Iterable[ScoredOccurrence], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(VERDICT_FIELDS)
-    for r in rows:
-        writer.writerow(
-            [r.activity, r.start, r.end, repr(r.score), str(r.completed).lower()]
-        )
+    write_table(stream, VERDICT_FIELDS, (
+        [r.activity, r.start, r.end, repr(r.score), str(r.completed).lower()]
+        for r in rows
+    ))
+
+
+def _parse_verdict(row: list[str]) -> ScoredOccurrence:
+    activity, start, end, score, completed = row
+    return ScoredOccurrence(
+        activity=activity,
+        start=int(start),
+        end=int(end),
+        score=float(score),
+        completed=parse_flag(completed),
+    )
 
 
 def read_verdicts(stream: TextIO) -> list[ScoredOccurrence]:
-    """Parse a verdict CSV; a short row raises ValueError with its line number."""
-    return [
-        ScoredOccurrence(
-            activity=row["activity"],
-            start=int(row["start"]),
-            end=int(row["end"]),
-            score=float(row["score"]),
-            completed=row["completed"] == "true",
-        )
-        for _, row in csv_rows(stream)
-    ]
+    """Parse a verdict CSV; a malformed row raises ValueError with its line number."""
+    return read_table(stream, VERDICT_FIELDS, _parse_verdict)

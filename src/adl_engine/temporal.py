@@ -8,12 +8,11 @@ and a cluster report lays out each activity's instants by day for plotting.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
-from .ingestion import OccurrenceRecord
+from .ingestion import OccurrenceRecord, read_table, write_table
 
 MINUTES_PER_DAY = 1440
 SECONDS_PER_DAY = 86400
@@ -128,28 +127,23 @@ def cluster_report(
     Day indices are shifted so the earliest observed day is 0; rows group by
     activity name and sort by day then minute within each group.
     """
-    instants = instants_from_records(records)
-    if not instants:
-        return []
-    base_day = min(li.instant.day_index for li in instants)
-    rows = [
-        (li.activity, li.instant.day_index - base_day, li.instant.minute_of_day)
-        for li in instants
-    ]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
+    days = [day_index(r.start) for r in records]
+    base_day = min(days, default=0)
+    return sorted(
+        (r.activity, day - base_day, minute_of_day(r.start))
+        for r, day in zip(records, days)
+    )
+
+
+CLUSTER_FIELDS = ["activity", "day_index", "minute_of_day"]
 
 
 def write_clusters(rows: list[tuple[str, int, int]], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["activity", "day_index", "minute_of_day"])
-    for activity, day, minute in rows:
-        writer.writerow([activity, day, minute])
+    write_table(stream, CLUSTER_FIELDS, rows)
 
 
 def read_clusters(stream: TextIO) -> list[tuple[str, int, int]]:
-    reader = csv.DictReader(stream)
-    return [
-        (row["activity"], int(row["day_index"]), int(row["minute_of_day"]))
-        for row in reader
-    ]
+    """Parse a cluster CSV; a malformed row raises ValueError with its line number."""
+    return read_table(
+        stream, CLUSTER_FIELDS, lambda row: (row[0], int(row[1]), int(row[2]))
+    )

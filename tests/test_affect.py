@@ -260,5 +260,22 @@ def test_read_annotated_rejects_short_rows():
         "Breakfast,100,200,1.0,true,positive,good\n"
         "Lunch,300,400\n"
     )
-    with pytest.raises(ValueError, match="line 3: fewer fields than the header"):
+    with pytest.raises(ValueError, match="line 3: expected 7 fields, got 3"):
+        read_annotated(io.StringIO(text))
+
+
+_ANNOTATED_HEADER = "activity,start,end,score,completed,emotion,ux"
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (f"{_ANNOTATED_HEADER}\nLunch,300,400,1.0,yes,positive,good\n",
+     "line 2: expected 'true' or 'false', got 'yes'"),
+    (f"{_ANNOTATED_HEADER}\nLunch,300,400,1.0,true,positive,good,extra\n",
+     "line 2: expected 7 fields, got 8"),
+    ("activity,end,start,score,completed,emotion,ux\n"
+     "Lunch,400,300,1.0,true,positive,good\n",
+     "line 1: expected header"),
+], ids=["flag", "extra-field", "reordered-header"])
+def test_read_annotated_rejects_malformed_rows(text, fragment):
+    with pytest.raises(ValueError, match=fragment):
         read_annotated(io.StringIO(text))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -210,6 +212,46 @@ def test_pipeline_writes_all_artifacts(tmp_path, capsys):
     report_lines = (out / "report.csv").read_text().splitlines()
     assert report_lines[0] == "metric,label,value"
     assert report_lines[1] == "seed,,0"
+
+
+# sha256 of each artifact `pipeline` writes for the bundled configs; a change to
+# any writer that alters one byte of an artifact fails here
+GOLDEN_DIGESTS = {
+    "adl": {
+        "annotated.csv": "04417d9058c018c71f08ec6eb53a358009e038f4674db8e283b92a9e781bac88",
+        "clusters.csv": "0a55bac3710748970cdff0a6a86b106de43dff9a21557c0a7263ad5f77d5fb92",
+        "confusion.csv": "ff1fa2fd097b893cda3ac61d7bb0c0bbc203741562db3feb62c6064135cc6099",
+        "model.json": "71fa7a9b4b6a87a93b40a2f77c2b49e609493de53877496d062a84288e72c930",
+        "occurrences.csv": "e4de5c2b36c1c3165c3d6f2fa7cf3d8f7c3b7dd50e6baa5fa04ea3b208aed418",
+        "predictions.csv": "055fc8cc87cff778ef1b0d4de4505cdbfc5f791cb5beb8ad57a75efff128f51f",
+        "report.csv": "797a1cbe73925973f7d949ee310e97df06f84b7a4c96e80a5ebdd89eb4a292e3",
+        "report.json": "87a37b8c12d565c33672c5f7705fcc265382a5b6627c7c642758a499f50290e2",
+        "verdicts.csv": "ba74ecead181c1c73496f2a4a4585e4d3e4e62c2b463da03c46836b175ac5fd8",
+    },
+    "ukdale": {
+        "annotated.csv": "71da56617bd25c0583933ca72eb917102c12cdd456570ec80691d8b69403a13f",
+        "clusters.csv": "9b55b95d897cdae26169dc2b8056cd9868f4ac32a529c6238fdf7cc202d39ad9",
+        "confusion.csv": "0fd54fc0cc3b601575b7ac2e1fecba0eb50f058a018f1c5fa479cc82d804bf31",
+        "model.json": "0fc83001af667b9847205a6149ef594cafe5999ffd2cda08697a529358cdb54e",
+        "occurrences.csv": "0842517b319a7daa1df91cab779899843a6952726975fef142bd3253fee3a523",
+        "predictions.csv": "a11efd94294307c1c8b0f9ca924eb1bbe093c598e6f2562d36dfc8a677ce48be",
+        "report.csv": "26a4c5211295110d5361ee4c7207c86764ef972f90590d9ddb973e5f29e918ee",
+        "report.json": "9484ade9d9118d2fd7e957d52137b49c43bea21f2226268847f4e414b1ba381d",
+        "verdicts.csv": "55e03422e776328cb86820378905e022ee8f3fd18df4e813c34fd1cd551c110e",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_pipeline_artifacts_match_golden_digests(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    config = CONFIGS_DIR / f"{name}.json"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = {
+        file: hashlib.sha256(data).hexdigest() for file, data in _snapshot(out).items()
+    }
+    assert digests == GOLDEN_DIGESTS[name]
 
 
 def test_pipeline_is_deterministic(tmp_path, capsys):
@@ -454,3 +496,54 @@ def test_cluster_rejects_short_occurrence_rows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {occurrences}: line 4: expected 6 fields, got 2" in err
+
+
+def test_cluster_rejects_oversized_occurrence_field(tmp_path, capsys):
+    out = tmp_path / "run"
+    config = ["--config", str(ADL_CONFIG), "--out", str(out)]
+    assert main(["ingest", *config]) == 0
+    occurrences = out / "occurrences.csv"
+    lines = occurrences.read_text().splitlines()
+    lines[3] = "x" * (csv.field_size_limit() + 1) + lines[3]
+    occurrences.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["cluster", *config])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {occurrences}: line 4: field larger than field limit" in err
+
+
+def test_ingest_rejects_oversized_annotation_field(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text(
+        "start_iso8601,end_iso8601,activity\n"
+        "2024-03-04T07:00:00+00:00,2024-03-04T07:20:00+00:00,Sleeping\n"
+        f"2024-03-04T08:00:00+00:00,2024-03-04T08:20:00+00:00,"
+        f"{'x' * (csv.field_size_limit() + 1)}\n"
+    )
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "definitions": [str(DEFINITIONS_DIR / "adl.json")],
+        "datasets": [{"path": str(log), "kind": "adl-log"}],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    code = main(["ingest", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {log}: line 3: field larger than field limit" in err
+
+
+def test_affect_rejects_unknown_completed_flag(tmp_path, capsys):
+    out = tmp_path / "run"
+    config = ["--config", str(ADL_CONFIG), "--out", str(out)]
+    assert main(["ingest", *config]) == 0
+    assert main(["recognize", *config]) == 0
+    verdicts = out / "verdicts.csv"
+    lines = verdicts.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",yes"
+    verdicts.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["affect", *config])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {verdicts}: line 3: expected 'true' or 'false', got 'yes'" in err

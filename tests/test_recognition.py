@@ -200,7 +200,20 @@ def test_read_verdicts_rejects_short_rows():
         "Watching TV,100,200,1.0,true\n"
         "Sleeping,300,400\n"
     )
-    with pytest.raises(ValueError, match="line 3: fewer fields than the header"):
+    with pytest.raises(ValueError, match="line 3: expected 5 fields, got 3"):
+        read_verdicts(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("activity,start,end,score,completed\nSleeping,300,400,1.0,yes\n",
+     "line 2: expected 'true' or 'false', got 'yes'"),
+    ("activity,start,end,score,completed\nSleeping,300,400,1.0,true,extra\n",
+     "line 2: expected 5 fields, got 6"),
+    ("activity,end,start,score,completed\nSleeping,400,300,1.0,true\n",
+     "line 1: expected header"),
+], ids=["flag", "extra-field", "reordered-header"])
+def test_read_verdicts_rejects_malformed_rows(text, fragment):
+    with pytest.raises(ValueError, match=fragment):
         read_verdicts(io.StringIO(text))
 
 
