@@ -15,9 +15,9 @@ from enum import Enum
 from statistics import fmean
 from typing import Iterable, TextIO
 
-from .definitions import ComplexActivityDefinition, most_important_pair
+from .definitions import ComplexActivityDefinition
 from .ingestion import parse_flag, read_table, write_table
-from .recognition import Observation, OccurrenceVerdict, ScoredOccurrence
+from .recognition import Evidence, OccurrenceVerdict, ScoredOccurrence
 from .temporal import minute_of_day
 
 # a verdict in memory, or its row read back from the verdict CSV
@@ -45,7 +45,7 @@ class UXLabel(str, Enum):
 def infer_emotion(
     defn: ComplexActivityDefinition,
     history: list[float],
-    observation: Observation,
+    observation: Evidence,
     verdict: Verdict,
     window: int = DEFAULT_WINDOW,
     epsilon: float = DEFAULT_EPSILON,
@@ -69,7 +69,7 @@ def infer_emotion(
     if not verdict.completed:
         return EmotionLabel.NEGATIVE
 
-    atomic_id, context_id = most_important_pair(defn)
+    atomic_id, context_id = defn.most_important_pair
     if atomic_id not in observation.observed_atomics:
         return EmotionLabel.NEGATIVE
     if context_id not in observation.satisfied_contexts:
@@ -152,7 +152,7 @@ class AffectAnnotation:
 
 
 def annotate(
-    items: list[tuple[ComplexActivityDefinition, Observation, Verdict, int, int]],
+    items: Iterable[tuple[ComplexActivityDefinition, Evidence, Verdict, int, int]],
     model: UXModel,
 ) -> list[AffectAnnotation]:
     """Run emotion inference over occurrences in order, then map UX.

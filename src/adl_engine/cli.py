@@ -184,13 +184,23 @@ def _read_features(
 
 
 def _read_predictions(store: Store, path: Path) -> list[tuple[str, str]]:
-    """(predicted, true) activity pairs from a predictions CSV."""
+    """(predicted, true) activity pairs from a predictions CSV.
+
+    Both labels must name a defined activity.
+    """
+    known = set(store["defs"].names)
     pairs = []
     for lineno, row in _csv_rows(path):
         true_label = row.get("activity", "").strip()
+        predicted = row.get("prediction", "").strip()
         if not true_label:
             raise ValueError(f"{path}: line {lineno}: missing true activity label")
-        pairs.append((row.get("prediction", "").strip(), true_label))
+        for what, label in (("true", true_label), ("predicted", predicted)):
+            if label not in known:
+                raise ValueError(
+                    f"{path}: line {lineno}: unknown {what} activity {label!r}"
+                )
+        pairs.append((predicted, true_label))
     return pairs
 
 
@@ -270,9 +280,7 @@ def _recognize(store: Store) -> str:
     defs = store["defs"]
     verdicts = []
     for r in store["records"]:
-        verdict = recog_mod.detect_occurrence(
-            defs[r.activity], recog_mod.Observation.from_record(r), store.config.lam
-        )
+        verdict = recog_mod.detect_occurrence(defs[r.activity], r, store.config.lam)
         verdicts.append(recog_mod.ScoredOccurrence(
             activity=r.activity, start=r.start, end=r.end,
             score=verdict.score, completed=verdict.completed,
@@ -288,10 +296,10 @@ def _recognize(store: Store) -> str:
 def _affect(store: Store) -> str:
     config = store.config
     defs = store["defs"]
-    items = [
-        (defs[r.activity], recog_mod.Observation.from_record(r), v, r.start, r.end)
+    items = (
+        (defs[r.activity], r, v, r.start, r.end)
         for r, v in zip(store["records"], store["verdicts"])
-    ]
+    )
     # no UX labels exist to learn from, so UX follows the sign of the emotion
     ux_model = affect_mod.UXModel(
         window=config.window, epsilon=config.epsilon, bucket_width=config.bucket_width
@@ -344,20 +352,25 @@ def _train(store: Store) -> str:
 
 def _recommend(store: Store) -> str:
     model = store["model"]
+    # feature rows repeat few distinct vectors, so each is predicted once
+    memo: dict[recom_mod.FeatureVector, tuple[str, list[str]]] = {}
     rows = []
     for true_label, features in store["features"]:
-        vector = recom_mod.predict_confidences(model, features)
-        rows.append((true_label, recom_mod.recommend(vector), vector))
+        if features not in memo:
+            vector = recom_mod.predict_confidences(model, features)
+            memo[features] = (
+                recom_mod.recommend(vector),
+                [repr(vector[name]) for name in model.activities],
+            )
+        predicted, confidences = memo[features]
+        rows.append([true_label, predicted, *confidences])
     header = ["activity", "prediction"] + [
         f"confidence({name})" for name in model.activities
     ]
     path = store.out / "predictions.csv"
     with _open_write(path) as stream:
-        ingest_mod.write_table(stream, header, (
-            [true_label, predicted] + [repr(vector[name]) for name in model.activities]
-            for true_label, predicted, vector in rows
-        ))
-    store["predictions"] = [(predicted, label) for label, predicted, _ in rows]
+        ingest_mod.write_table(stream, header, rows)
+    store["predictions"] = [(predicted, label) for label, predicted, *_ in rows]
     return f"wrote {len(rows)} predictions to {path}"
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -54,7 +55,9 @@ class ComplexActivityDefinition:
     ``atomics`` and ``contexts`` are positionally paired (id i with id i);
     the core/start/end sets reference those ids.  ``threshold`` is the
     minimum occurrence weight at or above which an instance counts as
-    successfully completed.
+    successfully completed.  The id sets, weight totals and most important
+    pair are computed on first use and then shared by every caller, so all
+    records of one definition hold the same two id-set objects.
     """
 
     name: str
@@ -70,11 +73,11 @@ class ComplexActivityDefinition:
     threshold: float
     comment: str = ""
 
-    @property
+    @cached_property
     def atomic_ids(self) -> frozenset[int]:
         return frozenset(a.id for a in self.atomics)
 
-    @property
+    @cached_property
     def context_ids(self) -> frozenset[int]:
         return frozenset(c.id for c in self.contexts)
 
@@ -90,13 +93,22 @@ class ComplexActivityDefinition:
                 return c.weight
         raise KeyError(f"{self.name}: no context attribute with id {context_id}")
 
-    @property
+    @cached_property
     def atomic_weight_total(self) -> float:
         return math.fsum(a.weight for a in self.atomics)
 
-    @property
+    @cached_property
     def context_weight_total(self) -> float:
         return math.fsum(c.weight for c in self.contexts)
+
+    @cached_property
+    def most_important_pair(self) -> tuple[int, int]:
+        """(atomic id, context id) of the maximum-weight atomic activity.
+
+        Ties break toward the lowest id; the context id is the positional pair.
+        """
+        best = max(self.atomics, key=lambda a: (a.weight, -a.id))
+        return best.id, best.id
 
 
 @dataclass(frozen=True)
@@ -199,15 +211,6 @@ def validate_definition(defn: ComplexActivityDefinition) -> list[str]:
         problems.append(prefix + f"threshold {defn.threshold} outside (0, 1]")
 
     return problems
-
-
-def most_important_pair(defn: ComplexActivityDefinition) -> tuple[int, int]:
-    """Return (atomic id, context id) of the maximum-weight atomic activity.
-
-    Ties break toward the lowest id; the context id is the positional pair.
-    """
-    best = max(defn.atomics, key=lambda a: (a.weight, -a.id))
-    return best.id, best.id
 
 
 # ---------------------------------------------------------------------------

@@ -206,17 +206,47 @@ def report_from_json(text: str) -> MetricsReport:
     )
 
 
+# the header's first field, above the column of row labels
+CONFUSION_CORNER = "pred\\true"
+
+
 def write_confusion(cm: ConfusionMatrix, stream: TextIO) -> None:
     """CSV grid: label header row/column, predicted rows by true columns."""
-    write_table(stream, ["pred\\true", *cm.labels], (
+    write_table(stream, [CONFUSION_CORNER, *cm.labels], (
         [label, *row] for label, row in zip(cm.labels, cm.counts)
     ))
 
 
 def read_confusion(stream: TextIO) -> ConfusionMatrix:
-    rows = list(csv.reader(stream))
-    if not rows:
-        raise ValueError("empty confusion-matrix document")
-    labels = tuple(rows[0][1:])
-    counts = tuple(tuple(int(cell) for cell in row[1:]) for row in rows[1:])
-    return ConfusionMatrix(labels=labels, counts=counts)
+    """Parse a confusion CSV as written by `write_confusion`.
+
+    Blank lines are skipped.  The header must start with ``pred\\true``, and
+    row i must start with the label of column i and have the header's field
+    count.  A violation, a non-integer count or a row the csv module cannot
+    read raises ValueError prefixed with ``line N:``.
+    """
+    reader = csv.reader(stream)
+    counts: list[tuple[int, ...]] = []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty confusion-matrix document")
+        if header[0] != CONFUSION_CORNER:
+            raise ValueError(
+                f"header starts with {header[0]!r}, not {CONFUSION_CORNER!r}"
+            )
+        labels = tuple(header[1:])
+        for row in reader:
+            if not row:
+                continue
+            if len(counts) == len(labels):
+                raise ValueError(f"more rows than labels ({len(labels)})")
+            expected = labels[len(counts)]
+            if row[0] != expected:
+                raise ValueError(f"row label {row[0]!r}, expected {expected!r}")
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            counts.append(tuple(int(cell) for cell in row[1:]))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return ConfusionMatrix(labels=labels, counts=tuple(counts))

@@ -441,11 +441,20 @@ def _field_to_ids(field_text: str) -> frozenset[int]:
 
 
 def write_occurrences(records: Iterable[OccurrenceRecord], stream: TextIO) -> None:
+    # records share few distinct id sets, so each is formatted once
+    fields: dict[frozenset[int], str] = {}
+
+    def field_of(ids: frozenset[int]) -> str:
+        text = fields.get(ids)
+        if text is None:
+            text = fields[ids] = _ids_to_field(ids)
+        return text
+
     write_table(stream, OCCURRENCE_FIELDS, (
         [
             r.activity, r.start, r.end,
-            _ids_to_field(r.observed_atomics),
-            _ids_to_field(r.satisfied_contexts),
+            field_of(r.observed_atomics),
+            field_of(r.satisfied_contexts),
             r.source.value,
         ]
         for r in records

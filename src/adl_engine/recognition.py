@@ -10,10 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, Protocol, TextIO
 
 from .definitions import ComplexActivityDefinition
-from .ingestion import OccurrenceRecord, parse_flag, read_table, write_table
+from .ingestion import parse_flag, read_table, write_table
+
+
+class Evidence(Protocol):
+    """What scoring reads of an occurrence: an `Observation` or an
+    `ingestion.OccurrenceRecord`."""
+
+    @property
+    def observed_atomics(self) -> frozenset[int]: ...
+
+    @property
+    def satisfied_contexts(self) -> frozenset[int]: ...
 
 
 @dataclass(frozen=True)
@@ -23,14 +34,6 @@ class Observation:
     activity: str
     observed_atomics: frozenset[int]
     satisfied_contexts: frozenset[int]
-
-    @staticmethod
-    def from_record(record: OccurrenceRecord) -> "Observation":
-        return Observation(
-            activity=record.activity,
-            observed_atomics=record.observed_atomics,
-            satisfied_contexts=record.satisfied_contexts,
-        )
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class OccurrenceVerdict:
 
 def occurrence_weight(
     defn: ComplexActivityDefinition,
-    observation: Observation,
+    observation: Evidence,
     lam: float = 0.5,
 ) -> float:
     """Blend of observed atomic and satisfied context weight fractions.
@@ -61,35 +64,40 @@ def occurrence_weight(
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
-    unknown_at = observation.observed_atomics - defn.atomic_ids
-    if unknown_at:
-        raise KeyError(f"{defn.name}: unknown atomic ids {sorted(unknown_at)}")
-    unknown_ct = observation.satisfied_contexts - defn.context_ids
-    if unknown_ct:
-        raise KeyError(f"{defn.name}: unknown context ids {sorted(unknown_ct)}")
+    observed = observation.observed_atomics
+    satisfied = observation.satisfied_contexts
+    atomic_ids = defn.atomic_ids
+    context_ids = defn.context_ids
+    # records built from a definition share its id sets, so `is` settles them
+    full_atomics = observed is atomic_ids or observed == atomic_ids
+    if not (full_atomics or observed <= atomic_ids):
+        unknown = sorted(observed - atomic_ids)
+        raise KeyError(f"{defn.name}: unknown atomic ids {unknown}")
+    full_contexts = satisfied is context_ids or satisfied == context_ids
+    if not (full_contexts or satisfied <= context_ids):
+        unknown = sorted(satisfied - context_ids)
+        raise KeyError(f"{defn.name}: unknown context ids {unknown}")
 
-    if observation.observed_atomics == defn.atomic_ids:
+    if full_atomics:
         atomic_fraction = 1.0
     else:
-        observed = math.fsum(
-            a.weight for a in defn.atomics if a.id in observation.observed_atomics
-        )
-        atomic_fraction = observed / defn.atomic_weight_total
+        atomic_fraction = math.fsum(
+            a.weight for a in defn.atomics if a.id in observed
+        ) / defn.atomic_weight_total
 
-    if observation.satisfied_contexts == defn.context_ids:
+    if full_contexts:
         context_fraction = 1.0
     else:
-        satisfied = math.fsum(
-            c.weight for c in defn.contexts if c.id in observation.satisfied_contexts
-        )
-        context_fraction = satisfied / defn.context_weight_total
+        context_fraction = math.fsum(
+            c.weight for c in defn.contexts if c.id in satisfied
+        ) / defn.context_weight_total
 
     return lam * atomic_fraction + (1.0 - lam) * context_fraction
 
 
 def detect_occurrence(
     defn: ComplexActivityDefinition,
-    observation: Observation,
+    observation: Evidence,
     lam: float = 0.5,
 ) -> OccurrenceVerdict:
     """Score an observation and compare against the threshold (inclusive)."""

@@ -14,12 +14,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Sequence, TextIO
 
 from .affect import AffectAnnotation, EmotionLabel, UXLabel, time_bucket
-from .temporal import minute_of_day
+from .temporal import is_weekday, minute_of_day
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_BUCKET_WIDTH = 30
@@ -35,8 +35,7 @@ class DayKind(str, Enum):
 
 
 def day_kind_of(timestamp: int) -> DayKind:
-    weekday = datetime.fromtimestamp(timestamp, tz=timezone.utc).weekday()
-    return DayKind.WEEKDAY if weekday < 5 else DayKind.WEEKEND
+    return DayKind.WEEKDAY if is_weekday(timestamp) else DayKind.WEEKEND
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,9 @@ class RecommenderModel:
 
     ``feature_counts[f][c][v]`` counts transitions of class ``c`` whose
     encoded feature ``f`` had value ``v``; ``feature_domains[f]`` is the
-    sorted set of values seen for ``f`` across all classes.
+    sorted set of values seen for ``f`` across all classes.  `prior` and
+    `conditional` compute one smoothed factor per call; `factors` holds them
+    all, computed once per model.
     """
 
     activities: tuple[str, ...]
@@ -126,6 +127,35 @@ class RecommenderModel:
         count = self.feature_counts[feature].get(activity, {}).get(value, 0)
         class_count = self.class_counts.get(activity, 0)
         return (count + self.alpha) / (class_count + self.alpha * domain_size)
+
+    @cached_property
+    def factors(
+        self,
+    ) -> tuple[list[float], dict[str, tuple[dict[str, list[float]], list[float]]]]:
+        """The priors, and per feature the conditionals of each value seen in
+        training plus those of an unseen value, all in ``activities`` order.
+
+        Each factor is the expression `prior` or `conditional` computes, so a
+        product of them is bit-identical to one of per-call factors.  Cached
+        on the model and never serialized.
+        """
+        priors = [self.prior(a) for a in self.activities]
+        tables = {}
+        for f in FEATURE_NAMES:
+            domain_size = len(self.feature_domains[f])
+            counts = [self.feature_counts[f].get(a, {}) for a in self.activities]
+            denominators = [
+                self.class_counts.get(a, 0) + self.alpha * domain_size
+                for a in self.activities
+            ]
+            seen = {v for per_class in counts for v in per_class}
+            rows = {
+                v: [(c.get(v, 0) + self.alpha) / d for c, d in zip(counts, denominators)]
+                for v in seen
+            }
+            unseen = [(0 + self.alpha) / d for d in denominators]  # count 0
+            tables[f] = rows, unseen
+        return priors, tables
 
     def to_json(self) -> str:
         payload = {
@@ -172,18 +202,23 @@ def extract_transitions(
     Features come from occurrence i (end-time bucket, its own activity as
     previous_activity, its emotion and UX, its end-day kind); the label is
     the activity of occurrence i+1.  n occurrences yield n-1 transitions.
+    Transitions with equal features share one `FeatureVector`.
     """
     if not 1 <= bucket_width <= 1440:
         raise ValueError(f"bucket_width must be in [1, 1440], got {bucket_width}")
+    vectors: dict[tuple, FeatureVector] = {}
     transitions: list[LabeledTransition] = []
     for current, nxt in zip(annotated, annotated[1:]):
-        features = FeatureVector(
-            time_bucket=time_bucket(minute_of_day(current.end), bucket_width),
-            previous_activity=current.activity,
-            emotion=current.emotion,
-            ux=current.ux,
-            day_kind=day_kind_of(current.end),
+        key = (
+            time_bucket(minute_of_day(current.end), bucket_width),
+            current.activity,
+            current.emotion,
+            current.ux,
+            day_kind_of(current.end),
         )
+        features = vectors.get(key)
+        if features is None:
+            features = vectors[key] = FeatureVector(*key)
         transitions.append(
             LabeledTransition(features=features, next_activity=nxt.activity)
         )
@@ -239,17 +274,18 @@ def predict_confidences(
 ) -> ConfidenceVector:
     """Posterior over activities: prior times per-feature conditionals.
 
-    Values absent from a feature's training domain still contribute the
-    smoothing mass alpha over the recorded domain size, so every activity
-    keeps strictly positive confidence.  The result is normalized to sum 1.
+    The factors come from `RecommenderModel.factors` and multiply in the
+    order prior, then `FEATURE_NAMES`.  Values absent from a feature's
+    training domain still contribute the smoothing mass alpha over the
+    recorded domain size, so every activity keeps strictly positive
+    confidence.  The result is normalized to sum 1.
     """
     encoded = _encode(features)
-    weights: dict[str, float] = {}
-    for activity in model.activities:
-        weight = model.prior(activity)
-        for f in FEATURE_NAMES:
-            weight *= model.conditional(f, encoded[f], activity)
-        weights[activity] = weight
+    products, tables = model.factors
+    for f in FEATURE_NAMES:
+        rows, unseen = tables[f]
+        products = [p * x for p, x in zip(products, rows.get(encoded[f], unseen))]
+    weights = dict(zip(model.activities, products))
     total = math.fsum(weights.values())
     return ConfidenceVector({a: w / total for a, w in sorted(weights.items())})
 

@@ -52,6 +52,14 @@ def day_index(timestamp: int) -> int:
     return timestamp // SECONDS_PER_DAY
 
 
+def is_weekday(timestamp: int) -> bool:
+    """Whether the UTC day of a unix timestamp is Monday to Friday.
+
+    The epoch fell on a Thursday, weekday 3 counting Monday as 0.
+    """
+    return (day_index(timestamp) + 3) % 7 < 5
+
+
 def _minute(value: TimeInstant | int) -> int:
     minute = value.minute_of_day if isinstance(value, TimeInstant) else value
     if not 0 <= minute < MINUTES_PER_DAY:

@@ -9,6 +9,7 @@ the classifier is checked against.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -20,7 +21,12 @@ from adl_engine.definitions import (
     DefinitionSet,
     load_definitions,
 )
-from adl_engine.recommender import LabeledTransition, NO_PREVIOUS
+from adl_engine.recommender import (
+    FEATURE_NAMES,
+    NO_PREVIOUS,
+    LabeledTransition,
+    RecommenderModel,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFINITIONS_DIR = REPO_ROOT / "definitions"
@@ -251,3 +257,18 @@ def oracle_posterior(
         weights[activity] = weight
     total = sum(weights.values())
     return {a: w / total for a, w in weights.items()}
+
+
+def per_call_posterior(model: RecommenderModel, features) -> dict[str, float]:
+    """The posterior computed one factor per call, as `predict_confidences`
+    did before `RecommenderModel.factors`: per activity, `prior` times the
+    `conditional` of each feature in `FEATURE_NAMES` order, normalized."""
+    query = _oracle_encode(features)
+    weights: dict[str, float] = {}
+    for activity in model.activities:
+        weight = model.prior(activity)
+        for f in FEATURE_NAMES:
+            weight *= model.conditional(f, query[f], activity)
+        weights[activity] = weight
+    total = math.fsum(weights.values())
+    return {a: w / total for a, w in sorted(weights.items())}

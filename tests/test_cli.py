@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from adl_engine import recognition as recog_mod
+from adl_engine import recommender as recom_mod
+from adl_engine.affect import EmotionLabel, UXLabel
 from adl_engine.cli import main
 from adl_engine.config import (
     ConfigError,
@@ -402,6 +404,59 @@ def test_recommend_subcommand(tmp_path, capsys):
     assert first[1] == "Leaving"
 
 
+def test_recommend_memo_matches_one_prediction_per_row(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    # repeated vectors, a first occurrence and values unseen in training
+    rows = [
+        "15,Eating Breakfast,positive,good,weekday,Leaving",
+        "1,none,positive,good,weekday,",
+        "15,Eating Breakfast,positive,good,weekday,Eating Lunch",
+        "47,Showering,negative,bad,weekend,Sleeping",
+        "1,none,positive,good,weekday,Sleeping",
+        "15,Eating Breakfast,positive,good,weekday,Leaving",
+        "47,Showering,negative,bad,weekend,",
+    ]
+    features = tmp_path / "features.csv"
+    features.write_text(
+        "time_bucket,previous_activity,emotion,ux,day_kind,activity\n"
+        + "\n".join(rows) + "\n"
+    )
+    predict = recom_mod.predict_confidences
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return predict(*args)
+
+    monkeypatch.setattr(recom_mod, "predict_confidences", counting)
+    code = main([
+        "recommend", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--features", str(features),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 3  # one per distinct feature vector
+
+    with open(out / "model.json") as stream:
+        model = recom_mod.read_model(stream)
+    want = [
+        "activity,prediction,"
+        + ",".join(f"confidence({name})" for name in model.activities)
+    ]
+    for row in rows:
+        bucket, previous, emotion, ux, day, true_label = row.split(",")
+        vector = predict(model, recom_mod.FeatureVector(
+            int(bucket), None if previous == "none" else previous,
+            EmotionLabel(emotion), UXLabel(ux), recom_mod.DayKind(day),
+        ))
+        want.append(",".join(
+            [true_label, recom_mod.recommend(vector)]
+            + [repr(vector[name]) for name in model.activities]
+        ))
+    assert (out / "predictions.csv").read_text().splitlines() == want
+
+
 # ---------------------------------------------------------------------------
 # Error paths
 # ---------------------------------------------------------------------------
@@ -481,6 +536,27 @@ def test_evaluate_rejects_short_prediction_rows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {predictions}: line 2:" in err
+
+
+@pytest.mark.parametrize("column, what", [(0, "true"), (1, "predicted")],
+                         ids=["true", "predicted"])
+def test_evaluate_rejects_unknown_labels(tmp_path, capsys, column, what):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    predictions = out / "predictions.csv"
+    lines = predictions.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = "Jogging"
+    lines[2] = ",".join(fields)
+    predictions.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main([
+        "evaluate", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--predictions", str(predictions),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {predictions}: line 3: unknown {what} activity 'Jogging'" in err
 
 
 def test_cluster_rejects_short_occurrence_rows(tmp_path, capsys):

@@ -15,7 +15,6 @@ from adl_engine.definitions import (
     WEIGHT_SUM_TOLERANCE,
     definition_set_to_dict,
     load_definitions,
-    most_important_pair,
     save_definitions,
     validate_definition,
 )
@@ -89,16 +88,25 @@ def test_expected_activity_names(adl_defs, ukdale_defs):
 
 def test_most_important_pair_microwave(ukdale_defs):
     # At5 (0.25) dominates the microwave definition
-    assert most_important_pair(ukdale_defs["Using Microwave"]) == (5, 5)
+    assert ukdale_defs["Using Microwave"].most_important_pair == (5, 5)
 
 
 def test_most_important_pair_laptop(ukdale_defs):
-    assert most_important_pair(ukdale_defs["Using Laptop"]) == (3, 3)
+    assert ukdale_defs["Using Laptop"].most_important_pair == (3, 3)
 
 
 def test_most_important_pair_tie_takes_lowest_id():
     defn = _simple(4)  # all weights equal
-    assert most_important_pair(defn) == (1, 1)
+    assert defn.most_important_pair == (1, 1)
+
+
+def test_derived_values_are_computed_once(adl_defs):
+    for defn in adl_defs:
+        assert defn.atomic_ids is defn.atomic_ids
+        assert defn.context_ids is defn.context_ids
+        assert defn.atomic_ids == frozenset(a.id for a in defn.atomics)
+        assert defn.context_ids == frozenset(c.id for c in defn.contexts)
+        assert defn.most_important_pair is defn.most_important_pair
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +259,7 @@ def test_generated_definitions_validate_and_round_trip(defn):
 @settings(max_examples=60, derandomize=True)
 @given(definition_strategy())
 def test_most_important_pair_is_maximal(defn):
-    atomic_id, context_id = most_important_pair(defn)
+    atomic_id, context_id = defn.most_important_pair
     assert atomic_id == context_id
     best_weight = defn.atomic_weight(atomic_id)
     for a in defn.atomics:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 from collections import Counter
 
@@ -235,3 +236,21 @@ def test_confusion_csv_round_trip():
 def test_read_confusion_rejects_empty_document():
     with pytest.raises(ValueError):
         read_confusion(io.StringIO(""))
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("pred\\true,a\nb,1\n", "line 2: row label 'b', expected 'a'"),
+    ("pred\\true,a\na,1,2\n", "line 2: expected 2 fields, got 3"),
+    ("pred\\true,a\na,1\na,2\n", "line 3: more rows than labels"),
+    ("pred\\true,a\na,x\n", "line 2: invalid literal"),
+    ("true\\pred,a\na,1\n", "line 1: header starts with"),
+], ids=["row-label", "extra-field", "extra-row", "count", "corner"])
+def test_read_confusion_rejects_malformed_rows(text, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        read_confusion(io.StringIO(text))
+
+
+def test_read_confusion_rejects_oversized_field():
+    text = f"pred\\true,a\na,{'1' * (csv.field_size_limit() + 1)}\n"
+    with pytest.raises(ValueError, match="line 2: field larger than field limit"):
+        read_confusion(io.StringIO(text))

@@ -310,6 +310,21 @@ def test_parse_adl_log_covers_all_seven_labels(adl_defs):
     assert records == sorted(records, key=lambda r: r.start)
 
 
+def test_records_share_their_definitions_id_sets(adl_defs, ukdale_defs):
+    # each definition's id sets are built once; records hold those objects
+    log = ADL_CSV + ADL_CSV.split("\n", 1)[1]  # every activity twice
+    records = parse_adl_log(io.StringIO(log), adl_defs)
+    tv = ukdale_defs["Watching TV"]
+    records += trace_occurrences(
+        [(0, 50.0), (6, 0.0), (12, 0.0), (18, 0.0), (24, 50.0)], tv, 10.0, 2
+    )
+    assert len(records) == 16
+    for r in records:
+        defn = adl_defs[r.activity] if r.activity in adl_defs else tv
+        assert r.observed_atomics is defn.atomic_ids
+        assert r.satisfied_contexts is defn.context_ids
+
+
 def test_parse_adl_log_empty_stream(adl_defs):
     assert parse_adl_log(io.StringIO(""), adl_defs) == []
     header_only = "start_iso8601,end_iso8601,activity\n"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adl_engine.affect import infer_emotion
 from adl_engine.definitions import (
     AtomicActivity,
     ComplexActivityDefinition,
@@ -217,10 +218,16 @@ def test_read_verdicts_rejects_malformed_rows(text, fragment):
         read_verdicts(io.StringIO(text))
 
 
-def test_observation_from_record(ukdale_defs):
-    record = OccurrenceRecord(
-        "Watching TV", 5, 9, frozenset({1, 2}), frozenset({3}), Source.ANNOTATION)
-    obs = Observation.from_record(record)
-    assert obs.activity == "Watching TV"
-    assert obs.observed_atomics == frozenset({1, 2})
-    assert obs.satisfied_contexts == frozenset({3})
+@settings(max_examples=60, derandomize=True)
+@given(defn=definition_strategy(), data=st.data())
+def test_record_scores_like_its_observation(defn, data):
+    ids = sorted(defn.atomic_ids)
+    atomics = frozenset(data.draw(st.sets(st.sampled_from(ids))))
+    contexts = frozenset(data.draw(st.sets(st.sampled_from(ids))))
+    record = OccurrenceRecord(defn.name, 5, 9, atomics, contexts, Source.ANNOTATION)
+    observation = Observation(defn.name, atomics, contexts)
+    lam = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    verdict = detect_occurrence(defn, observation, lam)
+    assert detect_occurrence(defn, record, lam) == verdict
+    assert infer_emotion(defn, [], record, verdict) is infer_emotion(
+        defn, [], observation, verdict)

@@ -4,7 +4,7 @@ import io
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adl_engine.affect import AffectAnnotation, EmotionLabel, UXLabel
@@ -25,6 +25,7 @@ from helpers import (
     ROUTINE_PREDICTION_ROWS,
     ROUTINE_VECTOR_LABELS,
     oracle_posterior,
+    per_call_posterior,
     vector_from_row,
 )
 
@@ -59,6 +60,17 @@ def test_day_kind_of_epoch_week():
     assert day_kind_of(2 * 86400) is DayKind.WEEKEND  # Saturday
     assert day_kind_of(3 * 86400) is DayKind.WEEKEND  # Sunday
     assert day_kind_of(4 * 86400) is DayKind.WEEKDAY  # Monday
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.integers(  # 0001-01-01T00:00:00Z to 9999-12-31T23:59:59Z
+    min_value=_utc(1, 1, 1, 0, 0), max_value=_utc(9999, 12, 31, 23, 59) + 59,
+))
+@example(-1)  # the Wednesday before the epoch
+@example(-3 * 86400 - 1)  # the Sunday before that
+def test_day_kind_of_matches_calendar_weekday(timestamp):
+    weekday = datetime.fromtimestamp(timestamp, timezone.utc).weekday()
+    assert (day_kind_of(timestamp) is DayKind.WEEKDAY) == (weekday < 5)
 
 
 def test_feature_vector_rejects_negative_bucket():
@@ -98,6 +110,23 @@ def test_transitions_pair_consecutive_occurrences():
     assert second.previous_activity == "Leaving"
     assert second.emotion is EmotionLabel.NEGATIVE
     assert second.ux is UXLabel.BAD
+
+
+def test_transitions_with_equal_features_share_one_vector():
+    # the same activity ending at 07:30 on two Mondays, then on a Saturday
+    annotated = [
+        _ann("Eating Breakfast", _utc(2024, 3, 4, 7, 0), _utc(2024, 3, 4, 7, 30)),
+        _ann("Leaving", _utc(2024, 3, 4, 8, 0), _utc(2024, 3, 4, 8, 10)),
+        _ann("Eating Breakfast", _utc(2024, 3, 11, 7, 0), _utc(2024, 3, 11, 7, 30)),
+        _ann("Leaving", _utc(2024, 3, 11, 8, 0), _utc(2024, 3, 11, 8, 10)),
+        _ann("Eating Breakfast", _utc(2024, 3, 16, 7, 0), _utc(2024, 3, 16, 7, 30)),
+        _ann("Leaving", _utc(2024, 3, 16, 8, 0), _utc(2024, 3, 16, 8, 10)),
+    ]
+    features = [t.features for t in extract_transitions(annotated)]
+    assert features[0] is features[2]
+    assert features[1] is features[3]
+    assert features[4] == _q(15, "Eating Breakfast", day=DayKind.WEEKEND)
+    assert features[0] == _q(15, "Eating Breakfast")
 
 
 def test_transition_day_kind_tracks_weekends():
@@ -253,6 +282,38 @@ def test_posterior_matches_brute_force_oracle(data):
     assert got.total() == pytest.approx(1.0, abs=1e-12)
     for name in model.activities:
         assert got[name] == pytest.approx(want[name], abs=1e-12)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(data=st.data())
+def test_factor_table_posterior_equals_per_call_product(data):
+    features = st.builds(
+        _q,
+        st.integers(0, 3),
+        st.sampled_from(["X", "Y", None]),
+        emotion=st.sampled_from(list(EmotionLabel)),
+        ux=st.sampled_from(list(UXLabel)),
+        day=st.sampled_from(list(DayKind)),
+    )
+    transitions = [
+        LabeledTransition(data.draw(features), data.draw(st.sampled_from("ABC")))
+        for _ in range(data.draw(st.integers(1, 12)))
+    ]
+    alpha = data.draw(st.floats(min_value=0.01, max_value=5.0))
+    # D and E never occur in training, so their class count is 0
+    model = train(transitions, alpha=alpha, activities=["A", "B", "C", "D", "E"])
+    reloaded = read_model(io.StringIO(model.to_json()))
+    # a bucket above 3 or previous activity Z was never seen in training
+    query = data.draw(st.builds(
+        _q,
+        st.integers(0, 6),
+        st.sampled_from(["X", "Y", "Z", None]),
+        emotion=st.sampled_from(list(EmotionLabel)),
+        ux=st.sampled_from(list(UXLabel)),
+        day=st.sampled_from(list(DayKind)),
+    ))
+    for m in (model, reloaded):
+        assert predict_confidences(m, query).confidences == per_call_posterior(m, query)
 
 
 # ---------------------------------------------------------------------------
