@@ -6,6 +6,8 @@ atomic (and its paired context) was present, and how the occurrence's weight
 compares with the person's recent scores for the same activity.  A separate
 learned table maps those emotions, per activity and time-of-day bucket, onto
 a good/bad experience label.
+
+An `AffectAnnotation` is a named tuple, one per occurrence.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import fmean
-from typing import Iterable, TextIO
+from typing import Collection, Iterable, NamedTuple, TextIO
 
 from .definitions import ComplexActivityDefinition
-from .ingestion import parse_flag, read_table, write_table
+from .ingestion import (
+    check_activity, format_flag, member_parser, parse_flag, read_table, write_table,
+)
 from .recognition import Evidence, OccurrenceVerdict, ScoredOccurrence
 from .temporal import minute_of_day
 
@@ -36,6 +40,10 @@ class EmotionLabel(str, Enum):
 class UXLabel(str, Enum):
     GOOD = "good"
     BAD = "bad"
+
+
+parse_emotion = member_parser(EmotionLabel, "emotion")
+parse_ux = member_parser(UXLabel, "ux")
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +136,10 @@ def train_ux_mapper(
 
 def map_ux(model: UXModel, emotion: EmotionLabel, activity: str, bucket: int) -> UXLabel:
     """Look up the learned label, falling back to the sign of the emotion."""
-    learned = model.table.get((emotion.value, activity, bucket))
-    if learned is not None:
-        return learned
+    if model.table:
+        learned = model.table.get((emotion.value, activity, bucket))
+        if learned is not None:
+            return learned
     return UXLabel.GOOD if emotion is EmotionLabel.POSITIVE else UXLabel.BAD
 
 
@@ -138,8 +147,7 @@ def map_ux(model: UXModel, emotion: EmotionLabel, activity: str, bucket: int) ->
 # Annotation pass
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffectAnnotation:
+class AffectAnnotation(NamedTuple):
     """Emotion plus UX label attached to one scored occurrence."""
 
     activity: str
@@ -172,17 +180,9 @@ def annotate(
         )
         bucket = time_bucket(minute_of_day(end), model.bucket_width)
         ux = map_ux(model, emotion, defn.name, bucket)
-        annotations.append(
-            AffectAnnotation(
-                activity=defn.name,
-                start=start,
-                end=end,
-                score=verdict.score,
-                completed=verdict.completed,
-                emotion=emotion,
-                ux=ux,
-            )
-        )
+        annotations.append(AffectAnnotation(
+            defn.name, start, end, verdict.score, verdict.completed, emotion, ux,
+        ))
         history.append(verdict.score)
     return annotations
 
@@ -196,25 +196,24 @@ def write_annotated(rows: Iterable[AffectAnnotation], stream: TextIO) -> None:
     write_table(stream, ANNOTATED_FIELDS, (
         [
             r.activity, r.start, r.end, repr(r.score),
-            str(r.completed).lower(), r.emotion.value, r.ux.value,
+            format_flag(r.completed), r.emotion, r.ux,
         ]
         for r in rows
     ))
 
 
-def _parse_annotation(row: list[str]) -> AffectAnnotation:
-    activity, start, end, score, completed, emotion, ux = row
-    return AffectAnnotation(
-        activity=activity,
-        start=int(start),
-        end=int(end),
-        score=float(score),
-        completed=parse_flag(completed),
-        emotion=EmotionLabel(emotion),
-        ux=UXLabel(ux),
-    )
+def read_annotated(
+    stream: TextIO, activities: Collection[str] | None = None
+) -> list[AffectAnnotation]:
+    """Parse an annotated CSV; a malformed row, or, when ``activities`` is
+    given, an activity not among them, raises ValueError with its line number."""
 
+    def parse(row: list[str]) -> AffectAnnotation:
+        activity, start, end, score, completed, emotion, ux = row
+        check_activity(activity, activities)
+        return AffectAnnotation(
+            activity, int(start), int(end), float(score),
+            parse_flag(completed), parse_emotion(emotion), parse_ux(ux),
+        )
 
-def read_annotated(stream: TextIO) -> list[AffectAnnotation]:
-    """Parse an annotated CSV; a malformed row raises ValueError with its line number."""
-    return read_table(stream, ANNOTATED_FIELDS, _parse_annotation)
+    return read_table(stream, ANNOTATED_FIELDS, parse)

@@ -137,7 +137,9 @@ def _read_definitions(store: Store, _path: None) -> defs_mod.DefinitionSet:
 
 
 def _read_records(store: Store, path: Path) -> list[ingest_mod.OccurrenceRecord]:
-    return _parse_file(path, ingest_mod.read_occurrences)
+    """Saved occurrences, each of which must name a defined activity."""
+    known = set(store["defs"].names)
+    return _parse_file(path, lambda stream: ingest_mod.read_occurrences(stream, known))
 
 
 def _read_verdicts(store: Store, path: Path) -> list[recog_mod.ScoredOccurrence]:
@@ -152,7 +154,9 @@ def _read_verdicts(store: Store, path: Path) -> list[recog_mod.ScoredOccurrence]
 
 
 def _read_annotations(store: Store, path: Path) -> list[affect_mod.AffectAnnotation]:
-    return _parse_file(path, affect_mod.read_annotated)
+    """Saved annotations, each of which must name a defined activity."""
+    known = set(store["defs"].names)
+    return _parse_file(path, lambda stream: affect_mod.read_annotated(stream, known))
 
 
 def _read_model(store: Store, path: Path) -> recom_mod.RecommenderModel:
@@ -173,9 +177,9 @@ def _read_features(
                 previous_activity=(
                     None if previous in ("", recom_mod.NO_PREVIOUS) else previous
                 ),
-                emotion=affect_mod.EmotionLabel(row["emotion"].strip()),
-                ux=affect_mod.UXLabel(row["ux"].strip()),
-                day_kind=recom_mod.DayKind(row["day_kind"].strip()),
+                emotion=affect_mod.parse_emotion(row["emotion"].strip()),
+                ux=affect_mod.parse_ux(row["ux"].strip()),
+                day_kind=recom_mod.parse_day_kind(row["day_kind"].strip()),
             )
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
@@ -278,12 +282,17 @@ def _ingest(store: Store) -> str:
 
 def _recognize(store: Store) -> str:
     defs = store["defs"]
+    lam = store.config.lam
+    # records repeat few distinct evidence sets, so each is scored once
+    memo: dict[tuple, recog_mod.OccurrenceVerdict] = {}
     verdicts = []
     for r in store["records"]:
-        verdict = recog_mod.detect_occurrence(defs[r.activity], r, store.config.lam)
+        key = (r.activity, r.observed_atomics, r.satisfied_contexts)
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = memo[key] = recog_mod.detect_occurrence(defs[r.activity], r, lam)
         verdicts.append(recog_mod.ScoredOccurrence(
-            activity=r.activity, start=r.start, end=r.end,
-            score=verdict.score, completed=verdict.completed,
+            r.activity, r.start, r.end, verdict.score, verdict.completed,
         ))
     store["verdicts"] = verdicts
     path = store.out / "verdicts.csv"

@@ -13,12 +13,14 @@ dropouts of at most ``gap_tolerance`` samples, and keeps only the open run's
 bounds, so memory does not grow with trace length.  The three-step path
 `parse_power_trace` -> `binarize` -> `segment_occurrences`, which materializes
 every sample and state, is kept as the reference the tests check that pass
-against.  Annotation rows become records directly.  Parsers are pure
-per-stream and raise with the offending line number.
+against.  Annotation rows become records directly.  An `OccurrenceRecord`
+is a named tuple, one per occurrence.  Parsers are pure per-stream and raise
+with the offending line number.
 
 Every CSV table the engine writes goes through `write_table`.  The stage
 tables read back go through `read_table`, which wants the exact header, the
-header's field count on every row, and ``true``/``false`` flags.
+header's field count on every row, ``true``/``false`` flags, and enum fields
+that name a member.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, TextIO, TypeVar
 
 from .definitions import ComplexActivityDefinition, DefinitionSet
 
 
 T = TypeVar("T")
+E = TypeVar("E", bound=Enum)
 
 
 class TraceParseError(ValueError):
@@ -74,8 +77,7 @@ class BinarySeries:
     points: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class OccurrenceRecord:
+class OccurrenceRecord(NamedTuple):
     """One timed instance of an activity with its observed evidence."""
 
     activity: str
@@ -374,7 +376,11 @@ def _iso(ts: int) -> str:
 def write_table(
     stream: TextIO, header: list[str], rows: Iterable[Iterable[object]]
 ) -> None:
-    """Write a CSV table: the header row, then each row, ending lines in LF."""
+    """Write a CSV table: the header row, then each row, ending lines in LF.
+
+    A ``str``-mixin enum member is a ``str``, so it is written as its value
+    text and the writers pass members as they are.
+    """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -421,6 +427,34 @@ def parse_flag(text: str) -> bool:
     raise ValueError(f"expected 'true' or 'false', got {text!r}")
 
 
+def check_activity(activity: str, activities: Collection[str] | None) -> None:
+    """Raise ValueError when ``activities`` is given and lacks ``activity``."""
+    if activities is not None and activity not in activities:
+        raise ValueError(f"unknown activity {activity!r}")
+
+
+def format_flag(flag: bool) -> str:
+    """The table text of a boolean field, as `parse_flag` reads it back."""
+    return "true" if flag else "false"
+
+
+def member_parser(enum: type[E], what: str) -> Callable[[str], E]:
+    """A table-field parser from a member's value text to the member.
+
+    The members are looked up in one dict built here, so a row costs no
+    ``enum(text)`` call; any other text raises ValueError naming ``what``.
+    """
+    members = {m.value: m for m in enum}
+
+    def parse(text: str) -> E:
+        member = members.get(text)
+        if member is None:
+            raise ValueError(f"unknown {what} {text!r}")
+        return member
+
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # Occurrence CSV (pipeline intermediate)
 # ---------------------------------------------------------------------------
@@ -455,37 +489,37 @@ def write_occurrences(records: Iterable[OccurrenceRecord], stream: TextIO) -> No
             r.activity, r.start, r.end,
             field_of(r.observed_atomics),
             field_of(r.satisfied_contexts),
-            r.source.value,
+            r.source,
         ]
         for r in records
     ))
 
 
-def read_occurrences(stream: TextIO) -> list[OccurrenceRecord]:
+_parse_source = member_parser(Source, "source")
+
+
+def read_occurrences(
+    stream: TextIO, activities: Collection[str] | None = None
+) -> list[OccurrenceRecord]:
     """Parse an occurrence CSV as written by `write_occurrences`.
 
     Raises ValueError with the line number as `read_table` does, and on a
-    malformed start, end, id set or source.
+    malformed start, end, id set or source, or, when ``activities`` is
+    given, on an activity not among them.
     """
-    sources = {s.value: s for s in Source}
     # records share few distinct id sets, so each field text is parsed once
     id_sets: dict[str, frozenset[int]] = {}
 
     def parse(row: list[str]) -> OccurrenceRecord:
         activity, start, end, atomics, contexts, source = row
+        check_activity(activity, activities)
         if atomics not in id_sets:
             id_sets[atomics] = _field_to_ids(atomics)
         if contexts not in id_sets:
             id_sets[contexts] = _field_to_ids(contexts)
-        if source not in sources:
-            raise ValueError(f"unknown source {source!r}")
         return OccurrenceRecord(
-            activity=activity,
-            start=int(start),
-            end=int(end),
-            observed_atomics=id_sets[atomics],
-            satisfied_contexts=id_sets[contexts],
-            source=sources[source],
+            activity, int(start), int(end),
+            id_sets[atomics], id_sets[contexts], _parse_source(source),
         )
 
     return read_table(stream, OCCURRENCE_FIELDS, parse)

@@ -4,16 +4,19 @@ An observation lists which atomic activities were seen and which context
 attributes held.  Its occurrence weight blends the observed share of atomic
 weight mass with the satisfied share of context weight mass; the occurrence
 counts as completed when that weight reaches the definition's threshold.
+
+A verdict (`OccurrenceVerdict`) and a verdict-table row (`ScoredOccurrence`)
+are named tuples, so building one per occurrence stays cheap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol, TextIO
+from typing import Iterable, NamedTuple, Protocol, TextIO
 
 from .definitions import ComplexActivityDefinition
-from .ingestion import parse_flag, read_table, write_table
+from .ingestion import format_flag, parse_flag, read_table, write_table
 
 
 class Evidence(Protocol):
@@ -36,8 +39,7 @@ class Observation:
     satisfied_contexts: frozenset[int]
 
 
-@dataclass(frozen=True)
-class OccurrenceVerdict:
+class OccurrenceVerdict(NamedTuple):
     """Recognition outcome: blended weight versus the definition threshold."""
 
     activity: str
@@ -114,8 +116,7 @@ def detect_occurrence(
 # Verdict CSV
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScoredOccurrence:
+class ScoredOccurrence(NamedTuple):
     """A timed occurrence with its recognition score, as written to disk."""
 
     activity: str
@@ -130,7 +131,7 @@ VERDICT_FIELDS = ["activity", "start", "end", "score", "completed"]
 
 def write_verdicts(rows: Iterable[ScoredOccurrence], stream: TextIO) -> None:
     write_table(stream, VERDICT_FIELDS, (
-        [r.activity, r.start, r.end, repr(r.score), str(r.completed).lower()]
+        [r.activity, r.start, r.end, repr(r.score), format_flag(r.completed)]
         for r in rows
     ))
 
@@ -138,11 +139,7 @@ def write_verdicts(rows: Iterable[ScoredOccurrence], stream: TextIO) -> None:
 def _parse_verdict(row: list[str]) -> ScoredOccurrence:
     activity, start, end, score, completed = row
     return ScoredOccurrence(
-        activity=activity,
-        start=int(start),
-        end=int(end),
-        score=float(score),
-        completed=parse_flag(completed),
+        activity, int(start), int(end), float(score), parse_flag(completed)
     )
 
 

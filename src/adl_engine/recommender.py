@@ -6,6 +6,10 @@ current occurrence's end-time bucket, its activity, its emotion and UX
 labels, and whether the day is a weekday; the label is the next activity.
 Predictions are confidence vectors over every known activity; the
 recommendation is the argmax with lexicographic tie-break.
+
+A `LabeledTransition` is a named tuple; transitions with equal features share
+one `FeatureVector`, and training encodes each distinct (features, label)
+pair once.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from .affect import AffectAnnotation, EmotionLabel, UXLabel, time_bucket
+from .ingestion import member_parser
 from .temporal import is_weekday, minute_of_day
 
 DEFAULT_ALPHA = 1.0
@@ -32,6 +37,9 @@ NO_PREVIOUS = "none"
 class DayKind(str, Enum):
     WEEKDAY = "weekday"
     WEEKEND = "weekend"
+
+
+parse_day_kind = member_parser(DayKind, "day_kind")
 
 
 def day_kind_of(timestamp: int) -> DayKind:
@@ -53,8 +61,7 @@ class FeatureVector:
             raise ValueError(f"time_bucket must be >= 0, got {self.time_bucket}")
 
 
-@dataclass(frozen=True)
-class LabeledTransition:
+class LabeledTransition(NamedTuple):
     features: FeatureVector
     next_activity: str
 
@@ -219,9 +226,7 @@ def extract_transitions(
         features = vectors.get(key)
         if features is None:
             features = vectors[key] = FeatureVector(*key)
-        transitions.append(
-            LabeledTransition(features=features, next_activity=nxt.activity)
-        )
+        transitions.append(LabeledTransition(features, nxt.activity))
     return transitions
 
 
@@ -242,21 +247,23 @@ def train(
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
 
-    labels = {t.next_activity for t in transitions}
-    class_list = tuple(sorted(labels | set(activities or ())))
-
-    class_counts = Counter(t.next_activity for t in transitions)
+    # a transition is a (features, label) pair and few distinct pairs
+    # repeat, so each distinct pair is encoded once
+    pairs = Counter(transitions)
+    class_counts: Counter[str] = Counter()
     feature_counts: dict[str, dict[str, dict[str, int]]] = {
         f: {} for f in FEATURE_NAMES
     }
     domains: dict[str, set[str]] = {f: set() for f in FEATURE_NAMES}
-    for t in transitions:
-        encoded = _encode(t.features)
+    for (features, label), n in pairs.items():
+        class_counts[label] += n
+        encoded = _encode(features)
         for f in FEATURE_NAMES:
             value = encoded[f]
             domains[f].add(value)
-            per_class = feature_counts[f].setdefault(t.next_activity, {})
-            per_class[value] = per_class.get(value, 0) + 1
+            per_class = feature_counts[f].setdefault(label, {})
+            per_class[value] = per_class.get(value, 0) + n
+    class_list = tuple(sorted(class_counts.keys() | set(activities or ())))
 
     return RecommenderModel(
         activities=class_list,

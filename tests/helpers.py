@@ -3,13 +3,15 @@
 Holds the frozen reference data used by the fidelity tests (two benchmark
 confusion matrices with their expected percentage tables, and two sets of
 prediction rows with known argmax outcomes), a hypothesis strategy for
-valid activity definitions, and an independent brute-force posterior oracle
-the classifier is checked against.
+valid activity definitions, an independent brute-force posterior oracle
+the classifier is checked against, and the per-transition training loop
+`train` is held to.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -272,3 +274,38 @@ def per_call_posterior(model: RecommenderModel, features) -> dict[str, float]:
         weights[activity] = weight
     total = math.fsum(weights.values())
     return {a: w / total for a, w in sorted(weights.items())}
+
+
+def per_transition_train(
+    transitions: list[LabeledTransition],
+    alpha: float = 1.0,
+    bucket_width: int = 30,
+    activities: list[str] | None = None,
+) -> RecommenderModel:
+    """`train` as it was before it counted distinct (features, label) pairs:
+    every transition is encoded and counted on its own."""
+    labels = {t.next_activity for t in transitions}
+    class_list = tuple(sorted(labels | set(activities or ())))
+
+    class_counts = Counter(t.next_activity for t in transitions)
+    feature_counts: dict[str, dict[str, dict[str, int]]] = {
+        f: {} for f in FEATURE_NAMES
+    }
+    domains: dict[str, set[str]] = {f: set() for f in FEATURE_NAMES}
+    for t in transitions:
+        encoded = _oracle_encode(t.features)
+        for f in FEATURE_NAMES:
+            value = encoded[f]
+            domains[f].add(value)
+            per_class = feature_counts[f].setdefault(t.next_activity, {})
+            per_class[value] = per_class.get(value, 0) + 1
+
+    return RecommenderModel(
+        activities=class_list,
+        alpha=alpha,
+        bucket_width=bucket_width,
+        n_transitions=len(transitions),
+        class_counts={c: class_counts.get(c, 0) for c in class_list},
+        feature_domains={f: tuple(sorted(domains[f])) for f in FEATURE_NAMES},
+        feature_counts=feature_counts,
+    )

@@ -275,7 +275,11 @@ _ANNOTATED_HEADER = "activity,start,end,score,completed,emotion,ux"
     ("activity,end,start,score,completed,emotion,ux\n"
      "Lunch,400,300,1.0,true,positive,good\n",
      "line 1: expected header"),
-], ids=["flag", "extra-field", "reordered-header"])
+    (f"{_ANNOTATED_HEADER}\nLunch,300,400,1.0,true,happy,good\n",
+     "line 2: unknown emotion 'happy'"),
+    (f"{_ANNOTATED_HEADER}\nLunch,300,400,1.0,true,positive,meh\n",
+     "line 2: unknown ux 'meh'"),
+], ids=["flag", "extra-field", "reordered-header", "emotion", "ux"])
 def test_read_annotated_rejects_malformed_rows(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         read_annotated(io.StringIO(text))

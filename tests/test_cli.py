@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adl_engine import recognition as recog_mod
 from adl_engine import recommender as recom_mod
@@ -19,7 +23,8 @@ from adl_engine.config import (
     validate_config,
     with_overrides,
 )
-from helpers import CONFIGS_DIR, DEFINITIONS_DIR
+from adl_engine.ingestion import OccurrenceRecord, Source, write_occurrences
+from helpers import CONFIGS_DIR, DEFINITIONS_DIR, load_adl_defs
 
 PIPELINE_ARTIFACTS = {
     "occurrences.csv", "verdicts.csv", "annotated.csv", "clusters.csv", "model.json", "predictions.csv", "confusion.csv",
@@ -296,10 +301,81 @@ def test_affect_reuses_saved_verdicts(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(recog_mod, "detect_occurrence", counting)
     assert main(["recognize", *config]) == 0
+    recognized = len(calls)
     assert main(["affect", *config]) == 0
     capsys.readouterr()
     occurrences = len((out / "occurrences.csv").read_text().splitlines()) - 1
-    assert len(calls) == occurrences == 144
+    # the 144 rows hold 7 distinct evidence sets, each scored once
+    assert (occurrences, recognized, len(calls) - recognized) == (144, 7, 0)
+
+
+_ADL_DEFS = load_adl_defs()
+
+
+@st.composite
+def _evidence(draw) -> tuple[str, frozenset[int], frozenset[int]]:
+    """An activity with its full atomic and context id sets, or with partial
+    ones drawn from low ids, so different activities often get equal sets."""
+    defn = _ADL_DEFS[draw(st.sampled_from(_ADL_DEFS.names))]
+    if draw(st.booleans()):
+        return defn.name, defn.atomic_ids, defn.context_ids
+    ids = st.frozensets(st.integers(1, 4))
+    return defn.name, draw(ids) & defn.atomic_ids, draw(ids) & defn.context_ids
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_recognize_writes_one_verdict_per_row(data):
+    # a few evidence sets repeat across the rows, as in a real log
+    pool = data.draw(st.lists(_evidence(), min_size=1, max_size=4))
+    records = [
+        OccurrenceRecord(activity, start, start + 60, atomics, contexts,
+                         Source.ANNOTATION)
+        for start, (activity, atomics, contexts) in enumerate(data.draw(st.lists(
+            st.one_of(st.sampled_from(pool), _evidence()), min_size=1, max_size=20,
+        )))
+    ]
+    lam = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    verdicts = [
+        recog_mod.detect_occurrence(_ADL_DEFS[r.activity], r, lam) for r in records
+    ]
+    want = io.StringIO()
+    recog_mod.write_verdicts([
+        recog_mod.ScoredOccurrence(r.activity, r.start, r.end, v.score, v.completed)
+        for r, v in zip(records, verdicts)
+    ], want)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with open(out / "occurrences.csv", "w", newline="") as stream:
+            write_occurrences(records, stream)
+        assert main([
+            "recognize", "--config", str(ADL_CONFIG), "--out", str(out),
+            "--lambda", str(lam),
+        ]) == 0
+        assert (out / "verdicts.csv").read_text() == want.getvalue()
+
+
+@pytest.mark.parametrize("earlier, stage, table, artifact", [
+    (["ingest"], "recognize", "occurrences.csv", "verdicts.csv"),
+    (["ingest", "recognize", "affect"], "train", "annotated.csv", "model.json"),
+], ids=["recognize", "train"])
+def test_stage_rejects_unknown_activity(
+    tmp_path, capsys, earlier, stage, table, artifact
+):
+    out = tmp_path / "run"
+    config = ["--config", str(ADL_CONFIG), "--out", str(out)]
+    for name in earlier:
+        assert main([name, *config]) == 0
+    path = out / table
+    lines = path.read_text().splitlines()
+    lines[1] = "Jogging," + lines[1].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main([stage, *config])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {path}: line 2: unknown activity 'Jogging'" in err
+    assert not (out / artifact).exists()
 
 
 @pytest.mark.parametrize("edit", ["delete", "swap"])
@@ -502,6 +578,25 @@ def test_recommend_rejects_malformed_feature_rows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 2" in err
+
+
+def test_recommend_rejects_unknown_day_kind(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    features = tmp_path / "features.csv"
+    features.write_text(
+        "time_bucket,previous_activity,emotion,ux,day_kind,activity\n"
+        "15,Eating Breakfast,positive,good,weekday,Leaving\n"
+        "15,Eating Breakfast,positive,good,holiday,Leaving\n"
+    )
+    capsys.readouterr()
+    code = main([
+        "recommend", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--features", str(features),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {features}: line 3: unknown day_kind 'holiday'" in err
 
 
 def test_recommend_rejects_short_feature_rows(tmp_path, capsys):

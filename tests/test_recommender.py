@@ -26,6 +26,7 @@ from helpers import (
     ROUTINE_VECTOR_LABELS,
     oracle_posterior,
     per_call_posterior,
+    per_transition_train,
     vector_from_row,
 )
 
@@ -314,6 +315,37 @@ def test_factor_table_posterior_equals_per_call_product(data):
     ))
     for m in (model, reloaded):
         assert predict_confidences(m, query).confidences == per_call_posterior(m, query)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(data=st.data())
+def test_train_matches_per_transition_counting(data):
+    # a small pool of shared vectors repeats; fresh equal vectors and
+    # distinct ones are drawn too
+    features = st.builds(
+        _q,
+        st.integers(0, 3),
+        st.sampled_from(["X", "Y", None]),
+        emotion=st.sampled_from(list(EmotionLabel)),
+        ux=st.sampled_from(list(UXLabel)),
+        day=st.sampled_from(list(DayKind)),
+    )
+    pool = data.draw(st.lists(features, min_size=1, max_size=3))
+    transitions = [
+        LabeledTransition(
+            data.draw(st.one_of(st.sampled_from(pool), features)),
+            data.draw(st.sampled_from("ABC")),
+        )
+        for _ in range(data.draw(st.integers(1, 30)))
+    ]
+    alpha = data.draw(st.floats(min_value=0.01, max_value=5.0))
+    # D and E never occur in training
+    activities = data.draw(st.sampled_from([None, ["A", "B", "C", "D", "E"]]))
+    got = train(transitions, alpha=alpha, bucket_width=15, activities=activities)
+    want = per_transition_train(
+        transitions, alpha=alpha, bucket_width=15, activities=activities)
+    assert got == want
+    assert got.to_json() == want.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The strict stage-table format: `write_table`, `read_table`, `parse_flag`."""
+"""The strict stage-table format: `write_table`, `read_table`, and the flag
+fields `format_flag` writes and `parse_flag` reads."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from adl_engine.affect import ANNOTATED_FIELDS, read_annotated
 from adl_engine.ingestion import (
     OCCURRENCE_FIELDS,
+    format_flag,
     parse_flag,
     read_occurrences,
     read_table,
@@ -60,6 +62,12 @@ def test_parse_flag_accepts_only_true_and_false():
     for text in ("True", "yes", "1", "", " true"):
         with pytest.raises(ValueError, match="expected 'true' or 'false'"):
             parse_flag(text)
+
+
+def test_format_flag_round_trips_through_parse_flag():
+    assert [format_flag(flag) for flag in (True, False)] == ["true", "false"]
+    for flag in (True, False):
+        assert parse_flag(format_flag(flag)) is flag
 
 
 # ---------------------------------------------------------------------------
