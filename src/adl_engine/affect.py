@@ -22,7 +22,7 @@ from .ingestion import (
     check_activity, format_flag, member_parser, parse_flag, read_table, write_table,
 )
 from .recognition import Evidence, OccurrenceVerdict, ScoredOccurrence
-from .temporal import minute_of_day
+from .temporal import MINUTES_PER_DAY, minute_of_day
 
 # a verdict in memory, or its row read back from the verdict CSV
 Verdict = OccurrenceVerdict | ScoredOccurrence
@@ -95,10 +95,14 @@ def infer_emotion(
 # ---------------------------------------------------------------------------
 
 def time_bucket(minute_of_day: int, bucket_width: int = DEFAULT_BUCKET_WIDTH) -> int:
-    if not 0 <= minute_of_day < 1440:
-        raise ValueError(f"minute_of_day must be in [0, 1440), got {minute_of_day}")
-    if not 1 <= bucket_width <= 1440:
-        raise ValueError(f"bucket_width must be in [1, 1440], got {bucket_width}")
+    if not 0 <= minute_of_day < MINUTES_PER_DAY:
+        raise ValueError(
+            f"minute_of_day must be in [0, {MINUTES_PER_DAY}), got {minute_of_day}"
+        )
+    if not 1 <= bucket_width <= MINUTES_PER_DAY:
+        raise ValueError(
+            f"bucket_width must be in [1, {MINUTES_PER_DAY}], got {bucket_width}"
+        )
     return minute_of_day // bucket_width
 
 

@@ -137,9 +137,9 @@ def _read_definitions(store: Store, _path: None) -> defs_mod.DefinitionSet:
 
 
 def _read_records(store: Store, path: Path) -> list[ingest_mod.OccurrenceRecord]:
-    """Saved occurrences, each of which must name a defined activity."""
-    known = set(store["defs"].names)
-    return _parse_file(path, lambda stream: ingest_mod.read_occurrences(stream, known))
+    """Saved occurrences, each naming a defined activity and only ids it defines."""
+    defs = store["defs"]
+    return _parse_file(path, lambda stream: ingest_mod.read_occurrences(stream, defs))
 
 
 def _read_verdicts(store: Store, path: Path) -> list[recog_mod.ScoredOccurrence]:

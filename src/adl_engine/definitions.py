@@ -81,18 +81,6 @@ class ComplexActivityDefinition:
     def context_ids(self) -> frozenset[int]:
         return frozenset(c.id for c in self.contexts)
 
-    def atomic_weight(self, atomic_id: int) -> float:
-        for a in self.atomics:
-            if a.id == atomic_id:
-                return a.weight
-        raise KeyError(f"{self.name}: no atomic activity with id {atomic_id}")
-
-    def context_weight(self, context_id: int) -> float:
-        for c in self.contexts:
-            if c.id == context_id:
-                return c.weight
-        raise KeyError(f"{self.name}: no context attribute with id {context_id}")
-
     @cached_property
     def atomic_weight_total(self) -> float:
         return math.fsum(a.weight for a in self.atomics)
@@ -214,7 +202,7 @@ def validate_definition(defn: ComplexActivityDefinition) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Load / serialize
+# Loading
 # ---------------------------------------------------------------------------
 
 def _definition_from_dict(raw: dict, source: str) -> ComplexActivityDefinition:
@@ -294,36 +282,3 @@ def load_definitions(path: str | Path) -> DefinitionSet:
     if not parsed:
         raise DefinitionError(f"{path}: definition set is empty")
     return DefinitionSet(definitions={d.name: d for d in parsed})
-
-
-def definition_set_to_dict(defs: DefinitionSet) -> dict:
-    """Serialize back to the definition-file structure (round-trip stable)."""
-    out = []
-    for defn in defs:
-        entry: dict = {
-            "name": defn.name,
-            "short_code": defn.short_code,
-            "threshold": defn.threshold,
-            "atomics": [
-                {"id": a.id, "label": a.label, "weight": a.weight} for a in defn.atomics
-            ],
-            "contexts": [
-                {"id": c.id, "label": c.label, "weight": c.weight} for c in defn.contexts
-            ],
-            "core_atomics": sorted(defn.core_atomics),
-            "core_contexts": sorted(defn.core_contexts),
-            "start_atomics": sorted(defn.start_atomics),
-            "start_contexts": sorted(defn.start_contexts),
-            "end_atomics": sorted(defn.end_atomics),
-            "end_contexts": sorted(defn.end_contexts),
-        }
-        if defn.comment:
-            entry["comment"] = defn.comment
-        out.append(entry)
-    return {"definitions": out}
-
-
-def save_definitions(defs: DefinitionSet, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(definition_set_to_dict(defs), indent=2) + "\n", encoding="utf-8"
-    )

@@ -8,7 +8,6 @@ undefined metric, reported as n/a rather than 0 so averages stay honest.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -61,15 +60,18 @@ class ConfusionMatrix:
 # Splitting
 # ---------------------------------------------------------------------------
 
+def _cut(n: int, train_fraction: float) -> int:
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    # guard against float products like 93*0.7 landing a hair above the integer
+    return math.ceil(n * train_fraction - 1e-9)
+
+
 def split_chronological(
     records: Sequence[T], train_fraction: float
 ) -> tuple[list[T], list[T]]:
     """First ceil(n * fraction) records train, the rest test; no shuffling."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = len(records)
-    # guard against float products like 93*0.7 landing a hair above the integer
-    cut = math.ceil(n * train_fraction - 1e-9)
+    cut = _cut(len(records), train_fraction)
     return list(records[:cut]), list(records[cut:])
 
 
@@ -77,12 +79,9 @@ def split_random(
     records: Sequence[T], train_fraction: float, seed: int
 ) -> tuple[list[T], list[T]]:
     """Seeded shuffle, then the same ceiling cut as the chronological split."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    cut = _cut(len(records), train_fraction)
     shuffled = list(records)
     random.Random(seed).shuffle(shuffled)
-    n = len(shuffled)
-    cut = math.ceil(n * train_fraction - 1e-9)
     return shuffled[:cut], shuffled[cut:]
 
 
@@ -191,21 +190,6 @@ def emit_report(report: MetricsReport, format: str = "csv") -> str:
     raise ValueError(f"unsupported report format {format!r}")
 
 
-def report_from_json(text: str) -> MetricsReport:
-    payload = json.loads(text)
-    return MetricsReport(
-        labels=tuple(payload["labels"]),
-        accuracy=float(payload["accuracy"]),
-        precision={k: (None if v is None else float(v))
-                   for k, v in payload["precision"].items()},
-        recall={k: (None if v is None else float(v))
-                for k, v in payload["recall"].items()},
-        grand_total=int(payload["grand_total"]),
-        predicted_totals={k: int(v) for k, v in payload["predicted_totals"].items()},
-        true_totals={k: int(v) for k, v in payload["true_totals"].items()},
-    )
-
-
 # the header's first field, above the column of row labels
 CONFUSION_CORNER = "pred\\true"
 
@@ -215,38 +199,3 @@ def write_confusion(cm: ConfusionMatrix, stream: TextIO) -> None:
     write_table(stream, [CONFUSION_CORNER, *cm.labels], (
         [label, *row] for label, row in zip(cm.labels, cm.counts)
     ))
-
-
-def read_confusion(stream: TextIO) -> ConfusionMatrix:
-    """Parse a confusion CSV as written by `write_confusion`.
-
-    Blank lines are skipped.  The header must start with ``pred\\true``, and
-    row i must start with the label of column i and have the header's field
-    count.  A violation, a non-integer count or a row the csv module cannot
-    read raises ValueError prefixed with ``line N:``.
-    """
-    reader = csv.reader(stream)
-    counts: list[tuple[int, ...]] = []
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty confusion-matrix document")
-        if header[0] != CONFUSION_CORNER:
-            raise ValueError(
-                f"header starts with {header[0]!r}, not {CONFUSION_CORNER!r}"
-            )
-        labels = tuple(header[1:])
-        for row in reader:
-            if not row:
-                continue
-            if len(counts) == len(labels):
-                raise ValueError(f"more rows than labels ({len(labels)})")
-            expected = labels[len(counts)]
-            if row[0] != expected:
-                raise ValueError(f"row label {row[0]!r}, expected {expected!r}")
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            counts.append(tuple(int(cell) for cell in row[1:]))
-    except (ValueError, csv.Error) as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
-    return ConfusionMatrix(labels=labels, counts=tuple(counts))

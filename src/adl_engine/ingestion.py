@@ -26,7 +26,6 @@ that name a member.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -356,19 +355,6 @@ def parse_adl_log(stream: TextIO, defs: DefinitionSet) -> list[OccurrenceRecord]
     return records
 
 
-def serialize_adl_log(records: Iterable[OccurrenceRecord]) -> str:
-    """Render records back to the annotation wire format (parse round-trips)."""
-    buf = io.StringIO()
-    write_table(
-        buf, ADL_LOG_FIELDS, ([_iso(r.start), _iso(r.end), r.activity] for r in records)
-    )
-    return buf.getvalue()
-
-
-def _iso(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
-
-
 # ---------------------------------------------------------------------------
 # Stage tables
 # ---------------------------------------------------------------------------
@@ -499,27 +485,38 @@ _parse_source = member_parser(Source, "source")
 
 
 def read_occurrences(
-    stream: TextIO, activities: Collection[str] | None = None
+    stream: TextIO, defs: DefinitionSet | None = None
 ) -> list[OccurrenceRecord]:
     """Parse an occurrence CSV as written by `write_occurrences`.
 
     Raises ValueError with the line number as `read_table` does, and on a
-    malformed start, end, id set or source, or, when ``activities`` is
-    given, on an activity not among them.
+    malformed start, end, id set or source, or, when ``defs`` is given, on
+    an activity it does not define or an atomic or context id that the
+    activity's definition lacks.
     """
-    # records share few distinct id sets, so each field text is parsed once
-    id_sets: dict[str, frozenset[int]] = {}
+    # records repeat few distinct (activity, atomics, contexts) texts, so each
+    # is parsed, and checked against defs, once
+    evidence: dict[tuple[str, str, str], tuple[frozenset[int], frozenset[int]]] = {}
 
     def parse(row: list[str]) -> OccurrenceRecord:
         activity, start, end, atomics, contexts, source = row
-        check_activity(activity, activities)
-        if atomics not in id_sets:
-            id_sets[atomics] = _field_to_ids(atomics)
-        if contexts not in id_sets:
-            id_sets[contexts] = _field_to_ids(contexts)
+        key = (activity, atomics, contexts)
+        ids = evidence.get(key)
+        if ids is None:
+            ids = _field_to_ids(atomics), _field_to_ids(contexts)
+            if defs is not None:
+                check_activity(activity, defs.definitions)
+                defn = defs[activity]
+                for what, got, known in zip(
+                    ("atomic", "context"), ids, (defn.atomic_ids, defn.context_ids)
+                ):
+                    unknown = sorted(got - known)
+                    if unknown:
+                        raise ValueError(f"{activity}: unknown {what} ids {unknown}")
+            evidence[key] = ids
+        observed, satisfied = ids
         return OccurrenceRecord(
-            activity, int(start), int(end),
-            id_sets[atomics], id_sets[contexts], _parse_source(source),
+            activity, int(start), int(end), observed, satisfied, _parse_source(source),
         )
 
     return read_table(stream, OCCURRENCE_FIELDS, parse)

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from .affect import AffectAnnotation, EmotionLabel, UXLabel, time_bucket
 from .ingestion import member_parser
-from .temporal import is_weekday, minute_of_day
+from .temporal import MINUTES_PER_DAY, is_weekday, minute_of_day
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_BUCKET_WIDTH = 30
@@ -211,8 +211,10 @@ def extract_transitions(
     the activity of occurrence i+1.  n occurrences yield n-1 transitions.
     Transitions with equal features share one `FeatureVector`.
     """
-    if not 1 <= bucket_width <= 1440:
-        raise ValueError(f"bucket_width must be in [1, 1440], got {bucket_width}")
+    if not 1 <= bucket_width <= MINUTES_PER_DAY:
+        raise ValueError(
+            f"bucket_width must be in [1, {MINUTES_PER_DAY}], got {bucket_width}"
+        )
     vectors: dict[tuple, FeatureVector] = {}
     transitions: list[LabeledTransition] = []
     for current, nxt in zip(annotated, annotated[1:]):

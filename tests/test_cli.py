@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import tempfile
@@ -24,7 +25,7 @@ from adl_engine.config import (
     with_overrides,
 )
 from adl_engine.ingestion import OccurrenceRecord, Source, write_occurrences
-from helpers import CONFIGS_DIR, DEFINITIONS_DIR, load_adl_defs
+from helpers import CONFIGS_DIR, DEFINITIONS_DIR, REPO_ROOT, load_adl_defs
 
 PIPELINE_ARTIFACTS = {
     "occurrences.csv", "verdicts.csv", "annotated.csv", "clusters.csv", "model.json", "predictions.csv", "confusion.csv",
@@ -378,6 +379,31 @@ def test_stage_rejects_unknown_activity(
     assert not (out / artifact).exists()
 
 
+@pytest.mark.parametrize("column", [3, 4], ids=["atomic", "context"])
+def test_stages_reject_unknown_evidence_ids(tmp_path, capsys, column):
+    out = tmp_path / "run"
+    config = ["--config", str(ADL_CONFIG), "--out", str(out)]
+    assert main(["ingest", *config]) == 0
+    assert main(["recognize", *config]) == 0
+    occurrences = out / "occurrences.csv"
+    lines = occurrences.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[column] += ";99"
+    lines[1] = ",".join(fields)
+    occurrences.write_text("\n".join(lines) + "\n")
+    what = "atomic" if column == 3 else "context"
+    before = _snapshot(out)
+    for stage in ("recognize", "affect", "cluster"):
+        capsys.readouterr()
+        code = main([stage, *config])
+        err = capsys.readouterr().err
+        assert code == 2, stage
+        assert (
+            f"error: {occurrences}: line 2: {fields[0]}: unknown {what} ids [99]" in err
+        ), stage
+        assert _snapshot(out) == before, stage
+
+
 @pytest.mark.parametrize("edit", ["delete", "swap"])
 def test_affect_rejects_verdicts_out_of_step(tmp_path, capsys, edit):
     out = tmp_path / "run"
@@ -718,3 +744,21 @@ def test_affect_rejects_unknown_completed_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {verdicts}: line 3: expected 'true' or 'false', got 'yes'" in err
+
+
+# ---------------------------------------------------------------------------
+# Names the benchmark traces
+# ---------------------------------------------------------------------------
+
+def test_traced_names_resolve_to_engine_functions():
+    """`perfbench/spans.py` wraps `adl_engine.<module>.<name>` for every
+    `TRACED` entry, so a deleted or renamed one fails every traced run."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", REPO_ROOT / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, names in spans.TRACED.items():
+        module = importlib.import_module(f"adl_engine.{module_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"

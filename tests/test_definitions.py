@@ -11,11 +11,8 @@ from adl_engine.definitions import (
     ComplexActivityDefinition,
     ContextAttribute,
     DefinitionError,
-    DefinitionSet,
     WEIGHT_SUM_TOLERANCE,
-    definition_set_to_dict,
     load_definitions,
-    save_definitions,
     validate_definition,
 )
 from helpers import DEFINITIONS_DIR, definition_strategy, load_all_defs
@@ -176,23 +173,15 @@ def test_validate_rejects_threshold_outside_unit_interval(threshold):
 
 
 # ---------------------------------------------------------------------------
-# Weight lookups
+# Loading
 # ---------------------------------------------------------------------------
 
-def test_weight_lookup_by_id(ukdale_defs):
-    defn = ukdale_defs["Using Microwave"]
-    assert defn.atomic_weight(5) == pytest.approx(0.25)
-    assert defn.context_weight(5) == pytest.approx(0.25)
-    with pytest.raises(KeyError):
-        defn.atomic_weight(99)
+def _adl_document() -> dict:
+    return json.loads((DEFINITIONS_DIR / "adl.json").read_text(encoding="utf-8"))
 
-
-# ---------------------------------------------------------------------------
-# Loading and round-trips
-# ---------------------------------------------------------------------------
 
 def test_load_rejects_duplicate_names(tmp_path):
-    doc = definition_set_to_dict(DefinitionSet({"X": _simple(name="X")}))
+    doc = _adl_document()
     doc["definitions"].append(doc["definitions"][0])
     path = tmp_path / "dup.json"
     path.write_text(json.dumps(doc))
@@ -220,22 +209,15 @@ def test_load_rejects_empty_set(tmp_path):
 
 
 def test_load_aggregates_all_violations(tmp_path):
-    bad = _simple(name="Bad", threshold=2.0, core_atomics=frozenset({7}))
-    doc = definition_set_to_dict(DefinitionSet({"Bad": bad}))
+    doc = _adl_document()
+    entry = doc["definitions"][0]  # Sleeping: five atomics, so id 7 dangles
+    entry["threshold"] = 2.0
+    entry["core_atomics"] = [7]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(DefinitionError) as excinfo:
         load_definitions(path)
     assert len(excinfo.value.violations) == 2
-
-
-def test_save_load_round_trip(tmp_path, adl_defs):
-    path = tmp_path / "round.json"
-    save_definitions(adl_defs, path)
-    reloaded = load_definitions(path)
-    assert reloaded.names == adl_defs.names
-    for name in adl_defs.names:
-        assert reloaded[name] == adl_defs[name]
 
 
 def test_definition_set_lookup_errors(adl_defs):
@@ -251,9 +233,6 @@ def test_definition_set_lookup_errors(adl_defs):
 @given(definition_strategy())
 def test_generated_definitions_validate_and_round_trip(defn):
     assert validate_definition(defn) == []
-    doc = definition_set_to_dict(DefinitionSet({defn.name: defn}))
-    assert doc["definitions"][0]["name"] == defn.name
-    assert doc["definitions"][0]["threshold"] == defn.threshold
 
 
 @settings(max_examples=60, derandomize=True)
@@ -261,7 +240,7 @@ def test_generated_definitions_validate_and_round_trip(defn):
 def test_most_important_pair_is_maximal(defn):
     atomic_id, context_id = defn.most_important_pair
     assert atomic_id == context_id
-    best_weight = defn.atomic_weight(atomic_id)
+    (best_weight,) = (a.weight for a in defn.atomics if a.id == atomic_id)
     for a in defn.atomics:
         assert best_weight >= a.weight
         if a.weight == best_weight:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import csv
 import io
 from collections import Counter
 
@@ -16,8 +15,6 @@ from adl_engine.evaluation import (
     class_precision,
     class_recall,
     emit_report,
-    read_confusion,
-    report_from_json,
     split_chronological,
     split_random,
     write_confusion,
@@ -217,40 +214,8 @@ def test_emit_report_rejects_unknown_format():
         emit_report(build_report(ROUTINE_CM), format="yaml")
 
 
-def test_report_json_round_trip():
-    cm = ConfusionMatrix(("A", "B"), ((1, 1), (0, 0)))
-    report = build_report(cm)
-    restored = report_from_json(emit_report(report, format="json"))
-    assert restored == report
-    assert restored.precision["B"] is None
-
-
 def test_confusion_csv_round_trip():
     buf = io.StringIO()
     write_confusion(APPLIANCE_CM, buf)
     text = buf.getvalue()
     assert text.splitlines()[0].startswith("pred\\true,")
-    assert read_confusion(io.StringIO(text)) == APPLIANCE_CM
-
-
-def test_read_confusion_rejects_empty_document():
-    with pytest.raises(ValueError):
-        read_confusion(io.StringIO(""))
-
-
-@pytest.mark.parametrize("text, fragment", [
-    ("pred\\true,a\nb,1\n", "line 2: row label 'b', expected 'a'"),
-    ("pred\\true,a\na,1,2\n", "line 2: expected 2 fields, got 3"),
-    ("pred\\true,a\na,1\na,2\n", "line 3: more rows than labels"),
-    ("pred\\true,a\na,x\n", "line 2: invalid literal"),
-    ("true\\pred,a\na,1\n", "line 1: header starts with"),
-], ids=["row-label", "extra-field", "extra-row", "count", "corner"])
-def test_read_confusion_rejects_malformed_rows(text, fragment):
-    with pytest.raises(ValueError, match=fragment):
-        read_confusion(io.StringIO(text))
-
-
-def test_read_confusion_rejects_oversized_field():
-    text = f"pred\\true,a\na,{'1' * (csv.field_size_limit() + 1)}\n"
-    with pytest.raises(ValueError, match="line 2: field larger than field limit"):
-        read_confusion(io.StringIO(text))

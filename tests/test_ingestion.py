@@ -21,7 +21,6 @@ from adl_engine.ingestion import (
     parse_power_trace,
     read_occurrences,
     segment_occurrences,
-    serialize_adl_log,
     trace_occurrences,
     write_occurrences,
 )
@@ -383,12 +382,6 @@ def test_parse_adl_log_rejects_wrong_header(adl_defs):
     text = "begin,finish,what\n2024-03-04T07:00:00Z,2024-03-04T08:00:00Z,Sleeping\n"
     with pytest.raises(AnnotationParseError, match="header"):
         parse_adl_log(io.StringIO(text), adl_defs)
-
-
-def test_serialize_then_parse_is_identity(adl_defs):
-    records = parse_adl_log(io.StringIO(ADL_CSV), adl_defs)
-    again = parse_adl_log(io.StringIO(serialize_adl_log(records)), adl_defs)
-    assert again == records
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from adl_engine.ingestion import (
     write_table,
 )
 from adl_engine.recognition import VERDICT_FIELDS, read_verdicts
-from adl_engine.temporal import CLUSTER_FIELDS, read_clusters
 
 _HEADER = ["name", "count"]
 
@@ -78,7 +77,6 @@ _READERS = {
     "occurrences": (read_occurrences, OCCURRENCE_FIELDS),
     "verdicts": (read_verdicts, VERDICT_FIELDS),
     "annotated": (read_annotated, ANNOTATED_FIELDS),
-    "clusters": (read_clusters, CLUSTER_FIELDS),
 }
 
 # field texts near the valid values of some column, plus arbitrary text

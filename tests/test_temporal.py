@@ -3,26 +3,13 @@ from __future__ import annotations
 import io
 from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adl_engine.ingestion import OccurrenceRecord, Source
 from adl_engine.temporal import (
-    LabeledInstant,
-    TimeInstant,
-    circular_distance,
-    cluster_report,
-    instants_from_records,
-    knn_label,
-    minute_of_day,
-    read_clusters,
-    write_clusters,
+    cluster_report, day_index, is_weekday, minute_of_day, write_clusters,
 )
-
-
-def _li(minute: int, activity: str, day: int = 0) -> LabeledInstant:
-    return LabeledInstant(TimeInstant(minute, day), activity)
 
 
 def _record(activity: str, start: int, end: int) -> OccurrenceRecord:
@@ -31,49 +18,8 @@ def _record(activity: str, start: int, end: int) -> OccurrenceRecord:
 
 
 # ---------------------------------------------------------------------------
-# circular_distance
+# day clock
 # ---------------------------------------------------------------------------
-
-def test_distance_wraps_midnight():
-    assert circular_distance(1430, 10) == 20
-
-
-def test_distance_identical_minutes():
-    assert circular_distance(300, 300) == 0
-
-
-def test_distance_antipodal_minutes():
-    assert circular_distance(0, 720) == 720
-
-
-def test_distance_accepts_instants():
-    a = TimeInstant(1430, 0)
-    b = TimeInstant(10, 3)  # day index is irrelevant to clock distance
-    assert circular_distance(a, b) == 20
-    assert circular_distance(a, 10) == 20
-
-
-def test_distance_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        circular_distance(1440, 0)
-    with pytest.raises(ValueError):
-        circular_distance(0, -1)
-
-
-@settings(max_examples=200, derandomize=True)
-@given(a=st.integers(0, 1439), b=st.integers(0, 1439))
-def test_distance_symmetric_and_bounded(a, b):
-    d = circular_distance(a, b)
-    assert d == circular_distance(b, a)
-    assert 0 <= d <= 720
-    assert (d == 0) == (a == b)
-
-
-@settings(max_examples=200, derandomize=True)
-@given(a=st.integers(0, 1439), b=st.integers(0, 1439), c=st.integers(0, 1439))
-def test_distance_triangle_inequality(a, b, c):
-    assert circular_distance(a, c) <= circular_distance(a, b) + circular_distance(b, c)
-
 
 def test_minute_of_day_from_timestamp():
     assert minute_of_day(0) == 0
@@ -81,91 +27,16 @@ def test_minute_of_day_from_timestamp():
     assert minute_of_day(86400 + 3600) == 60
 
 
-def test_time_instant_rejects_bad_minute():
-    with pytest.raises(ValueError):
-        TimeInstant(1440, 0)
-
-
-# ---------------------------------------------------------------------------
-# knn_label
-# ---------------------------------------------------------------------------
-
-def test_single_neighbor():
-    assert knn_label([_li(480, "Breakfast")], 500, k=1) == "Breakfast"
-
-
-def test_nearest_of_two_labels():
-    train = [_li(480, "Breakfast"), _li(780, "Lunch")]
-    assert knn_label(train, 510, k=1) == "Breakfast"
-    assert knn_label(train, 760, k=1) == "Lunch"
-
-
-def test_vote_tie_breaks_lexicographically():
-    # 630 sits exactly 150 from both instants; one vote each
-    train = [_li(480, "Breakfast"), _li(780, "Lunch")]
-    assert knn_label(train, 630, k=2) == "Breakfast"
-
-
-def test_k_equal_to_train_size_is_global_majority():
-    train = [
-        _li(10, "Sleeping"), _li(20, "Sleeping"), _li(30, "Sleeping"),
-        _li(700, "Lunch"), _li(710, "Lunch"),
-    ]
-    assert knn_label(train, 705, k=5) == "Sleeping"
-
-
-def test_wraparound_neighbors_count():
-    train = [_li(1435, "Sleeping"), _li(100, "Breakfast")]
-    assert knn_label(train, 5, k=1) == "Sleeping"
-
-
-def test_distance_tie_prefers_earlier_minute():
-    # both neighbors 10 minutes out; 490 ranks before 510
-    train = [_li(490, "Showering"), _li(510, "Breakfast")]
-    assert knn_label(train, 500, k=1) == "Showering"
-
-
-def test_knn_argument_validation():
-    train = [_li(480, "Breakfast")]
-    with pytest.raises(ValueError):
-        knn_label([], 500)
-    with pytest.raises(ValueError):
-        knn_label(train, 500, k=0)
-    with pytest.raises(ValueError):
-        knn_label(train, 500, k=2)
-
-
-@settings(max_examples=100, derandomize=True)
-@given(
-    minutes=st.lists(st.integers(0, 1439), min_size=1, max_size=12),
-    query=st.integers(0, 1439),
-    data=st.data(),
-)
-def test_knn_returns_a_training_label(minutes, query, data):
-    labels = data.draw(st.lists(
-        st.sampled_from(["A", "B", "C"]),
-        min_size=len(minutes), max_size=len(minutes)))
-    train = [_li(m, lab) for m, lab in zip(minutes, labels)]
-    k = data.draw(st.integers(1, len(train)))
-    assert knn_label(train, query, k=k) in set(labels)
-
-
-def test_exact_hit_dominates_with_k_one():
-    train = [_li(480, "Breakfast"), _li(481, "Showering"), _li(482, "Lunch")]
-    assert knn_label(train, 480, k=1) == "Breakfast"
+def test_day_index_and_weekday_from_timestamp():
+    assert day_index(0) == 0
+    assert day_index(86400 + 480 * 60) == 1
+    # 1970-01-01 was a Thursday: Thu, Fri are weekdays, Sat, Sun are not
+    assert [is_weekday(d * 86400) for d in range(5)] == [True, True, False, False, True]
 
 
 # ---------------------------------------------------------------------------
 # cluster report
 # ---------------------------------------------------------------------------
-
-def test_instants_use_start_times():
-    records = [_record("Breakfast", 86400 + 480 * 60, 86400 + 500 * 60)]
-    (li,) = instants_from_records(records)
-    assert li.instant.minute_of_day == 480
-    assert li.instant.day_index == 1
-    assert li.activity == "Breakfast"
-
 
 def test_cluster_report_empty():
     assert cluster_report([]) == []
@@ -215,4 +86,6 @@ def test_cluster_csv_round_trip():
     rows = [("Breakfast", 0, 480), ("Lunch", 1, 770)]
     buf = io.StringIO()
     write_clusters(rows, buf)
-    assert read_clusters(io.StringIO(buf.getvalue())) == rows
+    assert buf.getvalue() == (
+        "activity,day_index,minute_of_day\nBreakfast,0,480\nLunch,1,770\n"
+    )
