@@ -173,11 +173,35 @@ def test_validate_rejects_threshold_outside_unit_interval(threshold):
 
 
 # ---------------------------------------------------------------------------
+# Weights by id
+# ---------------------------------------------------------------------------
+
+def test_weight_lookup_by_id(ukdale_defs):
+    defn = ukdale_defs["Using Microwave"]
+    atomic_weights = {a.id: a.weight for a in defn.atomics}
+    context_weights = {c.id: c.weight for c in defn.contexts}
+    assert atomic_weights[5] == pytest.approx(0.25)
+    assert context_weights[5] == pytest.approx(0.25)
+    assert 99 not in atomic_weights
+
+
+# ---------------------------------------------------------------------------
 # Loading
 # ---------------------------------------------------------------------------
 
 def _adl_document() -> dict:
     return json.loads((DEFINITIONS_DIR / "adl.json").read_text(encoding="utf-8"))
+
+
+def test_save_load_round_trip(tmp_path, adl_defs):
+    # the shipped document, saved again with sorted keys and no indentation,
+    # loads to the same definitions
+    path = tmp_path / "round.json"
+    path.write_text(json.dumps(_adl_document(), sort_keys=True), encoding="utf-8")
+    reloaded = load_definitions(path)
+    assert reloaded.names == adl_defs.names
+    for name in adl_defs.names:
+        assert reloaded[name] == adl_defs[name]
 
 
 def test_load_rejects_duplicate_names(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from adl_engine.evaluation import (
     ConfusionMatrix,
+    MetricsReport,
     accuracy,
     build_confusion,
     build_report,
@@ -212,6 +214,22 @@ def test_emit_report_renders_undefined_metrics_as_na():
 def test_emit_report_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_report(build_report(ROUTINE_CM), format="yaml")
+
+
+def test_report_json_round_trip():
+    cm = ConfusionMatrix(("A", "B"), ((1, 1), (0, 0)))
+    report = build_report(cm)
+    restored = json.loads(emit_report(report, format="json"))
+    assert MetricsReport(
+        labels=tuple(restored["labels"]),
+        accuracy=restored["accuracy"],
+        precision=restored["precision"],
+        recall=restored["recall"],
+        grand_total=restored["grand_total"],
+        predicted_totals=restored["predicted_totals"],
+        true_totals=restored["true_totals"],
+    ) == report
+    assert restored["precision"]["B"] is None
 
 
 def test_confusion_csv_round_trip():

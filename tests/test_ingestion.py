@@ -416,6 +416,15 @@ def test_read_occurrences_rejects_malformed_rows(text, fragment):
         read_occurrences(io.StringIO(text))
 
 
+def test_serialize_then_parse_is_identity(adl_defs):
+    # annotation records keep their full id sets through the occurrence CSV
+    records = parse_adl_log(io.StringIO(ADL_CSV), adl_defs)
+    buf = io.StringIO()
+    write_occurrences(records, buf)
+    again = read_occurrences(io.StringIO(buf.getvalue()), adl_defs)
+    assert again == records
+
+
 def test_merge_sorted_orders_by_start_then_activity():
     a = OccurrenceRecord("B", 100, 110, frozenset({1}), frozenset(), Source.ANNOTATION)
     b = OccurrenceRecord("A", 100, 120, frozenset({1}), frozenset(), Source.ANNOTATION)

@@ -38,6 +38,19 @@ def test_day_index_and_weekday_from_timestamp():
 # cluster report
 # ---------------------------------------------------------------------------
 
+def test_instants_use_start_times():
+    day = 86400
+    records = [
+        _record("Sleeping", 23 * 3600, day + 6 * 3600),
+        _record("Breakfast", day + 480 * 60, day + 500 * 60),
+    ]
+    # Sleeping starts on day 0 and ends on day 1; its row is day 0, minute 1380
+    assert cluster_report(records) == [
+        ("Breakfast", 1, 480),
+        ("Sleeping", 0, 1380),
+    ]
+
+
 def test_cluster_report_empty():
     assert cluster_report([]) == []
 
