@@ -262,11 +262,13 @@ def _ingest(store: Store) -> str:
                     "has no activity mapping"
                 )
             defn = defs[config.channel_map[spec.channel]]
-            with open(spec.path) as stream:
-                records = ingest_mod.trace_occurrences(
-                    ingest_mod.iter_power_trace(stream, spec.channel),
+            records = _parse_file(
+                spec.path,
+                lambda stream: ingest_mod.trace_occurrences(
+                    ingest_mod.power_trace_blocks(stream, spec.channel),
                     defn, config.on_watts, config.gap_tolerance,
-                )
+                ),
+            )
         else:
             records = _parse_file(
                 spec.path, lambda stream: ingest_mod.parse_adl_log(stream, defs)

@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .temporal import MINUTES_PER_DAY
+
 DATASET_KINDS = ("power-trace", "adl-log")
 SPLIT_KINDS = ("chronological", "random")
 
@@ -61,8 +63,8 @@ def validate_config(config: RunConfig) -> None:
     _require(config.window >= 1, "window", f"must be >= 1, got {config.window}")
     _require(config.epsilon >= 0, "epsilon", f"must be >= 0, got {config.epsilon}")
     _require(
-        1 <= config.bucket_width <= 1440, "bucket_width",
-        f"must be in [1, 1440], got {config.bucket_width}",
+        1 <= config.bucket_width <= MINUTES_PER_DAY, "bucket_width",
+        f"must be in [1, {MINUTES_PER_DAY}], got {config.bucket_width}",
     )
     _require(config.alpha > 0, "alpha", f"must be > 0, got {config.alpha}")
     _require(
@@ -117,21 +119,38 @@ def load_config(path: str | Path) -> RunConfig:
     raw_defs = payload.get("definitions", [])
     if isinstance(raw_defs, str):
         raw_defs = [raw_defs]
+    _require(
+        isinstance(raw_defs, list) and all(isinstance(p, str) for p in raw_defs),
+        "definitions", f"must be a path or a list of paths, got {raw_defs!r}",
+    )
     definitions = tuple(resolve(p) for p in raw_defs)
 
+    raw_datasets = payload.get("datasets", [])
+    _require(
+        isinstance(raw_datasets, list), "datasets",
+        f"must be a list of entries, got {raw_datasets!r}",
+    )
     datasets = []
-    for entry in payload.get("datasets", []):
+    for entry in raw_datasets:
         if not isinstance(entry, dict) or "path" not in entry or "kind" not in entry:
             raise ConfigError(
                 f"{path}: each datasets entry needs 'path' and 'kind', got {entry!r}"
             )
-        datasets.append(
-            DatasetSpec(
-                path=resolve(entry["path"]),
-                kind=entry["kind"],
-                channel=entry.get("channel"),
-            )
+        channel = entry.get("channel")
+        _require(
+            isinstance(entry["path"], str) and isinstance(channel, (str, type(None))),
+            "datasets", f"'path' and 'channel' must be strings, got {entry!r}",
         )
+        datasets.append(
+            DatasetSpec(path=resolve(entry["path"]), kind=entry["kind"], channel=channel)
+        )
+
+    channel_map = payload.get("channel_map", {})
+    _require(
+        isinstance(channel_map, dict)
+        and all(isinstance(a, str) for a in channel_map.values()),
+        "channel_map", f"must map channel names to activity names, got {channel_map!r}",
+    )
 
     def number(key: str, default: float) -> float:
         value = payload.get(key, default)
@@ -148,7 +167,7 @@ def load_config(path: str | Path) -> RunConfig:
     config = RunConfig(
         definitions=definitions,
         datasets=tuple(datasets),
-        channel_map=dict(payload.get("channel_map", {})),
+        channel_map=channel_map,
         on_watts=number("on_watts", defaults.on_watts),
         gap_tolerance=integer("gap_tolerance", defaults.gap_tolerance),
         lam=number("lambda", defaults.lam),

@@ -6,14 +6,19 @@ Two input wire formats are supported:
   one sample per line (per-appliance channel files);
 * annotation log: CSV with header ``start_iso8601,end_iso8601,activity``.
 
-A power trace becomes occurrence records in one pass: `iter_power_trace`
-parses and checks each line into a ``(timestamp, watts)`` pair, and
-`trace_occurrences` thresholds each pair against ``on_watts``, bridges
-dropouts of at most ``gap_tolerance`` samples, and keeps only the open run's
-bounds, so memory does not grow with trace length.  The three-step path
-`parse_power_trace` -> `binarize` -> `segment_occurrences`, which materializes
-every sample and state, is kept as the reference the tests check that pass
-against.  Annotation rows become records directly.  An `OccurrenceRecord`
+A power trace becomes occurrence records a block at a time.
+`power_trace_blocks` reads `TRACE_BLOCK_CHARS` characters, cuts them at the
+last line end, splits them once and checks the whole block with builtins
+that run in C; a block with any line that is not plain ``<stamp> <watts>``
+text goes through the per-line parser `iter_power_trace` instead, which
+gives the same values or raises the same error.  `trace_occurrences`
+thresholds each block against ``on_watts`` and finds where runs end from the
+index steps between on-samples, bridging dropouts of at most
+``gap_tolerance`` samples; it keeps only the open run's bounds, so memory
+does not grow with trace length.  The three-step path `parse_power_trace`
+-> `binarize` -> `segment_occurrences`, which materializes every sample and
+state, is kept as the reference the tests check that pass against.
+Annotation rows become records directly.  An `OccurrenceRecord`
 is a named tuple, one per occurrence.  Parsers are pure per-stream and raise
 with the offending line number.
 
@@ -30,6 +35,9 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import partial
+from itertools import compress, count, islice
+from operator import lt, sub
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, TextIO, TypeVar
 
 from .definitions import ComplexActivityDefinition, DefinitionSet
@@ -56,8 +64,8 @@ class Source(str, Enum):
 class SensorSample:
     """One appliance power reading (UTC seconds, watts >= 0).
 
-    Built only by the reference path `parse_power_trace`; ingest streams
-    ``(timestamp, watts)`` pairs instead.
+    Built only by the reference path `parse_power_trace`; ingest reads
+    ``(stamps, watts)`` blocks instead.
     """
 
     timestamp: int
@@ -91,16 +99,19 @@ class OccurrenceRecord(NamedTuple):
 # Power traces
 # ---------------------------------------------------------------------------
 
-def iter_power_trace(stream: TextIO, channel: str) -> Iterator[tuple[int, float]]:
+def iter_power_trace(
+    lines: Iterable[str], channel: str, first_line: int = 1, last_ts: int | None = None
+) -> Iterator[tuple[int, float]]:
     """Yield ``(timestamp, watts)`` per sample of a power-trace stream, in order.
 
     Blank lines are skipped and sub-second timestamps are truncated to whole
     seconds.  Raises TraceParseError, naming the channel and line number, on
     a malformed row, a non-finite timestamp, a negative or non-finite value,
-    or a timestamp not strictly greater than its predecessor.
+    or a timestamp not strictly greater than its predecessor.  ``lines`` may
+    be the rest of a trace: its first line is then numbered ``first_line``
+    and follows a sample stamped ``last_ts``.
     """
-    last_ts: int | None = None
-    for lineno, line in enumerate(stream, start=1):
+    for lineno, line in enumerate(lines, start=first_line):
         parts = line.split()
         if not parts:
             continue
@@ -132,6 +143,90 @@ def iter_power_trace(stream: TextIO, channel: str) -> Iterator[tuple[int, float]
         yield ts, value
 
 
+# Characters `power_trace_blocks` reads at a time: about 650 lines of a 6 s
+# trace, so per-block Python work is a small share of a block's cost, while a
+# block's lists peak near 0.4 MB.  Larger blocks are no faster, and at 1 << 16
+# an on-sample list that fills the block already adds 120 KB to that peak.
+TRACE_BLOCK_CHARS = 1 << 14
+
+# deleting these from a plain line ``<stamp> <watts>\n`` leaves `` \n``
+_NUMBER_CHARS = str.maketrans("", "", "0123456789.+-eE")
+# an int below this in magnitude is exactly a float, so int(tok) == int(float(tok))
+_EXACT_INT = 2 ** 53
+
+
+def power_trace_blocks(
+    stream: TextIO, channel: str
+) -> Iterator[tuple[list[int], list[float]]]:
+    """Yield the samples of a power-trace stream as ``(stamps, watts)`` lists.
+
+    Concatenated, the lists hold the values `iter_power_trace` yields for the
+    same stream, and a bad line raises the TraceParseError it raises.  Lines
+    end at ``\\n``, as a text stream with default newline handling gives them.
+    Each read of `TRACE_BLOCK_CHARS` characters is cut after its last line
+    end and the rest carried to the next block.  No yielded list is empty.
+    """
+    first_line = 1  # the number of the block's first line
+    last_ts: int | None = None
+    tail = ""  # text read after the last line end
+    while True:
+        chunk = stream.read(TRACE_BLOCK_CHARS)
+        if chunk:
+            cut = chunk.rfind("\n") + 1
+            if not cut:
+                tail += chunk
+                continue
+            text, tail = tail + chunk[:cut], chunk[cut:]
+        elif tail:  # a last line with no line end
+            text, tail = tail + "\n", ""
+        else:
+            return
+        lines = text.count("\n")
+        block = _plain_block(text, lines, last_ts)
+        if block is None:
+            samples = list(
+                iter_power_trace(text.split("\n"), channel, first_line, last_ts)
+            )
+            block = [ts for ts, _ in samples], [watts for _, watts in samples]
+        first_line += lines
+        if block[0]:
+            last_ts = block[0][-1]
+            yield block
+
+
+def _plain_block(
+    text: str, lines: int, last_ts: int | None
+) -> tuple[list[int], list[float]] | None:
+    """The samples of ``text`` if each of its ``lines`` is a plain, valid
+    ``<stamp> <watts>`` line and the first follows ``last_ts``, else None.
+
+    Builtins check the whole block at once: one space and only number
+    characters on each line, two tokens a line, stamps that parse, are exact
+    as floats and strictly increase, and watts that are finite and >= 0.
+    """
+    if text.translate(_NUMBER_CHARS) != " \n" * lines:
+        return None
+    tokens = text.split()
+    if len(tokens) != 2 * lines:  # a line with an empty field
+        return None
+    try:
+        try:
+            stamps = list(map(int, tokens[::2]))
+        except ValueError:  # a fraction or an exponent: truncate its float
+            stamps = list(map(int, map(float, tokens[::2])))
+        watts = list(map(float, tokens[1::2]))
+    except (ValueError, OverflowError):
+        return None
+    if (
+        (last_ts is None or last_ts < stamps[0])
+        and all(map(lt, stamps, islice(stamps, 1, None)))
+        and -_EXACT_INT < stamps[0] and stamps[-1] < _EXACT_INT
+        and min(watts) >= 0 and math.isfinite(sum(watts))
+    ):
+        return stamps, watts
+    return None
+
+
 def _check_thresholds(on_watts: float, gap_tolerance: int) -> None:
     if on_watts <= 0:
         raise ValueError(f"on_watts must be > 0, got {on_watts}")
@@ -140,37 +235,44 @@ def _check_thresholds(on_watts: float, gap_tolerance: int) -> None:
 
 
 def trace_occurrences(
-    samples: Iterable[tuple[int, float]],
+    blocks: Iterable[tuple[list[int], list[float]]],
     defn: ComplexActivityDefinition,
     on_watts: float,
     gap_tolerance: int,
 ) -> list[OccurrenceRecord]:
-    """One record per on-run of a ``(timestamp, watts)`` stream, in one pass.
+    """One record per on-run of a trace, given as `power_trace_blocks` yields it.
 
-    Gives the records of ``segment_occurrences(binarize(...))`` with O(1)
-    state: the open run's first and last on-sample and the count of off
-    samples since the last on-sample.  An on-sample after more than
-    ``gap_tolerance`` off samples closes the run; trailing off samples never
-    extend one.  Like ``segment_occurrences``, each record carries the full
-    id sets of ``defn``, the activity the channel maps to.
+    Gives the records of ``segment_occurrences(binarize(...))``.  Builtins
+    pick out each block's on-samples and the steps between their indices
+    that skip more than ``gap_tolerance`` off samples; each such step ends
+    one run and starts the next, and Python code runs only there.  Trailing
+    off samples never extend a run.  From block to block only the open run's
+    bounds are kept.  Like ``segment_occurrences``, each record carries the
+    full id sets of ``defn``, the activity the channel maps to.
     """
     _check_thresholds(on_watts, gap_tolerance)
+    # not on_watts.__lt__: for an int threshold it returns NotImplemented, which is truthy
+    is_on = partial(lt, on_watts)
+    ends_run = partial(lt, gap_tolerance + 1)  # applied to an index step
     runs: list[tuple[int, int]] = []
-    run_start = run_end = None
-    off = 0  # off samples since the last on-sample
-    for ts, watts in samples:
-        if watts > on_watts:
-            if run_start is None:
-                run_start = ts
-            elif off > gap_tolerance:
-                runs.append((run_start, run_end))
-                run_start = ts
-            run_end = ts
-            off = 0
-        else:
-            off += 1
-    if run_start is not None:
-        runs.append((run_start, run_end))
+    start = end = 0
+    last: int | None = None  # index of the open run's last on-sample in this block
+    for stamps, watts in blocks:
+        on = list(compress(range(len(stamps)), map(is_on, watts)))
+        if on:
+            if last is None or ends_run(on[0] - last):
+                if last is not None:
+                    runs.append((start, end))
+                start = stamps[on[0]]
+            for k in compress(count(1), map(ends_run, map(sub, islice(on, 1, None), on))):
+                runs.append((start, stamps[on[k - 1]]))
+                start = stamps[on[k]]
+            last = on[-1]
+            end = stamps[last]
+        if last is not None:
+            last -= len(stamps)
+    if last is not None:
+        runs.append((start, end))
     return [
         OccurrenceRecord(
             activity=defn.name,

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adl_engine import ingestion
 from adl_engine import recognition as recog_mod
 from adl_engine import recommender as recom_mod
 from adl_engine.affect import EmotionLabel, UXLabel
@@ -113,6 +114,24 @@ def test_config_rejects_malformed_dataset_entries(tmp_path):
     path.write_text(json.dumps({"datasets": [{"path": "x.csv"}]}))
     with pytest.raises(ConfigError, match="datasets"):
         load_config(path)
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"definitions": 5}, "definitions"),
+    ({"definitions": [5]}, "definitions"),
+    ({"datasets": 5}, "datasets"),
+    ({"datasets": [{"path": 5, "kind": "adl-log"}]}, "datasets"),
+    ({"datasets": [{"path": "x.dat", "kind": "power-trace", "channel": 5}]}, "datasets"),
+    ({"channel_map": [1]}, "channel_map"),
+    ({"channel_map": {"tv": ["Watching TV"]}}, "channel_map"),
+])
+def test_config_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, payload, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main(["ingest", "--config", str(path)]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
 
 
 def test_power_trace_dataset_requires_channel():
@@ -481,6 +500,27 @@ def test_ingest_rejects_unmapped_channel_before_reading(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "channel 'sauna' has no activity mapping" in err
+
+
+def test_ingest_names_the_trace_file_of_a_bad_line(tmp_path, capsys):
+    # the bad line lies past the first block, so the error comes from the
+    # per-line parser started part-way through the trace
+    lines = [f"{1_700_000_000 + 6 * i} {1200.0 if i % 50 < 20 else 1.5}" for i in range(3000)]
+    lines[2500] = lines[2500].replace(" ", " -", 1)
+    trace = tmp_path / "tv.dat"
+    trace.write_text("\n".join(lines) + "\n")
+    assert trace.stat().st_size > ingestion.TRACE_BLOCK_CHARS
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "definitions": [str(DEFINITIONS_DIR / "ukdale.json")],
+        "datasets": [{"path": str(trace), "kind": "power-trace", "channel": "tv"}],
+        "channel_map": {"tv": "Watching TV"},
+        "out_dir": str(tmp_path / "out"),
+    }))
+    code = main(["ingest", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {trace}: tv: line 2501: watts must be finite and >= 0" in err
 
 
 def test_recommend_subcommand(tmp_path, capsys):

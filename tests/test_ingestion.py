@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adl_engine import ingestion
 from adl_engine.ingestion import (
+    TRACE_BLOCK_CHARS,
     AnnotationParseError,
     BinarySeries,
     OccurrenceRecord,
@@ -19,6 +21,7 @@ from adl_engine.ingestion import (
     merge_sorted,
     parse_adl_log,
     parse_power_trace,
+    power_trace_blocks,
     read_occurrences,
     segment_occurrences,
     trace_occurrences,
@@ -82,6 +85,66 @@ def test_parse_power_trace_rejects_infinite_timestamp(stamp):
     text = f"1699999994 1.0\n{stamp} 5.0\n"
     with pytest.raises(TraceParseError, match="tv: line 2: timestamp must be finite"):
         parse_power_trace(io.StringIO(text), "tv")
+
+
+# ---------------------------------------------------------------------------
+# power_trace_blocks: the block reader, checked against iter_power_trace
+# ---------------------------------------------------------------------------
+
+_WATTS = st.sampled_from(
+    ["0", "12.5", "3000", "-0.0", "-3", "inf", "nan", "1e400", "1e308", "7e", "+4"]
+) | st.floats(0, 5000).map(repr)
+
+
+@st.composite
+def _trace_texts(draw):
+    """Trace text that is mostly valid, with the variants the fast path must
+    hand to the per-line parser: tabs, CRLF, blank lines, exponent and
+    fractional stamps, stamps beyond 2**53, bad watts, and arbitrary lines."""
+    ts = draw(st.sampled_from([0, 1_700_000_000, 2**53 - 3, -(2**53) - 3]))
+    text = ""
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 9)):
+            ts += draw(st.sampled_from([6] * 6 + [1, 0, -1]))
+            stamp = draw(st.sampled_from(["{}"] * 4 + ["{}.9", "{}e0", "+{}"])).format(ts)
+            line = stamp + draw(st.sampled_from([" "] * 6 + ["\t", "  "])) + draw(_WATTS)
+        else:
+            line = draw(st.text(alphabet="0123456789 .e-+\tx", max_size=12))
+        text += line + draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\n\n"]))
+    if draw(st.booleans()):
+        text = text.rstrip("\n")  # no final line end
+    return text
+
+
+def _samples_or_error(read):
+    try:
+        return read(), None
+    except TraceParseError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(text=_trace_texts(), block_chars=st.sampled_from([TRACE_BLOCK_CHARS, 64, 8, 3]))
+@example(text="5 1\n6 -2\n", block_chars=4)  # an error on a block's first line
+@example(text="5 1\n7 1\n7 2\n", block_chars=4)  # non-monotonic across a block edge
+@example(text="5 1\n7 1\n7 2\n", block_chars=64)  # non-monotonic inside a block
+@example(text="5 \n6 7\n", block_chars=64)  # an empty field
+@example(text=" 5\n6 7\n", block_chars=64)
+@example(text="5 1\n6 2", block_chars=4)  # no final line end
+@example(text="1700000000.9 5.0\n1700000001.2 6\n", block_chars=64)
+@example(text="9007199254740993 1\n9007199254740994 1\n", block_chars=64)
+@example(text="1 inf\n2 nan\n", block_chars=64)
+@example(text="1 1e400\n", block_chars=64)
+def test_power_trace_blocks_match_iter_power_trace(text, block_chars):
+    expected = _samples_or_error(lambda: list(iter_power_trace(io.StringIO(text), "tv")))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingestion, "TRACE_BLOCK_CHARS", block_chars)
+        got = _samples_or_error(lambda: [
+            sample
+            for stamps, watts in power_trace_blocks(io.StringIO(text), "tv")
+            for sample in zip(stamps, watts)
+        ])
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +293,29 @@ def _trace_lines(draw):
 
 
 @settings(max_examples=200, derandomize=True)
-@given(lines=_trace_lines(), tolerance=st.integers(0, 5))
-@example(lines=["1 0.0", "2 1.0", "3 0.5"], tolerance=2)  # all off
-@example(lines=["1 50.0", "2 60.0", "3 70.0"], tolerance=0)  # all on
-@example(lines=["1 0.0", "2 50.0", "3 0.0", "4 50.0", "5 0.0"], tolerance=5)
-def test_trace_occurrences_matches_three_step_reference(lines, tolerance, ukdale_defs):
+@given(
+    lines=_trace_lines(), tolerance=st.integers(0, 5),
+    block_chars=st.sampled_from([TRACE_BLOCK_CHARS, 40, 7]),
+)
+@example(lines=["1 0.0", "2 1.0", "3 0.5"], tolerance=2, block_chars=7)  # all off
+@example(lines=["1 50.0", "2 60.0", "3 70.0"], tolerance=0, block_chars=7)  # all on
+@example(lines=["1 0.0", "2 50.0", "3 0.0", "4 50.0", "5 0.0"], tolerance=5, block_chars=7)
+def test_trace_occurrences_matches_three_step_reference(
+    lines, tolerance, block_chars, ukdale_defs
+):
+    # blocks of a few characters hold a line or two, so runs and dropouts
+    # straddle block edges
     text = "\n".join(lines) + "\n"
     expected = segment_occurrences(
         binarize(parse_power_trace(io.StringIO(text), "tv"), 10.0, tolerance),
         {"tv": "Watching TV"}, ukdale_defs,
     )
-    records = trace_occurrences(
-        iter_power_trace(io.StringIO(text), "tv"),
-        ukdale_defs["Watching TV"], 10.0, tolerance,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingestion, "TRACE_BLOCK_CHARS", block_chars)
+        records = trace_occurrences(
+            power_trace_blocks(io.StringIO(text), "tv"),
+            ukdale_defs["Watching TV"], 10.0, tolerance,
+        )
     assert records == expected
 
 
@@ -264,23 +336,24 @@ def _ten_run_lines(samples: int):
         yield f"{1_700_000_000 + 6 * i} {1200.0 if on else 1.5}\n"
 
 
-def _peak_traced_bytes(samples: int, defn) -> int:
-    tracemalloc.start()
-    try:
-        records = trace_occurrences(
-            iter_power_trace(_ten_run_lines(samples), "tv"), defn, 10.0, 2
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _peak_traced_bytes(samples: int, defn, path) -> int:
+    with open(path, "w") as stream:
+        stream.writelines(_ten_run_lines(samples))
+    with open(path) as stream:
+        tracemalloc.start()
+        try:
+            records = trace_occurrences(power_trace_blocks(stream, "tv"), defn, 10.0, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert len(records) == 10
     return peak
 
 
-def test_trace_occurrences_memory_does_not_grow_with_trace_length(ukdale_defs):
+def test_trace_occurrences_memory_does_not_grow_with_trace_length(ukdale_defs, tmp_path):
     defn = ukdale_defs["Watching TV"]
-    short = _peak_traced_bytes(20_000, defn)
-    long = _peak_traced_bytes(200_000, defn)
+    short = _peak_traced_bytes(20_000, defn, tmp_path / "short.dat")
+    long = _peak_traced_bytes(200_000, defn, tmp_path / "long.dat")
     assert long - short < 64 * 1024
 
 
@@ -315,7 +388,7 @@ def test_records_share_their_definitions_id_sets(adl_defs, ukdale_defs):
     records = parse_adl_log(io.StringIO(log), adl_defs)
     tv = ukdale_defs["Watching TV"]
     records += trace_occurrences(
-        [(0, 50.0), (6, 0.0), (12, 0.0), (18, 0.0), (24, 50.0)], tv, 10.0, 2
+        [([0, 6, 12, 18, 24], [50.0, 0.0, 0.0, 0.0, 50.0])], tv, 10.0, 2
     )
     assert len(records) == 16
     for r in records:
