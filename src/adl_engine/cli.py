@@ -29,7 +29,7 @@ from . import ingestion as ingest_mod
 from . import recognition as recog_mod
 from . import recommender as recom_mod
 from . import temporal as temporal_mod
-from .config import ConfigError, RunConfig, load_config, with_overrides
+from .config import KEYS, PARAMS, ConfigError, RunConfig, load_config, with_overrides
 
 logger = logging.getLogger("adl_engine")
 
@@ -256,12 +256,14 @@ def _ingest(store: Store) -> str:
     per_file: list[list[ingest_mod.OccurrenceRecord]] = []
     for spec in config.datasets:
         if spec.kind == "power-trace":
-            if spec.channel not in config.channel_map:
+            activity = config.channel_map.get(spec.channel)
+            if activity not in defs:
                 raise ConfigError(
                     f"config key 'channel_map': channel {spec.channel!r} "
-                    "has no activity mapping"
+                    + ("has no activity mapping" if activity is None
+                       else f"maps to undefined activity {activity!r}")
                 )
-            defn = defs[config.channel_map[spec.channel]]
+            defn = defs[activity]
             records = _parse_file(
                 spec.path,
                 lambda stream: ingest_mod.trace_occurrences(
@@ -467,23 +469,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="path to the JSON run configuration")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="seed for randomized splitting")
-        p.add_argument("--on-watts", type=float, dest="on_watts",
-                       help="power on-threshold in watts")
-        p.add_argument("--gap-tolerance", type=int, dest="gap_tolerance",
-                       help="max off-samples bridged inside an occurrence")
-        p.add_argument("--lambda", type=float, dest="lam",
-                       help="atomic-side blend share in [0, 1]")
-        p.add_argument("--window", type=int, help="score history window size")
-        p.add_argument("--epsilon", type=float, help="score slack below history mean")
-        p.add_argument("--bucket-width", type=int, dest="bucket_width",
-                       help="time bucket width in minutes")
-        p.add_argument("--alpha", type=float, help="additive smoothing constant")
-        p.add_argument("--train-fraction", type=float, dest="train_fraction",
-                       help="training share in (0, 1)")
-        p.add_argument("--split", choices=["chronological", "random"],
-                       help="split discipline")
+        for f in PARAMS:
+            flag = f.metadata.get("flag", "--" + KEYS[f.name].replace("_", "-"))
+            p.add_argument(flag, type=f.type, dest=f.name, help=f.metadata["help"])
 
     p_validate = sub.add_parser("validate", help="check definition files")
     p_validate.add_argument("files", nargs="*", help="definition JSON files")
@@ -505,21 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> RunConfig | None:
     if args.config is None:
         return None
-    config = load_config(args.config)
-    return with_overrides(
-        config,
-        out_dir=args.out,
-        seed=args.seed,
-        on_watts=args.on_watts,
-        gap_tolerance=args.gap_tolerance,
-        lam=args.lam,
-        window=args.window,
-        epsilon=args.epsilon,
-        bucket_width=args.bucket_width,
-        alpha=args.alpha,
-        train_fraction=args.train_fraction,
-        split=args.split,
-    )
+    overrides = {f.name: getattr(args, f.name) for f in PARAMS}
+    return with_overrides(load_config(args.config), **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,14 +2,17 @@
 
 Flags override config keys, config keys override defaults.  Relative paths
 inside a config file resolve against the file's own directory, so a config
-can travel with its data.
+can travel with its data.  Each scalar parameter is declared once, as a
+`RunConfig` field, and the loader, `validate_config` and the CLI flags all
+read that declaration: a wrong type, a non-finite number or an out-of-range
+value is a `ConfigError` naming the config key, from JSON or from a flag.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Any, Callable
 
 from .temporal import MINUTES_PER_DAY
 
@@ -30,22 +33,61 @@ class DatasetSpec:
     channel: str | None = None
 
 
+def _param(
+    default: Any, help: str, check: Callable[[Any], bool] = lambda value: True,
+    rule: str = "", **names: str,
+) -> Any:
+    """A scalar parameter whose values must pass `check`; `rule` says how.
+
+    `names` may give its config `key`, if not the field name, and its `flag`,
+    if not the key with dashes (`bucket_width`, `--bucket-width`).
+    """
+    metadata = dict(names, help=help, check=check, rule=rule)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     definitions: tuple[str, ...] = ()
     datasets: tuple[DatasetSpec, ...] = ()
     channel_map: dict[str, str] = field(default_factory=dict)
-    on_watts: float = 10.0
-    gap_tolerance: int = 2
-    lam: float = 0.5
-    window: int = 5
-    epsilon: float = 0.05
-    bucket_width: int = 30
-    alpha: float = 1.0
-    train_fraction: float = 0.7
-    split: str = "chronological"
-    seed: int = 0
-    out_dir: str = "out"
+    out_dir: str = _param("out", "output directory (overrides config)", flag="--out")
+    seed: int = _param(0, "seed for randomized splitting", lambda v: v >= 0, ">= 0")
+    on_watts: float = _param(
+        10.0, "power on-threshold in watts", lambda v: v > 0, "> 0"
+    )
+    gap_tolerance: int = _param(
+        2, "max off-samples bridged inside an occurrence", lambda v: v >= 0, ">= 0"
+    )
+    lam: float = _param(
+        0.5, "atomic-side blend share in [0, 1]", lambda v: 0.0 <= v <= 1.0,
+        "in [0, 1]", key="lambda",
+    )
+    window: int = _param(5, "score history window size", lambda v: v >= 1, ">= 1")
+    epsilon: float = _param(
+        0.05, "score slack below history mean", lambda v: v >= 0, ">= 0"
+    )
+    bucket_width: int = _param(
+        30, "time bucket width in minutes", lambda v: 1 <= v <= MINUTES_PER_DAY,
+        f"in [1, {MINUTES_PER_DAY}]",
+    )
+    alpha: float = _param(1.0, "additive smoothing constant", lambda v: v > 0, "> 0")
+    train_fraction: float = _param(
+        0.7, "training share in (0, 1)", lambda v: 0.0 < v < 1.0, "in (0, 1)"
+    )
+    split: str = _param(
+        "chronological", f"split discipline, one of {SPLIT_KINDS}",
+        lambda v: v in SPLIT_KINDS, f"one of {SPLIT_KINDS}",
+    )
+
+
+# the scalar parameters, in the order of their flags, and each field's JSON key
+PARAMS = tuple(f for f in fields(RunConfig) if "help" in f.metadata)
+KEYS = {f.name: f.metadata.get("key", f.name) for f in fields(RunConfig)}
+# what a JSON value of each parameter type may be, and its name in messages
+_TYPES = {
+    float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string"),
+}
 
 
 def _require(condition: bool, key: str, message: str) -> None:
@@ -53,29 +95,27 @@ def _require(condition: bool, key: str, message: str) -> None:
         raise ConfigError(f"config key {key!r}: {message}")
 
 
+def _typed(f: Field, value: Any) -> Any:
+    """`value` as parameter `f`'s type; a JSON integer is also a number."""
+    accepted, name = _TYPES[f.type]
+    _require(
+        not isinstance(value, bool) and isinstance(value, accepted),
+        KEYS[f.name], f"must be {name}, got {value!r}",
+    )
+    return f.type(value)
+
+
 def validate_config(config: RunConfig) -> None:
-    _require(config.on_watts > 0, "on_watts", f"must be > 0, got {config.on_watts}")
-    _require(
-        config.gap_tolerance >= 0, "gap_tolerance",
-        f"must be >= 0, got {config.gap_tolerance}",
-    )
-    _require(0.0 <= config.lam <= 1.0, "lambda", f"must be in [0, 1], got {config.lam}")
-    _require(config.window >= 1, "window", f"must be >= 1, got {config.window}")
-    _require(config.epsilon >= 0, "epsilon", f"must be >= 0, got {config.epsilon}")
-    _require(
-        1 <= config.bucket_width <= MINUTES_PER_DAY, "bucket_width",
-        f"must be in [1, {MINUTES_PER_DAY}], got {config.bucket_width}",
-    )
-    _require(config.alpha > 0, "alpha", f"must be > 0, got {config.alpha}")
-    _require(
-        0.0 < config.train_fraction < 1.0, "train_fraction",
-        f"must be in (0, 1), got {config.train_fraction}",
-    )
-    _require(
-        config.split in SPLIT_KINDS, "split",
-        f"must be one of {SPLIT_KINDS}, got {config.split!r}",
-    )
-    _require(config.seed >= 0, "seed", f"must be >= 0, got {config.seed}")
+    for f in PARAMS:
+        value = getattr(config, f.name)
+        _require(
+            not isinstance(value, float) or math.isfinite(value),
+            KEYS[f.name], f"must be finite, got {value!r}",
+        )
+        _require(
+            f.metadata["check"](value), KEYS[f.name],
+            f"must be {f.metadata['rule']}, got {value!r}",
+        )
     for spec in config.datasets:
         _require(
             spec.kind in DATASET_KINDS, "datasets",
@@ -106,13 +146,7 @@ def load_config(path: str | Path) -> RunConfig:
         candidate = Path(p)
         return str(candidate if candidate.is_absolute() else base / candidate)
 
-    defaults = RunConfig()
-    known = {
-        "definitions", "datasets", "channel_map", "on_watts", "gap_tolerance",
-        "lambda", "window", "epsilon", "bucket_width", "alpha",
-        "train_fraction", "split", "seed", "out_dir",
-    }
-    unknown = sorted(set(payload) - known)
+    unknown = sorted(set(payload) - set(KEYS.values()))
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {unknown}")
 
@@ -152,33 +186,16 @@ def load_config(path: str | Path) -> RunConfig:
         "channel_map", f"must map channel names to activity names, got {channel_map!r}",
     )
 
-    def number(key: str, default: float) -> float:
-        value = payload.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r}: must be a number, got {value!r}")
-        return float(value)
-
-    def integer(key: str, default: int) -> int:
-        value = payload.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {key!r}: must be an integer, got {value!r}")
-        return value
-
+    scalars = {
+        f.name: _typed(f, payload[KEYS[f.name]])
+        for f in PARAMS if KEYS[f.name] in payload
+    }
+    scalars["out_dir"] = resolve(scalars.get("out_dir", RunConfig.out_dir))
     config = RunConfig(
         definitions=definitions,
         datasets=tuple(datasets),
         channel_map=channel_map,
-        on_watts=number("on_watts", defaults.on_watts),
-        gap_tolerance=integer("gap_tolerance", defaults.gap_tolerance),
-        lam=number("lambda", defaults.lam),
-        window=integer("window", defaults.window),
-        epsilon=number("epsilon", defaults.epsilon),
-        bucket_width=integer("bucket_width", defaults.bucket_width),
-        alpha=number("alpha", defaults.alpha),
-        train_fraction=number("train_fraction", defaults.train_fraction),
-        split=str(payload.get("split", defaults.split)),
-        seed=integer("seed", defaults.seed),
-        out_dir=resolve(str(payload.get("out_dir", defaults.out_dir))),
+        **scalars,
     )
     validate_config(config)
     return config

@@ -22,12 +22,13 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
-from .affect import AffectAnnotation, EmotionLabel, UXLabel, time_bucket
+from .affect import (
+    DEFAULT_BUCKET_WIDTH, AffectAnnotation, EmotionLabel, UXLabel, time_bucket,
+)
 from .ingestion import member_parser
 from .temporal import MINUTES_PER_DAY, is_weekday, minute_of_day
 
 DEFAULT_ALPHA = 1.0
-DEFAULT_BUCKET_WIDTH = 30
 FEATURE_NAMES = ("time_bucket", "previous_activity", "emotion", "ux", "day_kind")
 
 # the encoded previous_activity of a first occurrence

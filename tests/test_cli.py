@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -16,8 +17,10 @@ from adl_engine import ingestion
 from adl_engine import recognition as recog_mod
 from adl_engine import recommender as recom_mod
 from adl_engine.affect import EmotionLabel, UXLabel
-from adl_engine.cli import main
+from adl_engine.cli import _build_parser, _resolve_config, main
 from adl_engine.config import (
+    KEYS,
+    PARAMS,
     ConfigError,
     DatasetSpec,
     RunConfig,
@@ -26,7 +29,7 @@ from adl_engine.config import (
     with_overrides,
 )
 from adl_engine.ingestion import OccurrenceRecord, Source, write_occurrences
-from helpers import CONFIGS_DIR, DEFINITIONS_DIR, REPO_ROOT, load_adl_defs
+from helpers import CONFIGS_DIR, DATA_DIR, DEFINITIONS_DIR, REPO_ROOT, load_adl_defs
 
 PIPELINE_ARTIFACTS = {
     "occurrences.csv", "verdicts.csv", "annotated.csv", "clusters.csv", "model.json", "predictions.csv", "confusion.csv",
@@ -124,6 +127,9 @@ def test_config_rejects_malformed_dataset_entries(tmp_path):
     ({"datasets": [{"path": "x.dat", "kind": "power-trace", "channel": 5}]}, "datasets"),
     ({"channel_map": [1]}, "channel_map"),
     ({"channel_map": {"tv": ["Watching TV"]}}, "channel_map"),
+    ({"out_dir": None}, "out_dir"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"split": None}, "split"),
 ])
 def test_config_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, payload, key):
     path = tmp_path / "run.json"
@@ -132,6 +138,92 @@ def test_config_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, payl
         load_config(path)
     assert main(["ingest", "--config", str(path)]) == 2
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+# each declared run parameter: its config key, its flag, a valid non-default
+# value and an out-of-range one (None: every value of its type is in range)
+RUN_PARAMETERS = {
+    "out_dir": ("out_dir", "--out", "elsewhere", None),
+    "seed": ("seed", "--seed", 7, -1),
+    "on_watts": ("on_watts", "--on-watts", 25.0, 0.0),
+    "gap_tolerance": ("gap_tolerance", "--gap-tolerance", 4, -1),
+    "lam": ("lambda", "--lambda", 0.8, 1.5),
+    "window": ("window", "--window", 3, 0),
+    "epsilon": ("epsilon", "--epsilon", 0.1, -0.5),
+    "bucket_width": ("bucket_width", "--bucket-width", 60, 1441),
+    "alpha": ("alpha", "--alpha", 0.5, 0.0),
+    "train_fraction": ("train_fraction", "--train-fraction", 0.6, 1.0),
+    "split": ("split", "--split", "random", "shuffled"),
+}
+
+
+def test_run_parameters_keep_their_keys_and_flags():
+    assert [(f.name, KEYS[f.name]) for f in PARAMS] == [
+        (name, key) for name, (key, *_) in RUN_PARAMETERS.items()
+    ]
+    pinned = ["-h", "--help", "--config", *(flag for _, flag, *_ in RUN_PARAMETERS.values())]
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        flags = [s for action in sub._actions for s in action.option_strings]
+        assert flags[:len(pinned)] == pinned, command
+
+
+@pytest.mark.parametrize("name", list(RUN_PARAMETERS))
+def test_run_parameter_reads_alike_by_config_key_and_by_flag(tmp_path, name):
+    key, flag, value, _ = RUN_PARAMETERS[name]
+    if name == "out_dir":
+        value = str(tmp_path / value)  # a flag's path is not resolved against the config
+    base = tmp_path / "base.json"
+    base.write_text("{}")
+    keyed = tmp_path / "keyed.json"
+    keyed.write_text(json.dumps({key: value}))
+    by_key = load_config(keyed)
+    by_flag = _resolve_config(
+        _build_parser().parse_args(["pipeline", "--config", str(base), flag, str(value)])
+    )
+    assert by_key == by_flag
+    assert getattr(by_key, name) != getattr(load_config(base), name)
+
+
+@pytest.mark.parametrize("route", ["key", "flag"])
+@pytest.mark.parametrize(
+    "name", [name for name, values in RUN_PARAMETERS.items() if values[3] is not None]
+)
+def test_out_of_range_run_parameter_is_an_input_error(tmp_path, capsys, name, route):
+    key, flag, _, bad = RUN_PARAMETERS[name]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: bad} if route == "key" else {}))
+    argv = ["pipeline", "--config", str(config)]
+    if route == "flag":
+        argv += [flag, str(bad)]
+    assert main(argv) == 2
+    assert f"config key {key!r}: must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("member, flags, key", [
+    ('"alpha": Infinity', [], "alpha"),
+    ('"on_watts": 1e400', [], "on_watts"),
+    ('"epsilon": 1e400', [], "epsilon"),
+    ('"lambda": NaN', [], "lambda"),
+    (None, ["--alpha", "inf"], "alpha"),
+    (None, ["--train-fraction", "nan"], "train_fraction"),
+])
+def test_non_finite_numbers_are_input_errors(tmp_path, capsys, member, flags, key):
+    out = tmp_path / "out"
+    document = json.dumps({
+        "definitions": [str(DEFINITIONS_DIR / "adl.json")],
+        "datasets": [{"path": str(DATA_DIR / "adl_log.csv"), "kind": "adl-log"}],
+        "out_dir": str(out),
+    })
+    if member:
+        document = document[:-1] + f", {member}}}"
+    config = tmp_path / "run.json"
+    config.write_text(document)
+    assert main(["pipeline", "--config", str(config), *flags]) == 2
+    assert f"config key {key!r}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_power_trace_dataset_requires_channel():
@@ -500,6 +592,25 @@ def test_ingest_rejects_unmapped_channel_before_reading(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "channel 'sauna' has no activity mapping" in err
+
+
+def test_ingest_rejects_channel_mapped_to_undefined_activity(tmp_path, capsys):
+    trace = tmp_path / "tv.dat"
+    trace.write_text("")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "definitions": [str(DEFINITIONS_DIR / "ukdale.json")],
+        "datasets": [{"path": str(trace), "kind": "power-trace", "channel": "tv"}],
+        "channel_map": {"tv": "Watching Telly"},
+        "out_dir": str(tmp_path / "out"),
+    }))
+    code = main(["ingest", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (
+        "config key 'channel_map': channel 'tv' maps to undefined activity "
+        "'Watching Telly'"
+    ) in err
 
 
 def test_ingest_names_the_trace_file_of_a_bad_line(tmp_path, capsys):
