@@ -19,7 +19,8 @@ from typing import Collection, Iterable, NamedTuple, TextIO
 
 from .definitions import ComplexActivityDefinition
 from .ingestion import (
-    check_activity, format_flag, member_parser, parse_flag, read_table, write_table,
+    check_activity, csv_field, format_flag, member_parser, parse_flag, read_table,
+    write_table,
 )
 from .recognition import Evidence, OccurrenceVerdict, ScoredOccurrence
 from .temporal import MINUTES_PER_DAY, minute_of_day
@@ -198,10 +199,8 @@ ANNOTATED_FIELDS = [
 
 def write_annotated(rows: Iterable[AffectAnnotation], stream: TextIO) -> None:
     write_table(stream, ANNOTATED_FIELDS, (
-        [
-            r.activity, r.start, r.end, repr(r.score),
-            format_flag(r.completed), r.emotion, r.ux,
-        ]
+        f"{csv_field(r.activity)},{r.start!s},{r.end!s},{r.score!r},"
+        f"{format_flag(r.completed)},{r.emotion.value},{r.ux.value}\n"
         for r in rows
     ))
 

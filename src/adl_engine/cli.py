@@ -18,6 +18,7 @@ import csv
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, TextIO
@@ -74,8 +75,22 @@ def _load_all_definitions(paths: tuple[str, ...]) -> defs_mod.DefinitionSet:
     return defs_mod.DefinitionSet(definitions=merged)
 
 
-def _open_write(path: Path):
-    return open(path, "w", newline="")
+@contextmanager
+def _open_write(path: Path) -> Iterator[TextIO]:
+    """A text stream whose content replaces ``path`` when the block completes.
+
+    It writes to a temporary file beside ``path``, which ``os.replace`` then
+    moves over ``path``; when the block raises, the temporary file is removed
+    and ``path`` keeps its previous content.
+    """
+    temporary = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temporary, "w", newline="") as stream:
+            yield stream
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _csv_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
@@ -365,26 +380,33 @@ def _train(store: Store) -> str:
 
 def _recommend(store: Store) -> str:
     model = store["model"]
-    # feature rows repeat few distinct vectors, so each is predicted once
-    memo: dict[recom_mod.FeatureVector, tuple[str, list[str]]] = {}
-    rows = []
+    # feature rows repeat few distinct vectors, so each is predicted, and its
+    # prediction and confidences formatted, once
+    memo: dict[recom_mod.FeatureVector, tuple[str, str]] = {}
+    pairs: list[tuple[str, str]] = []
+    tails: list[str] = []
     for true_label, features in store["features"]:
-        if features not in memo:
+        known = memo.get(features)
+        if known is None:
             vector = recom_mod.predict_confidences(model, features)
-            memo[features] = (
-                recom_mod.recommend(vector),
-                [repr(vector[name]) for name in model.activities],
-            )
-        predicted, confidences = memo[features]
-        rows.append([true_label, predicted, *confidences])
+            predicted = recom_mod.recommend(vector)
+            known = memo[features] = predicted, ",".join([
+                ingest_mod.csv_field(predicted),
+                *[repr(vector[name]) for name in model.activities],
+            ]) + "\n"
+        pairs.append((known[0], true_label))
+        tails.append(known[1])
     header = ["activity", "prediction"] + [
         f"confidence({name})" for name in model.activities
     ]
     path = store.out / "predictions.csv"
     with _open_write(path) as stream:
-        ingest_mod.write_table(stream, header, rows)
-    store["predictions"] = [(predicted, label) for label, predicted, *_ in rows]
-    return f"wrote {len(rows)} predictions to {path}"
+        ingest_mod.write_table(stream, header, (
+            f"{ingest_mod.csv_field(label)},{tail}"
+            for (_, label), tail in zip(pairs, tails)
+        ))
+    store["predictions"] = pairs
+    return f"wrote {len(pairs)} predictions to {path}"
 
 
 def _evaluate(store: Store) -> str:
@@ -395,8 +417,10 @@ def _evaluate(store: Store) -> str:
         eval_mod.write_confusion(cm, stream)
     lines = eval_mod.emit_report(report, "csv").split("\n")
     lines.insert(1, f"seed,,{store.config.seed}")
-    (store.out / "report.csv").write_text("\n".join(lines))
-    (store.out / "report.json").write_text(eval_mod.emit_report(report, "json"))
+    with _open_write(store.out / "report.csv") as stream:
+        stream.write("\n".join(lines))
+    with _open_write(store.out / "report.json") as stream:
+        stream.write(eval_mod.emit_report(report, "json"))
     return f"accuracy: {report.accuracy * 100:.2f}% over {report.grand_total} pairs"
 
 

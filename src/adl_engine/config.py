@@ -51,7 +51,10 @@ class RunConfig:
     definitions: tuple[str, ...] = ()
     datasets: tuple[DatasetSpec, ...] = ()
     channel_map: dict[str, str] = field(default_factory=dict)
-    out_dir: str = _param("out", "output directory (overrides config)", flag="--out")
+    out_dir: str = _param(
+        "out", "output directory (overrides config)", lambda v: v != "", "non-empty",
+        flag="--out",
+    )
     seed: int = _param(0, "seed for randomized splitting", lambda v: v >= 0, ">= 0")
     on_watts: float = _param(
         10.0, "power on-threshold in watts", lambda v: v > 0, "> 0"
@@ -95,27 +98,34 @@ def _require(condition: bool, key: str, message: str) -> None:
         raise ConfigError(f"config key {key!r}: {message}")
 
 
+def _check(f: Field, value: Any) -> None:
+    """Raise ConfigError unless `value` is finite and in parameter `f`'s range."""
+    _require(
+        not isinstance(value, float) or math.isfinite(value),
+        KEYS[f.name], f"must be finite, got {value!r}",
+    )
+    _require(
+        f.metadata["check"](value), KEYS[f.name],
+        f"must be {f.metadata['rule']}, got {value!r}",
+    )
+
+
 def _typed(f: Field, value: Any) -> Any:
-    """`value` as parameter `f`'s type; a JSON integer is also a number."""
+    """`value` as parameter `f`'s type, checked as it stands in the document
+    (an `out_dir` before it is resolved); a JSON integer is also a number."""
     accepted, name = _TYPES[f.type]
     _require(
         not isinstance(value, bool) and isinstance(value, accepted),
         KEYS[f.name], f"must be {name}, got {value!r}",
     )
-    return f.type(value)
+    value = f.type(value)
+    _check(f, value)
+    return value
 
 
 def validate_config(config: RunConfig) -> None:
     for f in PARAMS:
-        value = getattr(config, f.name)
-        _require(
-            not isinstance(value, float) or math.isfinite(value),
-            KEYS[f.name], f"must be finite, got {value!r}",
-        )
-        _require(
-            f.metadata["check"](value), KEYS[f.name],
-            f"must be {f.metadata['rule']}, got {value!r}",
-        )
+        _check(f, getattr(config, f.name))
     for spec in config.datasets:
         _require(
             spec.kind in DATASET_KINDS, "datasets",

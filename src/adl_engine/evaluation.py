@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, TextIO, TypeVar
 
-from .ingestion import write_table
+from .ingestion import csv_field, write_table
 
 T = TypeVar("T")
 
@@ -167,14 +167,15 @@ def _percent(value: float | None) -> str:
 def emit_report(report: MetricsReport, format: str = "csv") -> str:
     """Render a report; percentages print with two decimals, n/a when undefined."""
     if format == "csv":
-        rows = [["accuracy", "", _percent(report.accuracy)]]
-        for label in report.labels:
-            rows.append(["precision", label, _percent(report.precision[label])])
-        for label in report.labels:
-            rows.append(["recall", label, _percent(report.recall[label])])
-        rows.append(["grand_total", "", str(report.grand_total)])
+        lines = [f"accuracy,,{_percent(report.accuracy)}\n"]
+        for metric, values in (("precision", report.precision), ("recall", report.recall)):
+            lines.extend(
+                f"{metric},{csv_field(label)},{_percent(values[label])}\n"
+                for label in report.labels
+            )
+        lines.append(f"grand_total,,{report.grand_total!s}\n")
         buf = io.StringIO()
-        write_table(buf, ["metric", "label", "value"], rows)
+        write_table(buf, ["metric", "label", "value"], lines)
         return buf.getvalue()
     if format == "json":
         payload = {
@@ -197,5 +198,6 @@ CONFUSION_CORNER = "pred\\true"
 def write_confusion(cm: ConfusionMatrix, stream: TextIO) -> None:
     """CSV grid: label header row/column, predicted rows by true columns."""
     write_table(stream, [CONFUSION_CORNER, *cm.labels], (
-        [label, *row] for label, row in zip(cm.labels, cm.counts)
+        f"{csv_field(label)},{','.join(map(str, row))}\n"
+        for label, row in zip(cm.labels, cm.counts)
     ))

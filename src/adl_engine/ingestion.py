@@ -22,20 +22,27 @@ Annotation rows become records directly.  An `OccurrenceRecord`
 is a named tuple, one per occurrence.  Parsers are pure per-stream and raise
 with the offending line number.
 
-Every CSV table the engine writes goes through `write_table`.  The stage
-tables read back go through `read_table`, which wants the exact header, the
-header's field count on every row, ``true``/``false`` flags, and enum fields
-that name a member.
+Every CSV table the engine writes goes through `write_table`, which takes
+each row as one line of text that its writer has already formatted with an
+f-string: ints with ``str``, scores with ``repr``, flags with `format_flag`,
+enum members as their ``.value``.  Text that users name (activities, labels,
+header fields) goes through `csv_field`, which asks the csv module how it
+quotes a field and remembers the answer, so the bytes are those
+``csv.writer`` writes, without its per-field work on every row.  The
+stage tables read back go through `read_table`, which wants the exact header,
+the header's field count on every row, ``true``/``false`` flags, and enum
+fields that name a member.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from itertools import compress, count, islice
 from operator import lt, sub
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, TextIO, TypeVar
@@ -461,17 +468,30 @@ def parse_adl_log(stream: TextIO, defs: DefinitionSet) -> list[OccurrenceRecord]
 # Stage tables
 # ---------------------------------------------------------------------------
 
-def write_table(
-    stream: TextIO, header: list[str], rows: Iterable[Iterable[object]]
-) -> None:
-    """Write a CSV table: the header row, then each row, ending lines in LF.
+@lru_cache(maxsize=1024)
+def csv_field(text: str) -> str:
+    """``text`` as a field of a CSV row, quoted only where the csv module quotes it.
 
-    A ``str``-mixin enum member is a ``str``, so it is written as its value
-    text and the writers pass members as they are.
+    A field is quoted the same wherever it stands in a row of two or more
+    fields, so the text between the delimiter and the line end of the row
+    ``("", text)`` is the field.  Tables repeat few distinct names, so each
+    is asked once; the memo is bounded for a process that writes many tables.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(("", text))
+    return buffer.getvalue()[1:-1]
+
+
+def write_table(stream: TextIO, header: list[str], lines: Iterable[str]) -> None:
+    """Write a CSV table: the header row, then ``lines`` as they are.
+
+    Each line is one row that its writer formatted, ending in LF, with user
+    text through `csv_field`; the header's fields go through it here.  Lines
+    are streamed, never joined into one text.  A row needs two fields or
+    more: the csv module writes a lone empty field as ``""``.
+    """
+    stream.write(",".join(map(csv_field, header)) + "\n")
+    stream.writelines(lines)
 
 
 def read_table(
@@ -573,12 +593,9 @@ def write_occurrences(records: Iterable[OccurrenceRecord], stream: TextIO) -> No
         return text
 
     write_table(stream, OCCURRENCE_FIELDS, (
-        [
-            r.activity, r.start, r.end,
-            field_of(r.observed_atomics),
-            field_of(r.satisfied_contexts),
-            r.source,
-        ]
+        f"{csv_field(r.activity)},{r.start!s},{r.end!s},"
+        f"{field_of(r.observed_atomics)},{field_of(r.satisfied_contexts)},"
+        f"{r.source.value}\n"
         for r in records
     ))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol, TextIO
 
 from .definitions import ComplexActivityDefinition
-from .ingestion import format_flag, parse_flag, read_table, write_table
+from .ingestion import csv_field, format_flag, parse_flag, read_table, write_table
 
 
 class Evidence(Protocol):
@@ -131,7 +131,8 @@ VERDICT_FIELDS = ["activity", "start", "end", "score", "completed"]
 
 def write_verdicts(rows: Iterable[ScoredOccurrence], stream: TextIO) -> None:
     write_table(stream, VERDICT_FIELDS, (
-        [r.activity, r.start, r.end, repr(r.score), format_flag(r.completed)]
+        f"{csv_field(r.activity)},{r.start!s},{r.end!s},{r.score!r},"
+        f"{format_flag(r.completed)}\n"
         for r in rows
     ))
 

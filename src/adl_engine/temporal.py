@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence, TextIO
 
-from .ingestion import OccurrenceRecord, write_table
+from .ingestion import OccurrenceRecord, csv_field, write_table
 
 MINUTES_PER_DAY = 1440
 SECONDS_PER_DAY = 86400
@@ -53,4 +53,6 @@ CLUSTER_FIELDS = ["activity", "day_index", "minute_of_day"]
 
 
 def write_clusters(rows: list[tuple[str, int, int]], stream: TextIO) -> None:
-    write_table(stream, CLUSTER_FIELDS, rows)
+    write_table(stream, CLUSTER_FIELDS, (
+        f"{csv_field(activity)},{day!s},{minute!s}\n" for activity, day, minute in rows
+    ))

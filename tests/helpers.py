@@ -4,12 +4,15 @@ Holds the frozen reference data used by the fidelity tests (two benchmark
 confusion matrices with their expected percentage tables, and two sets of
 prediction rows with known argmax outcomes), a hypothesis strategy for
 valid activity definitions, an independent brute-force posterior oracle
-the classifier is checked against, and the per-transition training loop
-`train` is held to.
+the classifier is checked against, the per-transition training loop
+`train` is held to, and the field-by-field ``csv.writer`` table writer the
+line-formatted stage writers are held to.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import Counter
 from pathlib import Path
@@ -309,3 +312,19 @@ def per_transition_train(
         feature_domains={f: tuple(sorted(domains[f])) for f in FEATURE_NAMES},
         feature_counts=feature_counts,
     )
+
+
+def oracle_write_table(stream, header: list[str], rows) -> None:
+    """`ingestion.write_table` as it was before writers formatted their own
+    lines: ``csv.writer`` writes the header row, then each row field by field,
+    ending lines in LF.  A non-string field is written as its ``str``."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def oracle_table(header: list[str], rows) -> str:
+    """The text `oracle_write_table` writes."""
+    buffer = io.StringIO()
+    oracle_write_table(buffer, header, rows)
+    return buffer.getvalue()

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adl_engine import evaluation as eval_mod
 from adl_engine import ingestion
 from adl_engine import recognition as recog_mod
 from adl_engine import recommender as recom_mod
@@ -141,9 +143,9 @@ def test_config_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, payl
 
 
 # each declared run parameter: its config key, its flag, a valid non-default
-# value and an out-of-range one (None: every value of its type is in range)
+# value and an out-of-range one
 RUN_PARAMETERS = {
-    "out_dir": ("out_dir", "--out", "elsewhere", None),
+    "out_dir": ("out_dir", "--out", "elsewhere", ""),
     "seed": ("seed", "--seed", 7, -1),
     "on_watts": ("on_watts", "--on-watts", 25.0, 0.0),
     "gap_tolerance": ("gap_tolerance", "--gap-tolerance", 4, -1),
@@ -187,9 +189,7 @@ def test_run_parameter_reads_alike_by_config_key_and_by_flag(tmp_path, name):
 
 
 @pytest.mark.parametrize("route", ["key", "flag"])
-@pytest.mark.parametrize(
-    "name", [name for name, values in RUN_PARAMETERS.items() if values[3] is not None]
-)
+@pytest.mark.parametrize("name", list(RUN_PARAMETERS))
 def test_out_of_range_run_parameter_is_an_input_error(tmp_path, capsys, name, route):
     key, flag, _, bad = RUN_PARAMETERS[name]
     config = tmp_path / "run.json"
@@ -224,6 +224,27 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys, member, flags, ke
     assert main(["pipeline", "--config", str(config), *flags]) == 2
     assert f"config key {key!r}: must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["key", "flag"])
+def test_empty_out_dir_is_an_input_error_that_writes_nothing(
+    tmp_path, capsys, monkeypatch, route
+):
+    # a run that would succeed but for its out_dir, started in the config's
+    # directory, where either route's empty path would otherwise resolve
+    config = tmp_path / "run.json"
+    document = {
+        "definitions": [str(DEFINITIONS_DIR / "adl.json")],
+        "datasets": [{"path": str(DATA_DIR / "adl_log.csv"), "kind": "adl-log"}],
+    }
+    if route == "key":
+        document["out_dir"] = ""
+    config.write_text(json.dumps(document))
+    monkeypatch.chdir(tmp_path)
+    flags = ["--out", ""] if route == "flag" else []
+    assert main(["pipeline", "--config", str(config), *flags]) == 2
+    assert "config key 'out_dir': must be non-empty, got ''" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_power_trace_dataset_requires_channel():
@@ -632,6 +653,46 @@ def test_ingest_names_the_trace_file_of_a_bad_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {trace}: tv: line 2501: watts must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize("stage, module, writer", [
+    ("recognize", recog_mod, "write_verdicts"),
+    ("evaluate", eval_mod, "write_confusion"),
+], ids=["verdicts", "confusion"])
+def test_failed_write_keeps_the_previous_artifact(
+    tmp_path, capsys, monkeypatch, stage, module, writer
+):
+    out = tmp_path / "run"
+    config = ["--config", str(ADL_CONFIG), "--out", str(out)]
+    assert main(["pipeline", *config]) == 0
+    before = _snapshot(out)
+
+    def failing(rows, stream):
+        stream.write("activity,start\npartial,")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(module, writer, failing)
+    assert main([stage, *config]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert _snapshot(out) == before
+    assert {p.name for p in out.iterdir()} == PIPELINE_ARTIFACTS  # no temporary file
+
+
+def test_evaluate_replaces_each_report_file_whole(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    config = ["--config", str(ADL_CONFIG), "--out", str(out)]
+    assert main(["pipeline", *config]) == 0
+    replaced = []
+    replace = os.replace
+
+    def recording(source, target):
+        replaced.append(Path(target).name)
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", recording)
+    assert main(["evaluate", *config]) == 0
+    capsys.readouterr()
+    assert replaced == ["confusion.csv", "report.csv", "report.json"]
 
 
 def test_recommend_subcommand(tmp_path, capsys):

@@ -1,25 +1,46 @@
-"""The strict stage-table format: `write_table`, `read_table`, and the flag
-fields `format_flag` writes and `parse_flag` reads."""
+"""The strict stage-table format: `write_table`, `read_table`, the flag
+fields `format_flag` writes and `parse_flag` reads, and every table writer
+held byte for byte to the field-by-field ``csv.writer`` oracle."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adl_engine.affect import ANNOTATED_FIELDS, read_annotated
+from adl_engine import cli
+from adl_engine import recommender as recom_mod
+from adl_engine.affect import (
+    ANNOTATED_FIELDS, AffectAnnotation, EmotionLabel, UXLabel, read_annotated,
+    write_annotated,
+)
+from adl_engine.config import RunConfig
+from adl_engine.evaluation import (
+    CONFUSION_CORNER, ConfusionMatrix, build_report, emit_report, write_confusion,
+)
 from adl_engine.ingestion import (
     OCCURRENCE_FIELDS,
+    OccurrenceRecord,
+    Source,
+    csv_field,
     format_flag,
     parse_flag,
     read_occurrences,
     read_table,
+    write_occurrences,
     write_table,
 )
-from adl_engine.recognition import VERDICT_FIELDS, read_verdicts
+from adl_engine.recognition import (
+    VERDICT_FIELDS, ScoredOccurrence, read_verdicts, write_verdicts,
+)
+from adl_engine.temporal import CLUSTER_FIELDS, write_clusters
+from helpers import oracle_table
 
 _HEADER = ["name", "count"]
 
@@ -30,7 +51,9 @@ def _pair(row: list[str]) -> tuple[str, int]:
 
 def test_write_table_then_read_table_round_trips():
     buf = io.StringIO()
-    write_table(buf, _HEADER, [["a,b", 1], ['say "hi"', 2]])
+    write_table(buf, _HEADER, (
+        f"{csv_field(name)},{count}\n" for name, count in [("a,b", 1), ('say "hi"', 2)]
+    ))
     assert buf.getvalue() == 'name,count\n"a,b",1\n"say ""hi""",2\n'
     assert read_table(io.StringIO(buf.getvalue()), _HEADER, _pair) == [
         ("a,b", 1), ('say "hi"', 2),
@@ -102,9 +125,7 @@ def _table_text(draw, header: list[str]) -> str:
         ),
         max_size=5,
     ))
-    buf = io.StringIO()
-    write_table(buf, header, rows)
-    return buf.getvalue() + draw(st.text(max_size=20))
+    return oracle_table(header, rows) + draw(st.text(max_size=20))
 
 
 @pytest.mark.parametrize("name", sorted(_READERS))
@@ -117,3 +138,167 @@ def test_stage_readers_raise_only_value_error(name, data):
         read(io.StringIO(text))
     except ValueError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Every table writer writes the bytes of the csv.writer oracle
+# ---------------------------------------------------------------------------
+
+# user text the csv module quotes, or might: delimiter, quote, line ends,
+# edge spaces, non-ASCII, a backslash; plus arbitrary text
+_NAME = st.one_of(
+    st.sampled_from([
+        ",", '"', "\n", "\r", "\r\n", " lead", "trail ", "a,b", 'say "hi"', "",
+        "naïve café", "日本語", "pred\\true", "Eating Breakfast",
+    ]),
+    st.text(max_size=12),
+)
+_SCORE = st.floats(allow_nan=False, allow_infinity=False)
+_IDS = st.frozensets(st.integers(-3, 10_000), max_size=4)
+
+
+def _ids_text(ids: frozenset[int]) -> str:
+    return ";".join(str(i) for i in sorted(ids))
+
+
+def _flag_text(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _written(write, rows) -> str:
+    buf = io.StringIO()
+    write(rows, buf)
+    return buf.getvalue()
+
+
+_WRITER_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None)
+
+
+@_WRITER_SETTINGS
+@given(st.lists(st.builds(
+    OccurrenceRecord, _NAME, st.integers(), st.integers(), _IDS, _IDS,
+    st.sampled_from(Source),
+), max_size=6))
+def test_write_occurrences_matches_the_csv_writer_oracle(records):
+    assert _written(write_occurrences, records) == oracle_table(OCCURRENCE_FIELDS, [
+        [r.activity, r.start, r.end, _ids_text(r.observed_atomics),
+         _ids_text(r.satisfied_contexts), r.source]
+        for r in records
+    ])
+
+
+@_WRITER_SETTINGS
+@given(st.lists(st.builds(
+    ScoredOccurrence, _NAME, st.integers(), st.integers(), _SCORE, st.booleans(),
+), max_size=6))
+def test_write_verdicts_matches_the_csv_writer_oracle(rows):
+    assert _written(write_verdicts, rows) == oracle_table(VERDICT_FIELDS, [
+        [r.activity, r.start, r.end, repr(r.score), _flag_text(r.completed)]
+        for r in rows
+    ])
+
+
+@_WRITER_SETTINGS
+@given(st.lists(st.builds(
+    AffectAnnotation, _NAME, st.integers(), st.integers(), _SCORE, st.booleans(),
+    st.sampled_from(EmotionLabel), st.sampled_from(UXLabel),
+), max_size=6))
+def test_write_annotated_matches_the_csv_writer_oracle(rows):
+    assert _written(write_annotated, rows) == oracle_table(ANNOTATED_FIELDS, [
+        [r.activity, r.start, r.end, repr(r.score), _flag_text(r.completed),
+         r.emotion, r.ux]
+        for r in rows
+    ])
+
+
+@_WRITER_SETTINGS
+@given(st.lists(st.tuples(_NAME, st.integers(), st.integers()), max_size=6))
+def test_write_clusters_matches_the_csv_writer_oracle(rows):
+    assert _written(write_clusters, rows) == oracle_table(CLUSTER_FIELDS, rows)
+
+
+@st.composite
+def _confusion(draw) -> ConfusionMatrix:
+    labels = draw(st.lists(_NAME, min_size=1, max_size=4, unique=True))
+    cell = st.integers(0, 10**6)
+    counts = tuple(
+        tuple(draw(st.lists(cell, min_size=len(labels), max_size=len(labels))))
+        for _ in labels
+    )
+    return ConfusionMatrix(tuple(labels), counts)
+
+
+@_WRITER_SETTINGS
+@given(_confusion())
+def test_write_confusion_matches_the_csv_writer_oracle(cm):
+    buf = io.StringIO()
+    write_confusion(cm, buf)
+    assert buf.getvalue() == oracle_table(
+        [CONFUSION_CORNER, *cm.labels],
+        [[label, *row] for label, row in zip(cm.labels, cm.counts)],
+    )
+
+
+def _percent(value: float | None) -> str:
+    return "n/a" if value is None else f"{value * 100:.2f}%"
+
+
+@_WRITER_SETTINGS
+@given(_confusion())
+def test_emit_report_matches_the_csv_writer_oracle(cm):
+    assume(cm.grand_total() > 0)
+    report = build_report(cm)
+    rows = [["accuracy", "", _percent(report.accuracy)]]
+    rows += [["precision", label, _percent(report.precision[label])] for label in cm.labels]
+    rows += [["recall", label, _percent(report.recall[label])] for label in cm.labels]
+    rows.append(["grand_total", "", str(report.grand_total)])
+    assert emit_report(report, "csv") == oracle_table(["metric", "label", "value"], rows)
+
+
+@st.composite
+def _model_and_features(draw):
+    """A model trained over adversarially named activities, and feature rows
+    (with repeats) labelled by those names or by other text."""
+    activities = draw(st.lists(_NAME, min_size=1, max_size=4, unique=True))
+    features = st.builds(
+        recom_mod.FeatureVector,
+        st.integers(0, 3),
+        st.none() | st.sampled_from(activities),
+        st.sampled_from(EmotionLabel),
+        st.sampled_from(UXLabel),
+        st.sampled_from(recom_mod.DayKind),
+    )
+    transitions = draw(st.lists(
+        st.builds(recom_mod.LabeledTransition, features, st.sampled_from(activities)),
+        min_size=1, max_size=8,
+    ))
+    model = recom_mod.train(transitions, activities=activities)
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(activities) | _NAME, features), max_size=8,
+    ))
+    return model, rows
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_model_and_features())
+def test_recommend_stage_matches_the_csv_writer_oracle(case):
+    model, rows = case
+    oracle_rows = []
+    for true_label, features in rows:
+        vector = recom_mod.predict_confidences(model, features)
+        oracle_rows.append([
+            true_label, recom_mod.recommend(vector),
+            *[repr(vector[name]) for name in model.activities],
+        ])
+    header = ["activity", "prediction"] + [
+        f"confidence({name})" for name in model.activities
+    ]
+    with tempfile.TemporaryDirectory() as out:
+        store = cli.Store(RunConfig(out_dir=out), argparse.Namespace())
+        store["model"] = model
+        store["features"] = rows
+        cli._recommend(store)
+        with open(Path(out) / "predictions.csv", newline="") as stream:
+            written = stream.read()
+    assert written == oracle_table(header, oracle_rows)
+    assert store["predictions"] == [(predicted, label) for label, predicted, *_ in oracle_rows]
