@@ -12,6 +12,7 @@ An `AffectAnnotation` is a named tuple, one per occurrence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import fmean
@@ -45,6 +46,8 @@ class UXLabel(str, Enum):
 
 parse_emotion = member_parser(EmotionLabel, "emotion")
 parse_ux = member_parser(UXLabel, "ux")
+EMOTION_TEXT = {m: m.value for m in EmotionLabel}
+UX_TEXT = {m: m.value for m in UXLabel}
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +73,7 @@ def infer_emotion(
     ``history`` holds earlier occurrence scores, oldest first, and must not
     include the occurrence under judgment.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    _check_window(window, epsilon)
 
     if not verdict.completed:
         return EmotionLabel.NEGATIVE
@@ -91,19 +91,31 @@ def infer_emotion(
     return EmotionLabel.POSITIVE
 
 
+def _check_window(window: int, epsilon: float) -> None:
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+
+
 # ---------------------------------------------------------------------------
 # Experience mapping
 # ---------------------------------------------------------------------------
+
+def check_bucket_width(bucket_width: int) -> None:
+    """Raise ValueError unless ``bucket_width`` minutes divide a day into buckets."""
+    if not 1 <= bucket_width <= MINUTES_PER_DAY:
+        raise ValueError(
+            f"bucket_width must be in [1, {MINUTES_PER_DAY}], got {bucket_width}"
+        )
+
 
 def time_bucket(minute_of_day: int, bucket_width: int = DEFAULT_BUCKET_WIDTH) -> int:
     if not 0 <= minute_of_day < MINUTES_PER_DAY:
         raise ValueError(
             f"minute_of_day must be in [0, {MINUTES_PER_DAY}), got {minute_of_day}"
         )
-    if not 1 <= bucket_width <= MINUTES_PER_DAY:
-        raise ValueError(
-            f"bucket_width must be in [1, {MINUTES_PER_DAY}], got {bucket_width}"
-        )
+    check_bucket_width(bucket_width)
     return minute_of_day // bucket_width
 
 
@@ -142,7 +154,7 @@ def train_ux_mapper(
 def map_ux(model: UXModel, emotion: EmotionLabel, activity: str, bucket: int) -> UXLabel:
     """Look up the learned label, falling back to the sign of the emotion."""
     if model.table:
-        learned = model.table.get((emotion.value, activity, bucket))
+        learned = model.table.get((EMOTION_TEXT[emotion], activity, bucket))
         if learned is not None:
             return learned
     return UXLabel.GOOD if emotion is EmotionLabel.POSITIVE else UXLabel.BAD
@@ -173,22 +185,54 @@ def annotate(
     ``items`` pairs each occurrence's definition, observation, verdict, start
     and end timestamps, already in chronological order.  Score history is
     tracked per activity, so one activity's run of poor scores cannot sour
-    another's.
+    another's.  Each row gets the labels `infer_emotion` and then `map_ux`
+    give it, at the end time's `time_bucket`; the model's parameters are
+    checked once per call, and definitions are told apart by name.
     """
+    window, epsilon, bucket_width = model.window, model.epsilon, model.bucket_width
+    _check_window(window, epsilon)
+    check_bucket_width(bucket_width)
+    table = model.table
+    # members held in locals: reading one off its enum class is a slow lookup
+    positive, negative = EmotionLabel.POSITIVE, EmotionLabel.NEGATIVE
+    good, bad = UXLabel.GOOD, UXLabel.BAD
     histories: dict[str, list[float]] = {}
+    # rows repeat few distinct evidence sets, so each is tested once for the
+    # most important atomic and its paired context
+    has_pair: dict[tuple, bool] = {}
     annotations: list[AffectAnnotation] = []
     for defn, observation, verdict, start, end in items:
-        history = histories.setdefault(defn.name, [])
-        emotion = infer_emotion(
-            defn, history, observation, verdict,
-            window=model.window, epsilon=model.epsilon,
-        )
-        bucket = time_bucket(minute_of_day(end), model.bucket_width)
-        ux = map_ux(model, emotion, defn.name, bucket)
+        name = defn.name
+        atomics = observation.observed_atomics
+        contexts = observation.satisfied_contexts
+        key = (name, atomics, contexts)
+        paired = has_pair.get(key)
+        if paired is None:
+            atomic_id, context_id = defn.most_important_pair
+            paired = has_pair[key] = atomic_id in atomics and context_id in contexts
+        score = verdict.score
+        history = histories.get(name)
+        if history is None:
+            history = histories[name] = []
+        emotion = positive
+        if not (verdict.completed and paired):
+            emotion = negative
+        elif history:
+            recent = history[-window:]
+            # fmean's own arithmetic, without its per-call dispatch
+            if score < math.fsum(recent) / len(recent) - epsilon:
+                emotion = negative
+        ux = good if emotion is positive else bad
+        if table:
+            learned = table.get(
+                (EMOTION_TEXT[emotion], name, minute_of_day(end) // bucket_width)
+            )
+            if learned is not None:
+                ux = learned
         annotations.append(AffectAnnotation(
-            defn.name, start, end, verdict.score, verdict.completed, emotion, ux,
+            name, start, end, score, verdict.completed, emotion, ux,
         ))
-        history.append(verdict.score)
+        history.append(score)
     return annotations
 
 
@@ -200,7 +244,7 @@ ANNOTATED_FIELDS = [
 def write_annotated(rows: Iterable[AffectAnnotation], stream: TextIO) -> None:
     write_table(stream, ANNOTATED_FIELDS, (
         f"{csv_field(r.activity)},{r.start!s},{r.end!s},{r.score!r},"
-        f"{format_flag(r.completed)},{r.emotion.value},{r.ux.value}\n"
+        f"{format_flag(r.completed)},{EMOTION_TEXT[r.emotion]},{UX_TEXT[r.ux]}\n"
         for r in rows
     ))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import logging
 import os
 import sys
@@ -323,9 +324,10 @@ def _recognize(store: Store) -> str:
 
 def _affect(store: Store) -> str:
     config = store.config
-    defs = store["defs"]
+    # every record names a defined activity: its loader or its parser checked
+    definitions = store["defs"].definitions
     items = (
-        (defs[r.activity], r, v, r.start, r.end)
+        (definitions[r.activity], r, v, r.start, r.end)
         for r, v in zip(store["records"], store["verdicts"])
     )
     # no UX labels exist to learn from, so UX follows the sign of the emotion
@@ -362,6 +364,12 @@ def _train(store: Store) -> str:
     else:
         parts = eval_mod.split_chronological(transitions, config.train_fraction)
     train_part, test_part = parts
+    if transitions and not (train_part and test_part):
+        raise ConfigError(
+            f"config key 'train_fraction': {config.train_fraction!r} splits "
+            f"{len(transitions)} transitions into {len(train_part)} for training "
+            f"and {len(test_part)} held out; each part needs at least one"
+        )
     model = store["model"] = recom_mod.train(
         train_part,
         alpha=config.alpha,
@@ -522,10 +530,18 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; returns its exit code.
+
+    It runs with the cyclic garbage collector off: the stages' per-row
+    values hold no reference cycles, so its passes would find nothing to
+    free.  The collector is switched back on afterwards if it was on before.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        _setup_logging()
+        parser = _build_parser()
+        args = parser.parse_args(argv)
         config = _resolve_config(args)
         if args.command == "validate":
             return _cmd_validate(config, args)
@@ -546,6 +562,9 @@ def main(argv: list[str] | None = None) -> int:
         logger.debug("command failed", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -140,6 +140,11 @@ def validate_definition(defn: ComplexActivityDefinition) -> list[str]:
 
     if not defn.name:
         problems.append("definition name is empty")
+    if any(ch < " " or "\x7f" <= ch <= "\x9f" for ch in defn.name):
+        # a control character (Unicode category Cc), such as a line break,
+        # would split the name's rows in every stage table
+        prefix = f"{defn.name!r}: "
+        problems.append(prefix + "definition name holds a control character")
     if not defn.atomics:
         problems.append(prefix + "no atomic activities")
         return problems

@@ -25,7 +25,8 @@ with the offending line number.
 Every CSV table the engine writes goes through `write_table`, which takes
 each row as one line of text that its writer has already formatted with an
 f-string: ints with ``str``, scores with ``repr``, flags with `format_flag`,
-enum members as their ``.value``.  Text that users name (activities, labels,
+enum members as their value text from a ``{member: text}`` dict built once
+beside the enum's `member_parser`.  Text that users name (activities, labels,
 header fields) goes through `csv_field`, which asks the csv module how it
 quotes a field and remembers the answer, so the bytes are those
 ``csv.writer`` writes, without its per-field work on every row.  The
@@ -595,12 +596,13 @@ def write_occurrences(records: Iterable[OccurrenceRecord], stream: TextIO) -> No
     write_table(stream, OCCURRENCE_FIELDS, (
         f"{csv_field(r.activity)},{r.start!s},{r.end!s},"
         f"{field_of(r.observed_atomics)},{field_of(r.satisfied_contexts)},"
-        f"{r.source.value}\n"
+        f"{SOURCE_TEXT[r.source]}\n"
         for r in records
     ))
 
 
 _parse_source = member_parser(Source, "source")
+SOURCE_TEXT = {m: m.value for m in Source}
 
 
 def read_occurrences(
@@ -642,7 +644,14 @@ def read_occurrences(
 
 
 def merge_sorted(record_lists: Iterable[list[OccurrenceRecord]]) -> list[OccurrenceRecord]:
-    """Merge per-file record lists into one deterministic timeline."""
-    merged = [r for records in record_lists for r in records]
+    """Merge per-file record lists, each ordered by (start, activity) as both
+    parsers return them, into one deterministic timeline.
+
+    A single list is already that timeline and is returned as it is.
+    """
+    lists = list(record_lists)
+    if len(lists) == 1:
+        return lists[0]
+    merged = [r for records in lists for r in records]
     merged.sort(key=lambda r: (r.start, r.activity))
     return merged

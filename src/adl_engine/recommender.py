@@ -23,10 +23,10 @@ from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from .affect import (
-    DEFAULT_BUCKET_WIDTH, AffectAnnotation, EmotionLabel, UXLabel, time_bucket,
+    DEFAULT_BUCKET_WIDTH, AffectAnnotation, EmotionLabel, UXLabel, check_bucket_width,
 )
 from .ingestion import member_parser
-from .temporal import MINUTES_PER_DAY, is_weekday, minute_of_day
+from .temporal import is_weekday, minute_of_day
 
 DEFAULT_ALPHA = 1.0
 FEATURE_NAMES = ("time_bucket", "previous_activity", "emotion", "ux", "day_kind")
@@ -212,15 +212,12 @@ def extract_transitions(
     the activity of occurrence i+1.  n occurrences yield n-1 transitions.
     Transitions with equal features share one `FeatureVector`.
     """
-    if not 1 <= bucket_width <= MINUTES_PER_DAY:
-        raise ValueError(
-            f"bucket_width must be in [1, {MINUTES_PER_DAY}], got {bucket_width}"
-        )
+    check_bucket_width(bucket_width)
     vectors: dict[tuple, FeatureVector] = {}
     transitions: list[LabeledTransition] = []
     for current, nxt in zip(annotated, annotated[1:]):
         key = (
-            time_bucket(minute_of_day(current.end), bucket_width),
+            minute_of_day(current.end) // bucket_width,
             current.activity,
             current.emotion,
             current.ux,

@@ -5,8 +5,9 @@ confusion matrices with their expected percentage tables, and two sets of
 prediction rows with known argmax outcomes), a hypothesis strategy for
 valid activity definitions, an independent brute-force posterior oracle
 the classifier is checked against, the per-transition training loop
-`train` is held to, and the field-by-field ``csv.writer`` table writer the
-line-formatted stage writers are held to.
+`train` is held to, the per-row annotation loop `annotate` is held to, and
+the field-by-field ``csv.writer`` table writer the line-formatted stage
+writers are held to.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from adl_engine.affect import (
+    AffectAnnotation,
+    infer_emotion,
+    map_ux,
+    time_bucket,
+)
 from adl_engine.definitions import (
     AtomicActivity,
     ComplexActivityDefinition,
@@ -32,6 +39,7 @@ from adl_engine.recommender import (
     LabeledTransition,
     RecommenderModel,
 )
+from adl_engine.temporal import minute_of_day
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFINITIONS_DIR = REPO_ROOT / "definitions"
@@ -312,6 +320,27 @@ def per_transition_train(
         feature_domains={f: tuple(sorted(domains[f])) for f in FEATURE_NAMES},
         feature_counts=feature_counts,
     )
+
+
+def per_row_annotate(items, model) -> list[AffectAnnotation]:
+    """`affect.annotate` as it was before it checked its parameters once per
+    call: each row runs `infer_emotion` on the activity's score history, then
+    `map_ux` at the end time's `time_bucket`."""
+    histories: dict[str, list[float]] = {}
+    annotations = []
+    for defn, observation, verdict, start, end in items:
+        history = histories.setdefault(defn.name, [])
+        emotion = infer_emotion(
+            defn, history, observation, verdict,
+            window=model.window, epsilon=model.epsilon,
+        )
+        bucket = time_bucket(minute_of_day(end), model.bucket_width)
+        ux = map_ux(model, emotion, defn.name, bucket)
+        annotations.append(AffectAnnotation(
+            defn.name, start, end, verdict.score, verdict.completed, emotion, ux,
+        ))
+        history.append(verdict.score)
+    return annotations
 
 
 def oracle_write_table(stream, header: list[str], rows) -> None:

@@ -21,7 +21,14 @@ from adl_engine.affect import (
     train_ux_mapper,
     write_annotated,
 )
-from adl_engine.recognition import Observation, OccurrenceVerdict, detect_occurrence
+from adl_engine.recognition import (
+    Observation,
+    OccurrenceVerdict,
+    ScoredOccurrence,
+    detect_occurrence,
+)
+from adl_engine.temporal import MINUTES_PER_DAY
+from helpers import per_row_annotate
 
 
 def _full(defn) -> Observation:
@@ -240,6 +247,91 @@ def test_annotate_uses_scores_seen_so_far(ukdale_defs):
     # 0.90 < 1.0 - 0.05, so the sixth run sours
     assert annotations[-1].score == pytest.approx(0.90, abs=1e-9)
     assert annotations[-1].emotion is EmotionLabel.NEGATIVE
+
+
+# scores that tie or straddle a recent mean, besides arbitrary ones
+_SCORES = st.one_of(
+    st.sampled_from([0.0, 0.5, 0.9, 0.95, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+def _subset(ids: frozenset[int], mask: int) -> frozenset[int]:
+    """``ids`` when ``mask`` is 0, else the ids whose bits ``mask`` sets."""
+    if not mask:
+        return ids
+    return frozenset(i for i in ids if mask >> (i - 1) & 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    rows=st.lists(st.tuples(
+        st.integers(min_value=0, max_value=2),  # which definition
+        st.integers(min_value=0, max_value=2**9 - 1),  # atomics kept
+        st.integers(min_value=0, max_value=2**9 - 1),  # contexts kept
+        _SCORES,
+        st.booleans(),  # completed
+        st.integers(min_value=0, max_value=3 * 86400),  # start
+        st.integers(min_value=0, max_value=7200),  # duration
+        st.booleans(),  # verdict in memory, or read back from the verdict table
+    ), max_size=30),
+    window=st.integers(min_value=1, max_value=8),
+    epsilon=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)),
+    bucket_width=st.sampled_from([1, 15, 30, 60, 1440]),
+    examples=st.lists(st.tuples(
+        st.sampled_from(list(EmotionLabel)),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=MINUTES_PER_DAY - 1),
+        st.sampled_from(list(UXLabel)),
+    ), max_size=30),
+)
+def test_annotate_matches_the_per_row_loop(
+    ukdale_defs, rows, window, epsilon, bucket_width, examples
+):
+    # evidence may lack the most important atomic or its context, and verdicts
+    # may be incomplete
+    defs = list(ukdale_defs)[:3]
+    items = []
+    for which, atomics, contexts, score, completed, start, duration, read in rows:
+        defn = defs[which]
+        observation = Observation(
+            defn.name, _subset(defn.atomic_ids, atomics),
+            _subset(defn.context_ids, contexts),
+        )
+        end = start + duration
+        verdict = (
+            ScoredOccurrence(defn.name, start, end, score, completed) if read
+            else OccurrenceVerdict(defn.name, score, defn.threshold, completed)
+        )
+        items.append((defn, observation, verdict, start, end))
+    # an empty table, or one trained on the drawn examples
+    model = train_ux_mapper([
+        (emotion, defs[which].name, minute // bucket_width, label)
+        for emotion, which, minute, label in examples
+    ], window, epsilon, bucket_width)
+
+    assert annotate(items, model) == per_row_annotate(items, model)
+
+
+@pytest.mark.parametrize("parameters, message", [
+    ({"window": 0}, "window must be >= 1, got 0"),
+    ({"epsilon": -0.01}, "epsilon must be >= 0, got -0.01"),
+    ({"bucket_width": 0}, "bucket_width must be in [1, 1440], got 0"),
+    ({"bucket_width": 1441}, "bucket_width must be in [1, 1440], got 1441"),
+], ids=["window", "epsilon", "bucket-width-low", "bucket-width-high"])
+def test_annotate_rejects_bad_parameters_as_the_per_row_loop_did(
+    ukdale_defs, parameters, message
+):
+    defn = ukdale_defs["Using Microwave"]
+    obs = _full(defn)
+    items = [(defn, obs, detect_occurrence(defn, obs), 0, 60)]
+    model = UXModel(**parameters)
+    with pytest.raises(ValueError) as reference:
+        per_row_annotate(items, model)
+    assert str(reference.value) == message
+    with pytest.raises(ValueError) as raised:
+        annotate(items, model)
+    assert str(raised.value) == message
 
 
 def test_annotated_csv_round_trip():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import gc
 import hashlib
 import importlib.util
 import io
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adl_engine import cli
 from adl_engine import evaluation as eval_mod
 from adl_engine import ingestion
 from adl_engine import recognition as recog_mod
@@ -956,6 +959,99 @@ def test_affect_rejects_unknown_completed_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {verdicts}: line 3: expected 'true' or 'false', got 'yes'" in err
+
+
+# ---------------------------------------------------------------------------
+# The cyclic collector around the stage loop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_main_runs_stages_without_the_collector_and_restores_it(
+    tmp_path, capsys, monkeypatch, collecting, fails
+):
+    seen = []
+
+    def stage(store):
+        seen.append(gc.isenabled())
+        if fails:
+            raise ConfigError("stage failed")
+        return "stage done"
+
+    monkeypatch.setattr(
+        cli, "STAGES", tuple(dataclasses.replace(s, run=stage) for s in cli.STAGES)
+    )
+    was_enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        code = main(["cluster", "--config", str(ADL_CONFIG), "--out", str(tmp_path)])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert (code, seen, after) == (2 if fails else 0, [False], collecting)
+    assert ("error: stage failed" in capsys.readouterr().err) is fails
+
+
+def test_main_restores_the_collector_after_a_usage_error(capsys):
+    assert gc.isenabled()
+    with pytest.raises(SystemExit):
+        main(["cluster"])
+    assert gc.isenabled()
+    assert "cluster requires --config" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Input errors found before a stage writes
+# ---------------------------------------------------------------------------
+
+def test_control_character_in_a_definition_name_is_rejected(tmp_path, capsys):
+    catalogue = json.loads((DEFINITIONS_DIR / "ukdale.json").read_text())
+    for entry in catalogue["definitions"]:
+        if entry["name"] == "Using Microwave":
+            entry["name"] = "Using\rMicrowave"
+    definitions = tmp_path / "ukdale.json"
+    definitions.write_text(json.dumps(catalogue))
+    document = json.loads(UKDALE_CONFIG.read_text())
+    document["definitions"] = [str(definitions)]
+    document["datasets"] = [
+        {**spec, "path": str((CONFIGS_DIR / spec["path"]).resolve())}
+        for spec in document["datasets"]
+    ]
+    document["channel_map"]["microwave"] = "Using\rMicrowave"
+    out = tmp_path / "out"
+    document["out_dir"] = str(out)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(document))
+    violation = "'Using\\rMicrowave': definition name holds a control character"
+
+    assert main(["validate", str(definitions)]) == 1
+    assert f"FAIL {definitions}: {violation}" in capsys.readouterr().out
+
+    assert main(["ingest", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {definitions}: 1 validation violation(s):" in err
+    assert violation in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flags, train, held_out", [
+    (["--config", str(UKDALE_CONFIG), "--train-fraction", "0.99", "--on-watts", "50"],
+     6, 0),
+    (["--config", str(ADL_CONFIG), "--train-fraction", "1e-12"], 0, 143),
+], ids=["nothing-held-out", "nothing-to-train"])
+def test_split_with_an_empty_part_is_an_input_error(
+    tmp_path, capsys, flags, train, held_out
+):
+    out = tmp_path / "out"
+    assert main(["pipeline", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (
+        f"error: config key 'train_fraction': {flags[3]!s} splits {train + held_out} "
+        f"transitions into {train} for training and {held_out} held out; "
+        "each part needs at least one"
+    ) in err
+    assert not (out / "model.json").exists()
+    assert not (out / "predictions.csv").exists()
 
 
 # ---------------------------------------------------------------------------

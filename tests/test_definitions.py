@@ -172,6 +172,20 @@ def test_validate_rejects_threshold_outside_unit_interval(threshold):
     assert any("threshold" in p for p in problems)
 
 
+@pytest.mark.parametrize("name", [
+    "Using\rMicrowave", "Using\nMicrowave", "Using\tMicrowave", "Using\x00",
+    "\x7fUsing", "Using\x85Microwave",
+])
+def test_validate_rejects_control_characters_in_names(name):
+    problems = validate_definition(_simple(name=name))
+    assert problems == [f"{name!r}: definition name holds a control character"]
+
+
+@pytest.mark.parametrize("name", ["Using Microwave", "Café au lait", "早餐", "A, \"B\""])
+def test_validate_accepts_printable_names(name):
+    assert validate_definition(_simple(name=name)) == []
+
+
 # ---------------------------------------------------------------------------
 # Weights by id
 # ---------------------------------------------------------------------------
