@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import fmean
-from typing import Collection, Iterable, NamedTuple, TextIO
+from typing import Collection, Iterable, NamedTuple, Sequence, TextIO
 
 from .definitions import ComplexActivityDefinition
 from .ingestion import (
-    check_activity, csv_field, format_flag, member_parser, parse_flag, read_table,
-    write_table,
+    FLAGS, check_activity, csv_field, format_flag, member_parser, named_rows,
+    parse_flag, read_table, write_table,
 )
 from .recognition import Evidence, OccurrenceVerdict, ScoredOccurrence
 from .temporal import MINUTES_PER_DAY, minute_of_day
@@ -48,6 +48,8 @@ parse_emotion = member_parser(EmotionLabel, "emotion")
 parse_ux = member_parser(UXLabel, "ux")
 EMOTION_TEXT = {m: m.value for m in EmotionLabel}
 UX_TEXT = {m: m.value for m in UXLabel}
+_EMOTIONS = {m.value: m for m in EmotionLabel}
+_UXS = {m.value: m for m in UXLabel}
 
 
 # ---------------------------------------------------------------------------
@@ -263,4 +265,17 @@ def read_annotated(
             parse_flag(completed), parse_emotion(emotion), parse_ux(ux),
         )
 
-    return read_table(stream, ANNOTATED_FIELDS, parse)
+    def columns(
+        activity: Sequence[str], start: Sequence[str], end: Sequence[str],
+        score: Sequence[str], completed: Sequence[str], emotion: Sequence[str],
+        ux: Sequence[str],
+    ) -> list[AffectAnnotation] | None:
+        if activities is not None and not set(activity).issubset(activities):
+            return None
+        return named_rows(
+            AffectAnnotation, activity, map(int, start), map(int, end),
+            map(float, score), map(FLAGS.__getitem__, completed),
+            map(_EMOTIONS.__getitem__, emotion), map(_UXS.__getitem__, ux),
+        )
+
+    return read_table(stream, ANNOTATED_FIELDS, parse, columns)

@@ -82,8 +82,10 @@ def _open_write(path: Path) -> Iterator[TextIO]:
 
     It writes to a temporary file beside ``path``, which ``os.replace`` then
     moves over ``path``; when the block raises, the temporary file is removed
-    and ``path`` keeps its previous content.
+    and ``path`` keeps its previous content.  The directory of ``path`` is
+    made here, so a run that fails before its first artifact leaves none.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.tmp")
     try:
         with open(temporary, "w", newline="") as stream:
@@ -97,7 +99,7 @@ def _open_write(path: Path) -> Iterator[TextIO]:
 def _csv_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
     """Line number and fields, by column name, of each row of a user-supplied CSV.
 
-    A short or unreadable row raises ValueError naming the file and line.
+    A short, long or unreadable row raises ValueError naming the file and line.
     """
     with open(path) as stream:
         reader = csv.DictReader(stream)
@@ -105,6 +107,8 @@ def _csv_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
             for row in reader:
                 if None in row.values():
                     raise ValueError("fewer fields than the header")
+                if None in row:  # DictReader files extra fields under None
+                    raise ValueError("more fields than the header")
                 yield reader.line_num, row
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
@@ -130,7 +134,6 @@ class Store:
         self.config = config
         self.args = args
         self.out = Path(config.out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.values: dict[str, Any] = {}
 
     def __getitem__(self, key: str) -> Any:

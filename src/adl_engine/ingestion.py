@@ -6,21 +6,24 @@ Two input wire formats are supported:
   one sample per line (per-appliance channel files);
 * annotation log: CSV with header ``start_iso8601,end_iso8601,activity``.
 
+Both are read in blocks of whole lines: `line_blocks` reads
+`TRACE_BLOCK_CHARS` characters at a time, cuts them after the last line end
+and carries the rest to the next block.
+
 A power trace becomes occurrence records a block at a time.
-`power_trace_blocks` reads `TRACE_BLOCK_CHARS` characters, cuts them at the
-last line end, splits them once and checks the whole block with builtins
-that run in C; a block with any line that is not plain ``<stamp> <watts>``
-text goes through the per-line parser `iter_power_trace` instead, which
-gives the same values or raises the same error.  `trace_occurrences`
-thresholds each block against ``on_watts`` and finds where runs end from the
-index steps between on-samples, bridging dropouts of at most
-``gap_tolerance`` samples; it keeps only the open run's bounds, so memory
-does not grow with trace length.  The three-step path `parse_power_trace`
--> `binarize` -> `segment_occurrences`, which materializes every sample and
-state, is kept as the reference the tests check that pass against.
-Annotation rows become records directly.  An `OccurrenceRecord`
-is a named tuple, one per occurrence.  Parsers are pure per-stream and raise
-with the offending line number.
+`power_trace_blocks` splits each block once and checks it whole with
+builtins that run in C; a block with any line that is not plain
+``<stamp> <watts>`` text goes through the per-line parser `iter_power_trace`
+instead, which gives the same values or raises the same error.
+`trace_occurrences` thresholds each block against ``on_watts`` and finds
+where runs end from the index steps between on-samples, bridging dropouts of
+at most ``gap_tolerance`` samples; it keeps only the open run's bounds, so
+memory does not grow with trace length.  The three-step path
+`parse_power_trace` -> `binarize` -> `segment_occurrences`, which
+materializes every sample and state, is kept as the reference the tests
+check that pass against.  An `OccurrenceRecord` is a named tuple, one per
+occurrence.  Parsers are pure per-stream and raise with the offending line
+number.
 
 Every CSV table the engine writes goes through `write_table`, which takes
 each row as one line of text that its writer has already formatted with an
@@ -33,6 +36,19 @@ quotes a field and remembers the answer, so the bytes are those
 stage tables read back go through `read_table`, which wants the exact header,
 the header's field count on every row, ``true``/``false`` flags, and enum
 fields that name a member.
+
+The stage tables and the annotation log are read by `read_csv_blocks`.  A
+block is plain when csv.reader would read each line as the line split at its
+commas: no quote, carriage return or NUL, the header's number of fields on
+every line, and no field as long as the csv field size limit.  A plain block
+is split once, and each reader converts it a column at a time with builtins
+(``int``, ``float``, dict lookups for flags, enum members and id sets,
+``datetime.fromisoformat`` for stamps) and builds its named tuples with
+`named_rows`.  When a column rejects a value, that block's rows go through
+the reader's per-row parser, which raises the error it always raised at the
+same line.  From a block that is not plain on (an activity name that needs
+quotes, say), the rest of the stream goes through csv.reader and the
+per-row parser, with the line numbers carried on.
 """
 
 from __future__ import annotations
@@ -44,9 +60,11 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import compress, count, islice
-from operator import lt, sub
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, TextIO, TypeVar
+from itertools import chain, compress, count, islice, repeat
+from operator import attrgetter, itemgetter, lt, sub
+from typing import (
+    Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar,
+)
 
 from .definitions import ComplexActivityDefinition, DefinitionSet
 
@@ -151,10 +169,11 @@ def iter_power_trace(
         yield ts, value
 
 
-# Characters `power_trace_blocks` reads at a time: about 650 lines of a 6 s
-# trace, so per-block Python work is a small share of a block's cost, while a
-# block's lists peak near 0.4 MB.  Larger blocks are no faster, and at 1 << 16
-# an on-sample list that fills the block already adds 120 KB to that peak.
+# Characters `line_blocks` reads at a time: about 650 lines of a 6 s trace or
+# 270 rows of an occurrence table, so per-block Python work is a small share
+# of a block's cost, while a block's lists peak near 0.4 MB.  Larger blocks are
+# no faster, and at 1 << 16 an on-sample list that fills the block already adds
+# 120 KB to that peak.
 TRACE_BLOCK_CHARS = 1 << 14
 
 # deleting these from a plain line ``<stamp> <watts>\n`` leaves `` \n``
@@ -163,32 +182,44 @@ _NUMBER_CHARS = str.maketrans("", "", "0123456789.+-eE")
 _EXACT_INT = 2 ** 53
 
 
+def line_blocks(stream: TextIO) -> Iterator[str]:
+    """The text of ``stream`` in blocks of whole lines.
+
+    Each read of `TRACE_BLOCK_CHARS` characters is cut after its last
+    ``\n`` and the rest carried to the next block, so a line longer than a
+    read is carried until its end arrives.  Lines end at ``\n``, as a text
+    stream with default newline handling gives them.  Only the last block
+    may lack a final line end; no block is empty.
+    """
+    tail = ""  # text read after the last line end
+    while True:
+        chunk = stream.read(TRACE_BLOCK_CHARS)
+        if not chunk:
+            if tail:
+                yield tail
+            return
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield tail + chunk[:cut]
+            tail = chunk[cut:]
+        else:
+            tail += chunk
+
+
 def power_trace_blocks(
     stream: TextIO, channel: str
 ) -> Iterator[tuple[list[int], list[float]]]:
     """Yield the samples of a power-trace stream as ``(stamps, watts)`` lists.
 
     Concatenated, the lists hold the values `iter_power_trace` yields for the
-    same stream, and a bad line raises the TraceParseError it raises.  Lines
-    end at ``\\n``, as a text stream with default newline handling gives them.
-    Each read of `TRACE_BLOCK_CHARS` characters is cut after its last line
-    end and the rest carried to the next block.  No yielded list is empty.
+    same stream, and a bad line raises the TraceParseError it raises.  The
+    stream is read in `line_blocks`.  No yielded list is empty.
     """
     first_line = 1  # the number of the block's first line
     last_ts: int | None = None
-    tail = ""  # text read after the last line end
-    while True:
-        chunk = stream.read(TRACE_BLOCK_CHARS)
-        if chunk:
-            cut = chunk.rfind("\n") + 1
-            if not cut:
-                tail += chunk
-                continue
-            text, tail = tail + chunk[:cut], chunk[cut:]
-        elif tail:  # a last line with no line end
-            text, tail = tail + "\n", ""
-        else:
-            return
+    for text in line_blocks(stream):
+        if not text.endswith("\n"):  # a last line with no line end
+            text += "\n"
         lines = text.count("\n")
         block = _plain_block(text, lines, last_ts)
         if block is None:
@@ -410,6 +441,11 @@ def _parse_iso8601(text: str, lineno: int) -> int:
 
 ADL_LOG_FIELDS = ["start_iso8601", "end_iso8601", "activity"]
 
+# the sort key of an occurrence timeline: start, then activity
+_START = itemgetter(1)
+_START_ACTIVITY = itemgetter(1, 0)
+_TZINFO = attrgetter("tzinfo")
+
 
 def parse_adl_log(stream: TextIO, defs: DefinitionSet) -> list[OccurrenceRecord]:
     """Parse an annotation CSV into records sorted by start time.
@@ -417,19 +453,75 @@ def parse_adl_log(stream: TextIO, defs: DefinitionSet) -> list[OccurrenceRecord]
     Every activity label must name a definition in ``defs``.  Annotation rows
     carry no sub-action evidence, so records get the definition's full id
     sets (partial observations are constructed in-process, not on the wire).
+    Plain blocks go column by column (`read_csv_blocks`), the rest through
+    the per-row parser `_read_annotation_rows`, with the same values and
+    errors.
     """
-    reader = csv.reader(stream)
-    records: list[OccurrenceRecord] = []
+    atomics = {name: d.atomic_ids for name, d in defs.definitions.items()}
+    contexts = {name: d.context_ids for name, d in defs.definitions.items()}
+
+    def columns(
+        starts: Sequence[str], ends: Sequence[str], labels: Sequence[str]
+    ) -> list[OccurrenceRecord] | None:
+        start_ts, end_ts = _stamps(starts), _stamps(ends)
+        if start_ts is None or end_ts is None or any(map(lt, end_ts, start_ts)):
+            return None
+        activities = list(map(str.strip, labels))
+        return named_rows(
+            OccurrenceRecord, activities, start_ts, end_ts,
+            map(atomics.__getitem__, activities), map(contexts.__getitem__, activities),
+            repeat(Source.ANNOTATION),
+        )
+
+    records = read_csv_blocks(
+        stream, len(ADL_LOG_FIELDS), _is_adl_log_header, columns,
+        partial(_read_annotation_rows, defs=defs),
+    )
+    starts = list(map(_START, records))
+    if not all(map(lt, starts, islice(starts, 1, None))):
+        records.sort(key=_START_ACTIVITY)
+    return records
+
+
+def _is_adl_log_header(row: list[str]) -> bool:
+    return [h.strip() for h in row] == ADL_LOG_FIELDS
+
+
+def _stamps(texts: Iterable[str]) -> list[int] | None:
+    """``texts`` as `_parse_iso8601` reads them, or None if one has no offset.
+
+    Each text goes through the same chain of builtins; a text that does not
+    parse raises its ValueError.
+    """
+    times = list(map(datetime.fromisoformat, map(
+        str.replace, map(str.strip, texts), repeat("Z"), repeat("+00:00")
+    )))
+    if not all(map(_TZINFO, times)):
+        return None
+    return list(map(int, map(datetime.timestamp, times)))
+
+
+def _read_annotation_rows(
+    reader: Any, records: list[OccurrenceRecord], line: int, defs: DefinitionSet
+) -> None:
+    """The per-row annotation parser: append a record per row of ``reader``.
+
+    ``reader`` is a csv.reader whose first line follows line ``line``; at
+    line 0 its first row is the header.
+    """
     try:
-        header = next(reader, None)
-        if header is None:
-            return []
-        if [h.strip() for h in header] != ADL_LOG_FIELDS:
-            raise AnnotationParseError(
-                f"line 1: expected header {','.join(ADL_LOG_FIELDS)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
+        rows_before = line
+        if not line:
+            header = next(reader, None)
+            if header is None:
+                return
+            if not _is_adl_log_header(header):
+                raise AnnotationParseError(
+                    f"line 1: expected header {','.join(ADL_LOG_FIELDS)!r}, "
+                    f"got {','.join(header)!r}"
+                )
+            rows_before = 1
+        for lineno, row in enumerate(reader, start=rows_before + 1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:
@@ -460,9 +552,7 @@ def parse_adl_log(stream: TextIO, defs: DefinitionSet) -> list[OccurrenceRecord]
                 )
             )
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise AnnotationParseError(f"line {reader.line_num}: {exc}") from None
-    records.sort(key=lambda r: (r.start, r.activity))
-    return records
+        raise AnnotationParseError(f"line {line + reader.line_num}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -495,27 +585,133 @@ def write_table(stream: TextIO, header: list[str], lines: Iterable[str]) -> None
     stream.writelines(lines)
 
 
+def read_csv_blocks(
+    stream: TextIO,
+    width: int,
+    is_header: Callable[[list[str]], bool],
+    columns: Callable[..., list[T] | None],
+    read_rows: Callable[[Any, list[T], int], None],
+) -> list[T]:
+    """The values of a CSV stream of ``width`` fields a row, a block at a time.
+
+    The stream is read in `line_blocks`.  A block is plain when csv.reader
+    would read each of its lines as the line split at its commas
+    (`_plain_fields`).  The fields of a plain block go to ``columns``, one
+    sequence a field, and the values it gives are appended; the header row,
+    which ``is_header`` must accept, is left out of the first block.  When
+    ``columns`` returns None or raises ValueError, KeyError or OverflowError,
+    that block goes through ``read_rows`` instead.  From the first block that
+    is not plain, or from the start if the header is refused, the rest of the
+    stream goes through ``read_rows`` as one csv.reader.
+    ``read_rows(reader, values, line)`` is the per-row parser: it appends the
+    values of the rows of ``reader``, a csv.reader whose first line follows
+    line ``line``, and reads a header only at line 0.
+    """
+    values: list[T] = []
+    line = 0  # lines before the block
+    blocks = line_blocks(stream)
+    for text in blocks:
+        fields = _plain_fields(text, width)
+        if fields is None or not (line or is_header(fields[:width])):
+            break
+        first = 0 if line else width  # the header row is left out
+        try:
+            got = columns(*[fields[i::width] for i in range(first, first + width)])
+        except (ValueError, KeyError, OverflowError):
+            got = None
+        if got is None:
+            read_rows(csv.reader(io.StringIO(text)), values, line)
+        else:
+            values += got
+        line += len(fields) // width
+    else:
+        return values
+    rest = chain.from_iterable(map(io.StringIO, chain((text,), blocks)))
+    read_rows(csv.reader(rest), values, line)
+    return values
+
+
+# deleting these from the UTF-8 bytes of a plain row leaves its commas and
+# line end; a quote, carriage return or NUL is left too, and spoils the match
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
+
+
+def _plain_fields(text: str, width: int) -> list[str] | None:
+    """The fields of ``text``, row after row, if each of its lines is a plain
+    row of ``width`` fields, else None.
+
+    A plain row is one that csv.reader reads as the line split at its commas:
+    it has ``width - 1`` commas and no quote, carriage return or NUL, and no
+    field as long as the csv field size limit, which a shorter text cannot
+    hold.  ``width`` is 2 or more, so a blank line is never plain.
+    """
+    if not text.endswith("\n"):  # a last line with no line end
+        text += "\n"
+    if len(text) >= csv.field_size_limit() or (
+        text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+        != (b"," * (width - 1) + b"\n") * text.count("\n")
+    ):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    fields.pop()  # the empty text after the last line end
+    return fields
+
+
+def named_rows(cls: type[T], *columns: Iterable[Any]) -> list[T]:
+    """One ``cls`` named tuple per position of ``columns``, the fields in order.
+
+    ``tuple.__new__`` builds each from one `zip` tuple, in C, without the
+    Python-level ``__new__`` a named tuple's constructor runs.
+    """
+    return list(map(tuple.__new__, repeat(cls), zip(*columns)))
+
+
 def read_table(
-    stream: TextIO, header: list[str], parse: Callable[[list[str]], T]
+    stream: TextIO,
+    header: list[str],
+    parse: Callable[[list[str]], T],
+    columns: Callable[..., list[T] | None] | None = None,
 ) -> list[T]:
     """``parse(row)`` for each row of a table written by `write_table`.
 
     An empty stream gives ``[]`` and blank lines are skipped.  The first row
     must equal ``header`` and every other row must have ``len(header)``
     fields.  A violation, a row the csv module cannot read, or a ValueError
-    from ``parse`` raises ValueError prefixed with ``line N:``.
+    from ``parse`` raises ValueError prefixed with ``line N:``.  Plain blocks
+    go through ``columns`` (`read_csv_blocks`), a column-wise ``parse`` that
+    gives the same values and returns None or raises where ``parse`` raises;
+    without it, ``parse`` reads each of their rows.
+    """
+    if columns is None:
+
+        def columns(*fields: Sequence[str]) -> list[T]:
+            return list(map(parse, map(list, zip(*fields))))
+
+    return read_csv_blocks(
+        stream, len(header), header.__eq__, columns,
+        partial(_read_table_rows, header=header, parse=parse),
+    )
+
+
+def _read_table_rows(
+    reader: Any, values: list[T], line: int,
+    header: list[str], parse: Callable[[list[str]], T],
+) -> None:
+    """The per-row table parser: append ``parse(row)`` per row of ``reader``.
+
+    ``reader`` is a csv.reader whose first line follows line ``line``; at
+    line 0 its first row is the header.
     """
     width = len(header)
-    reader = csv.reader(stream)
-    values: list[T] = []
     try:
-        first = next(reader, None)
-        if first is None:
-            return []
-        if first != header:
-            raise ValueError(
-                f"expected header {','.join(header)!r}, got {','.join(first)!r}"
-            )
+        if not line:
+            first = next(reader, None)
+            if first is None:
+                return
+            if first != header:
+                raise ValueError(
+                    f"expected header {','.join(header)!r}, got {','.join(first)!r}"
+                )
         for row in reader:
             if not row:
                 continue
@@ -523,8 +719,11 @@ def read_table(
                 raise ValueError(f"expected {width} fields, got {len(row)}")
             values.append(parse(row))
     except (ValueError, csv.Error) as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
-    return values
+        raise ValueError(f"line {line + reader.line_num}: {exc}") from None
+
+
+# the values `parse_flag` reads, for a column of flags
+FLAGS = {"true": True, "false": False}
 
 
 def parse_flag(text: str) -> bool:
@@ -603,6 +802,7 @@ def write_occurrences(records: Iterable[OccurrenceRecord], stream: TextIO) -> No
 
 _parse_source = member_parser(Source, "source")
 SOURCE_TEXT = {m: m.value for m in Source}
+_SOURCES = {m.value: m for m in Source}
 
 
 def read_occurrences(
@@ -619,11 +819,10 @@ def read_occurrences(
     # is parsed, and checked against defs, once
     evidence: dict[tuple[str, str, str], tuple[frozenset[int], frozenset[int]]] = {}
 
-    def parse(row: list[str]) -> OccurrenceRecord:
-        activity, start, end, atomics, contexts, source = row
-        key = (activity, atomics, contexts)
+    def ids_of(key: tuple[str, str, str]) -> tuple[frozenset[int], frozenset[int]]:
         ids = evidence.get(key)
         if ids is None:
+            activity, atomics, contexts = key
             ids = _field_to_ids(atomics), _field_to_ids(contexts)
             if defs is not None:
                 check_activity(activity, defs.definitions)
@@ -635,12 +834,30 @@ def read_occurrences(
                     if unknown:
                         raise ValueError(f"{activity}: unknown {what} ids {unknown}")
             evidence[key] = ids
-        observed, satisfied = ids
+        return ids
+
+    def parse(row: list[str]) -> OccurrenceRecord:
+        activity, start, end, atomics, contexts, source = row
+        observed, satisfied = ids_of((activity, atomics, contexts))
         return OccurrenceRecord(
             activity, int(start), int(end), observed, satisfied, _parse_source(source),
         )
 
-    return read_table(stream, OCCURRENCE_FIELDS, parse)
+    def columns(
+        activity: Sequence[str], start: Sequence[str], end: Sequence[str],
+        atomics: Sequence[str], contexts: Sequence[str], source: Sequence[str],
+    ) -> list[OccurrenceRecord]:
+        keys = list(zip(activity, atomics, contexts))
+        for key in set(keys).difference(evidence):
+            ids_of(key)
+        ids = list(map(evidence.__getitem__, keys))
+        return named_rows(
+            OccurrenceRecord, activity, map(int, start), map(int, end),
+            map(itemgetter(0), ids), map(itemgetter(1), ids),
+            map(_SOURCES.__getitem__, source),
+        )
+
+    return read_table(stream, OCCURRENCE_FIELDS, parse, columns)
 
 
 def merge_sorted(record_lists: Iterable[list[OccurrenceRecord]]) -> list[OccurrenceRecord]:
@@ -653,5 +870,5 @@ def merge_sorted(record_lists: Iterable[list[OccurrenceRecord]]) -> list[Occurre
     if len(lists) == 1:
         return lists[0]
     merged = [r for records in lists for r in records]
-    merged.sort(key=lambda r: (r.start, r.activity))
+    merged.sort(key=_START_ACTIVITY)
     return merged

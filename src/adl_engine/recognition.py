@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Protocol, TextIO
+from typing import Iterable, NamedTuple, Protocol, Sequence, TextIO
 
 from .definitions import ComplexActivityDefinition
-from .ingestion import csv_field, format_flag, parse_flag, read_table, write_table
+from .ingestion import (
+    FLAGS, csv_field, format_flag, named_rows, parse_flag, read_table, write_table,
+)
 
 
 class Evidence(Protocol):
@@ -144,6 +146,16 @@ def _parse_verdict(row: list[str]) -> ScoredOccurrence:
     )
 
 
+def _verdict_columns(
+    activity: Sequence[str], start: Sequence[str], end: Sequence[str],
+    score: Sequence[str], completed: Sequence[str],
+) -> list[ScoredOccurrence]:
+    return named_rows(
+        ScoredOccurrence, activity, map(int, start), map(int, end),
+        map(float, score), map(FLAGS.__getitem__, completed),
+    )
+
+
 def read_verdicts(stream: TextIO) -> list[ScoredOccurrence]:
     """Parse a verdict CSV; a malformed row raises ValueError with its line number."""
-    return read_table(stream, VERDICT_FIELDS, _parse_verdict)
+    return read_table(stream, VERDICT_FIELDS, _parse_verdict, _verdict_columns)

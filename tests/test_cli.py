@@ -858,6 +858,42 @@ def test_recommend_rejects_short_feature_rows(tmp_path, capsys):
     assert f"error: {features}: line 2:" in err
 
 
+def test_recommend_rejects_long_feature_rows(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    features = tmp_path / "features.csv"
+    features.write_text(
+        "time_bucket,previous_activity,emotion,ux,day_kind,activity\n"
+        "15,Eating Breakfast,positive,good,weekday,Leaving\n"
+        "15,Eating Breakfast,positive,good,weekday,Leaving,EXTRA,MORE\n"
+    )
+    capsys.readouterr()
+    code = main([
+        "recommend", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--features", str(features),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {features}: line 3: more fields than the header" in err
+
+
+def test_evaluate_rejects_long_prediction_rows(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    predictions = out / "predictions.csv"
+    lines = predictions.read_text().splitlines()
+    lines[1] += ",EXTRA"
+    predictions.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main([
+        "evaluate", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--predictions", str(predictions),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {predictions}: line 2: more fields than the header" in err
+
+
 def test_evaluate_rejects_short_prediction_rows(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
@@ -1031,7 +1067,26 @@ def test_control_character_in_a_definition_name_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {definitions}: 1 validation violation(s):" in err
     assert violation in err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "definitions": [str(tmp_path / "missing.json")],
+        "datasets": [{"path": str(DATA_DIR / "adl_log.csv"), "kind": "adl-log"}],
+        "out_dir": str(out),
+    }))
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nested_output_directory_is_made_by_the_first_write(tmp_path):
+    out = tmp_path / "a" / "b" / "out"
+    assert main(["ingest", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["occurrences.csv"]
 
 
 @pytest.mark.parametrize("flags, train, held_out", [

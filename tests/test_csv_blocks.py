@@ -1,0 +1,271 @@
+"""The block readers of the stage tables and the annotation log, held to
+their per-row parsers.
+
+`read_csv_blocks` converts each plain block column by column and hands every
+other row to the per-row parser.  Replacing `ingestion._plain_fields` with a
+function that finds no block plain sends a whole stream through csv.reader
+and that parser, as before blocks were read, so it is the oracle: each case
+must give equal values, or an equal error message, at each block size.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import time
+import tracemalloc
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from adl_engine import ingestion
+from adl_engine.affect import ANNOTATED_FIELDS, read_annotated
+from adl_engine.ingestion import (
+    ADL_LOG_FIELDS,
+    OCCURRENCE_FIELDS,
+    TRACE_BLOCK_CHARS,
+    OccurrenceRecord,
+    Source,
+    csv_field,
+    parse_adl_log,
+    read_occurrences,
+    write_occurrences,
+)
+from adl_engine.recognition import VERDICT_FIELDS, read_verdicts
+from helpers import load_adl_defs
+
+ADL_DEFS = load_adl_defs()
+NAMES = ADL_DEFS.names
+BLOCK_SIZES = (TRACE_BLOCK_CHARS, 40, 7)
+
+
+@contextmanager
+def _field_limit(limit: int | None):
+    old = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+def _outcome(read, text: str):
+    try:
+        return read(io.StringIO(text)), None
+    except (ValueError, OverflowError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_blocks_match_per_row(read, text: str, limit: int | None = None) -> None:
+    """``read`` gives the per-row parser's values or error at every block size."""
+    with _field_limit(limit):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingestion, "_plain_fields", lambda text, width: None)
+            expected = _outcome(read, text)
+        for block_chars in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingestion, "TRACE_BLOCK_CHARS", block_chars)
+                assert _outcome(read, text) == expected, block_chars
+
+
+# ---------------------------------------------------------------------------
+# Drawn tables
+# ---------------------------------------------------------------------------
+
+# each field's (good, bad) texts; a bad one leaves the column pass
+_ACTIVITIES = (NAMES, ["Jogging", " Sleeping", "a,b", 'say "hi"', "two\nlines", "cr\rx", ""])
+_INTS = (["0", "1709511000", "1709534280", "-5"], ["soon", "1.5", " 7", "", "+3", "1_000"])
+_FLOATS = (["1.0", "0.5", "0.25"], ["nan", "inf", "1e400", "x", "", " 2"])
+_FLAGS = (["true", "false"], ["yes", "True", ""])
+_IDS = (["1;2;3;4;5", "1;2;3;4;5;6", "1;2", "1", ""], ["1;x", "99", "1;;2"])
+_SOURCES = (["annotation", "power-trace"], ["dream", "Annotation"])
+_EMOTIONS = (["positive", "negative"], ["meh"])
+_UXES = (["good", "bad"], ["ok"])
+_STAMPS = (
+    ["2024-03-04T07:00:00Z", "2024-03-04T08:00:00Z", "2024-03-04T08:00:00+02:00",
+     "2024-03-04T06:30:00-01:00", " 2024-03-04T09:15:00Z "],
+    ["2024-03-04T07:00:00", "2024-03-04", "yesterday", "2024-03-04T07:00:00ZZ",
+     "0001-01-01T00:00:00+01:00"],
+)
+
+_TABLES = {
+    "occurrences": (OCCURRENCE_FIELDS, [_ACTIVITIES, _INTS, _INTS, _IDS, _IDS, _SOURCES]),
+    "verdicts": (VERDICT_FIELDS, [_ACTIVITIES, _INTS, _INTS, _FLOATS, _FLAGS]),
+    "annotated": (
+        ANNOTATED_FIELDS,
+        [_ACTIVITIES, _INTS, _INTS, _FLOATS, _FLAGS, _EMOTIONS, _UXES],
+    ),
+    "adl-log": (ADL_LOG_FIELDS, [_STAMPS, _STAMPS, _ACTIVITIES]),
+}
+
+
+@st.composite
+def _table_texts(draw, table: str) -> str:
+    """Table text of mostly good rows, with each variant that must leave the
+    column pass: bad ints, floats, flags and enum texts, unknown ids and
+    activities, names holding ``,``, ``"``, ``\n`` or ``\r`` (as written,
+    quoted, or not), quoted plain fields, CRLF line ends, blank and
+    whitespace-only lines, short and long rows, a wrong or padded header,
+    and a missing final line end."""
+    header, pools = _TABLES[table]
+    header_text = draw(st.sampled_from(
+        [",".join(header)] * 8 + [",".join(reversed(header)), " " + ",".join(header)]
+    ))
+    lines = [header_text]
+    for _ in range(draw(st.integers(0, 14))):
+        fields = [draw(st.sampled_from(good)) for good, _ in pools]
+        kind = draw(st.sampled_from(
+            ["good"] * 6 + ["bad", "written", "quoted", "short", "long", "blank", "space"]
+        ))
+        column = draw(st.integers(0, len(fields) - 1))
+        if kind in ("bad", "written"):
+            fields[column] = draw(st.sampled_from(pools[column][1]))
+        if kind == "written":
+            fields[column] = csv_field(fields[column])
+        elif kind == "quoted":
+            fields[column] = '"' + fields[column].replace('"', '""') + '"'
+        elif kind == "short":
+            fields = fields[:column]
+        elif kind == "long":
+            fields.append("x")
+        elif kind in ("blank", "space"):
+            fields = [] if kind == "blank" else ["  "]
+        lines.append(",".join(fields))
+    ends = [draw(st.sampled_from(["\n"] * 19 + ["\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no final line end
+    return text
+
+
+# most drawn cases keep the default field limit; some lower it so a drawn
+# field is over it
+_LIMITS = st.sampled_from([None] * 5 + [24])
+
+_SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
+
+
+@_SETTINGS
+@given(text=_table_texts("occurrences"), with_defs=st.booleans(), limit=_LIMITS)
+@example(text="activity,start,end,observed_atomics,satisfied_contexts,source\n"
+         "Sleeping,1,2,1;2,1;99,annotation\n", with_defs=True, limit=None)
+@example(text="activity,start,end,observed_atomics,satisfied_contexts,source\n"
+         "Sleeping,1,2,1,1,annotation\ncr\rx,1,2,1,1,annotation\n",
+         with_defs=False, limit=None)
+def test_read_occurrences_matches_per_row(text, with_defs, limit):
+    defs = ADL_DEFS if with_defs else None
+    _assert_blocks_match_per_row(lambda s: read_occurrences(s, defs), text, limit)
+
+
+@_SETTINGS
+@given(text=_table_texts("verdicts"), limit=_LIMITS)
+def test_read_verdicts_matches_per_row(text, limit):
+    _assert_blocks_match_per_row(read_verdicts, text, limit)
+
+
+@_SETTINGS
+@given(text=_table_texts("annotated"), known=st.booleans(), limit=_LIMITS)
+def test_read_annotated_matches_per_row(text, known, limit):
+    activities = set(NAMES) if known else None
+    _assert_blocks_match_per_row(lambda s: read_annotated(s, activities), text, limit)
+
+
+@_SETTINGS
+@given(text=_table_texts("adl-log"), limit=_LIMITS)
+@example(text="start_iso8601,end_iso8601,activity\n"
+         "2024-03-04T08:00:00Z,2024-03-04T07:00:00Z,Sleeping\n", limit=None)
+def test_parse_adl_log_matches_per_row(text, limit):
+    _assert_blocks_match_per_row(lambda s: parse_adl_log(s, ADL_DEFS), text, limit)
+    records, error = _outcome(lambda s: parse_adl_log(s, ADL_DEFS), text)
+    if error is None:
+        assert records == sorted(records, key=lambda r: (r.start, r.activity))
+
+
+def test_naive_stamps_read_as_utc_in_any_local_zone(monkeypatch):
+    text = (
+        "start_iso8601,end_iso8601,activity\n"
+        "2024-03-04T07:00:00,2024-03-04T23:20:00Z,Eating Breakfast\n"
+    )
+    monkeypatch.setenv("TZ", "XYZ+05")  # five hours west of UTC, no zone files needed
+    time.tzset()
+    try:
+        _assert_blocks_match_per_row(lambda s: parse_adl_log(s, ADL_DEFS), text)
+        [record] = parse_adl_log(io.StringIO(text), ADL_DEFS)
+    finally:
+        monkeypatch.undo()
+        time.tzset()
+    assert (record.start, record.end) == (1709535600, 1709594400)
+
+
+@pytest.mark.parametrize("read, header", [
+    (read_occurrences, OCCURRENCE_FIELDS),
+    (read_verdicts, VERDICT_FIELDS),
+    (read_annotated, ANNOTATED_FIELDS),
+    (lambda s: parse_adl_log(s, ADL_DEFS), ADL_LOG_FIELDS),
+], ids=["occurrences", "verdicts", "annotated", "adl-log"])
+def test_a_field_over_the_csv_limit_matches_per_row(read, header):
+    row = ",".join(["x" * (csv.field_size_limit() + 1)] * len(header))
+    text = ",".join(header) + "\n" + row + "\n"
+    _assert_blocks_match_per_row(read, text)
+    with pytest.raises(ValueError, match="line 2: field larger than field limit"):
+        read(io.StringIO(text))
+
+
+# ---------------------------------------------------------------------------
+# The plain path is the one taken
+# ---------------------------------------------------------------------------
+
+def _no_per_row(*args, **kwargs):
+    raise AssertionError("a plain row reached the per-row parser")
+
+
+def test_plain_tables_never_reach_the_per_row_parsers(monkeypatch):
+    # padded labels and a last line with no line end are plain too
+    log = "start_iso8601,end_iso8601,activity\n" + "".join(
+        f"2024-03-{day:02d}T0{hour}:00:00Z,2024-03-{day:02d}T0{hour}:30:00Z, {name}\n"
+        for day in range(1, 29) for hour, name in enumerate(NAMES)
+    ).rstrip("\n")
+    monkeypatch.setattr(ingestion, "_read_annotation_rows", _no_per_row)
+    monkeypatch.setattr(ingestion, "_read_table_rows", _no_per_row)
+    records = parse_adl_log(io.StringIO(log), ADL_DEFS)
+    assert len(records) == 28 * len(NAMES)
+    buf = io.StringIO()
+    write_occurrences(records, buf)
+    assert read_occurrences(io.StringIO(buf.getvalue()), ADL_DEFS) == records
+    assert read_occurrences(io.StringIO(buf.getvalue().rstrip("\n"))) == records
+
+
+# ---------------------------------------------------------------------------
+# Memory
+# ---------------------------------------------------------------------------
+
+def _occurrence(i: int) -> OccurrenceRecord:
+    return OccurrenceRecord(
+        "Watching TV", 1_700_000_000 + 600 * i, 1_700_000_300 + 600 * i,
+        frozenset({1, 2, 3}), frozenset({1, 2}), Source.POWER_TRACE,
+    )
+
+
+def _transient_bytes(rows: int, path) -> int:
+    """Peak traced memory of `read_occurrences` above what its result holds."""
+    with open(path, "w") as stream:
+        write_occurrences(map(_occurrence, range(rows)), stream)
+    with open(path) as stream:
+        tracemalloc.start()
+        try:
+            records = read_occurrences(stream)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(records) == rows
+    return peak - held
+
+
+def test_read_occurrences_memory_does_not_grow_with_table_length(tmp_path):
+    # a 20k-row table is 1.2 MB of text, so reading it whole would not fit
+    bound = 512 * 1024
+    assert _transient_bytes(20_000, tmp_path / "short.csv") < bound
+    assert _transient_bytes(200_000, tmp_path / "long.csv") < bound
