@@ -20,8 +20,8 @@ from typing import Collection, Iterable, NamedTuple, Sequence, TextIO
 
 from .definitions import ComplexActivityDefinition
 from .ingestion import (
-    FLAGS, check_activity, csv_field, format_flag, member_parser, named_rows,
-    parse_flag, read_table, write_table,
+    FieldLookup, check_order, csv_field, format_flag, member_parser, named_rows,
+    parse_flag, read_csv_blocks, write_table,
 )
 from .recognition import Evidence, OccurrenceVerdict, ScoredOccurrence
 from .temporal import MINUTES_PER_DAY, minute_of_day
@@ -48,8 +48,6 @@ parse_emotion = member_parser(EmotionLabel, "emotion")
 parse_ux = member_parser(UXLabel, "ux")
 EMOTION_TEXT = {m: m.value for m in EmotionLabel}
 UX_TEXT = {m: m.value for m in UXLabel}
-_EMOTIONS = {m.value: m for m in EmotionLabel}
-_UXS = {m.value: m for m in UXLabel}
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +252,26 @@ def write_annotated(rows: Iterable[AffectAnnotation], stream: TextIO) -> None:
 def read_annotated(
     stream: TextIO, activities: Collection[str] | None = None
 ) -> list[AffectAnnotation]:
-    """Parse an annotated CSV; a malformed row, or, when ``activities`` is
-    given, an activity not among them, raises ValueError with its line number."""
-
-    def parse(row: list[str]) -> AffectAnnotation:
-        activity, start, end, score, completed, emotion, ux = row
-        check_activity(activity, activities)
-        return AffectAnnotation(
-            activity, int(start), int(end), float(score),
-            parse_flag(completed), parse_emotion(emotion), parse_ux(ux),
-        )
+    """Parse an annotated CSV; a malformed row, an end before its start, or,
+    when ``activities`` is given, an activity not among them raises
+    ValueError with its line number, as `read_csv_blocks` raises it."""
+    known = None if activities is None else FieldLookup(
+        {name: name for name in activities}, "unknown activity"
+    )
 
     def columns(
         activity: Sequence[str], start: Sequence[str], end: Sequence[str],
         score: Sequence[str], completed: Sequence[str], emotion: Sequence[str],
         ux: Sequence[str],
-    ) -> list[AffectAnnotation] | None:
-        if activities is not None and not set(activity).issubset(activities):
-            return None
-        return named_rows(
-            AffectAnnotation, activity, map(int, start), map(int, end),
-            map(float, score), map(FLAGS.__getitem__, completed),
-            map(_EMOTIONS.__getitem__, emotion), map(_UXS.__getitem__, ux),
+    ) -> list[AffectAnnotation]:
+        if known is not None:
+            activity = list(map(known.__getitem__, activity))
+        starts, ends = list(map(int, start)), list(map(int, end))
+        rows = named_rows(
+            AffectAnnotation, activity, starts, ends, map(float, score),
+            map(parse_flag, completed), map(parse_emotion, emotion), map(parse_ux, ux),
         )
+        check_order(starts, ends)
+        return rows
 
-    return read_table(stream, ANNOTATED_FIELDS, parse, columns)
+    return read_csv_blocks(stream, ANNOTATED_FIELDS, columns)

@@ -186,7 +186,11 @@ def _read_model(store: Store, path: Path) -> recom_mod.RecommenderModel:
 def _read_features(
     store: Store, path: Path
 ) -> list[tuple[str, recom_mod.FeatureVector]]:
-    """Feature rows, each with its true next activity ("" when unknown)."""
+    """Feature rows, each with its true next activity ("" when unknown).
+
+    A true or previous activity must name a defined activity.
+    """
+    known = store["defs"].definitions
     rows = []
     for lineno, row in _csv_rows(path):
         try:
@@ -200,9 +204,15 @@ def _read_features(
                 ux=affect_mod.parse_ux(row["ux"].strip()),
                 day_kind=recom_mod.parse_day_kind(row["day_kind"].strip()),
             )
+            previous_label = features.previous_activity
+            if previous_label is not None and previous_label not in known:
+                raise ValueError(f"unknown previous activity {previous_label!r}")
+            true_label = row.get("activity", "").strip()
+            if true_label and true_label not in known:
+                raise ValueError(f"unknown true activity {true_label!r}")
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        rows.append((row.get("activity", "").strip(), features))
+        rows.append((true_label, features))
     return rows
 
 

@@ -32,23 +32,23 @@ enum members as their value text from a ``{member: text}`` dict built once
 beside the enum's `member_parser`.  Text that users name (activities, labels,
 header fields) goes through `csv_field`, which asks the csv module how it
 quotes a field and remembers the answer, so the bytes are those
-``csv.writer`` writes, without its per-field work on every row.  The
-stage tables read back go through `read_table`, which wants the exact header,
-the header's field count on every row, ``true``/``false`` flags, and enum
-fields that name a member.
+``csv.writer`` writes, without its per-field work on every row.
 
-The stage tables and the annotation log are read by `read_csv_blocks`.  A
-block is plain when csv.reader would read each line as the line split at its
-commas: no quote, carriage return or NUL, the header's number of fields on
-every line, and no field as long as the csv field size limit.  A plain block
-is split once, and each reader converts it a column at a time with builtins
-(``int``, ``float``, dict lookups for flags, enum members and id sets,
-``datetime.fromisoformat`` for stamps) and builds its named tuples with
-`named_rows`.  When a column rejects a value, that block's rows go through
-the reader's per-row parser, which raises the error it always raised at the
-same line.  From a block that is not plain on (an activity name that needs
-quotes, say), the rest of the stream goes through csv.reader and the
-per-row parser, with the line numbers carried on.
+The stage tables and the annotation log are read by `read_csv_blocks`, which
+wants the exact header and the header's field count on every row.  Each
+reader has one conversion, a function of the table's columns that builds
+its named tuples with builtins (``int``, ``float``, `FieldLookup` parsers
+for flags, enum members and activities, dict lookups for id sets,
+``datetime.fromisoformat`` for stamps) and `named_rows`.  A block is plain
+when csv.reader would read each line as the line split at its commas: no
+quote, carriage return or NUL, the header's number of fields on every line,
+and no field as long as the csv field size limit.  A plain block is split
+once and converted whole.  From a block that is not plain on (an activity
+name that needs quotes, say), csv.reader reads the rest of the stream and
+its rows are converted in batches.  A rejected block or batch is converted
+again a row at a time, so the error names the first bad row and the
+physical line where it ends.  The per-row parsers these readers replaced
+are kept in the tests as the reference they are held to.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from functools import lru_cache, partial
 from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, itemgetter, lt, sub
 from typing import (
-    Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar,
+    Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO, TypeVar,
 )
 
 from .definitions import ComplexActivityDefinition, DefinitionSet
@@ -425,20 +425,6 @@ def segment_occurrences(
 # Annotation logs
 # ---------------------------------------------------------------------------
 
-def _parse_iso8601(text: str, lineno: int) -> int:
-    # 3.10 fromisoformat has no 'Z' support; normalize it before parsing
-    normalized = text.strip().replace("Z", "+00:00")
-    try:
-        dt = datetime.fromisoformat(normalized)
-    except ValueError:
-        raise AnnotationParseError(
-            f"line {lineno}: unparseable timestamp {text!r}"
-        ) from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
-
-
 ADL_LOG_FIELDS = ["start_iso8601", "end_iso8601", "activity"]
 
 # the sort key of an occurrence timeline: start, then activity
@@ -453,29 +439,34 @@ def parse_adl_log(stream: TextIO, defs: DefinitionSet) -> list[OccurrenceRecord]
     Every activity label must name a definition in ``defs``.  Annotation rows
     carry no sub-action evidence, so records get the definition's full id
     sets (partial observations are constructed in-process, not on the wire).
-    Plain blocks go column by column (`read_csv_blocks`), the rest through
-    the per-row parser `_read_annotation_rows`, with the same values and
-    errors.
+    The log is written by hand, so `read_csv_blocks` strips the edge spaces
+    of its header fields and skips lines of spaces, and the conversion strips
+    those of each field.  A bad row raises AnnotationParseError naming its
+    line.
     """
-    atomics = {name: d.atomic_ids for name, d in defs.definitions.items()}
+    atomics = FieldLookup(
+        {name: d.atomic_ids for name, d in defs.definitions.items()},
+        "unknown activity label",
+    )
     contexts = {name: d.context_ids for name, d in defs.definitions.items()}
 
     def columns(
         starts: Sequence[str], ends: Sequence[str], labels: Sequence[str]
-    ) -> list[OccurrenceRecord] | None:
+    ) -> list[OccurrenceRecord]:
         start_ts, end_ts = _stamps(starts), _stamps(ends)
-        if start_ts is None or end_ts is None or any(map(lt, end_ts, start_ts)):
-            return None
         activities = list(map(str.strip, labels))
+        atomic_ids = list(map(atomics.__getitem__, activities))
+        for i in compress(count(), map(lt, end_ts, start_ts)):
+            raise ValueError(
+                f"end {ends[i].strip()!r} before start {starts[i].strip()!r}"
+            )
         return named_rows(
-            OccurrenceRecord, activities, start_ts, end_ts,
-            map(atomics.__getitem__, activities), map(contexts.__getitem__, activities),
-            repeat(Source.ANNOTATION),
+            OccurrenceRecord, activities, start_ts, end_ts, atomic_ids,
+            map(contexts.__getitem__, activities), repeat(Source.ANNOTATION),
         )
 
     records = read_csv_blocks(
-        stream, len(ADL_LOG_FIELDS), _is_adl_log_header, columns,
-        partial(_read_annotation_rows, defs=defs),
+        stream, ADL_LOG_FIELDS, columns, padded=True, error=AnnotationParseError
     )
     starts = list(map(_START, records))
     if not all(map(lt, starts, islice(starts, 1, None))):
@@ -483,76 +474,24 @@ def parse_adl_log(stream: TextIO, defs: DefinitionSet) -> list[OccurrenceRecord]
     return records
 
 
-def _is_adl_log_header(row: list[str]) -> bool:
-    return [h.strip() for h in row] == ADL_LOG_FIELDS
+def _stamps(texts: Sequence[str]) -> list[int]:
+    """Each of ``texts`` as an ISO 8601 time in whole seconds since the
+    epoch; a time with no offset is UTC.
 
-
-def _stamps(texts: Iterable[str]) -> list[int] | None:
-    """``texts`` as `_parse_iso8601` reads them, or None if one has no offset.
-
-    Each text goes through the same chain of builtins; a text that does not
-    parse raises its ValueError.
-    """
-    times = list(map(datetime.fromisoformat, map(
-        str.replace, map(str.strip, texts), repeat("Z"), repeat("+00:00")
-    )))
-    if not all(map(_TZINFO, times)):
-        return None
-    return list(map(int, map(datetime.timestamp, times)))
-
-
-def _read_annotation_rows(
-    reader: Any, records: list[OccurrenceRecord], line: int, defs: DefinitionSet
-) -> None:
-    """The per-row annotation parser: append a record per row of ``reader``.
-
-    ``reader`` is a csv.reader whose first line follows line ``line``; at
-    line 0 its first row is the header.
+    Each text goes through the same chain of builtins.  A text that does not
+    parse raises ValueError naming the first text, which is that text when
+    `read_csv_blocks` passes a rejected block back a row at a time.
     """
     try:
-        rows_before = line
-        if not line:
-            header = next(reader, None)
-            if header is None:
-                return
-            if not _is_adl_log_header(header):
-                raise AnnotationParseError(
-                    f"line 1: expected header {','.join(ADL_LOG_FIELDS)!r}, "
-                    f"got {','.join(header)!r}"
-                )
-            rows_before = 1
-        for lineno, row in enumerate(reader, start=rows_before + 1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise AnnotationParseError(
-                    f"line {lineno}: expected 3 fields, got {len(row)}"
-                )
-            start = _parse_iso8601(row[0], lineno)
-            end = _parse_iso8601(row[1], lineno)
-            activity = row[2].strip()
-            if activity not in defs:
-                raise AnnotationParseError(
-                    f"line {lineno}: unknown activity label {activity!r}"
-                )
-            if end < start:
-                raise AnnotationParseError(
-                    f"line {lineno}: end {row[1].strip()!r} before start "
-                    f"{row[0].strip()!r}"
-                )
-            defn = defs[activity]
-            records.append(
-                OccurrenceRecord(
-                    activity=activity,
-                    start=start,
-                    end=end,
-                    observed_atomics=defn.atomic_ids,
-                    satisfied_contexts=defn.context_ids,
-                    source=Source.ANNOTATION,
-                )
-            )
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise AnnotationParseError(f"line {line + reader.line_num}: {exc}") from None
+        # 3.10's fromisoformat reads no 'Z'
+        times = list(map(datetime.fromisoformat, map(
+            str.replace, map(str.strip, texts), repeat("Z"), repeat("+00:00")
+        )))
+    except ValueError:
+        raise ValueError(f"unparseable timestamp {texts[0]!r}") from None
+    if not all(map(_TZINFO, times)):
+        times = [t if t.tzinfo else t.replace(tzinfo=timezone.utc) for t in times]
+    return list(map(int, map(datetime.timestamp, times)))
 
 
 # ---------------------------------------------------------------------------
@@ -585,28 +524,46 @@ def write_table(stream: TextIO, header: list[str], lines: Iterable[str]) -> None
     stream.writelines(lines)
 
 
+# Rows of a table that needs quoting that `read_csv_blocks` gathers from
+# csv.reader before converting them: about as many as a plain block holds,
+# so such a table is read in bounded memory too.
+CSV_BATCH_ROWS = 256
+
+
 def read_csv_blocks(
     stream: TextIO,
-    width: int,
-    is_header: Callable[[list[str]], bool],
-    columns: Callable[..., list[T] | None],
-    read_rows: Callable[[Any, list[T], int], None],
+    header: list[str],
+    columns: Callable[..., list[T]],
+    padded: bool = False,
+    error: type[ValueError] = ValueError,
 ) -> list[T]:
-    """The values of a CSV stream of ``width`` fields a row, a block at a time.
+    """The values of a CSV stream under ``header``, converted by ``columns``.
 
+    ``columns`` is a reader's one conversion: given the texts of some rows,
+    one sequence a field, it returns one value a row or raises ValueError.
     The stream is read in `line_blocks`.  A block is plain when csv.reader
     would read each of its lines as the line split at its commas
-    (`_plain_fields`).  The fields of a plain block go to ``columns``, one
-    sequence a field, and the values it gives are appended; the header row,
-    which ``is_header`` must accept, is left out of the first block.  When
-    ``columns`` returns None or raises ValueError, KeyError or OverflowError,
-    that block goes through ``read_rows`` instead.  From the first block that
-    is not plain, or from the start if the header is refused, the rest of the
-    stream goes through ``read_rows`` as one csv.reader.
-    ``read_rows(reader, values, line)`` is the per-row parser: it appends the
-    values of the rows of ``reader``, a csv.reader whose first line follows
-    line ``line``, and reads a header only at line 0.
+    (`_plain_fields`); a plain block is split once and its fields go to
+    ``columns``, leaving out the header row of the first block.  From the
+    first block that is not plain, or from the start if the header is
+    refused, the rest of the stream goes through csv.reader, and its rows go
+    to ``columns`` `CSV_BATCH_ROWS` at a time.  When ``columns`` raises on a
+    block or batch, its rows go to ``columns`` again one at a time, and the
+    first that raises ValueError gives the error.
+
+    An empty stream gives ``[]`` and blank lines are skipped.  The first row
+    must equal ``header`` and every other row must have its number of fields.
+    A violation, a row the csv module cannot read, or a rejected row raises
+    ``error`` prefixed with ``line N:``, the physical line where the row
+    ends, after the rows before it are converted.  With ``padded``, header
+    fields are compared with their edge spaces stripped, and a line of
+    spaces is blank too.
     """
+    width = len(header)
+
+    def is_header(row: list[str]) -> bool:
+        return (list(map(str.strip, row)) if padded else row) == header
+
     values: list[T] = []
     line = 0  # lines before the block
     blocks = line_blocks(stream)
@@ -615,20 +572,64 @@ def read_csv_blocks(
         if fields is None or not (line or is_header(fields[:width])):
             break
         first = 0 if line else width  # the header row is left out
-        try:
-            got = columns(*[fields[i::width] for i in range(first, first + width)])
-        except (ValueError, KeyError, OverflowError):
-            got = None
-        if got is None:
-            read_rows(csv.reader(io.StringIO(text)), values, line)
-        else:
-            values += got
+        values += _convert(
+            columns, [fields[i::width] for i in range(first, first + width)],
+            count(line + 1 + first // width), error,
+        )
         line += len(fields) // width
     else:
         return values
-    rest = chain.from_iterable(map(io.StringIO, chain((text,), blocks)))
-    read_rows(csv.reader(rest), values, line)
+    reader = csv.reader(chain.from_iterable(map(io.StringIO, chain((text,), blocks))))
+    rows: list[list[str]] = []
+    ends: list[int] = []  # the line each of ``rows`` ends on
+    problem = ""
+    try:
+        if not line:
+            first_row = next(reader, None)
+            if first_row is None:
+                return values
+            if not is_header(first_row):
+                raise error(
+                    f"line {reader.line_num}: expected header "
+                    f"{','.join(header)!r}, got {','.join(first_row)!r}"
+                )
+        for row in reader:
+            if not row or (padded and len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != width:
+                problem = f"expected {width} fields, got {len(row)}"
+                break
+            rows.append(row)
+            ends.append(line + reader.line_num)
+            if len(rows) == CSV_BATCH_ROWS:
+                values += _convert(columns, list(zip(*rows)), ends, error)
+                rows, ends = [], []
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        problem = str(exc)
+    if rows:
+        values += _convert(columns, list(zip(*rows)), ends, error)
+    if problem:
+        raise error(f"line {line + reader.line_num}: {problem}")
     return values
+
+
+def _convert(
+    columns: Callable[..., list[T]],
+    fields: list[Sequence[str]],
+    lines: Iterable[int],
+    error: type[ValueError],
+) -> list[T]:
+    """``columns(*fields)``; when it raises, the first row that it rejects on
+    its own raises ``error`` naming that row's line from ``lines``."""
+    try:
+        return columns(*fields)
+    except ValueError:
+        for lineno, row in zip(lines, zip(*fields)):
+            try:
+                columns(*zip(row))  # one column of one text a field
+            except ValueError as exc:
+                raise error(f"line {lineno}: {exc}") from None
+        raise
 
 
 # deleting these from the UTF-8 bytes of a plain row leaves its commas and
@@ -666,79 +667,34 @@ def named_rows(cls: type[T], *columns: Iterable[Any]) -> list[T]:
     return list(map(tuple.__new__, repeat(cls), zip(*columns)))
 
 
-def read_table(
-    stream: TextIO,
-    header: list[str],
-    parse: Callable[[list[str]], T],
-    columns: Callable[..., list[T] | None] | None = None,
-) -> list[T]:
-    """``parse(row)`` for each row of a table written by `write_table`.
+def check_order(starts: list[int], ends: list[int]) -> None:
+    """Raise ValueError at the first row whose end is before its start."""
+    for i in compress(count(), map(lt, ends, starts)):
+        raise ValueError(f"end {ends[i]} before start {starts[i]}")
 
-    An empty stream gives ``[]`` and blank lines are skipped.  The first row
-    must equal ``header`` and every other row must have ``len(header)``
-    fields.  A violation, a row the csv module cannot read, or a ValueError
-    from ``parse`` raises ValueError prefixed with ``line N:``.  Plain blocks
-    go through ``columns`` (`read_csv_blocks`), a column-wise ``parse`` that
-    gives the same values and returns None or raises where ``parse`` raises;
-    without it, ``parse`` reads each of their rows.
+
+class FieldLookup(dict):
+    """A dict from field texts to values whose missing text raises
+    ValueError: ``<complaint> <text>``.
+
+    Its ``__getitem__`` is a field parser that runs in C, so a column
+    converts with ``map(lookup.__getitem__, column)``.
     """
-    if columns is None:
 
-        def columns(*fields: Sequence[str]) -> list[T]:
-            return list(map(parse, map(list, zip(*fields))))
+    __slots__ = ("complaint",)
 
-    return read_csv_blocks(
-        stream, len(header), header.__eq__, columns,
-        partial(_read_table_rows, header=header, parse=parse),
-    )
+    def __init__(self, values: dict[str, Any], complaint: str) -> None:
+        super().__init__(values)
+        self.complaint = complaint
 
-
-def _read_table_rows(
-    reader: Any, values: list[T], line: int,
-    header: list[str], parse: Callable[[list[str]], T],
-) -> None:
-    """The per-row table parser: append ``parse(row)`` per row of ``reader``.
-
-    ``reader`` is a csv.reader whose first line follows line ``line``; at
-    line 0 its first row is the header.
-    """
-    width = len(header)
-    try:
-        if not line:
-            first = next(reader, None)
-            if first is None:
-                return
-            if first != header:
-                raise ValueError(
-                    f"expected header {','.join(header)!r}, got {','.join(first)!r}"
-                )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValueError(f"expected {width} fields, got {len(row)}")
-            values.append(parse(row))
-    except (ValueError, csv.Error) as exc:
-        raise ValueError(f"line {line + reader.line_num}: {exc}") from None
+    def __missing__(self, text: str) -> NoReturn:
+        raise ValueError(f"{self.complaint} {text!r}")
 
 
-# the values `parse_flag` reads, for a column of flags
-FLAGS = {"true": True, "false": False}
-
-
-def parse_flag(text: str) -> bool:
-    """A boolean table field: ``true`` or ``false``, nothing else."""
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"expected 'true' or 'false', got {text!r}")
-
-
-def check_activity(activity: str, activities: Collection[str] | None) -> None:
-    """Raise ValueError when ``activities`` is given and lacks ``activity``."""
-    if activities is not None and activity not in activities:
-        raise ValueError(f"unknown activity {activity!r}")
+# a boolean table field: ``true`` or ``false``, nothing else
+parse_flag: Callable[[str], bool] = FieldLookup(
+    {"true": True, "false": False}, "expected 'true' or 'false', got"
+).__getitem__
 
 
 def format_flag(flag: bool) -> str:
@@ -747,20 +703,9 @@ def format_flag(flag: bool) -> str:
 
 
 def member_parser(enum: type[E], what: str) -> Callable[[str], E]:
-    """A table-field parser from a member's value text to the member.
-
-    The members are looked up in one dict built here, so a row costs no
-    ``enum(text)`` call; any other text raises ValueError naming ``what``.
-    """
-    members = {m.value: m for m in enum}
-
-    def parse(text: str) -> E:
-        member = members.get(text)
-        if member is None:
-            raise ValueError(f"unknown {what} {text!r}")
-        return member
-
-    return parse
+    """A table-field parser from a member's value text to the member; any
+    other text raises ValueError naming ``what``."""
+    return FieldLookup({m.value: m for m in enum}, f"unknown {what}").__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +747,6 @@ def write_occurrences(records: Iterable[OccurrenceRecord], stream: TextIO) -> No
 
 _parse_source = member_parser(Source, "source")
 SOURCE_TEXT = {m: m.value for m in Source}
-_SOURCES = {m.value: m for m in Source}
 
 
 def read_occurrences(
@@ -810,38 +754,14 @@ def read_occurrences(
 ) -> list[OccurrenceRecord]:
     """Parse an occurrence CSV as written by `write_occurrences`.
 
-    Raises ValueError with the line number as `read_table` does, and on a
-    malformed start, end, id set or source, or, when ``defs`` is given, on
-    an activity it does not define or an atomic or context id that the
-    activity's definition lacks.
+    Raises ValueError with the line number, as `read_csv_blocks` raises it,
+    on a malformed start, end, id set or source, an end before its start,
+    or, when ``defs`` is given, an activity it does not define or an atomic
+    or context id that the activity's definition lacks.
     """
     # records repeat few distinct (activity, atomics, contexts) texts, so each
     # is parsed, and checked against defs, once
     evidence: dict[tuple[str, str, str], tuple[frozenset[int], frozenset[int]]] = {}
-
-    def ids_of(key: tuple[str, str, str]) -> tuple[frozenset[int], frozenset[int]]:
-        ids = evidence.get(key)
-        if ids is None:
-            activity, atomics, contexts = key
-            ids = _field_to_ids(atomics), _field_to_ids(contexts)
-            if defs is not None:
-                check_activity(activity, defs.definitions)
-                defn = defs[activity]
-                for what, got, known in zip(
-                    ("atomic", "context"), ids, (defn.atomic_ids, defn.context_ids)
-                ):
-                    unknown = sorted(got - known)
-                    if unknown:
-                        raise ValueError(f"{activity}: unknown {what} ids {unknown}")
-            evidence[key] = ids
-        return ids
-
-    def parse(row: list[str]) -> OccurrenceRecord:
-        activity, start, end, atomics, contexts, source = row
-        observed, satisfied = ids_of((activity, atomics, contexts))
-        return OccurrenceRecord(
-            activity, int(start), int(end), observed, satisfied, _parse_source(source),
-        )
 
     def columns(
         activity: Sequence[str], start: Sequence[str], end: Sequence[str],
@@ -849,15 +769,29 @@ def read_occurrences(
     ) -> list[OccurrenceRecord]:
         keys = list(zip(activity, atomics, contexts))
         for key in set(keys).difference(evidence):
-            ids_of(key)
+            name, atomic_text, context_text = key
+            ids = _field_to_ids(atomic_text), _field_to_ids(context_text)
+            if defs is not None:
+                defn = defs.definitions.get(name)
+                if defn is None:
+                    raise ValueError(f"unknown activity {name!r}")
+                for what, got, known in zip(
+                    ("atomic", "context"), ids, (defn.atomic_ids, defn.context_ids)
+                ):
+                    unknown = sorted(got - known)
+                    if unknown:
+                        raise ValueError(f"{name}: unknown {what} ids {unknown}")
+            evidence[key] = ids
         ids = list(map(evidence.__getitem__, keys))
-        return named_rows(
-            OccurrenceRecord, activity, map(int, start), map(int, end),
-            map(itemgetter(0), ids), map(itemgetter(1), ids),
-            map(_SOURCES.__getitem__, source),
+        starts, ends = list(map(int, start)), list(map(int, end))
+        rows = named_rows(
+            OccurrenceRecord, activity, starts, ends,
+            map(itemgetter(0), ids), map(itemgetter(1), ids), map(_parse_source, source),
         )
+        check_order(starts, ends)
+        return rows
 
-    return read_table(stream, OCCURRENCE_FIELDS, parse, columns)
+    return read_csv_blocks(stream, OCCURRENCE_FIELDS, columns)
 
 
 def merge_sorted(record_lists: Iterable[list[OccurrenceRecord]]) -> list[OccurrenceRecord]:

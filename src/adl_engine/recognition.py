@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Protocol, Sequence, TextIO
 
 from .definitions import ComplexActivityDefinition
 from .ingestion import (
-    FLAGS, csv_field, format_flag, named_rows, parse_flag, read_table, write_table,
+    csv_field, format_flag, named_rows, parse_flag, read_csv_blocks, write_table,
 )
 
 
@@ -139,23 +139,17 @@ def write_verdicts(rows: Iterable[ScoredOccurrence], stream: TextIO) -> None:
     ))
 
 
-def _parse_verdict(row: list[str]) -> ScoredOccurrence:
-    activity, start, end, score, completed = row
-    return ScoredOccurrence(
-        activity, int(start), int(end), float(score), parse_flag(completed)
-    )
-
-
 def _verdict_columns(
     activity: Sequence[str], start: Sequence[str], end: Sequence[str],
     score: Sequence[str], completed: Sequence[str],
 ) -> list[ScoredOccurrence]:
     return named_rows(
         ScoredOccurrence, activity, map(int, start), map(int, end),
-        map(float, score), map(FLAGS.__getitem__, completed),
+        map(float, score), map(parse_flag, completed),
     )
 
 
 def read_verdicts(stream: TextIO) -> list[ScoredOccurrence]:
-    """Parse a verdict CSV; a malformed row raises ValueError with its line number."""
-    return read_table(stream, VERDICT_FIELDS, _parse_verdict, _verdict_columns)
+    """Parse a verdict CSV; a malformed row raises ValueError with its line
+    number, as `read_csv_blocks` raises it."""
+    return read_csv_blocks(stream, VERDICT_FIELDS, _verdict_columns)

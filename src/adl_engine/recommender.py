@@ -112,9 +112,9 @@ class RecommenderModel:
 
     ``feature_counts[f][c][v]`` counts transitions of class ``c`` whose
     encoded feature ``f`` had value ``v``; ``feature_domains[f]`` is the
-    sorted set of values seen for ``f`` across all classes.  `prior` and
-    `conditional` compute one smoothed factor per call; `factors` holds them
-    all, computed once per model.
+    sorted set of values seen for ``f`` across all classes.  `prior` computes
+    one class's smoothed prior; `factors` holds every prior and conditional,
+    computed once per model.
     """
 
     activities: tuple[str, ...]
@@ -130,12 +130,6 @@ class RecommenderModel:
         denom = self.n_transitions + self.alpha * len(self.activities)
         return (count + self.alpha) / denom
 
-    def conditional(self, feature: str, value: str, activity: str) -> float:
-        domain_size = len(self.feature_domains[feature])
-        count = self.feature_counts[feature].get(activity, {}).get(value, 0)
-        class_count = self.class_counts.get(activity, 0)
-        return (count + self.alpha) / (class_count + self.alpha * domain_size)
-
     @cached_property
     def factors(
         self,
@@ -143,9 +137,11 @@ class RecommenderModel:
         """The priors, and per feature the conditionals of each value seen in
         training plus those of an unseen value, all in ``activities`` order.
 
-        Each factor is the expression `prior` or `conditional` computes, so a
-        product of them is bit-identical to one of per-call factors.  Cached
-        on the model and never serialized.
+        Each prior is what `prior` computes and each conditional is ``(count
+        + alpha) / (class count + alpha * domain size)``, so a product of them
+        is bit-identical to one of factors computed one per call, as the
+        tests' per-call posterior does.  Cached on the model and never
+        serialized.
         """
         priors = [self.prior(a) for a in self.activities]
         tables = {}

@@ -5,9 +5,10 @@ confusion matrices with their expected percentage tables, and two sets of
 prediction rows with known argmax outcomes), a hypothesis strategy for
 valid activity definitions, an independent brute-force posterior oracle
 the classifier is checked against, the per-transition training loop
-`train` is held to, the per-row annotation loop `annotate` is held to, and
-the field-by-field ``csv.writer`` table writer the line-formatted stage
-writers are held to.
+`train` is held to, the per-row annotation loop `annotate` is held to, the field-by-field
+``csv.writer`` table writer the line-formatted stage writers are held to,
+and the per-row parsers the stage-table and annotation-log readers are held
+to.
 """
 
 from __future__ import annotations
@@ -16,12 +17,16 @@ import csv
 import io
 import math
 from collections import Counter
+from datetime import datetime, timezone
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 from adl_engine.affect import (
+    ANNOTATED_FIELDS,
     AffectAnnotation,
+    EmotionLabel,
+    UXLabel,
     infer_emotion,
     map_ux,
     time_bucket,
@@ -33,6 +38,14 @@ from adl_engine.definitions import (
     DefinitionSet,
     load_definitions,
 )
+from adl_engine.ingestion import (
+    ADL_LOG_FIELDS,
+    OCCURRENCE_FIELDS,
+    AnnotationParseError,
+    OccurrenceRecord,
+    Source,
+)
+from adl_engine.recognition import VERDICT_FIELDS, ScoredOccurrence
 from adl_engine.recommender import (
     FEATURE_NAMES,
     NO_PREVIOUS,
@@ -272,6 +285,17 @@ def oracle_posterior(
     return {a: w / total for a, w in weights.items()}
 
 
+def conditional(
+    model: RecommenderModel, feature: str, value: str, activity: str
+) -> float:
+    """One smoothed conditional, as `RecommenderModel.conditional` computed
+    it per call before `RecommenderModel.factors` held them all."""
+    domain_size = len(model.feature_domains[feature])
+    count = model.feature_counts[feature].get(activity, {}).get(value, 0)
+    class_count = model.class_counts.get(activity, 0)
+    return (count + model.alpha) / (class_count + model.alpha * domain_size)
+
+
 def per_call_posterior(model: RecommenderModel, features) -> dict[str, float]:
     """The posterior computed one factor per call, as `predict_confidences`
     did before `RecommenderModel.factors`: per activity, `prior` times the
@@ -281,7 +305,7 @@ def per_call_posterior(model: RecommenderModel, features) -> dict[str, float]:
     for activity in model.activities:
         weight = model.prior(activity)
         for f in FEATURE_NAMES:
-            weight *= model.conditional(f, query[f], activity)
+            weight *= conditional(model, f, query[f], activity)
         weights[activity] = weight
     total = math.fsum(weights.values())
     return {a: w / total for a, w in sorted(weights.items())}
@@ -357,3 +381,175 @@ def oracle_table(header: list[str], rows) -> str:
     buffer = io.StringIO()
     oracle_write_table(buffer, header, rows)
     return buffer.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Per-row table parsers: each stage-table reader and `parse_adl_log` as they
+# were before they converted a table a column at a time, plus the check that
+# an end is not before its start
+# ---------------------------------------------------------------------------
+
+def oracle_read_table(stream, header: list[str], parse) -> list:
+    """``parse(row)`` per csv.reader row of a stage table: the first row must
+    equal ``header``, blank rows are skipped, every other row must have the
+    header's number of fields, and a violation or a ValueError from
+    ``parse`` raises ValueError naming the line where the row ends."""
+    reader = csv.reader(stream)
+    values = []
+    try:
+        first = next(reader, None)
+        if first is None:
+            return values
+        if first != header:
+            raise ValueError(
+                f"expected header {','.join(header)!r}, got {','.join(first)!r}"
+            )
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            values.append(parse(row))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return values
+
+
+def _oracle_flag(text: str) -> bool:
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    raise ValueError(f"expected 'true' or 'false', got {text!r}")
+
+
+def _oracle_member(enum, what: str, text: str):
+    for member in enum:
+        if member.value == text:
+            return member
+    raise ValueError(f"unknown {what} {text!r}")
+
+
+def _oracle_ids(text: str) -> frozenset[int]:
+    return frozenset(int(p) for p in text.split(";")) if text else frozenset()
+
+
+def _oracle_check_order(start: int, end: int) -> None:
+    if end < start:
+        raise ValueError(f"end {end} before start {start}")
+
+
+def oracle_read_occurrences(stream, defs: DefinitionSet | None = None) -> list:
+    """`ingestion.read_occurrences` a row at a time: id sets, then the
+    activity and its ids against ``defs``, start, end, source, order."""
+    def parse(row: list[str]) -> OccurrenceRecord:
+        activity, start, end, atomics, contexts, source = row
+        observed, satisfied = _oracle_ids(atomics), _oracle_ids(contexts)
+        if defs is not None:
+            if activity not in defs.definitions:
+                raise ValueError(f"unknown activity {activity!r}")
+            defn = defs[activity]
+            for what, got, known in (
+                ("atomic", observed, defn.atomic_ids),
+                ("context", satisfied, defn.context_ids),
+            ):
+                if not got <= known:
+                    raise ValueError(
+                        f"{activity}: unknown {what} ids {sorted(got - known)}"
+                    )
+        record = OccurrenceRecord(
+            activity, int(start), int(end), observed, satisfied,
+            _oracle_member(Source, "source", source),
+        )
+        _oracle_check_order(record.start, record.end)
+        return record
+
+    return oracle_read_table(stream, OCCURRENCE_FIELDS, parse)
+
+
+def oracle_read_verdicts(stream) -> list:
+    """`recognition.read_verdicts` a row at a time."""
+    def parse(row: list[str]) -> ScoredOccurrence:
+        activity, start, end, score, completed = row
+        return ScoredOccurrence(
+            activity, int(start), int(end), float(score), _oracle_flag(completed)
+        )
+
+    return oracle_read_table(stream, VERDICT_FIELDS, parse)
+
+
+def oracle_read_annotated(stream, activities=None) -> list:
+    """`affect.read_annotated` a row at a time: the activity against
+    ``activities``, then each field in order, then the order of the times."""
+    def parse(row: list[str]) -> AffectAnnotation:
+        activity, start, end, score, completed, emotion, ux = row
+        if activities is not None and activity not in activities:
+            raise ValueError(f"unknown activity {activity!r}")
+        annotation = AffectAnnotation(
+            activity, int(start), int(end), float(score), _oracle_flag(completed),
+            _oracle_member(EmotionLabel, "emotion", emotion),
+            _oracle_member(UXLabel, "ux", ux),
+        )
+        _oracle_check_order(annotation.start, annotation.end)
+        return annotation
+
+    return oracle_read_table(stream, ANNOTATED_FIELDS, parse)
+
+
+def _oracle_stamp(text: str, lineno: int) -> int:
+    # 3.10's fromisoformat reads no 'Z'
+    normalized = text.strip().replace("Z", "+00:00")
+    try:
+        dt = datetime.fromisoformat(normalized)
+    except ValueError:
+        raise AnnotationParseError(
+            f"line {lineno}: unparseable timestamp {text!r}"
+        ) from None
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return int(dt.timestamp())
+
+
+def oracle_parse_adl_log(stream, defs: DefinitionSet) -> list:
+    """The per-row annotation-log parser, numbering each row by the line where
+    it ends (``reader.line_num``), records sorted by (start, activity)."""
+    reader = csv.reader(stream)
+    records = []
+    try:
+        header = next(reader, None)
+        if header is None:
+            return records
+        if [h.strip() for h in header] != ADL_LOG_FIELDS:
+            raise AnnotationParseError(
+                f"line {reader.line_num}: expected header "
+                f"{','.join(ADL_LOG_FIELDS)!r}, got {','.join(header)!r}"
+            )
+        for row in reader:
+            lineno = reader.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise AnnotationParseError(
+                    f"line {lineno}: expected 3 fields, got {len(row)}"
+                )
+            start = _oracle_stamp(row[0], lineno)
+            end = _oracle_stamp(row[1], lineno)
+            activity = row[2].strip()
+            if activity not in defs:
+                raise AnnotationParseError(
+                    f"line {lineno}: unknown activity label {activity!r}"
+                )
+            if end < start:
+                raise AnnotationParseError(
+                    f"line {lineno}: end {row[1].strip()!r} before start "
+                    f"{row[0].strip()!r}"
+                )
+            defn = defs[activity]
+            records.append(OccurrenceRecord(
+                activity, start, end, defn.atomic_ids, defn.context_ids,
+                Source.ANNOTATION,
+            ))
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise AnnotationParseError(f"line {reader.line_num}: {exc}") from None
+    records.sort(key=lambda r: (r.start, r.activity))
+    return records

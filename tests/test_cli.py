@@ -539,6 +539,32 @@ def test_stages_reject_unknown_evidence_ids(tmp_path, capsys, column):
         assert _snapshot(out) == before, stage
 
 
+@pytest.mark.parametrize("stage, table", [
+    ("recognize", "occurrences.csv"),
+    ("affect", "occurrences.csv"),
+    ("cluster", "occurrences.csv"),
+    ("train", "annotated.csv"),
+])
+def test_stages_reject_an_end_before_its_start(tmp_path, capsys, stage, table):
+    out = tmp_path / "run"
+    config = ["--config", str(ADL_CONFIG), "--out", str(out)]
+    for earlier in ("ingest", "recognize", "affect"):
+        assert main([earlier, *config]) == 0
+    path = out / table
+    lines = path.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[1], fields[2] = fields[2], fields[1]
+    lines[1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    before = _snapshot(out)
+    capsys.readouterr()
+    code = main([stage, *config])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {path}: line 2: end {fields[2]} before start {fields[1]}" in err
+    assert _snapshot(out) == before
+
+
 @pytest.mark.parametrize("edit", ["delete", "swap"])
 def test_affect_rejects_verdicts_out_of_step(tmp_path, capsys, edit):
     out = tmp_path / "run"
@@ -838,6 +864,30 @@ def test_recommend_rejects_unknown_day_kind(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {features}: line 3: unknown day_kind 'holiday'" in err
+
+
+@pytest.mark.parametrize("column, what", [(5, "true"), (1, "previous")],
+                         ids=["true", "previous"])
+def test_recommend_rejects_unknown_feature_labels(tmp_path, capsys, column, what):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    before = _snapshot(out)
+    fields = "15,Eating Breakfast,positive,good,weekday,Leaving".split(",")
+    fields[column] = "Swimming"
+    features = tmp_path / "features.csv"
+    features.write_text(
+        "time_bucket,previous_activity,emotion,ux,day_kind,activity\n"
+        "1,none,positive,good,weekday,\n" + ",".join(fields) + "\n"
+    )
+    capsys.readouterr()
+    code = main([
+        "recommend", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--features", str(features),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {features}: line 3: unknown {what} activity 'Swimming'" in err
+    assert _snapshot(out) == before
 
 
 def test_recommend_rejects_short_feature_rows(tmp_path, capsys):

@@ -1,11 +1,13 @@
-"""The block readers of the stage tables and the annotation log, held to
-their per-row parsers.
+"""The readers of the stage tables and the annotation log, held to the
+per-row parsers they replaced.
 
-`read_csv_blocks` converts each plain block column by column and hands every
-other row to the per-row parser.  Replacing `ingestion._plain_fields` with a
-function that finds no block plain sends a whole stream through csv.reader
-and that parser, as before blocks were read, so it is the oracle: each case
-must give equal values, or an equal error message, at each block size.
+`read_csv_blocks` converts each plain block a column at a time and the rows
+csv.reader reads from the first block that is not plain on in batches; a
+rejected block or batch is converted again a row at a time.  The per-row
+parsers in `helpers` are the oracle: each case must give equal values, or an
+equal error message, at each block size, and with `ingestion._plain_fields`
+patched to find no block plain, so every row goes through csv.reader, at
+each batch size.
 """
 
 from __future__ import annotations
@@ -34,11 +36,18 @@ from adl_engine.ingestion import (
     write_occurrences,
 )
 from adl_engine.recognition import VERDICT_FIELDS, read_verdicts
-from helpers import load_adl_defs
+from helpers import (
+    load_adl_defs,
+    oracle_parse_adl_log,
+    oracle_read_annotated,
+    oracle_read_occurrences,
+    oracle_read_verdicts,
+)
 
 ADL_DEFS = load_adl_defs()
 NAMES = ADL_DEFS.names
 BLOCK_SIZES = (TRACE_BLOCK_CHARS, 40, 7)
+BATCH_SIZES = (ingestion.CSV_BATCH_ROWS, 2)
 
 
 @contextmanager
@@ -53,22 +62,29 @@ def _field_limit(limit: int | None):
 
 
 def _outcome(read, text: str):
+    """The rows ``read`` gives, a NaN field as its text so equal rows compare
+    equal, or the type and message of its error."""
     try:
-        return read(io.StringIO(text)), None
+        rows = read(io.StringIO(text))
     except (ValueError, OverflowError) as exc:
         return None, (type(exc), str(exc))
+    return [tuple("nan" if v != v else v for v in row) for row in rows], None
 
 
-def _assert_blocks_match_per_row(read, text: str, limit: int | None = None) -> None:
-    """``read`` gives the per-row parser's values or error at every block size."""
+def _assert_blocks_match_per_row(read, oracle, text: str, limit: int | None = None):
+    """``read`` gives the ``oracle``'s values or error at every block size, and
+    through csv.reader alone at every batch size."""
     with _field_limit(limit):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingestion, "_plain_fields", lambda text, width: None)
-            expected = _outcome(read, text)
+        expected = _outcome(oracle, text)
         for block_chars in BLOCK_SIZES:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(ingestion, "TRACE_BLOCK_CHARS", block_chars)
                 assert _outcome(read, text) == expected, block_chars
+        for batch_rows in BATCH_SIZES:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingestion, "_plain_fields", lambda text, width: None)
+                patch.setattr(ingestion, "CSV_BATCH_ROWS", batch_rows)
+                assert _outcome(read, text) == expected, batch_rows
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +173,26 @@ _SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
          with_defs=False, limit=None)
 def test_read_occurrences_matches_per_row(text, with_defs, limit):
     defs = ADL_DEFS if with_defs else None
-    _assert_blocks_match_per_row(lambda s: read_occurrences(s, defs), text, limit)
+    _assert_blocks_match_per_row(
+        lambda s: read_occurrences(s, defs), lambda s: oracle_read_occurrences(s, defs),
+        text, limit,
+    )
 
 
 @_SETTINGS
 @given(text=_table_texts("verdicts"), limit=_LIMITS)
 def test_read_verdicts_matches_per_row(text, limit):
-    _assert_blocks_match_per_row(read_verdicts, text, limit)
+    _assert_blocks_match_per_row(read_verdicts, oracle_read_verdicts, text, limit)
 
 
 @_SETTINGS
 @given(text=_table_texts("annotated"), known=st.booleans(), limit=_LIMITS)
 def test_read_annotated_matches_per_row(text, known, limit):
     activities = set(NAMES) if known else None
-    _assert_blocks_match_per_row(lambda s: read_annotated(s, activities), text, limit)
+    _assert_blocks_match_per_row(
+        lambda s: read_annotated(s, activities),
+        lambda s: oracle_read_annotated(s, activities), text, limit,
+    )
 
 
 @_SETTINGS
@@ -178,10 +200,15 @@ def test_read_annotated_matches_per_row(text, known, limit):
 @example(text="start_iso8601,end_iso8601,activity\n"
          "2024-03-04T08:00:00Z,2024-03-04T07:00:00Z,Sleeping\n", limit=None)
 def test_parse_adl_log_matches_per_row(text, limit):
-    _assert_blocks_match_per_row(lambda s: parse_adl_log(s, ADL_DEFS), text, limit)
-    records, error = _outcome(lambda s: parse_adl_log(s, ADL_DEFS), text)
-    if error is None:
-        assert records == sorted(records, key=lambda r: (r.start, r.activity))
+    _assert_blocks_match_per_row(_read_log, _oracle_log, text, limit)
+
+
+def _read_log(stream):
+    return parse_adl_log(stream, ADL_DEFS)
+
+
+def _oracle_log(stream):
+    return oracle_parse_adl_log(stream, ADL_DEFS)
 
 
 def test_naive_stamps_read_as_utc_in_any_local_zone(monkeypatch):
@@ -192,7 +219,7 @@ def test_naive_stamps_read_as_utc_in_any_local_zone(monkeypatch):
     monkeypatch.setenv("TZ", "XYZ+05")  # five hours west of UTC, no zone files needed
     time.tzset()
     try:
-        _assert_blocks_match_per_row(lambda s: parse_adl_log(s, ADL_DEFS), text)
+        _assert_blocks_match_per_row(_read_log, _oracle_log, text)
         [record] = parse_adl_log(io.StringIO(text), ADL_DEFS)
     finally:
         monkeypatch.undo()
@@ -200,16 +227,16 @@ def test_naive_stamps_read_as_utc_in_any_local_zone(monkeypatch):
     assert (record.start, record.end) == (1709535600, 1709594400)
 
 
-@pytest.mark.parametrize("read, header", [
-    (read_occurrences, OCCURRENCE_FIELDS),
-    (read_verdicts, VERDICT_FIELDS),
-    (read_annotated, ANNOTATED_FIELDS),
-    (lambda s: parse_adl_log(s, ADL_DEFS), ADL_LOG_FIELDS),
+@pytest.mark.parametrize("read, oracle, header", [
+    (read_occurrences, oracle_read_occurrences, OCCURRENCE_FIELDS),
+    (read_verdicts, oracle_read_verdicts, VERDICT_FIELDS),
+    (read_annotated, oracle_read_annotated, ANNOTATED_FIELDS),
+    (_read_log, _oracle_log, ADL_LOG_FIELDS),
 ], ids=["occurrences", "verdicts", "annotated", "adl-log"])
-def test_a_field_over_the_csv_limit_matches_per_row(read, header):
+def test_a_field_over_the_csv_limit_matches_per_row(read, oracle, header):
     row = ",".join(["x" * (csv.field_size_limit() + 1)] * len(header))
     text = ",".join(header) + "\n" + row + "\n"
-    _assert_blocks_match_per_row(read, text)
+    _assert_blocks_match_per_row(read, oracle, text)
     with pytest.raises(ValueError, match="line 2: field larger than field limit"):
         read(io.StringIO(text))
 
@@ -218,8 +245,8 @@ def test_a_field_over_the_csv_limit_matches_per_row(read, header):
 # The plain path is the one taken
 # ---------------------------------------------------------------------------
 
-def _no_per_row(*args, **kwargs):
-    raise AssertionError("a plain row reached the per-row parser")
+def _no_csv_reader(*args, **kwargs):
+    raise AssertionError("a plain table reached csv.reader")
 
 
 def test_plain_tables_never_reach_the_per_row_parsers(monkeypatch):
@@ -228,31 +255,37 @@ def test_plain_tables_never_reach_the_per_row_parsers(monkeypatch):
         f"2024-03-{day:02d}T0{hour}:00:00Z,2024-03-{day:02d}T0{hour}:30:00Z, {name}\n"
         for day in range(1, 29) for hour, name in enumerate(NAMES)
     ).rstrip("\n")
-    monkeypatch.setattr(ingestion, "_read_annotation_rows", _no_per_row)
-    monkeypatch.setattr(ingestion, "_read_table_rows", _no_per_row)
-    records = parse_adl_log(io.StringIO(log), ADL_DEFS)
-    assert len(records) == 28 * len(NAMES)
     buf = io.StringIO()
-    write_occurrences(records, buf)
-    assert read_occurrences(io.StringIO(buf.getvalue()), ADL_DEFS) == records
-    assert read_occurrences(io.StringIO(buf.getvalue().rstrip("\n"))) == records
+    with monkeypatch.context() as patch:
+        patch.setattr(csv, "reader", _no_csv_reader)
+        records = parse_adl_log(io.StringIO(log), ADL_DEFS)
+        assert len(records) == 28 * len(NAMES)
+        write_occurrences(records, buf)
+        assert read_occurrences(io.StringIO(buf.getvalue()), ADL_DEFS) == records
+        assert read_occurrences(io.StringIO(buf.getvalue().rstrip("\n"))) == records
+    # a name that needs quotes does reach it
+    quoted = buf.getvalue().replace("Sleeping", "Sleeping, late")
+    with monkeypatch.context() as patch:
+        patch.setattr(csv, "reader", _no_csv_reader)
+        with pytest.raises(AssertionError, match="csv.reader"):
+            read_occurrences(io.StringIO(quoted))
 
 
 # ---------------------------------------------------------------------------
 # Memory
 # ---------------------------------------------------------------------------
 
-def _occurrence(i: int) -> OccurrenceRecord:
+def _occurrence(activity: str, i: int) -> OccurrenceRecord:
     return OccurrenceRecord(
-        "Watching TV", 1_700_000_000 + 600 * i, 1_700_000_300 + 600 * i,
+        activity, 1_700_000_000 + 600 * i, 1_700_000_300 + 600 * i,
         frozenset({1, 2, 3}), frozenset({1, 2}), Source.POWER_TRACE,
     )
 
 
-def _transient_bytes(rows: int, path) -> int:
+def _transient_bytes(rows: int, path, activity: str = "Watching TV") -> int:
     """Peak traced memory of `read_occurrences` above what its result holds."""
     with open(path, "w") as stream:
-        write_occurrences(map(_occurrence, range(rows)), stream)
+        write_occurrences((_occurrence(activity, i) for i in range(rows)), stream)
     with open(path) as stream:
         tracemalloc.start()
         try:
@@ -269,3 +302,11 @@ def test_read_occurrences_memory_does_not_grow_with_table_length(tmp_path):
     bound = 512 * 1024
     assert _transient_bytes(20_000, tmp_path / "short.csv") < bound
     assert _transient_bytes(200_000, tmp_path / "long.csv") < bound
+
+
+def test_quoted_table_memory_does_not_grow_with_table_length(tmp_path):
+    # a name that needs quotes sends every row through csv.reader
+    bound = 512 * 1024
+    name = "Watching TV, late"
+    assert _transient_bytes(20_000, tmp_path / "short.csv", name) < bound
+    assert _transient_bytes(200_000, tmp_path / "long.csv", name) < bound

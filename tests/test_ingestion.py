@@ -451,6 +451,20 @@ def test_parse_adl_log_rejects_bad_timestamp(adl_defs):
         parse_adl_log(io.StringIO(text), adl_defs)
 
 
+def test_parse_adl_log_names_the_physical_line(adl_defs):
+    # the row on lines 2-3 holds a quoted line end, so line 5 is the fourth row
+    text = (
+        "start_iso8601,end_iso8601,activity\n"
+        '2024-03-04T00:10:00Z,2024-03-04T06:38:00Z,"\nSleeping"\n'
+        "2024-03-04T07:00:00Z,2024-03-04T07:20:00Z,Eating Breakfast\n"
+        "yesterday,2024-03-04T08:00:00Z,Sleeping\n"
+    )
+    with pytest.raises(
+        AnnotationParseError, match="^line 5: unparseable timestamp 'yesterday'$"
+    ):
+        parse_adl_log(io.StringIO(text), adl_defs)
+
+
 def test_parse_adl_log_rejects_wrong_header(adl_defs):
     text = "begin,finish,what\n2024-03-04T07:00:00Z,2024-03-04T08:00:00Z,Sleeping\n"
     with pytest.raises(AnnotationParseError, match="header"):

@@ -1,4 +1,4 @@
-"""The strict stage-table format: `write_table`, `read_table`, the flag
+"""The strict stage-table format: `write_table`, `read_csv_blocks`, the flag
 fields `format_flag` writes and `parse_flag` reads, and every table writer
 held byte for byte to the field-by-field ``csv.writer`` oracle."""
 
@@ -32,7 +32,7 @@ from adl_engine.ingestion import (
     format_flag,
     parse_flag,
     read_occurrences,
-    read_table,
+    read_csv_blocks,
     write_occurrences,
     write_table,
 )
@@ -45,8 +45,8 @@ from helpers import oracle_table
 _HEADER = ["name", "count"]
 
 
-def _pair(row: list[str]) -> tuple[str, int]:
-    return row[0], int(row[1])
+def _pairs(names: list[str], counts: list[str]) -> list[tuple[str, int]]:
+    return list(zip(names, map(int, counts)))
 
 
 def test_write_table_then_read_table_round_trips():
@@ -55,15 +55,15 @@ def test_write_table_then_read_table_round_trips():
         f"{csv_field(name)},{count}\n" for name, count in [("a,b", 1), ('say "hi"', 2)]
     ))
     assert buf.getvalue() == 'name,count\n"a,b",1\n"say ""hi""",2\n'
-    assert read_table(io.StringIO(buf.getvalue()), _HEADER, _pair) == [
+    assert read_csv_blocks(io.StringIO(buf.getvalue()), _HEADER, _pairs) == [
         ("a,b", 1), ('say "hi"', 2),
     ]
 
 
 def test_read_table_skips_blank_lines_and_reads_empty_stream():
-    assert read_table(io.StringIO(""), _HEADER, _pair) == []
+    assert read_csv_blocks(io.StringIO(""), _HEADER, _pairs) == []
     text = "name,count\n\na,1\n\nb,2\n"
-    assert read_table(io.StringIO(text), _HEADER, _pair) == [("a", 1), ("b", 2)]
+    assert read_csv_blocks(io.StringIO(text), _HEADER, _pairs) == [("a", 1), ("b", 2)]
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -75,7 +75,7 @@ def test_read_table_skips_blank_lines_and_reads_empty_stream():
 ], ids=["header", "field-count", "parse", "csv-error"])
 def test_read_table_names_the_line(text, fragment):
     with pytest.raises(ValueError, match=fragment):
-        read_table(io.StringIO(text), _HEADER, _pair)
+        read_csv_blocks(io.StringIO(text), _HEADER, _pairs)
 
 
 def test_parse_flag_accepts_only_true_and_false():
