@@ -14,7 +14,6 @@ identical inputs and config produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import logging
 import os
@@ -22,7 +21,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from . import affect as affect_mod
 from . import definitions as defs_mod
@@ -94,24 +93,6 @@ def _open_write(path: Path) -> Iterator[TextIO]:
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
-
-
-def _csv_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
-    """Line number and fields, by column name, of each row of a user-supplied CSV.
-
-    A short, long or unreadable row raises ValueError naming the file and line.
-    """
-    with open(path) as stream:
-        reader = csv.DictReader(stream)
-        try:
-            for row in reader:
-                if None in row.values():
-                    raise ValueError("fewer fields than the header")
-                if None in row:  # DictReader files extra fields under None
-                    raise ValueError("more fields than the header")
-                yield reader.line_num, row
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _parse_file(path: str | Path, parse: Callable[[TextIO], Any]) -> Any:
@@ -188,53 +169,69 @@ def _read_features(
 ) -> list[tuple[str, recom_mod.FeatureVector]]:
     """Feature rows, each with its true next activity ("" when unknown).
 
-    A true or previous activity must name a defined activity.
+    Columns are read by name; ``previous_activity`` and ``activity`` may be
+    absent.  A row's fields are checked in order: the time bucket, emotion,
+    ux and day kind, then that the bucket is not negative, then that the
+    previous activity (none when empty or ``none``) and the true activity
+    (when not empty) name defined activities.
     """
-    known = store["defs"].definitions
-    rows = []
-    for lineno, row in _csv_rows(path):
-        try:
-            previous = row.get("previous_activity", "").strip()
-            features = recom_mod.FeatureVector(
-                time_bucket=int(row["time_bucket"]),
-                previous_activity=(
-                    None if previous in ("", recom_mod.NO_PREVIOUS) else previous
-                ),
-                emotion=affect_mod.parse_emotion(row["emotion"].strip()),
-                ux=affect_mod.parse_ux(row["ux"].strip()),
-                day_kind=recom_mod.parse_day_kind(row["day_kind"].strip()),
+    names = {name: name for name in store["defs"].names}
+    previous_of = {**names, "": None, recom_mod.NO_PREVIOUS: None}
+    true_of = ingest_mod.FieldLookup({**names, "": ""}, "unknown true activity")
+    # rows repeat few distinct feature texts, so each is parsed, and its
+    # vector built, once
+    vectors: dict[tuple[str, ...], recom_mod.FeatureVector] = {}
+
+    def columns(
+        time_bucket: Sequence[str], emotion: Sequence[str], ux: Sequence[str],
+        day_kind: Sequence[str], previous: Sequence[str], activity: Sequence[str],
+    ) -> list[tuple[str, recom_mod.FeatureVector]]:
+        keys = list(zip(time_bucket, previous, emotion, ux, day_kind))
+        for key in set(keys).difference(vectors):
+            bucket, previous_text, emotion_text, ux_text, day_text = key
+            previous_name = previous_text.strip()
+            features = recom_mod.FeatureVector(  # checks the bucket
+                int(bucket), previous_of.get(previous_name),
+                affect_mod.parse_emotion(emotion_text.strip()),
+                affect_mod.parse_ux(ux_text.strip()),
+                recom_mod.parse_day_kind(day_text.strip()),
             )
-            previous_label = features.previous_activity
-            if previous_label is not None and previous_label not in known:
-                raise ValueError(f"unknown previous activity {previous_label!r}")
-            true_label = row.get("activity", "").strip()
-            if true_label and true_label not in known:
-                raise ValueError(f"unknown true activity {true_label!r}")
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        rows.append((true_label, features))
-    return rows
+            if previous_name not in previous_of:
+                raise ValueError(f"unknown previous activity {previous_name!r}")
+            vectors[key] = features
+        features = map(vectors.__getitem__, keys)
+        return list(zip(map(true_of.__getitem__, map(str.strip, activity)), features))
+
+    return _parse_file(path, lambda stream: ingest_mod.read_csv_columns(
+        stream, ("time_bucket", "emotion", "ux", "day_kind"),
+        ("previous_activity", "activity"), columns,
+    ))
 
 
 def _read_predictions(store: Store, path: Path) -> list[tuple[str, str]]:
-    """(predicted, true) activity pairs from a predictions CSV.
+    """(predicted, true) activity pairs from a predictions CSV, its
+    ``activity`` and ``prediction`` columns read by name.
 
-    Both labels must name a defined activity.
+    The true label must be present, then name a defined activity, and so
+    must the predicted one.
     """
-    known = set(store["defs"].names)
-    pairs = []
-    for lineno, row in _csv_rows(path):
-        true_label = row.get("activity", "").strip()
-        predicted = row.get("prediction", "").strip()
-        if not true_label:
-            raise ValueError(f"{path}: line {lineno}: missing true activity label")
-        for what, label in (("true", true_label), ("predicted", predicted)):
-            if label not in known:
-                raise ValueError(
-                    f"{path}: line {lineno}: unknown {what} activity {label!r}"
-                )
-        pairs.append((predicted, true_label))
-    return pairs
+    names = {name: name for name in store["defs"].names}
+    true_of = ingest_mod.FieldLookup(names, "unknown true activity")
+    predicted_of = ingest_mod.FieldLookup(names, "unknown predicted activity")
+
+    def columns(
+        activity: Sequence[str], prediction: Sequence[str]
+    ) -> list[tuple[str, str]]:
+        true_labels = list(map(str.strip, activity))
+        if not all(true_labels):
+            raise ValueError("missing true activity label")
+        true_labels = list(map(true_of.__getitem__, true_labels))
+        return list(zip(map(predicted_of.__getitem__, map(str.strip, prediction)),
+                        true_labels))
+
+    return _parse_file(path, lambda stream: ingest_mod.read_csv_columns(
+        stream, ("activity", "prediction"), (), columns,
+    ))
 
 
 @dataclass(frozen=True)
@@ -511,26 +508,24 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags every subcommand takes, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="path to the JSON run configuration")
+    for f in PARAMS:
+        flag = f.metadata.get("flag", "--" + KEYS[f.name].replace("_", "-"))
+        common.add_argument(flag, type=f.type, dest=f.name, help=f.metadata["help"])
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="path to the JSON run configuration")
-        for f in PARAMS:
-            flag = f.metadata.get("flag", "--" + KEYS[f.name].replace("_", "-"))
-            p.add_argument(flag, type=f.type, dest=f.name, help=f.metadata["help"])
-
-    p_validate = sub.add_parser("validate", help="check definition files")
+    p_validate = sub.add_parser("validate", help="check definition files", parents=[common])
     p_validate.add_argument("files", nargs="*", help="definition JSON files")
-    add_common(p_validate)
 
     for stage in STAGES:
-        p = sub.add_parser(stage.name, help=stage.help)
-        add_common(p)
+        p = sub.add_parser(stage.name, help=stage.help, parents=[common])
         for key in stage.inputs:
             source = _INPUTS[key]
             if source.option:
                 p.add_argument(f"--{source.option}", required=source.default is None,
                                help=source.help)
-    add_common(sub.add_parser("pipeline", help="run every stage end to end"))
+    sub.add_parser("pipeline", help="run every stage end to end", parents=[common])
 
     return parser
 

@@ -18,6 +18,10 @@ from typing import Iterator
 
 WEIGHT_SUM_TOLERANCE = 1e-6
 
+# the previous activity of a first occurrence, in models and feature rows;
+# no definition may take this name
+NO_PREVIOUS = "none"
+
 
 class DefinitionError(ValueError):
     """Raised when a definition file cannot be parsed or fails validation.
@@ -145,6 +149,8 @@ def validate_definition(defn: ComplexActivityDefinition) -> list[str]:
         # would split the name's rows in every stage table
         prefix = f"{defn.name!r}: "
         problems.append(prefix + "definition name holds a control character")
+    if defn.name == NO_PREVIOUS:
+        problems.append(prefix + "the name is reserved for no previous activity")
     if not defn.atomics:
         problems.append(prefix + "no atomic activities")
         return problems

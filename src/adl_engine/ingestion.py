@@ -35,19 +35,23 @@ quotes a field and remembers the answer, so the bytes are those
 ``csv.writer`` writes, without its per-field work on every row.
 
 The stage tables and the annotation log are read by `read_csv_blocks`, which
-wants the exact header and the header's field count on every row.  Each
-reader has one conversion, a function of the table's columns that builds
-its named tuples with builtins (``int``, ``float``, `FieldLookup` parsers
-for flags, enum members and activities, dict lookups for id sets,
-``datetime.fromisoformat`` for stamps) and `named_rows`.  A block is plain
-when csv.reader would read each line as the line split at its commas: no
-quote, carriage return or NUL, the header's number of fields on every line,
-and no field as long as the csv field size limit.  A plain block is split
-once and converted whole.  From a block that is not plain on (an activity
-name that needs quotes, say), csv.reader reads the rest of the stream and
-its rows are converted in batches.  A rejected block or batch is converted
-again a row at a time, so the error names the first bad row and the
-physical line where it ends.  The per-row parsers these readers replaced
+wants the exact header and the header's field count on every row.  The
+user-supplied ``--features`` and ``--predictions`` tables are read by
+`read_csv_columns`, which takes the table's own header, finds the columns
+its reader wants by name, in any order, and refuses a header that lacks a
+required one or names a wanted one twice.  Both go through `_read_table`.
+Each reader has one conversion, a function of the table's columns that
+builds its values with builtins (``int``, ``float``, `FieldLookup` parsers
+for flags, enum members and activities, dict lookups for id sets and
+feature vectors, ``datetime.fromisoformat`` for stamps) and `named_rows`.
+A block is plain when csv.reader would read each line as the line split at
+its commas: no quote, carriage return or NUL, the header's number of fields
+on every line, and no field as long as the csv field size limit.  A plain
+block is split once and converted whole.  From a block that is not plain on
+(an activity name that needs quotes, say), csv.reader reads the rest of the
+stream and its rows are converted in batches.  A rejected block or batch is
+converted again a row at a time, so the error names the first bad row and
+the physical line where it ends.  The per-row parsers these readers replaced
 are kept in the tests as the reference they are held to.
 """
 
@@ -541,37 +545,106 @@ def read_csv_blocks(
 
     ``columns`` is a reader's one conversion: given the texts of some rows,
     one sequence a field, it returns one value a row or raises ValueError.
-    The stream is read in `line_blocks`.  A block is plain when csv.reader
-    would read each of its lines as the line split at its commas
-    (`_plain_fields`); a plain block is split once and its fields go to
-    ``columns``, leaving out the header row of the first block.  From the
-    first block that is not plain, or from the start if the header is
-    refused, the rest of the stream goes through csv.reader, and its rows go
-    to ``columns`` `CSV_BATCH_ROWS` at a time.  When ``columns`` raises on a
-    block or batch, its rows go to ``columns`` again one at a time, and the
-    first that raises ValueError gives the error.
-
-    An empty stream gives ``[]`` and blank lines are skipped.  The first row
-    must equal ``header`` and every other row must have its number of fields.
-    A violation, a row the csv module cannot read, or a rejected row raises
-    ``error`` prefixed with ``line N:``, the physical line where the row
-    ends, after the rows before it are converted.  With ``padded``, header
-    fields are compared with their edge spaces stripped, and a line of
-    spaces is blank too.
+    The first row must equal ``header``, and every other row must have its
+    number of fields (``expected N fields, got M``).  With ``padded``,
+    header fields are compared with their edge spaces stripped, and a line
+    of spaces is blank too.  The stream is read as `_read_table` reads it.
     """
-    width = len(header)
+    def accept(row: list[str]) -> Callable[..., list[T]]:
+        if (list(map(str.strip, row)) if padded else row) != header:
+            raise ValueError(
+                f"expected header {','.join(header)!r}, got {','.join(row)!r}"
+            )
+        return columns
 
-    def is_header(row: list[str]) -> bool:
-        return (list(map(str.strip, row)) if padded else row) == header
+    return _read_table(
+        stream, accept, "expected {width} fields, got {got}", padded, error
+    )
 
+
+def read_csv_columns(
+    stream: TextIO,
+    required: Sequence[str],
+    optional: Sequence[str],
+    columns: Callable[..., list[T]],
+) -> list[T]:
+    """The values of a CSV stream whose first row names its columns,
+    converted by ``columns``.
+
+    The columns may come in any order, and the table may hold columns it
+    does not want.  ``columns`` gets the texts of the ``required`` columns,
+    then those of the ``optional`` ones, as `read_csv_blocks` passes them;
+    an absent optional column reads as empty texts.  A header that lacks a
+    required column or names a wanted one twice, and a row with more or
+    fewer fields than the header, raise ValueError prefixed with
+    ``line N:``.  The stream is read as `_read_table` reads it.
+    """
+    wanted = [*required, *optional]
+
+    def accept(row: list[str]) -> Callable[..., list[T]]:
+        for name in wanted:
+            if row.count(name) > 1:
+                raise ValueError(f"column {name!r} named twice")
+            if name in required and name not in row:
+                raise ValueError(f"missing column {name!r}")
+        where = [row.index(name) if name in row else None for name in wanted]
+
+        def picked(*fields: Sequence[str]) -> list[T]:
+            empty = [""] * len(fields[0])
+            return columns(*[empty if i is None else fields[i] for i in where])
+
+        return picked
+
+    return _read_table(stream, accept, "{side} fields than the header")
+
+
+def _read_table(
+    stream: TextIO,
+    accept: Callable[[list[str]], Callable[..., list[T]]],
+    misfit: str,
+    padded: bool = False,
+    error: type[ValueError] = ValueError,
+) -> list[T]:
+    """The values of a CSV stream, converted by the conversion that
+    ``accept`` returns for its first row.
+
+    ``accept`` raises ValueError for a header it refuses.  The stream is
+    read in `line_blocks`.  A block is plain when csv.reader would read each
+    of its lines as the line split at its commas (`_plain_fields`), the
+    first block's first line giving the number of fields; a plain block is
+    split once and its fields go to the conversion, leaving out the header
+    row of the first block.  From the first block that is not plain, or
+    from the start if the header is not plain or is refused, the rest of the
+    stream goes through csv.reader, and its rows go to the conversion
+    `CSV_BATCH_ROWS` at a time.  When the conversion raises on a block or
+    batch, its rows go to it again one at a time, and the first that raises
+    ValueError gives the error.
+
+    An empty stream gives ``[]`` and blank lines are skipped.  A refused
+    header, a row without the header's number of fields (``misfit``
+    formatted with its ``width``, the number it ``got``, and ``more`` or
+    ``fewer`` as its ``side``), a row the csv module cannot read, or a
+    rejected row raises ``error`` prefixed with ``line N:``, the physical
+    line where the row ends, after the rows before it are converted.  With
+    ``padded``, a line of spaces is blank too.
+    """
     values: list[T] = []
-    line = 0  # lines before the block
+    columns = None
+    width = line = 0  # line: lines before the block
     blocks = line_blocks(stream)
     for text in blocks:
-        fields = _plain_fields(text, width)
-        if fields is None or not (line or is_header(fields[:width])):
+        first = 0  # fields of the block before its first row
+        if columns is None:  # the first block: its first line is the header
+            width = text.partition("\n")[0].count(",") + 1
+            first = width
+        fields = _plain_fields(text, width) if width > 1 else None
+        if fields is None:
             break
-        first = 0 if line else width  # the header row is left out
+        if columns is None:
+            try:
+                columns = accept(fields[:width])
+            except ValueError:  # csv.reader reads the header again and raises
+                break
         values += _convert(
             columns, [fields[i::width] for i in range(first, first + width)],
             count(line + 1 + first // width), error,
@@ -584,20 +657,22 @@ def read_csv_blocks(
     ends: list[int] = []  # the line each of ``rows`` ends on
     problem = ""
     try:
-        if not line:
+        if columns is None:
             first_row = next(reader, None)
             if first_row is None:
                 return values
-            if not is_header(first_row):
-                raise error(
-                    f"line {reader.line_num}: expected header "
-                    f"{','.join(header)!r}, got {','.join(first_row)!r}"
-                )
+            try:
+                columns = accept(first_row)
+            except ValueError as exc:
+                raise error(f"line {reader.line_num}: {exc}") from None
+            width = len(first_row)
         for row in reader:
             if not row or (padded and len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != width:
-                problem = f"expected {width} fields, got {len(row)}"
+                problem = misfit.format(
+                    width=width, got=len(row), side="more" if len(row) > width else "fewer"
+                )
                 break
             rows.append(row)
             ends.append(line + reader.line_num)

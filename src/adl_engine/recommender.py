@@ -25,14 +25,12 @@ from typing import Iterator, NamedTuple, Sequence, TextIO
 from .affect import (
     DEFAULT_BUCKET_WIDTH, AffectAnnotation, EmotionLabel, UXLabel, check_bucket_width,
 )
+from .definitions import NO_PREVIOUS
 from .ingestion import member_parser
 from .temporal import is_weekday, minute_of_day
 
 DEFAULT_ALPHA = 1.0
 FEATURE_NAMES = ("time_bucket", "previous_activity", "emotion", "ux", "day_kind")
-
-# the encoded previous_activity of a first occurrence
-NO_PREVIOUS = "none"
 
 
 class DayKind(str, Enum):

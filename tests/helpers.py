@@ -7,8 +7,8 @@ valid activity definitions, an independent brute-force posterior oracle
 the classifier is checked against, the per-transition training loop
 `train` is held to, the per-row annotation loop `annotate` is held to, the field-by-field
 ``csv.writer`` table writer the line-formatted stage writers are held to,
-and the per-row parsers the stage-table and annotation-log readers are held
-to.
+and the per-row parsers the stage-table, annotation-log and user-table
+readers are held to.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from adl_engine.affect import (
     UXLabel,
     infer_emotion,
     map_ux,
+    parse_emotion,
+    parse_ux,
     time_bucket,
 )
 from adl_engine.definitions import (
@@ -49,8 +51,10 @@ from adl_engine.recognition import VERDICT_FIELDS, ScoredOccurrence
 from adl_engine.recommender import (
     FEATURE_NAMES,
     NO_PREVIOUS,
+    FeatureVector,
     LabeledTransition,
     RecommenderModel,
+    parse_day_kind,
 )
 from adl_engine.temporal import minute_of_day
 
@@ -553,3 +557,70 @@ def oracle_parse_adl_log(stream, defs: DefinitionSet) -> list:
         raise AnnotationParseError(f"line {reader.line_num}: {exc}") from None
     records.sort(key=lambda r: (r.start, r.activity))
     return records
+
+
+# ---------------------------------------------------------------------------
+# Per-row user-table readers: `cli._read_features` and `cli._read_predictions`
+# as they were when they read a ``csv.DictReader`` dict per row
+# ---------------------------------------------------------------------------
+
+def _oracle_csv_rows(path):
+    """Line number and fields, by column name, of each row of a user-supplied CSV.
+
+    A short, long or unreadable row raises ValueError naming the file and line.
+    """
+    with open(path) as stream:
+        reader = csv.DictReader(stream)
+        try:
+            for row in reader:
+                if None in row.values():
+                    raise ValueError("fewer fields than the header")
+                if None in row:  # DictReader files extra fields under None
+                    raise ValueError("more fields than the header")
+                yield reader.line_num, row
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def oracle_read_features(store, path) -> list:
+    """Feature rows, each with its true next activity ("" when unknown)."""
+    known = set(store["defs"].names)
+    rows = []
+    for lineno, row in _oracle_csv_rows(path):
+        try:
+            previous = row.get("previous_activity", "").strip()
+            features = FeatureVector(
+                time_bucket=int(row["time_bucket"]),
+                previous_activity=None if previous in ("", NO_PREVIOUS) else previous,
+                emotion=parse_emotion(row["emotion"].strip()),
+                ux=parse_ux(row["ux"].strip()),
+                day_kind=parse_day_kind(row["day_kind"].strip()),
+            )
+            previous_label = features.previous_activity
+            if previous_label is not None and previous_label not in known:
+                raise ValueError(f"unknown previous activity {previous_label!r}")
+            true_label = row.get("activity", "").strip()
+            if true_label and true_label not in known:
+                raise ValueError(f"unknown true activity {true_label!r}")
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        rows.append((true_label, features))
+    return rows
+
+
+def oracle_read_predictions(store, path) -> list:
+    """(predicted, true) activity pairs from a predictions CSV."""
+    known = set(store["defs"].names)
+    pairs = []
+    for lineno, row in _oracle_csv_rows(path):
+        true_label = row.get("activity", "").strip()
+        predicted = row.get("prediction", "").strip()
+        if not true_label:
+            raise ValueError(f"{path}: line {lineno}: missing true activity label")
+        for what, label in (("true", true_label), ("predicted", predicted)):
+            if label not in known:
+                raise ValueError(
+                    f"{path}: line {lineno}: unknown {what} activity {label!r}"
+                )
+        pairs.append((predicted, true_label))
+    return pairs

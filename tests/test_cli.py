@@ -174,6 +174,23 @@ def test_run_parameters_keep_their_keys_and_flags():
         assert flags[:len(pinned)] == pinned, command
 
 
+def test_each_subcommand_takes_the_shared_flags_in_params_order():
+    shared = [("config", None, "path to the JSON run configuration")] + [
+        (f.name, f.type, f.metadata["help"]) for f in PARAMS
+    ]
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    stages = {stage.name: stage for stage in cli.STAGES}
+    assert list(commands.choices) == ["validate", *stages, "pipeline"]
+    for command, sub in commands.choices.items():
+        options = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+        assert [(a.dest, a.type, a.help) for a in options[:len(shared)]] == shared, command
+        inputs = [cli._INPUTS[key] for key in getattr(stages.get(command), "inputs", ())]
+        assert [a.option_strings for a in options[len(shared):]] == [
+            [f"--{source.option}"] for source in inputs if source.option
+        ], command
+
+
 @pytest.mark.parametrize("name", list(RUN_PARAMETERS))
 def test_run_parameter_reads_alike_by_config_key_and_by_flag(tmp_path, name):
     key, flag, value, _ = RUN_PARAMETERS[name]
@@ -981,6 +998,73 @@ def test_evaluate_rejects_unknown_labels(tmp_path, capsys, column, what):
     assert f"error: {predictions}: line 3: unknown {what} activity 'Jogging'" in err
 
 
+_FEATURE_ROW = "15,Eating Breakfast,positive,good,weekday,Leaving\n"
+
+
+@pytest.mark.parametrize("rows", [_FEATURE_ROW, ""], ids=["rows", "no-rows"])
+def test_recommend_rejects_a_feature_header_without_a_required_column(
+    tmp_path, capsys, rows
+):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    before = _snapshot(out)
+    features = tmp_path / "features.csv"
+    features.write_text(
+        "time_bucket,previous_activity,ux,day_kind,activity\n"
+        + rows.replace("positive,", "")
+    )
+    capsys.readouterr()
+    code = main([
+        "recommend", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--features", str(features),
+    ])
+    assert code == 2
+    assert f"error: {features}: line 1: missing column 'emotion'" in capsys.readouterr().err
+    assert _snapshot(out) == before
+
+
+def test_evaluate_rejects_a_prediction_header_without_prediction(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("activity,guess\nLeaving,Leaving\n")
+    before = _snapshot(out)
+    capsys.readouterr()
+    code = main([
+        "evaluate", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--predictions", str(predictions),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {predictions}: line 1: missing column 'prediction'" in err
+    assert _snapshot(out) == before
+
+
+@pytest.mark.parametrize("command, option, text", [
+    ("recommend", "--features",
+     "time_bucket,previous_activity,emotion,ux,day_kind,activity,activity\n"
+     + _FEATURE_ROW.replace("\n", ",Sleeping\n")),
+    ("evaluate", "--predictions",
+     "activity,prediction,activity\nLeaving,Leaving,Sleeping\n"),
+], ids=["features", "predictions"])
+def test_user_table_header_naming_activity_twice_is_rejected(
+    tmp_path, capsys, command, option, text
+):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    before = _snapshot(out)
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    capsys.readouterr()
+    code = main([
+        command, "--config", str(ADL_CONFIG), "--out", str(out), option, str(table),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {table}: line 1: column 'activity' named twice" in err
+    assert _snapshot(out) == before
+
+
 def test_cluster_rejects_short_occurrence_rows(tmp_path, capsys):
     out = tmp_path / "run"
     config = ["--config", str(ADL_CONFIG), "--out", str(out)]
@@ -1112,6 +1196,37 @@ def test_control_character_in_a_definition_name_is_rejected(tmp_path, capsys):
 
     assert main(["validate", str(definitions)]) == 1
     assert f"FAIL {definitions}: {violation}" in capsys.readouterr().out
+
+    assert main(["ingest", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {definitions}: 1 validation violation(s):" in err
+    assert violation in err
+    assert not out.exists()
+
+
+def test_a_definition_named_none_is_rejected(tmp_path, capsys):
+    catalogue = json.loads((DEFINITIONS_DIR / "adl.json").read_text())
+    for entry in catalogue["definitions"]:
+        if entry["name"] == "Sleeping":
+            entry["name"] = "none"
+    definitions = tmp_path / "adl.json"
+    definitions.write_text(json.dumps(catalogue))
+    document = json.loads(ADL_CONFIG.read_text())
+    document["definitions"] = [str(definitions)]
+    document["datasets"] = [
+        {**spec, "path": str((CONFIGS_DIR / spec["path"]).resolve())}
+        for spec in document["datasets"]
+    ]
+    out = tmp_path / "out"
+    document["out_dir"] = str(out)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(document))
+    violation = "none: the name is reserved for no previous activity"
+
+    assert main(["validate", str(definitions)]) == 1
+    stdout = capsys.readouterr().out
+    assert f"FAIL {definitions}: {violation}" in stdout
+    assert f"{len(catalogue['definitions']) - 1} of {len(catalogue['definitions'])}" in stdout
 
     assert main(["ingest", "--config", str(config)]) == 2
     err = capsys.readouterr().err

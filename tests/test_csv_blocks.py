@@ -1,5 +1,6 @@
-"""The readers of the stage tables and the annotation log, held to the
-per-row parsers they replaced.
+"""The readers of the stage tables, the annotation log and the user-supplied
+``--features`` and ``--predictions`` tables, held to the per-row parsers they
+replaced.
 
 `read_csv_blocks` converts each plain block a column at a time and the rows
 csv.reader reads from the first block that is not plain on in batches; a
@@ -14,15 +15,18 @@ from __future__ import annotations
 
 import csv
 import io
+import tempfile
 import time
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adl_engine import ingestion
+from adl_engine import cli, ingestion
 from adl_engine.affect import ANNOTATED_FIELDS, read_annotated
 from adl_engine.ingestion import (
     ADL_LOG_FIELDS,
@@ -40,7 +44,9 @@ from helpers import (
     load_adl_defs,
     oracle_parse_adl_log,
     oracle_read_annotated,
+    oracle_read_features,
     oracle_read_occurrences,
+    oracle_read_predictions,
     oracle_read_verdicts,
 )
 
@@ -242,6 +248,127 @@ def test_a_field_over_the_csv_limit_matches_per_row(read, oracle, header):
 
 
 # ---------------------------------------------------------------------------
+# User tables, read by column name
+# ---------------------------------------------------------------------------
+
+# defined names that need quotes, beside the catalogue's
+_USER_NAMES = (*NAMES, "a,b", 'say "hi"')
+_USER_STORE = {"defs": SimpleNamespace(names=_USER_NAMES)}
+_LABELS = (list(_USER_NAMES), ["Jogging", "none", "None", "two\nlines", "cr\rx"])
+_EXTRA = (["x", "a,b", 'q"uote', "line\nbreak", ""], [])
+
+# each column's (good, bad) texts, with whether it is required
+_USER_TABLES = {
+    "features": {
+        "time_bucket": (True, ["0", "15", "47", " 7", "1_000"],
+                        ["soon", "1.5", "", "-5", "-1"]),
+        "emotion": (True, ["positive", "negative", " positive"], ["meh", ""]),
+        "ux": (True, ["good", "bad"], ["ok"]),
+        "day_kind": (True, ["weekday", "weekend"], ["holiday", "Weekday"]),
+        "previous_activity": (False, [*_LABELS[0], "", "none", " none", " Sleeping"],
+                              _LABELS[1]),
+        "activity": (False, [*_LABELS[0], "", " Leaving"], _LABELS[1]),
+        "note": (False, *_EXTRA),
+    },
+    "predictions": {
+        "activity": (True, _LABELS[0], [*_LABELS[1], "", " "]),
+        "prediction": (True, _LABELS[0], [*_LABELS[1], ""]),
+        "confidence(Sleeping)": (False, ["0.5", "1e-3", "x"], []),
+        "confidence(a,b)": (False, ["0.25", ""], []),
+        "note": (False, *_EXTRA),
+    },
+}
+
+
+@st.composite
+def _user_table_texts(draw, table: str) -> str:
+    """Table text under a permuted header of every required column and
+    some optional ones, written as `csv_field` writes them or quoted, of
+    mostly good rows, with each variant that must leave the column pass:
+    bad ints and enums, negative buckets, unknown or missing labels, names
+    holding ``,``, ``"`` or a line break (quoted, or not), quoted plain
+    fields, CRLF line ends, blank and whitespace-only lines, short and long
+    rows, and a missing final line end."""
+    pools = _USER_TABLES[table]
+    names = draw(st.permutations(
+        [name for name, (required, *_) in pools.items()
+         if required or draw(st.booleans())]
+    ))
+    quote = draw(st.sampled_from([csv_field] * 3 + [lambda name: f'"{name}"']))
+    lines = [",".join(map(quote, names))]
+    for _ in range(draw(st.integers(0, 14))):
+        fields = [draw(st.sampled_from(pools[name][1])) for name in names]
+        kind = draw(st.sampled_from(
+            ["good"] * 12 + ["bad"] * 3
+            + ["unquoted", "quoted", "short", "long", "blank", "space"]
+        ))
+        column = draw(st.integers(0, len(fields) - 1))
+        bad = pools[names[column]][2]
+        if kind == "bad" and bad:
+            fields[column] = draw(st.sampled_from(bad))
+        if kind != "quoted":
+            fields = list(map(csv_field, fields))
+        if kind == "unquoted":  # a field that needs quotes, written without
+            fields[column] = fields[column].strip('"').replace('""', '"')
+        elif kind == "quoted":
+            fields[column] = '"' + fields[column].replace('"', '""') + '"'
+        elif kind == "short":
+            fields = fields[:column]
+        elif kind == "long":
+            fields.append("x")
+        elif kind in ("blank", "space"):
+            fields = [] if kind == "blank" else ["  "]
+        lines.append(",".join(fields))
+    ends = [draw(st.sampled_from(["\n"] * 19 + ["\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no final line end
+    return text
+
+
+def _assert_user_table_matches_per_row(read, oracle, text: str):
+    """``read`` gives the ``oracle``'s values or error for ``text`` saved as a
+    file, at every block size, and through csv.reader alone at every batch
+    size."""
+    def outcome(reader):
+        try:
+            return reader(_USER_STORE, path), None
+        except ValueError as exc:
+            return None, str(exc)
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "table.csv"
+        path.write_text(text, newline="")
+        expected = outcome(oracle)
+        for block_chars in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingestion, "TRACE_BLOCK_CHARS", block_chars)
+                assert outcome(read) == expected, block_chars
+        for batch_rows in BATCH_SIZES:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingestion, "_plain_fields", lambda text, width: None)
+                patch.setattr(ingestion, "CSV_BATCH_ROWS", batch_rows)
+                assert outcome(read) == expected, batch_rows
+
+
+@_SETTINGS
+@given(text=_user_table_texts("features"))
+@example(text="time_bucket,emotion,ux,day_kind,previous_activity\n"
+         "-5,positive,good,weekday,Swimming\n")
+def test_read_features_matches_per_row(text):
+    _assert_user_table_matches_per_row(cli._read_features, oracle_read_features, text)
+
+
+@_SETTINGS
+@given(text=_user_table_texts("predictions"))
+@example(text="prediction,activity\nSleeping,\n")
+def test_read_predictions_matches_per_row(text):
+    _assert_user_table_matches_per_row(
+        cli._read_predictions, oracle_read_predictions, text
+    )
+
+
+# ---------------------------------------------------------------------------
 # The plain path is the one taken
 # ---------------------------------------------------------------------------
 
@@ -269,6 +396,40 @@ def test_plain_tables_never_reach_the_per_row_parsers(monkeypatch):
         patch.setattr(csv, "reader", _no_csv_reader)
         with pytest.raises(AssertionError, match="csv.reader"):
             read_occurrences(io.StringIO(quoted))
+
+
+def test_plain_user_tables_never_reach_csv_reader(monkeypatch, tmp_path):
+    # columns in another order, a missing optional column, padded labels, and
+    # confidence columns the reader does not want are plain too
+    features = tmp_path / "features.csv"
+    features.write_text("activity,day_kind,ux,emotion,time_bucket\n" + "".join(
+        f" {name},weekday,good,positive,{bucket}\n"
+        for bucket in range(40) for name in NAMES
+    ))
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text(
+        "prediction,activity,"
+        + ",".join(f"confidence({name})" for name in NAMES) + "\n"
+        + "".join(f"{name},{name}," + ",".join(["0.125"] * len(NAMES)) + "\n"
+                  for name in NAMES * 40)
+    )
+    store = {"defs": ADL_DEFS}
+    with monkeypatch.context() as patch:
+        patch.setattr(csv, "reader", _no_csv_reader)
+        rows = cli._read_features(store, features)
+        pairs = cli._read_predictions(store, predictions)
+    assert rows == oracle_read_features(store, features)
+    assert len(rows) == 40 * len(NAMES)
+    assert pairs == oracle_read_predictions(store, predictions) == [
+        (name, name) for name in NAMES * 40
+    ]
+    # a header name that needs quotes does reach it
+    predictions.write_text(predictions.read_text().replace("confidence(", '"c,(', 1)
+                           .replace(")", ')"', 1))
+    with monkeypatch.context() as patch:
+        patch.setattr(csv, "reader", _no_csv_reader)
+        with pytest.raises(AssertionError, match="csv.reader"):
+            cli._read_predictions(store, predictions)
 
 
 # ---------------------------------------------------------------------------
