@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from statistics import fmean
 from typing import Collection, Iterable, NamedTuple, Sequence, TextIO
 
 from .definitions import ComplexActivityDefinition
@@ -85,8 +84,9 @@ def infer_emotion(
         return EmotionLabel.NEGATIVE
 
     if history:
-        recent = fmean(history[-window:])
-        if verdict.score < recent - epsilon:
+        recent = history[-window:]
+        # statistics.fmean's own arithmetic
+        if verdict.score < math.fsum(recent) / len(recent) - epsilon:
             return EmotionLabel.NEGATIVE
     return EmotionLabel.POSITIVE
 

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import affect as affect_mod
 from . import definitions as defs_mod
@@ -31,8 +29,6 @@ from . import recognition as recog_mod
 from . import recommender as recom_mod
 from . import temporal as temporal_mod
 from .config import KEYS, PARAMS, ConfigError, RunConfig, load_config, with_overrides
-
-logger = logging.getLogger("adl_engine")
 
 _RECOVERABLE = (
     ConfigError,
@@ -49,14 +45,20 @@ _RECOVERABLE = (
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("ADL_ENGINE_LOG", "warning").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
+def _log(level: str, message: str, traceback: bool = False) -> None:
+    """Write ``LEVEL adl_engine: message`` to stderr when ``ADL_ENGINE_LOG`` is
+    ``level`` (``info`` or ``debug``, in any case) or, for an ``info`` line,
+    ``debug``; any other value writes nothing.  With ``traceback`` the
+    exception being handled follows on the next lines.
+    """
+    chosen = os.environ.get("ADL_ENGINE_LOG", "").lower()
+    if chosen != level and chosen != "debug":
+        return
+    if traceback:
+        from traceback import format_exc  # only a failed run's debug line needs it
+
+        message += "\n" + format_exc().removesuffix("\n")
+    print(f"{level.upper()} adl_engine: {message}", file=sys.stderr)
 
 
 def _load_all_definitions(paths: tuple[str, ...]) -> defs_mod.DefinitionSet:
@@ -234,8 +236,7 @@ def _read_predictions(store: Store, path: Path) -> list[tuple[str, str]]:
     ))
 
 
-@dataclass(frozen=True)
-class _Input:
+class _Input(NamedTuple):
     """How a stage input is loaded when no earlier stage of the run made it."""
 
     read: Callable[[Store, Path | None], Any]
@@ -301,7 +302,7 @@ def _ingest(store: Store) -> str:
             records = _parse_file(
                 spec.path, lambda stream: ingest_mod.parse_adl_log(stream, defs)
             )
-        logger.info("ingested %d occurrences from %s", len(records), spec.path)
+        _log("info", f"ingested {len(records)} occurrences from {spec.path}")
         per_file.append(records)
     records = store["records"] = ingest_mod.merge_sorted(per_file)
     path = store.out / "occurrences.csv"
@@ -442,8 +443,7 @@ def _evaluate(store: Store) -> str:
     return f"accuracy: {report.accuracy * 100:.2f}% over {report.grand_total} pairs"
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One pipeline step: the store values it reads, and what it does."""
 
     name: str
@@ -547,7 +547,6 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        _setup_logging()
         parser = _build_parser()
         args = parser.parse_args(argv)
         config = _resolve_config(args)
@@ -567,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{trained + tested} transitions ({trained} train / {tested} test)"
             )
     except _RECOVERABLE as exc:
-        logger.debug("command failed", exc_info=True)
+        _log("debug", "command failed", traceback=True)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .temporal import MINUTES_PER_DAY
 
@@ -24,8 +24,7 @@ class ConfigError(ValueError):
     """A config document failed to parse or a key is out of range."""
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
+class DatasetSpec(NamedTuple):
     """One input file: a power-trace channel or an annotation log."""
 
     path: str

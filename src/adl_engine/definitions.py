@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 WEIGHT_SUM_TOLERANCE = 1e-6
 
@@ -34,8 +34,7 @@ class DefinitionError(ValueError):
         self.violations = violations or []
 
 
-@dataclass(frozen=True)
-class AtomicActivity:
+class AtomicActivity(NamedTuple):
     """One indivisible sub-action of a complex activity."""
 
     id: int
@@ -43,8 +42,7 @@ class AtomicActivity:
     weight: float
 
 
-@dataclass(frozen=True)
-class ContextAttribute:
+class ContextAttribute(NamedTuple):
     """The environmental precondition paired with the same-index atomic."""
 
     id: int

@@ -13,7 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence, TextIO, TypeVar
+from typing import NamedTuple, Sequence, TextIO, TypeVar
 
 from .ingestion import csv_field, write_table
 
@@ -131,8 +131,7 @@ def class_recall(cm: ConfusionMatrix, label: str) -> float | None:
     return cm.counts[i][i] / col_total
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Accuracy plus per-class precision/recall and the matrix totals."""
 
     labels: tuple[str, ...]

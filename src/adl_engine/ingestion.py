@@ -60,7 +60,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import lru_cache, partial
@@ -90,8 +89,7 @@ class Source(str, Enum):
     ANNOTATION = "annotation"
 
 
-@dataclass(frozen=True)
-class SensorSample:
+class SensorSample(NamedTuple):
     """One appliance power reading (UTC seconds, watts >= 0).
 
     Built only by the reference path `parse_power_trace`; ingest reads
@@ -103,8 +101,7 @@ class SensorSample:
     value: float
 
 
-@dataclass(frozen=True)
-class BinarySeries:
+class BinarySeries(NamedTuple):
     """Per-channel on/off states at strictly increasing timestamps.
 
     Built only by the reference path `binarize`.

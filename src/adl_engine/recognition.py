@@ -12,7 +12,6 @@ are named tuples, so building one per occurrence stays cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol, Sequence, TextIO
 
 from .definitions import ComplexActivityDefinition
@@ -32,8 +31,7 @@ class Evidence(Protocol):
     def satisfied_contexts(self) -> frozenset[int]: ...
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """Evidence for one candidate occurrence of a single definition."""
 
     activity: str

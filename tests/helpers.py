@@ -5,7 +5,8 @@ confusion matrices with their expected percentage tables, and two sets of
 prediction rows with known argmax outcomes), a hypothesis strategy for
 valid activity definitions, an independent brute-force posterior oracle
 the classifier is checked against, the per-transition training loop
-`train` is held to, the per-row annotation loop `annotate` is held to, the field-by-field
+`train` is held to, the ``statistics.fmean`` emotion rule `infer_emotion` is
+held to, the per-row annotation loop `annotate` is held to, the field-by-field
 ``csv.writer`` table writer the line-formatted stage writers are held to,
 and the per-row parsers the stage-table, annotation-log and user-table
 readers are held to.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import statistics
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
@@ -348,6 +350,25 @@ def per_transition_train(
         feature_domains={f: tuple(sorted(domains[f])) for f in FEATURE_NAMES},
         feature_counts=feature_counts,
     )
+
+
+def oracle_infer_emotion(
+    defn, history, observation, verdict, window: int, epsilon: float
+) -> EmotionLabel:
+    """`affect.infer_emotion` with the recent mean taken by
+    ``statistics.fmean``: negative unless the occurrence completed, its most
+    important atomic and paired context were seen, and its score is at least
+    the mean of the last ``window`` scores less ``epsilon``."""
+    atomic_id, context_id = defn.most_important_pair
+    if not (
+        verdict.completed
+        and atomic_id in observation.observed_atomics
+        and context_id in observation.satisfied_contexts
+    ):
+        return EmotionLabel.NEGATIVE
+    if history and verdict.score < statistics.fmean(history[-window:]) - epsilon:
+        return EmotionLabel.NEGATIVE
+    return EmotionLabel.POSITIVE
 
 
 def per_row_annotate(items, model) -> list[AffectAnnotation]:

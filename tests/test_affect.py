@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from adl_engine.recognition import (
     detect_occurrence,
 )
 from adl_engine.temporal import MINUTES_PER_DAY
-from helpers import per_row_annotate
+from helpers import oracle_infer_emotion, per_row_annotate
 
 
 def _full(defn) -> Observation:
@@ -135,6 +136,32 @@ def test_positive_emotion_is_monotone_in_score(ukdale_defs, history, low, bump):
     hi = infer_emotion(defn, history, obs, _verdict(defn, low + bump, True))
     if lo is EmotionLabel.POSITIVE:
         assert hi is EmotionLabel.POSITIVE
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    history=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=15),
+    window=st.integers(min_value=1, max_value=10),
+    epsilon=st.floats(min_value=0.0, max_value=0.2),
+    pick=st.floats(min_value=0.0, max_value=1.0),
+    on_the_edge=st.booleans(),
+    completed=st.booleans(),
+    paired=st.booleans(),
+)
+def test_infer_emotion_matches_the_fmean_oracle(
+    ukdale_defs, history, window, epsilon, pick, on_the_edge, completed, paired
+):
+    defn = ukdale_defs["Using Microwave"]
+    recent = history[-window:]
+    # a score exactly at the recent mean less epsilon sits on the rule's edge
+    score = statistics.fmean(recent) - epsilon if recent and on_the_edge else pick
+    observation = _full(defn) if paired else Observation(
+        defn.name, defn.atomic_ids - {5}, defn.context_ids
+    )
+    verdict = _verdict(defn, score, completed)
+    assert infer_emotion(
+        defn, history, observation, verdict, window=window, epsilon=epsilon
+    ) is oracle_infer_emotion(defn, history, observation, verdict, window, epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import gc
 import hashlib
 import importlib.util
 import io
 import json
+import logging
 import os
 import tempfile
 from pathlib import Path
@@ -1149,7 +1149,7 @@ def test_main_runs_stages_without_the_collector_and_restores_it(
         return "stage done"
 
     monkeypatch.setattr(
-        cli, "STAGES", tuple(dataclasses.replace(s, run=stage) for s in cli.STAGES)
+        cli, "STAGES", tuple(s._replace(run=stage) for s in cli.STAGES)
     )
     was_enabled = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
@@ -1168,6 +1168,57 @@ def test_main_restores_the_collector_after_a_usage_error(capsys):
         main(["cluster"])
     assert gc.isenabled()
     assert "cluster requires --config" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# ADL_ENGINE_LOG diagnostics on stderr
+# ---------------------------------------------------------------------------
+
+def test_default_log_level_keeps_stderr_empty(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ADL_ENGINE_LOG", raising=False)
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("level", ["info", "INFO", "debug"])
+def test_info_level_names_each_ingested_file(tmp_path, capsys, monkeypatch, level):
+    monkeypatch.setenv("ADL_ENGINE_LOG", level)
+    assert main(["ingest", "--config", str(ADL_CONFIG), "--out", str(tmp_path)]) == 0
+    (log,) = load_config(ADL_CONFIG).datasets
+    assert capsys.readouterr().err == (
+        f"INFO adl_engine: ingested 144 occurrences from {log.path}\n"
+    )
+
+
+def test_debug_level_prints_a_failed_run_traceback(tmp_path, capsys, monkeypatch):
+    def stage(store):
+        raise ConfigError("stage failed")
+
+    monkeypatch.setattr(cli, "STAGES", tuple(s._replace(run=stage) for s in cli.STAGES))
+    monkeypatch.setenv("ADL_ENGINE_LOG", "debug")
+    code = main(["cluster", "--config", str(ADL_CONFIG), "--out", str(tmp_path)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert lines[:2] == [
+        "DEBUG adl_engine: command failed", "Traceback (most recent call last):",
+    ]
+    assert '    raise ConfigError("stage failed")' in lines
+    assert lines[-2:] == [
+        "adl_engine.config.ConfigError: stage failed", "error: stage failed",
+    ]
+
+
+def test_main_leaves_the_host_logging_configuration_alone(tmp_path, capsys, monkeypatch):
+    # a host that has not configured logging: the root logger has no handler
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    level = root.level
+    monkeypatch.setenv("ADL_ENGINE_LOG", "info")
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(tmp_path)]) == 0
+    assert (root.handlers, root.level) == ([], level)
+    capsys.readouterr()
+    logging.getLogger("host").warning("host message")
+    assert capsys.readouterr().err == "host message\n"
 
 
 # ---------------------------------------------------------------------------
