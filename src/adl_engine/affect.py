@@ -18,11 +18,11 @@ from enum import Enum
 from typing import Collection, Iterable, NamedTuple, Sequence, TextIO
 
 from .definitions import ComplexActivityDefinition
-from .ingestion import (
+from .recognition import Evidence, OccurrenceVerdict, ScoredOccurrence
+from .tables import (
     FieldLookup, check_order, csv_field, format_flag, member_parser, named_rows,
     parse_flag, read_csv_blocks, write_table,
 )
-from .recognition import Evidence, OccurrenceVerdict, ScoredOccurrence
 from .temporal import MINUTES_PER_DAY, minute_of_day
 
 # a verdict in memory, or its row read back from the verdict CSV

@@ -29,6 +29,7 @@ from . import recognition as recog_mod
 from . import recommender as recom_mod
 from . import temporal as temporal_mod
 from .config import KEYS, PARAMS, ConfigError, RunConfig, load_config, with_overrides
+from .tables import FieldLookup, csv_field, read_csv_columns, write_table
 
 _RECOVERABLE = (
     ConfigError,
@@ -162,8 +163,7 @@ def _read_annotations(store: Store, path: Path) -> list[affect_mod.AffectAnnotat
 
 
 def _read_model(store: Store, path: Path) -> recom_mod.RecommenderModel:
-    with open(path) as stream:
-        return recom_mod.read_model(stream)
+    return _parse_file(path, recom_mod.read_model)
 
 
 def _read_features(
@@ -179,7 +179,7 @@ def _read_features(
     """
     names = {name: name for name in store["defs"].names}
     previous_of = {**names, "": None, recom_mod.NO_PREVIOUS: None}
-    true_of = ingest_mod.FieldLookup({**names, "": ""}, "unknown true activity")
+    true_of = FieldLookup({**names, "": ""}, "unknown true activity")
     # rows repeat few distinct feature texts, so each is parsed, and its
     # vector built, once
     vectors: dict[tuple[str, ...], recom_mod.FeatureVector] = {}
@@ -204,7 +204,7 @@ def _read_features(
         features = map(vectors.__getitem__, keys)
         return list(zip(map(true_of.__getitem__, map(str.strip, activity)), features))
 
-    return _parse_file(path, lambda stream: ingest_mod.read_csv_columns(
+    return _parse_file(path, lambda stream: read_csv_columns(
         stream, ("time_bucket", "emotion", "ux", "day_kind"),
         ("previous_activity", "activity"), columns,
     ))
@@ -218,8 +218,8 @@ def _read_predictions(store: Store, path: Path) -> list[tuple[str, str]]:
     must the predicted one.
     """
     names = {name: name for name in store["defs"].names}
-    true_of = ingest_mod.FieldLookup(names, "unknown true activity")
-    predicted_of = ingest_mod.FieldLookup(names, "unknown predicted activity")
+    true_of = FieldLookup(names, "unknown true activity")
+    predicted_of = FieldLookup(names, "unknown predicted activity")
 
     def columns(
         activity: Sequence[str], prediction: Sequence[str]
@@ -231,7 +231,7 @@ def _read_predictions(store: Store, path: Path) -> list[tuple[str, str]]:
         return list(zip(map(predicted_of.__getitem__, map(str.strip, prediction)),
                         true_labels))
 
-    return _parse_file(path, lambda stream: ingest_mod.read_csv_columns(
+    return _parse_file(path, lambda stream: read_csv_columns(
         stream, ("activity", "prediction"), (), columns,
     ))
 
@@ -410,7 +410,7 @@ def _recommend(store: Store) -> str:
             vector = recom_mod.predict_confidences(model, features)
             predicted = recom_mod.recommend(vector)
             known = memo[features] = predicted, ",".join([
-                ingest_mod.csv_field(predicted),
+                csv_field(predicted),
                 *[repr(vector[name]) for name in model.activities],
             ]) + "\n"
         pairs.append((known[0], true_label))
@@ -420,8 +420,8 @@ def _recommend(store: Store) -> str:
     ]
     path = store.out / "predictions.csv"
     with _open_write(path) as stream:
-        ingest_mod.write_table(stream, header, (
-            f"{ingest_mod.csv_field(label)},{tail}"
+        write_table(stream, header, (
+            f"{csv_field(label)},{tail}"
             for (_, label), tail in zip(pairs, tails)
         ))
     store["predictions"] = pairs
@@ -434,12 +434,10 @@ def _evaluate(store: Store) -> str:
     report = eval_mod.build_report(cm)
     with _open_write(store.out / "confusion.csv") as stream:
         eval_mod.write_confusion(cm, stream)
-    lines = eval_mod.emit_report(report, "csv").split("\n")
-    lines.insert(1, f"seed,,{store.config.seed}")
     with _open_write(store.out / "report.csv") as stream:
-        stream.write("\n".join(lines))
+        eval_mod.write_report_csv(report, store.config.seed, stream)
     with _open_write(store.out / "report.json") as stream:
-        stream.write(eval_mod.emit_report(report, "json"))
+        eval_mod.write_report_json(report, stream)
     return f"accuracy: {report.accuracy * 100:.2f}% over {report.grand_total} pairs"
 
 

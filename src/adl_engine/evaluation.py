@@ -8,14 +8,13 @@ undefined metric, reported as n/a rather than 0 so averages stay honest.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, TextIO, TypeVar
 
-from .ingestion import csv_field, write_table
+from .tables import csv_field, write_table
 
 T = TypeVar("T")
 
@@ -163,31 +162,22 @@ def _percent(value: float | None) -> str:
     return "n/a" if value is None else f"{value * 100:.2f}%"
 
 
-def emit_report(report: MetricsReport, format: str = "csv") -> str:
-    """Render a report; percentages print with two decimals, n/a when undefined."""
-    if format == "csv":
-        lines = [f"accuracy,,{_percent(report.accuracy)}\n"]
-        for metric, values in (("precision", report.precision), ("recall", report.recall)):
-            lines.extend(
-                f"{metric},{csv_field(label)},{_percent(values[label])}\n"
-                for label in report.labels
-            )
-        lines.append(f"grand_total,,{report.grand_total!s}\n")
-        buf = io.StringIO()
-        write_table(buf, ["metric", "label", "value"], lines)
-        return buf.getvalue()
-    if format == "json":
-        payload = {
-            "labels": list(report.labels),
-            "accuracy": report.accuracy,
-            "precision": report.precision,
-            "recall": report.recall,
-            "grand_total": report.grand_total,
-            "predicted_totals": report.predicted_totals,
-            "true_totals": report.true_totals,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    raise ValueError(f"unsupported report format {format!r}")
+def write_report_csv(report: MetricsReport, seed: int, stream: TextIO) -> None:
+    """The report as a metric,label,value table headed by the run's seed;
+    percentages print with two decimals, n/a when undefined."""
+    lines = [f"seed,,{seed}\n", f"accuracy,,{_percent(report.accuracy)}\n"]
+    for metric, values in (("precision", report.precision), ("recall", report.recall)):
+        lines.extend(
+            f"{metric},{csv_field(label)},{_percent(values[label])}\n"
+            for label in report.labels
+        )
+    lines.append(f"grand_total,,{report.grand_total!s}\n")
+    write_table(stream, ["metric", "label", "value"], lines)
+
+
+def write_report_json(report: MetricsReport, stream: TextIO) -> None:
+    """The report as one JSON object with sorted keys; undefined metrics are null."""
+    stream.write(json.dumps(report._asdict(), sort_keys=True, indent=2) + "\n")
 
 
 # the header's first field, above the column of row labels

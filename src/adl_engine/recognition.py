@@ -15,7 +15,7 @@ import math
 from typing import Iterable, NamedTuple, Protocol, Sequence, TextIO
 
 from .definitions import ComplexActivityDefinition
-from .ingestion import (
+from .tables import (
     csv_field, format_flag, named_rows, parse_flag, read_csv_blocks, write_table,
 )
 

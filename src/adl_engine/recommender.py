@@ -26,7 +26,7 @@ from .affect import (
     DEFAULT_BUCKET_WIDTH, AffectAnnotation, EmotionLabel, UXLabel, check_bucket_width,
 )
 from .definitions import NO_PREVIOUS
-from .ingestion import member_parser
+from .tables import member_parser
 from .temporal import is_weekday, minute_of_day
 
 DEFAULT_ALPHA = 1.0
@@ -173,22 +173,34 @@ class RecommenderModel:
 
     @staticmethod
     def from_json(text: str) -> "RecommenderModel":
+        """The model that `to_json` wrote as ``text``.
+
+        Text that is not JSON, a document that is not an object, a missing
+        key and a value that does not convert raise ValueError.
+        """
         payload = json.loads(text)
-        return RecommenderModel(
-            activities=tuple(payload["activities"]),
-            alpha=float(payload["alpha"]),
-            bucket_width=int(payload["bucket_width"]),
-            n_transitions=int(payload["n_transitions"]),
-            class_counts={k: int(v) for k, v in payload["class_counts"].items()},
-            feature_domains={
-                f: tuple(d) for f, d in payload["feature_domains"].items()
-            },
-            feature_counts={
-                f: {c: {v: int(n) for v, n in values.items()}
-                    for c, values in classes.items()}
-                for f, classes in payload["feature_counts"].items()
-            },
-        )
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+        try:
+            return RecommenderModel(
+                activities=tuple(payload["activities"]),
+                alpha=float(payload["alpha"]),
+                bucket_width=int(payload["bucket_width"]),
+                n_transitions=int(payload["n_transitions"]),
+                class_counts={k: int(v) for k, v in payload["class_counts"].items()},
+                feature_domains={
+                    f: tuple(d) for f, d in payload["feature_domains"].items()
+                },
+                feature_counts={
+                    f: {c: {v: int(n) for v, n in values.items()}
+                        for c, values in classes.items()}
+                    for f, classes in payload["feature_counts"].items()
+                },
+            )
+        except KeyError as exc:
+            raise ValueError(f"model lacks key {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed model: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

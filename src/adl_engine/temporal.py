@@ -7,9 +7,12 @@ cluster report lays out each activity's start instants by day for plotting.
 
 from __future__ import annotations
 
-from typing import Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
-from .ingestion import OccurrenceRecord, csv_field, write_table
+from .tables import csv_field, write_table
+
+if TYPE_CHECKING:
+    from .ingestion import OccurrenceRecord
 
 MINUTES_PER_DAY = 1440
 SECONDS_PER_DAY = 86400

@@ -393,7 +393,7 @@ def per_row_annotate(items, model) -> list[AffectAnnotation]:
 
 
 def oracle_write_table(stream, header: list[str], rows) -> None:
-    """`ingestion.write_table` as it was before writers formatted their own
+    """`tables.write_table` as it was before writers formatted their own
     lines: ``csv.writer`` writes the header row, then each row field by field,
     ending lines in LF.  A non-string field is written as its ``str``."""
     writer = csv.writer(stream, lineterminator="\n")

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from adl_engine import cli
 from adl_engine import evaluation as eval_mod
-from adl_engine import ingestion
 from adl_engine import recognition as recog_mod
 from adl_engine import recommender as recom_mod
+from adl_engine import tables
 from adl_engine.affect import EmotionLabel, UXLabel
 from adl_engine.cli import _build_parser, _resolve_config, main
 from adl_engine.config import (
@@ -687,7 +687,7 @@ def test_ingest_names_the_trace_file_of_a_bad_line(tmp_path, capsys):
     lines[2500] = lines[2500].replace(" ", " -", 1)
     trace = tmp_path / "tv.dat"
     trace.write_text("\n".join(lines) + "\n")
-    assert trace.stat().st_size > ingestion.TRACE_BLOCK_CHARS
+    assert trace.stat().st_size > tables.TRACE_BLOCK_CHARS
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "definitions": [str(DEFINITIONS_DIR / "ukdale.json")],
@@ -862,6 +862,27 @@ def test_recommend_rejects_malformed_feature_rows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "expected a JSON object, got list"),
+    ("{}", "model lacks key 'activities'"),
+    ("not json", "Expecting value: line 1 column 1 (char 0)"),
+], ids=["array", "empty-object", "not-json"])
+def test_recommend_names_a_malformed_model_file(tmp_path, capsys, text, message):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    features = tmp_path / "features.csv"
+    features.write_text(
+        "time_bucket,previous_activity,emotion,ux,day_kind\n"
+        "1,none,positive,good,weekday\n"
+    )
+    code = main([
+        "recommend", "--config", str(ADL_CONFIG), "--out", str(tmp_path / "run"),
+        "--model", str(model), "--features", str(features),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
 
 
 def test_recommend_rejects_unknown_day_kind(tmp_path, capsys):

@@ -6,7 +6,7 @@ replaced.
 csv.reader reads from the first block that is not plain on in batches; a
 rejected block or batch is converted again a row at a time.  The per-row
 parsers in `helpers` are the oracle: each case must give equal values, or an
-equal error message, at each block size, and with `ingestion._plain_fields`
+equal error message, at each block size, and with `tables._plain_fields`
 patched to find no block plain, so every row goes through csv.reader, at
 each batch size.
 """
@@ -26,20 +26,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adl_engine import cli, ingestion
+from adl_engine import cli, tables
 from adl_engine.affect import ANNOTATED_FIELDS, read_annotated
 from adl_engine.ingestion import (
     ADL_LOG_FIELDS,
     OCCURRENCE_FIELDS,
-    TRACE_BLOCK_CHARS,
     OccurrenceRecord,
     Source,
-    csv_field,
     parse_adl_log,
     read_occurrences,
     write_occurrences,
 )
 from adl_engine.recognition import VERDICT_FIELDS, read_verdicts
+from adl_engine.tables import TRACE_BLOCK_CHARS, csv_field
 from helpers import (
     load_adl_defs,
     oracle_parse_adl_log,
@@ -53,7 +52,7 @@ from helpers import (
 ADL_DEFS = load_adl_defs()
 NAMES = ADL_DEFS.names
 BLOCK_SIZES = (TRACE_BLOCK_CHARS, 40, 7)
-BATCH_SIZES = (ingestion.CSV_BATCH_ROWS, 2)
+BATCH_SIZES = (tables.CSV_BATCH_ROWS, 2)
 
 
 @contextmanager
@@ -84,12 +83,12 @@ def _assert_blocks_match_per_row(read, oracle, text: str, limit: int | None = No
         expected = _outcome(oracle, text)
         for block_chars in BLOCK_SIZES:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(ingestion, "TRACE_BLOCK_CHARS", block_chars)
+                patch.setattr(tables, "TRACE_BLOCK_CHARS", block_chars)
                 assert _outcome(read, text) == expected, block_chars
         for batch_rows in BATCH_SIZES:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(ingestion, "_plain_fields", lambda text, width: None)
-                patch.setattr(ingestion, "CSV_BATCH_ROWS", batch_rows)
+                patch.setattr(tables, "_plain_fields", lambda text, width: None)
+                patch.setattr(tables, "CSV_BATCH_ROWS", batch_rows)
                 assert _outcome(read, text) == expected, batch_rows
 
 
@@ -342,12 +341,12 @@ def _assert_user_table_matches_per_row(read, oracle, text: str):
         expected = outcome(oracle)
         for block_chars in BLOCK_SIZES:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(ingestion, "TRACE_BLOCK_CHARS", block_chars)
+                patch.setattr(tables, "TRACE_BLOCK_CHARS", block_chars)
                 assert outcome(read) == expected, block_chars
         for batch_rows in BATCH_SIZES:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(ingestion, "_plain_fields", lambda text, width: None)
-                patch.setattr(ingestion, "CSV_BATCH_ROWS", batch_rows)
+                patch.setattr(tables, "_plain_fields", lambda text, width: None)
+                patch.setattr(tables, "CSV_BATCH_ROWS", batch_rows)
                 assert outcome(read) == expected, batch_rows
 
 

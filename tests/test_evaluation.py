@@ -16,10 +16,11 @@ from adl_engine.evaluation import (
     build_report,
     class_precision,
     class_recall,
-    emit_report,
     split_chronological,
     split_random,
     write_confusion,
+    write_report_csv,
+    write_report_json,
 )
 from helpers import (
     APPLIANCE_ACCURACY_PCT,
@@ -195,10 +196,15 @@ def test_tally_conserves_pairs(data):
 # Reports
 # ---------------------------------------------------------------------------
 
+def _report_csv(report: MetricsReport, seed: int = 0) -> str:
+    buf = io.StringIO()
+    write_report_csv(report, seed, buf)
+    return buf.getvalue()
+
+
 def test_emit_report_csv_has_percent_rows():
-    text = emit_report(build_report(ROUTINE_CM))
-    lines = text.splitlines()
-    assert lines[0] == "metric,label,value"
+    lines = _report_csv(build_report(ROUTINE_CM), seed=42).splitlines()
+    assert lines[:2] == ["metric,label,value", "seed,,42"]
     assert "accuracy,,73.12%" in lines
     assert "precision,Eating Breakfast,100.00%" in lines
     assert "recall,Showering,94.12%" in lines
@@ -207,19 +213,15 @@ def test_emit_report_csv_has_percent_rows():
 
 def test_emit_report_renders_undefined_metrics_as_na():
     cm = ConfusionMatrix(("A", "B"), ((1, 1), (0, 0)))
-    text = emit_report(build_report(cm))
-    assert "precision,B,n/a" in text.splitlines()
-
-
-def test_emit_report_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        emit_report(build_report(ROUTINE_CM), format="yaml")
+    assert "precision,B,n/a" in _report_csv(build_report(cm)).splitlines()
 
 
 def test_report_json_round_trip():
     cm = ConfusionMatrix(("A", "B"), ((1, 1), (0, 0)))
     report = build_report(cm)
-    restored = json.loads(emit_report(report, format="json"))
+    buf = io.StringIO()
+    write_report_json(report, buf)
+    restored = json.loads(buf.getvalue())
     assert MetricsReport(
         labels=tuple(restored["labels"]),
         accuracy=restored["accuracy"],

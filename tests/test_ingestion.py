@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adl_engine import ingestion
+from adl_engine import tables
 from adl_engine.ingestion import (
-    TRACE_BLOCK_CHARS,
     AnnotationParseError,
     BinarySeries,
     OccurrenceRecord,
@@ -27,6 +26,7 @@ from adl_engine.ingestion import (
     trace_occurrences,
     write_occurrences,
 )
+from adl_engine.tables import TRACE_BLOCK_CHARS
 
 
 def _samples(values: list[float], channel: str = "tv", period: int = 6,
@@ -138,7 +138,7 @@ def _samples_or_error(read):
 def test_power_trace_blocks_match_iter_power_trace(text, block_chars):
     expected = _samples_or_error(lambda: list(iter_power_trace(io.StringIO(text), "tv")))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingestion, "TRACE_BLOCK_CHARS", block_chars)
+        patch.setattr(tables, "TRACE_BLOCK_CHARS", block_chars)
         got = _samples_or_error(lambda: [
             sample
             for stamps, watts in power_trace_blocks(io.StringIO(text), "tv")
@@ -311,7 +311,7 @@ def test_trace_occurrences_matches_three_step_reference(
         {"tv": "Watching TV"}, ukdale_defs,
     )
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingestion, "TRACE_BLOCK_CHARS", block_chars)
+        patch.setattr(tables, "TRACE_BLOCK_CHARS", block_chars)
         records = trace_occurrences(
             power_trace_blocks(io.StringIO(text), "tv"),
             ukdale_defs["Watching TV"], 10.0, tolerance,

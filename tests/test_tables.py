@@ -22,22 +22,20 @@ from adl_engine.affect import (
 )
 from adl_engine.config import RunConfig
 from adl_engine.evaluation import (
-    CONFUSION_CORNER, ConfusionMatrix, build_report, emit_report, write_confusion,
+    CONFUSION_CORNER, ConfusionMatrix, build_report, write_confusion, write_report_csv,
 )
 from adl_engine.ingestion import (
     OCCURRENCE_FIELDS,
     OccurrenceRecord,
     Source,
-    csv_field,
-    format_flag,
-    parse_flag,
     read_occurrences,
-    read_csv_blocks,
     write_occurrences,
-    write_table,
 )
 from adl_engine.recognition import (
     VERDICT_FIELDS, ScoredOccurrence, read_verdicts, write_verdicts,
+)
+from adl_engine.tables import (
+    csv_field, format_flag, parse_flag, read_csv_blocks, write_table,
 )
 from adl_engine.temporal import CLUSTER_FIELDS, write_clusters
 from helpers import oracle_table
@@ -248,11 +246,13 @@ def _percent(value: float | None) -> str:
 def test_emit_report_matches_the_csv_writer_oracle(cm):
     assume(cm.grand_total() > 0)
     report = build_report(cm)
-    rows = [["accuracy", "", _percent(report.accuracy)]]
+    rows = [["seed", "", "7"], ["accuracy", "", _percent(report.accuracy)]]
     rows += [["precision", label, _percent(report.precision[label])] for label in cm.labels]
     rows += [["recall", label, _percent(report.recall[label])] for label in cm.labels]
     rows.append(["grand_total", "", str(report.grand_total)])
-    assert emit_report(report, "csv") == oracle_table(["metric", "label", "value"], rows)
+    buf = io.StringIO()
+    write_report_csv(report, 7, buf)
+    assert buf.getvalue() == oracle_table(["metric", "label", "value"], rows)
 
 
 @st.composite
