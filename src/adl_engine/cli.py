@@ -18,6 +18,7 @@ import gc
 import os
 import sys
 from contextlib import contextmanager
+from operator import attrgetter, countOf, ne
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -30,6 +31,11 @@ from . import recommender as recom_mod
 from . import temporal as temporal_mod
 from .config import KEYS, PARAMS, ConfigError, RunConfig, load_config, with_overrides
 from .tables import FieldLookup, csv_field, read_csv_columns, write_table
+
+_timed_of = attrgetter("activity", "start", "end")
+_activity_of, _start_of, _end_of, _completed_of, _emotion_of = map(
+    attrgetter, ("activity", "start", "end", "completed", "emotion")
+)
 
 _RECOVERABLE = (
     ConfigError,
@@ -148,8 +154,10 @@ def _read_records(store: Store, path: Path) -> list[ingest_mod.OccurrenceRecord]
 def _read_verdicts(store: Store, path: Path) -> list[recog_mod.ScoredOccurrence]:
     """Saved verdicts, which must pair up with the occurrences row for row."""
     verdicts = _parse_file(path, recog_mod.read_verdicts)
-    keys = [(v.activity, v.start, v.end) for v in verdicts]
-    if keys != [(r.activity, r.start, r.end) for r in store["records"]]:
+    records = store["records"]
+    if len(verdicts) != len(records) or any(
+        map(ne, map(_timed_of, verdicts), map(_timed_of, records))
+    ):
         raise ValueError(
             f"{path}: rows do not match the occurrences row for row; re-run recognize"
         )
@@ -312,24 +320,13 @@ def _ingest(store: Store) -> str:
 
 
 def _recognize(store: Store) -> str:
-    defs = store["defs"]
-    lam = store.config.lam
-    # records repeat few distinct evidence sets, so each is scored once
-    memo: dict[tuple, recog_mod.OccurrenceVerdict] = {}
-    verdicts = []
-    for r in store["records"]:
-        key = (r.activity, r.observed_atomics, r.satisfied_contexts)
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = memo[key] = recog_mod.detect_occurrence(defs[r.activity], r, lam)
-        verdicts.append(recog_mod.ScoredOccurrence(
-            r.activity, r.start, r.end, verdict.score, verdict.completed,
-        ))
-    store["verdicts"] = verdicts
+    verdicts = store["verdicts"] = recog_mod.score_occurrences(
+        store["defs"], store["records"], store.config.lam
+    )
     path = store.out / "verdicts.csv"
     with _open_write(path) as stream:
         recog_mod.write_verdicts(verdicts, stream)
-    completed = sum(1 for v in verdicts if v.completed)
+    completed = countOf(map(_completed_of, verdicts), True)
     return f"wrote {len(verdicts)} verdicts ({completed} completed) to {path}"
 
 
@@ -337,9 +334,10 @@ def _affect(store: Store) -> str:
     config = store.config
     # every record names a defined activity: its loader or its parser checked
     definitions = store["defs"].definitions
-    items = (
-        (definitions[r.activity], r, v, r.start, r.end)
-        for r, v in zip(store["records"], store["verdicts"])
+    records = store["records"]
+    items = zip(
+        map(definitions.__getitem__, map(_activity_of, records)), records,
+        store["verdicts"], map(_start_of, records), map(_end_of, records),
     )
     # no UX labels exist to learn from, so UX follows the sign of the emotion
     ux_model = affect_mod.UXModel(
@@ -349,9 +347,7 @@ def _affect(store: Store) -> str:
     path = store.out / "annotated.csv"
     with _open_write(path) as stream:
         affect_mod.write_annotated(annotations, stream)
-    positive = sum(
-        1 for a in annotations if a.emotion is affect_mod.EmotionLabel.POSITIVE
-    )
+    positive = countOf(map(_emotion_of, annotations), affect_mod.EmotionLabel.POSITIVE)
     return f"wrote {len(annotations)} annotations ({positive} positive) to {path}"
 
 
@@ -387,7 +383,7 @@ def _train(store: Store) -> str:
         bucket_width=config.bucket_width,
         activities=defs.names,
     )
-    store["features"] = [(t.next_activity, t.features) for t in test_part]
+    store["features"] = [(label, features) for features, label in test_part]
     path = store.out / "model.json"
     with _open_write(path) as stream:
         recom_mod.write_model(model, stream)

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .definitions import ComplexActivityDefinition, DefinitionSet
 from .tables import (
-    FieldLookup, check_order, csv_field, line_blocks, member_parser, named_rows,
+    FieldLookup, Memo, check_order, csv_field, line_blocks, member_parser, named_rows,
     read_csv_blocks, write_table,
 )
 
@@ -452,19 +452,11 @@ def _field_to_ids(field_text: str) -> frozenset[int]:
 
 def write_occurrences(records: Iterable[OccurrenceRecord], stream: TextIO) -> None:
     # records share few distinct id sets, so each is formatted once
-    fields: dict[frozenset[int], str] = {}
-
-    def field_of(ids: frozenset[int]) -> str:
-        text = fields.get(ids)
-        if text is None:
-            text = fields[ids] = _ids_to_field(ids)
-        return text
-
+    field_of = Memo(_ids_to_field)
     write_table(stream, OCCURRENCE_FIELDS, (
-        f"{csv_field(r.activity)},{r.start!s},{r.end!s},"
-        f"{field_of(r.observed_atomics)},{field_of(r.satisfied_contexts)},"
-        f"{SOURCE_TEXT[r.source]}\n"
-        for r in records
+        f"{csv_field(activity)},{start!s},{end!s},"
+        f"{field_of[atomics]},{field_of[contexts]},{SOURCE_TEXT[source]}\n"
+        for activity, start, end, atomics, contexts, source in records
     ))
 
 

@@ -12,12 +12,15 @@ are named tuples, so building one per occurrence stays cheap.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Protocol, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence, TextIO
 
-from .definitions import ComplexActivityDefinition
+from .definitions import ComplexActivityDefinition, DefinitionSet
 from .tables import (
-    csv_field, format_flag, named_rows, parse_flag, read_csv_blocks, write_table,
+    FLAG_TEXT, Memo, csv_field, named_rows, parse_flag, read_csv_blocks, write_table,
 )
+
+if TYPE_CHECKING:
+    from .ingestion import OccurrenceRecord
 
 
 class Evidence(Protocol):
@@ -129,11 +132,36 @@ class ScoredOccurrence(NamedTuple):
 VERDICT_FIELDS = ["activity", "start", "end", "score", "completed"]
 
 
+def score_occurrences(
+    defs: DefinitionSet, records: Iterable[OccurrenceRecord], lam: float = 0.5
+) -> list[ScoredOccurrence]:
+    """One `ScoredOccurrence` per record, in order, scored by `detect_occurrence`.
+
+    Records repeat few distinct evidence sets (activity, observed atomics,
+    satisfied contexts), so each set is scored once, when a record first
+    shows it: the first record naming an unknown activity or id raises its
+    KeyError.
+    """
+    verdicts = Memo(
+        lambda evidence: detect_occurrence(defs[evidence[0]], Observation(*evidence), lam)
+    )
+    new = tuple.__new__
+    rows: list[ScoredOccurrence] = []
+    for activity, start, end, atomics, contexts, _ in records:
+        verdict = verdicts[activity, atomics, contexts]
+        rows.append(new(
+            ScoredOccurrence, (activity, start, end, verdict.score, verdict.completed)
+        ))
+    return rows
+
+
 def write_verdicts(rows: Iterable[ScoredOccurrence], stream: TextIO) -> None:
+    score_text = Memo(repr)  # only nonzero floats: see `tables`
     write_table(stream, VERDICT_FIELDS, (
-        f"{csv_field(r.activity)},{r.start!s},{r.end!s},{r.score!r},"
-        f"{format_flag(r.completed)}\n"
-        for r in rows
+        f"{csv_field(activity)},{start!s},{end!s},"
+        f"{score_text[score] if score and type(score) is float else repr(score)},"
+        f"{FLAG_TEXT[completed]}\n"
+        for activity, start, end, score, completed in rows
     ))
 
 

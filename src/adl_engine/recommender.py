@@ -20,13 +20,15 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice, repeat
+from operator import attrgetter, floordiv
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from .affect import (
     DEFAULT_BUCKET_WIDTH, AffectAnnotation, EmotionLabel, UXLabel, check_bucket_width,
 )
 from .definitions import NO_PREVIOUS
-from .tables import member_parser
+from .tables import Memo, member_parser, named_rows
 from .temporal import is_weekday, minute_of_day
 
 DEFAULT_ALPHA = 1.0
@@ -41,23 +43,34 @@ class DayKind(str, Enum):
 parse_day_kind = member_parser(DayKind, "day_kind")
 
 
+# the day kind of an `is_weekday` flag
+DAY_KIND = {True: DayKind.WEEKDAY, False: DayKind.WEEKEND}
+
+
 def day_kind_of(timestamp: int) -> DayKind:
-    return DayKind.WEEKDAY if is_weekday(timestamp) else DayKind.WEEKEND
+    return DAY_KIND[is_weekday(timestamp)]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Predictor signals for one transition."""
-
+class _Features(NamedTuple):
     time_bucket: int
     previous_activity: str | None
     emotion: EmotionLabel
     ux: UXLabel
     day_kind: DayKind
 
-    def __post_init__(self) -> None:
-        if self.time_bucket < 0:
-            raise ValueError(f"time_bucket must be >= 0, got {self.time_bucket}")
+
+class FeatureVector(_Features):
+    """Predictor signals for one transition; the time bucket must not be negative."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, time_bucket: int, previous_activity: str | None, emotion: EmotionLabel,
+        ux: UXLabel, day_kind: DayKind,
+    ) -> FeatureVector:
+        if time_bucket < 0:
+            raise ValueError(f"time_bucket must be >= 0, got {time_bucket}")
+        return tuple.__new__(cls, (time_bucket, previous_activity, emotion, ux, day_kind))
 
 
 class LabeledTransition(NamedTuple):
@@ -176,13 +189,14 @@ class RecommenderModel:
         """The model that `to_json` wrote as ``text``.
 
         Text that is not JSON, a document that is not an object, a missing
-        key and a value that does not convert raise ValueError.
+        key, a value that does not convert, and feature domains or counts
+        that lack a name of `FEATURE_NAMES` raise ValueError.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
         try:
-            return RecommenderModel(
+            model = RecommenderModel(
                 activities=tuple(payload["activities"]),
                 alpha=float(payload["alpha"]),
                 bucket_width=int(payload["bucket_width"]),
@@ -201,11 +215,21 @@ class RecommenderModel:
             raise ValueError(f"model lacks key {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed model: {exc}") from exc
+        for key in ("feature_domains", "feature_counts"):
+            for f in FEATURE_NAMES:
+                if f not in getattr(model, key):
+                    raise ValueError(f"model {key} lacks feature {f!r}")
+        return model
 
 
 # ---------------------------------------------------------------------------
 # Training and prediction
 # ---------------------------------------------------------------------------
+
+_end_of, _activity_of, _emotion_of, _ux_of = map(
+    attrgetter, ("end", "activity", "emotion", "ux")
+)
+
 
 def extract_transitions(
     annotated: Sequence[AffectAnnotation],
@@ -219,21 +243,18 @@ def extract_transitions(
     Transitions with equal features share one `FeatureVector`.
     """
     check_bucket_width(bucket_width)
-    vectors: dict[tuple, FeatureVector] = {}
-    transitions: list[LabeledTransition] = []
-    for current, nxt in zip(annotated, annotated[1:]):
-        key = (
-            minute_of_day(current.end) // bucket_width,
-            current.activity,
-            current.emotion,
-            current.ux,
-            day_kind_of(current.end),
-        )
-        features = vectors.get(key)
-        if features is None:
-            features = vectors[key] = FeatureVector(*key)
-        transitions.append(LabeledTransition(features, nxt.activity))
-    return transitions
+    vectors = Memo(lambda key: FeatureVector(*key))
+    # every occurrence but the last: zip stops when its first column ends
+    heads = islice(annotated, max(len(annotated) - 1, 0))
+    keys = zip(
+        map(floordiv, map(minute_of_day, map(_end_of, heads)), repeat(bucket_width)),
+        map(_activity_of, annotated), map(_emotion_of, annotated), map(_ux_of, annotated),
+        map(DAY_KIND.__getitem__, map(is_weekday, map(_end_of, annotated))),
+    )
+    return named_rows(
+        LabeledTransition, map(vectors.__getitem__, keys),
+        map(_activity_of, islice(annotated, 1, None)),
+    )
 
 
 def train(

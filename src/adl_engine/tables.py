@@ -6,9 +6,12 @@ them after the last line end and carries the rest to the next block.
 
 Every CSV table the engine writes goes through `write_table`, which takes
 each row as one line of text that its writer has already formatted with an
-f-string: ints with ``str``, scores with ``repr``, flags with `format_flag`,
-enum members as their value text from a ``{member: text}`` dict built once
-beside the enum's `member_parser`.  Text that users name (activities, labels,
+f-string: ints with ``str``, flags through `FLAG_TEXT`, enum members as
+their value text from a ``{member: text}`` dict built once beside the
+enum's `member_parser`, and scores with ``repr``, through a `Memo` so that
+each distinct score is formatted once.  Only a nonzero ``float`` goes through
+that memo: ``0.0 == -0.0`` and ``1 == 1.0``, so a memo keyed by value would
+print one of each pair as the other.  Text that users name (activities, labels,
 header fields) goes through `csv_field`, which asks the csv module how it
 quotes a field and remembers the answer, so the bytes are those
 ``csv.writer`` writes, without its per-field work on every row.
@@ -321,6 +324,25 @@ def check_order(starts: list[int], ends: list[int]) -> None:
         raise ValueError(f"end {ends[i]} before start {starts[i]}")
 
 
+class Memo(dict):
+    """A dict that makes the value of a missing key as ``make(key)`` and keeps it.
+
+    Its ``__getitem__`` runs in C for a key it holds, so
+    ``map(memo.__getitem__, keys)`` looks a column up without a Python call
+    per row and calls ``make`` once per distinct key.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
+
+
 class FieldLookup(dict):
     """A dict from field texts to values whose missing text raises
     ValueError: ``<complaint> <text>``.
@@ -345,9 +367,8 @@ parse_flag: Callable[[str], bool] = FieldLookup(
 ).__getitem__
 
 
-def format_flag(flag: bool) -> str:
-    """The table text of a boolean field, as `parse_flag` reads it back."""
-    return "true" if flag else "false"
+# the table text of a boolean field, as `parse_flag` reads it back
+FLAG_TEXT = {True: "true", False: "false"}
 
 
 def member_parser(enum: type[E], what: str) -> Callable[[str], E]:

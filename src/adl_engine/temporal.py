@@ -7,6 +7,8 @@ cluster report lays out each activity's start instants by day for plotting.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter, sub
 from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .tables import csv_field, write_table
@@ -36,6 +38,9 @@ def is_weekday(timestamp: int) -> bool:
     return (day_index(timestamp) + 3) % 7 < 5
 
 
+_activity_of, _start_of = attrgetter("activity"), attrgetter("start")
+
+
 def cluster_report(
     records: Sequence[OccurrenceRecord],
 ) -> list[tuple[str, int, int]]:
@@ -44,12 +49,14 @@ def cluster_report(
     Day indices are shifted so the earliest observed day is 0; rows group by
     activity name and sort by day then minute within each group.
     """
-    days = [day_index(r.start) for r in records]
-    base_day = min(days, default=0)
-    return sorted(
-        (r.activity, day - base_day, minute_of_day(r.start))
-        for r, day in zip(records, days)
-    )
+    # day_index never decreases with the stamp, so the earliest day is that
+    # of the earliest start
+    base_day = day_index(min(map(_start_of, records), default=0))
+    return sorted(zip(
+        map(_activity_of, records),
+        map(sub, map(day_index, map(_start_of, records)), repeat(base_day)),
+        map(minute_of_day, map(_start_of, records)),
+    ))
 
 
 CLUSTER_FIELDS = ["activity", "day_index", "minute_of_day"]

@@ -6,7 +6,8 @@ prediction rows with known argmax outcomes), a hypothesis strategy for
 valid activity definitions, an independent brute-force posterior oracle
 the classifier is checked against, the per-transition training loop
 `train` is held to, the ``statistics.fmean`` emotion rule `infer_emotion` is
-held to, the per-row annotation loop `annotate` is held to, the field-by-field
+held to, the per-row loops `score_occurrences`, `annotate`,
+`extract_transitions` and `cluster_report` are held to, the field-by-field
 ``csv.writer`` table writer the line-formatted stage writers are held to,
 and the per-row parsers the stage-table, annotation-log and user-table
 readers are held to.
@@ -29,6 +30,7 @@ from adl_engine.affect import (
     AffectAnnotation,
     EmotionLabel,
     UXLabel,
+    check_bucket_width,
     infer_emotion,
     map_ux,
     parse_emotion,
@@ -49,16 +51,17 @@ from adl_engine.ingestion import (
     OccurrenceRecord,
     Source,
 )
-from adl_engine.recognition import VERDICT_FIELDS, ScoredOccurrence
+from adl_engine.recognition import VERDICT_FIELDS, ScoredOccurrence, detect_occurrence
 from adl_engine.recommender import (
     FEATURE_NAMES,
     NO_PREVIOUS,
     FeatureVector,
     LabeledTransition,
     RecommenderModel,
+    day_kind_of,
     parse_day_kind,
 )
-from adl_engine.temporal import minute_of_day
+from adl_engine.temporal import day_index, minute_of_day
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFINITIONS_DIR = REPO_ROOT / "definitions"
@@ -390,6 +393,55 @@ def per_row_annotate(items, model) -> list[AffectAnnotation]:
         ))
         history.append(verdict.score)
     return annotations
+
+
+def per_row_score_occurrences(defs, records, lam: float = 0.5) -> list:
+    """`recognition.score_occurrences` as it was when the ``recognize`` stage
+    ran it inline: a record's evidence set is scored when first seen, and each
+    row is built by the named tuple's constructor from the record's attributes."""
+    memo = {}
+    verdicts = []
+    for r in records:
+        key = (r.activity, r.observed_atomics, r.satisfied_contexts)
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = memo[key] = detect_occurrence(defs[r.activity], r, lam)
+        verdicts.append(ScoredOccurrence(
+            r.activity, r.start, r.end, verdict.score, verdict.completed,
+        ))
+    return verdicts
+
+
+def per_row_extract_transitions(annotated, bucket_width: int = 30) -> list:
+    """`recommender.extract_transitions` a pair of consecutive rows at a time,
+    each row's clock read through `minute_of_day` and `day_kind_of`."""
+    check_bucket_width(bucket_width)
+    vectors = {}
+    transitions = []
+    for current, nxt in zip(annotated, annotated[1:]):
+        key = (
+            minute_of_day(current.end) // bucket_width,
+            current.activity,
+            current.emotion,
+            current.ux,
+            day_kind_of(current.end),
+        )
+        features = vectors.get(key)
+        if features is None:
+            features = vectors[key] = FeatureVector(*key)
+        transitions.append(LabeledTransition(features, nxt.activity))
+    return transitions
+
+
+def per_row_cluster_report(records) -> list:
+    """`temporal.cluster_report` a record at a time: the day index of every
+    start, then each row rebased on the earliest, sorted."""
+    days = [day_index(r.start) for r in records]
+    base_day = min(days, default=0)
+    return sorted(
+        (r.activity, day - base_day, minute_of_day(r.start))
+        for r, day in zip(records, days)
+    )
 
 
 def oracle_write_table(stream, header: list[str], rows) -> None:

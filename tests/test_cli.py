@@ -885,6 +885,29 @@ def test_recommend_names_a_malformed_model_file(tmp_path, capsys, text, message)
     assert capsys.readouterr().err == f"error: {model}: {message}\n"
 
 
+@pytest.mark.parametrize("table", ["feature_domains", "feature_counts"])
+def test_recommend_names_a_model_feature_that_is_missing(tmp_path, capsys, table):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    model = out / "model.json"
+    payload = json.loads(model.read_text())
+    del payload[table]["ux"]
+    model.write_text(json.dumps(payload))
+    features = tmp_path / "features.csv"
+    features.write_text(
+        "time_bucket,previous_activity,emotion,ux,day_kind\n"
+        "1,none,positive,good,weekday\n"
+    )
+    capsys.readouterr()
+    code = main([
+        "recommend", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--features", str(features),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {model}: model {table} lacks feature 'ux'\n"
+
+
 def test_recommend_rejects_unknown_day_kind(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0

@@ -17,7 +17,9 @@ import sys
 
 import pytest
 
-from adl_engine import cli, config, definitions, evaluation, ingestion, recognition
+from adl_engine import (
+    cli, config, definitions, evaluation, ingestion, recognition, recommender,
+)
 from helpers import REPO_ROOT
 
 NAMED_TUPLE_RECORDS = (
@@ -28,6 +30,7 @@ NAMED_TUPLE_RECORDS = (
     definitions.ContextAttribute,
     config.DatasetSpec,
     evaluation.MetricsReport,
+    recommender.FeatureVector,
     cli._Input,
     cli.Stage,
 )

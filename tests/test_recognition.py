@@ -20,9 +20,10 @@ from adl_engine.recognition import (
     detect_occurrence,
     occurrence_weight,
     read_verdicts,
+    score_occurrences,
     write_verdicts,
 )
-from helpers import definition_strategy, load_all_defs
+from helpers import definition_strategy, load_all_defs, per_row_score_occurrences
 
 
 def _full(defn) -> Observation:
@@ -231,3 +232,58 @@ def test_record_scores_like_its_observation(defn, data):
     assert detect_occurrence(defn, record, lam) == verdict
     assert infer_emotion(defn, [], record, verdict) is infer_emotion(
         defn, [], observation, verdict)
+
+
+# ---------------------------------------------------------------------------
+# score_occurrences
+# ---------------------------------------------------------------------------
+
+def _subset(ids: frozenset[int], mask: int) -> frozenset[int]:
+    """``ids`` themselves when ``mask`` is 0, else the ids whose bits it sets."""
+    if not mask:
+        return ids
+    return frozenset(i for i in ids if mask >> (i - 1) & 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    rows=st.lists(st.tuples(
+        st.integers(min_value=0, max_value=2),  # which definition
+        st.integers(min_value=0, max_value=2**9 - 1),  # atomics kept
+        st.integers(min_value=0, max_value=2**9 - 1),  # contexts kept
+        st.integers(min_value=0, max_value=3 * 86400),  # start
+    ), max_size=30),
+    # rows, counted modulo their number, given an unknown activity, atomic id
+    # or context id
+    faults=st.lists(st.tuples(
+        st.integers(min_value=0, max_value=29),
+        st.sampled_from(["activity", "atomic", "context"]),
+    ), max_size=2),
+    lam=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+def test_score_occurrences_matches_the_per_row_loop(ukdale_defs, rows, faults, lam):
+    # evidence may be partial, and repeats across rows
+    defs = list(ukdale_defs)[:3]
+    records = []
+    for which, atomics, contexts, start in rows:
+        defn = defs[which]
+        records.append(OccurrenceRecord(
+            defn.name, start, start + 60, _subset(defn.atomic_ids, atomics),
+            _subset(defn.context_ids, contexts), Source.POWER_TRACE,
+        ))
+    for i, fault in faults if records else ():
+        i %= len(records)
+        r = records[i]
+        records[i] = r._replace(**{
+            "activity": {"activity": "Unknown Activity"},
+            "atomic": {"observed_atomics": r.observed_atomics | {99}},
+            "context": {"satisfied_contexts": r.satisfied_contexts | {99}},
+        }[fault])
+    try:
+        expected = per_row_score_occurrences(ukdale_defs, records, lam)
+    except KeyError as exc:
+        with pytest.raises(KeyError) as raised:
+            score_occurrences(ukdale_defs, records, lam)
+        assert str(raised.value) == str(exc)
+    else:
+        assert score_occurrences(ukdale_defs, records, lam) == expected

@@ -26,6 +26,7 @@ from helpers import (
     ROUTINE_VECTOR_LABELS,
     oracle_posterior,
     per_call_posterior,
+    per_row_extract_transitions,
     per_transition_train,
     vector_from_row,
 )
@@ -142,6 +143,28 @@ def test_transition_day_kind_tracks_weekends():
 def test_extract_transitions_bucket_width_validation():
     with pytest.raises(ValueError):
         extract_transitions([], bucket_width=0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    rows=st.lists(st.tuples(
+        st.sampled_from(["A", "B", "C"]),
+        st.integers(min_value=-2 * 86400, max_value=30 * 86400),  # end
+        st.sampled_from(EmotionLabel),
+        st.sampled_from(UXLabel),
+    ), max_size=30),
+    bucket_width=st.sampled_from([1, 30, 1440]),
+)
+def test_extract_transitions_matches_the_per_row_loop(rows, bucket_width):
+    annotated = [
+        AffectAnnotation(activity, end - 60, end, 1.0, True, emotion, ux)
+        for activity, end, emotion, ux in rows
+    ]
+    transitions = extract_transitions(annotated, bucket_width)
+    assert transitions == per_row_extract_transitions(annotated, bucket_width)
+    # equal features share one vector
+    vectors = {t.features: t.features for t in transitions}
+    assert all(t.features is vectors[t.features] for t in transitions)
 
 
 def test_custom_bucket_width():

@@ -1,5 +1,5 @@
 """The strict stage-table format: `write_table`, `read_csv_blocks`, the flag
-fields `format_flag` writes and `parse_flag` reads, and every table writer
+fields `FLAG_TEXT` writes and `parse_flag` reads, and every table writer
 held byte for byte to the field-by-field ``csv.writer`` oracle."""
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from adl_engine.recognition import (
     VERDICT_FIELDS, ScoredOccurrence, read_verdicts, write_verdicts,
 )
 from adl_engine.tables import (
-    csv_field, format_flag, parse_flag, read_csv_blocks, write_table,
+    FLAG_TEXT, csv_field, parse_flag, read_csv_blocks, write_table,
 )
 from adl_engine.temporal import CLUSTER_FIELDS, write_clusters
 from helpers import oracle_table
@@ -85,9 +85,9 @@ def test_parse_flag_accepts_only_true_and_false():
 
 
 def test_format_flag_round_trips_through_parse_flag():
-    assert [format_flag(flag) for flag in (True, False)] == ["true", "false"]
+    assert [FLAG_TEXT[flag] for flag in (True, False)] == ["true", "false"]
     for flag in (True, False):
-        assert parse_flag(format_flag(flag)) is flag
+        assert parse_flag(FLAG_TEXT[flag]) is flag
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +206,31 @@ def test_write_annotated_matches_the_csv_writer_oracle(rows):
         [r.activity, r.start, r.end, repr(r.score), _flag_text(r.completed),
          r.emotion, r.ux]
         for r in rows
+    ])
+
+
+# equal scores that print differently (0.0 == -0.0, 1 == 1.0), each after the
+# other, so a memo of score texts keyed by value alone would print the second
+# as the first; and repeats of scores that print alike
+_TRAP_SCORES = [0.0, -0.0, 0.0, 1.0, 1, 1.0, -0.0, 0.1 + 0.2, 0.30000000000000004, 0.3]
+
+
+def test_score_texts_keep_equal_scores_that_print_differently_apart():
+    verdicts = [
+        ScoredOccurrence("A", i, i + 1, score, i % 2 == 0)
+        for i, score in enumerate(_TRAP_SCORES)
+    ]
+    annotations = [
+        AffectAnnotation(*v, EmotionLabel.POSITIVE, UXLabel.BAD) for v in verdicts
+    ]
+    assert _written(write_verdicts, verdicts) == oracle_table(VERDICT_FIELDS, [
+        [v.activity, v.start, v.end, repr(v.score), _flag_text(v.completed)]
+        for v in verdicts
+    ])
+    assert _written(write_annotated, annotations) == oracle_table(ANNOTATED_FIELDS, [
+        [a.activity, a.start, a.end, repr(a.score), _flag_text(a.completed),
+         a.emotion, a.ux]
+        for a in annotations
     ])
 
 

@@ -10,6 +10,7 @@ from adl_engine.ingestion import OccurrenceRecord, Source
 from adl_engine.temporal import (
     cluster_report, day_index, is_weekday, minute_of_day, write_clusters,
 )
+from helpers import per_row_cluster_report
 
 
 def _record(activity: str, start: int, end: int) -> OccurrenceRecord:
@@ -93,6 +94,16 @@ def test_cluster_report_preserves_cardinality_per_activity(starts, data):
     assert Counter(r[0] for r in rows) == Counter(labels)
     if rows:
         assert min(r[1] for r in rows) == 0
+
+
+@settings(max_examples=200, derandomize=True)
+@given(rows=st.lists(st.tuples(
+    st.sampled_from(["A", "B", "C"]),
+    st.integers(min_value=-3 * 86400, max_value=30 * 86400),  # start, in any order
+), max_size=30))
+def test_cluster_report_matches_the_per_row_loop(rows):
+    records = [_record(activity, start, start + 60) for activity, start in rows]
+    assert cluster_report(records) == per_row_cluster_report(records)
 
 
 def test_cluster_csv_round_trip():
