@@ -20,8 +20,8 @@ from typing import Collection, Iterable, NamedTuple, Sequence, TextIO
 from .definitions import ComplexActivityDefinition
 from .recognition import Evidence, OccurrenceVerdict, ScoredOccurrence
 from .tables import (
-    FLAG_TEXT, FieldLookup, Memo, check_order, csv_field, member_parser, named_rows,
-    parse_flag, read_csv_blocks, write_table,
+    FLAG_TEXT, FieldLookup, check_order, csv_field, member_parser, named_rows,
+    parse_flag, read_csv_blocks, score_texts, write_table,
 )
 from .temporal import MINUTES_PER_DAY, minute_of_day
 
@@ -196,12 +196,10 @@ def annotate(
     # members held in locals: reading one off its enum class is a slow lookup
     positive, negative = EmotionLabel.POSITIVE, EmotionLabel.NEGATIVE
     good, bad = UXLabel.GOOD, UXLabel.BAD
-    # an activity's state is the tuple of its last `window` scores
-    states: dict[str, tuple[float, ...]] = {}
-    # rows repeat few distinct evidence sets, verdicts and states, so each
-    # step is decided once: its emotion, the UX that follows from it, and the
-    # activity's next state
-    steps: dict[tuple, tuple[EmotionLabel, UXLabel, tuple[float, ...]]] = {}
+    histories: dict[str, list[float]] = {}
+    # rows repeat few distinct evidence sets, so each is tested once for the
+    # most important atomic and its paired context
+    has_pair: dict[tuple, bool] = {}
     new = tuple.__new__
     annotations: list[AffectAnnotation] = []
     append = annotations.append
@@ -209,22 +207,24 @@ def annotate(
         name = defn.name
         atomics = observation.observed_atomics
         contexts = observation.satisfied_contexts
-        score, completed = verdict.score, verdict.completed
-        state = states.get(name, ())
-        key = (name, atomics, contexts, completed, state, score)
-        step = steps.get(key)
-        if step is None:
+        key = (name, atomics, contexts)
+        paired = has_pair.get(key)
+        if paired is None:
             atomic_id, context_id = defn.most_important_pair
-            emotion = positive
-            if not (completed and atomic_id in atomics and context_id in contexts):
-                emotion = negative
+            paired = has_pair[key] = atomic_id in atomics and context_id in contexts
+        score, completed = verdict.score, verdict.completed
+        history = histories.get(name)
+        if history is None:
+            history = histories[name] = []
+        emotion = positive
+        if not (completed and paired):
+            emotion = negative
+        elif history:
+            recent = history[-window:]
             # fmean's own arithmetic, without its per-call dispatch
-            elif state and score < math.fsum(state) / len(state) - epsilon:
+            if score < math.fsum(recent) / len(recent) - epsilon:
                 emotion = negative
-            step = steps[key] = (
-                emotion, good if emotion is positive else bad, (*state, score)[-window:],
-            )
-        emotion, ux, states[name] = step
+        ux = good if emotion is positive else bad
         if table:
             learned = table.get(
                 (EMOTION_TEXT[emotion], name, minute_of_day(end) // bucket_width)
@@ -232,6 +232,7 @@ def annotate(
             if learned is not None:
                 ux = learned
         append(new(AffectAnnotation, (name, start, end, score, completed, emotion, ux)))
+        history.append(score)
     return annotations
 
 
@@ -241,10 +242,9 @@ ANNOTATED_FIELDS = [
 
 
 def write_annotated(rows: Iterable[AffectAnnotation], stream: TextIO) -> None:
-    score_text = Memo(repr)  # only nonzero floats: see `tables`
+    score_text = score_texts()
     write_table(stream, ANNOTATED_FIELDS, (
-        f"{csv_field(activity)},{start!s},{end!s},"
-        f"{score_text[score] if score and type(score) is float else repr(score)},"
+        f"{csv_field(activity)},{start!s},{end!s},{score_text(score)},"
         f"{FLAG_TEXT[completed]},{EMOTION_TEXT[emotion]},{UX_TEXT[ux]}\n"
         for activity, start, end, score, completed, emotion, ux in rows
     ))

@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence, Text
 
 from .definitions import ComplexActivityDefinition, DefinitionSet
 from .tables import (
-    FLAG_TEXT, Memo, csv_field, named_rows, parse_flag, read_csv_blocks, write_table,
+    FLAG_TEXT, Memo, csv_field, named_rows, parse_flag, read_csv_blocks, score_texts,
+    write_table,
 )
 
 if TYPE_CHECKING:
@@ -156,10 +157,9 @@ def score_occurrences(
 
 
 def write_verdicts(rows: Iterable[ScoredOccurrence], stream: TextIO) -> None:
-    score_text = Memo(repr)  # only nonzero floats: see `tables`
+    score_text = score_texts()
     write_table(stream, VERDICT_FIELDS, (
-        f"{csv_field(activity)},{start!s},{end!s},"
-        f"{score_text[score] if score and type(score) is float else repr(score)},"
+        f"{csv_field(activity)},{start!s},{end!s},{score_text(score)},"
         f"{FLAG_TEXT[completed]}\n"
         for activity, start, end, score, completed in rows
     ))

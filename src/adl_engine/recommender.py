@@ -22,7 +22,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import islice, repeat
 from operator import attrgetter, floordiv
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .affect import (
     DEFAULT_BUCKET_WIDTH, AffectAnnotation, EmotionLabel, UXLabel, check_bucket_width,
@@ -60,7 +60,10 @@ class _Features(NamedTuple):
 
 
 class FeatureVector(_Features):
-    """Predictor signals for one transition; the time bucket must not be negative."""
+    """Predictor signals for one transition; the time bucket must not be negative.
+
+    The constructor, `_make` and `_replace` all check the bucket.
+    """
 
     __slots__ = ()
 
@@ -71,6 +74,11 @@ class FeatureVector(_Features):
         if time_bucket < 0:
             raise ValueError(f"time_bucket must be >= 0, got {time_bucket}")
         return tuple.__new__(cls, (time_bucket, previous_activity, emotion, ux, day_kind))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> FeatureVector:
+        # the named tuple's own `_make`, which `_replace` calls, skips `__new__`
+        return cls(*iterable)
 
 
 class LabeledTransition(NamedTuple):

@@ -8,13 +8,12 @@ Every CSV table the engine writes goes through `write_table`, which takes
 each row as one line of text that its writer has already formatted with an
 f-string: ints with ``str``, flags through `FLAG_TEXT`, enum members as
 their value text from a ``{member: text}`` dict built once beside the
-enum's `member_parser`, and scores with ``repr``, through a `Memo` so that
-each distinct score is formatted once.  Only a nonzero ``float`` goes through
-that memo: ``0.0 == -0.0`` and ``1 == 1.0``, so a memo keyed by value would
-print one of each pair as the other.  Text that users name (activities, labels,
-header fields) goes through `csv_field`, which asks the csv module how it
-quotes a field and remembers the answer, so the bytes are those
-``csv.writer`` writes, without its per-field work on every row.
+enum's `member_parser`, and scores with ``repr`` through a `score_texts`
+formatter, which makes each distinct score's text once.  Text that users
+name (activities, labels, header fields) goes through `csv_field`, which
+asks the csv module how it quotes a field and remembers the answer, so the
+bytes are those ``csv.writer`` writes, without its per-field work on every
+row.
 
 The stage tables and the annotation log are read by `read_csv_blocks`, which
 wants the exact header and the header's field count on every row.  The
@@ -369,6 +368,22 @@ parse_flag: Callable[[str], bool] = FieldLookup(
 
 # the table text of a boolean field, as `parse_flag` reads it back
 FLAG_TEXT = {True: "true", False: "false"}
+
+
+def score_texts() -> Callable[[float], str]:
+    """A score formatter for one table: ``repr`` of the score, made once for
+    each distinct nonzero ``float``.
+
+    Other scores are formatted each time, because ``0.0 == -0.0`` and
+    ``1 == 1.0``: a memo keyed by value would print one of each pair as the
+    other.
+    """
+    texts = Memo(repr)
+
+    def text(score: float) -> str:
+        return texts[score] if score and type(score) is float else repr(score)
+
+    return text
 
 
 def member_parser(enum: type[E], what: str) -> Callable[[str], E]:

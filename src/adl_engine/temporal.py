@@ -7,8 +7,6 @@ cluster report lays out each activity's start instants by day for plotting.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import attrgetter, sub
 from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .tables import csv_field, write_table
@@ -38,9 +36,6 @@ def is_weekday(timestamp: int) -> bool:
     return (day_index(timestamp) + 3) % 7 < 5
 
 
-_activity_of, _start_of = attrgetter("activity"), attrgetter("start")
-
-
 def cluster_report(
     records: Sequence[OccurrenceRecord],
 ) -> list[tuple[str, int, int]]:
@@ -51,12 +46,11 @@ def cluster_report(
     """
     # day_index never decreases with the stamp, so the earliest day is that
     # of the earliest start
-    base_day = day_index(min(map(_start_of, records), default=0))
-    return sorted(zip(
-        map(_activity_of, records),
-        map(sub, map(day_index, map(_start_of, records)), repeat(base_day)),
-        map(minute_of_day, map(_start_of, records)),
-    ))
+    base_day = day_index(min((r.start for r in records), default=0))
+    return sorted(
+        (r.activity, day_index(r.start) - base_day, minute_of_day(r.start))
+        for r in records
+    )
 
 
 CLUSTER_FIELDS = ["activity", "day_index", "minute_of_day"]

@@ -81,6 +81,16 @@ def test_feature_vector_rejects_negative_bucket():
                       DayKind.WEEKDAY)
 
 
+def test_feature_vector_copies_check_the_bucket_too():
+    fv = FeatureVector(3, None, EmotionLabel.POSITIVE, UXLabel.GOOD, DayKind.WEEKDAY)
+    assert fv._replace(time_bucket=0) == (0, *fv[1:])
+    assert type(FeatureVector._make(fv)) is FeatureVector
+    with pytest.raises(ValueError, match="time_bucket must be >= 0, got -1"):
+        fv._replace(time_bucket=-1)
+    with pytest.raises(ValueError, match="time_bucket must be >= 0, got -1"):
+        FeatureVector._make((-1, *fv[1:]))
+
+
 # ---------------------------------------------------------------------------
 # extract_transitions
 # ---------------------------------------------------------------------------
