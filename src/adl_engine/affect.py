@@ -13,6 +13,7 @@ An `AffectAnnotation` is a named tuple, one per occurrence.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Collection, Iterable, NamedTuple, Sequence, TextIO
@@ -196,7 +197,8 @@ def annotate(
     # members held in locals: reading one off its enum class is a slow lookup
     positive, negative = EmotionLabel.POSITIVE, EmotionLabel.NEGATIVE
     good, bad = UXLabel.GOOD, UXLabel.BAD
-    histories: dict[str, list[float]] = {}
+    # each activity's last ``window`` scores: only those are ever read
+    histories: dict[str, deque[float]] = {}
     # rows repeat few distinct evidence sets, so each is tested once for the
     # most important atomic and its paired context
     has_pair: dict[tuple, bool] = {}
@@ -215,14 +217,13 @@ def annotate(
         score, completed = verdict.score, verdict.completed
         history = histories.get(name)
         if history is None:
-            history = histories[name] = []
+            history = histories[name] = deque(maxlen=window)
         emotion = positive
         if not (completed and paired):
             emotion = negative
         elif history:
-            recent = history[-window:]
             # fmean's own arithmetic, without its per-call dispatch
-            if score < math.fsum(recent) / len(recent) - epsilon:
+            if score < math.fsum(history) / len(history) - epsilon:
                 emotion = negative
         ux = good if emotion is positive else bad
         if table:

@@ -302,8 +302,8 @@ def _ingest(store: Store) -> str:
             records = _parse_file(
                 spec.path,
                 lambda stream: ingest_mod.trace_occurrences(
-                    ingest_mod.power_trace_blocks(stream, spec.channel),
-                    defn, config.on_watts, config.gap_tolerance,
+                    ingest_mod.power_trace_blocks(stream, spec.channel, config.on_watts),
+                    defn, config.gap_tolerance,
                 ),
             )
         else:

@@ -10,19 +10,24 @@ Both are read in blocks of whole lines by `tables.line_blocks`; the
 annotation log is a table that `tables.read_csv_blocks` reads.
 
 A power trace becomes occurrence records a block at a time.
-`power_trace_blocks` splits each block once and checks it whole with
-builtins that run in C; a block with any line that is not plain
-``<stamp> <watts>`` text goes through the per-line parser `iter_power_trace`
-instead, which gives the same values or raises the same error.
-`trace_occurrences` thresholds each block against ``on_watts`` and finds
-where runs end from the index steps between on-samples, bridging dropouts of
-at most ``gap_tolerance`` samples; it keeps only the open run's bounds, so
-memory does not grow with trace length.  The three-step path
-`parse_power_trace` -> `binarize` -> `segment_occurrences`, which
-materializes every sample and state, is kept as the reference the tests
-check that pass against.  An `OccurrenceRecord` is a named tuple, one per
-occurrence.  Parsers are pure per-stream and raise with the offending line
-number.
+`power_trace_blocks` splits each block once, checks it whole with builtins
+that run in C, and thresholds it against ``on_watts``, yielding each block's
+stamps and the indices of its on-samples.  A channel repeats few watts
+texts, so the reader keeps a per-stream dict from each watts text of an
+accepted block to its on flag and decides each distinct text once; a block
+whose texts are all known needs no float parsing.  The dict takes new texts
+only while it holds fewer than `WATTS_MEMO_TEXTS`, so a trace of all
+distinct readings cannot grow it without bound.  A block with any line that
+is not plain ``<stamp> <watts>`` text goes through the per-line parser
+`iter_power_trace` instead, which gives the same values or raises the same
+error.  `trace_occurrences` finds where runs end from the index steps
+between on-samples, bridging dropouts of at most ``gap_tolerance`` samples;
+it keeps only the open run's bounds, so memory does not grow with trace
+length.  The three-step path `parse_power_trace` -> `binarize` ->
+`segment_occurrences`, which materializes every sample and state, is kept
+as the reference the tests check that pass against.  An `OccurrenceRecord`
+is a named tuple, one per occurrence.  Parsers are pure per-stream and raise
+with the offending line number.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from enum import Enum
 from functools import partial
 from itertools import compress, count, islice, repeat
 from operator import attrgetter, itemgetter, lt, sub
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .definitions import ComplexActivityDefinition, DefinitionSet
 from .tables import (
@@ -140,29 +145,44 @@ def iter_power_trace(
 _NUMBER_CHARS = str.maketrans("", "", "0123456789.+-eE")
 # an int below this in magnitude is exactly a float, so int(tok) == int(float(tok))
 _EXACT_INT = 2 ** 53
+# a stream's watts memo takes new texts only while it holds fewer than this
+WATTS_MEMO_TEXTS = 4096
 
 
 def power_trace_blocks(
-    stream: TextIO, channel: str
-) -> Iterator[tuple[list[int], list[float]]]:
-    """Yield the samples of a power-trace stream as ``(stamps, watts)`` lists.
+    stream: TextIO, channel: str, on_watts: float
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield the samples of a power-trace stream as ``(stamps, on)`` lists:
+    the block's stamps, and the indices into them of the samples whose watts
+    exceed ``on_watts``.
 
-    Concatenated, the lists hold the values `iter_power_trace` yields for the
-    same stream, and a bad line raises the TraceParseError it raises.  The
-    stream is read in `line_blocks`.  No yielded list is empty.
+    Concatenated, the stamps are those `iter_power_trace` yields for the same
+    stream, and a bad line raises the TraceParseError it raises.  The stream
+    is read in `line_blocks`.  No yielded stamps list is empty.  A bad
+    ``on_watts`` raises ValueError as iteration starts, before any line is
+    read.
     """
+    _check_on_watts(on_watts)
+    # not on_watts.__lt__: for an int threshold it returns NotImplemented, which is truthy
+    is_on = partial(lt, on_watts)
+    # {watts text: on flag} for texts of accepted plain blocks; a channel
+    # repeats few watts texts, so most blocks are thresholded by lookups alone
+    known: dict[str, bool] = {}
     first_line = 1  # the number of the block's first line
     last_ts: int | None = None
     for text in line_blocks(stream):
         if not text.endswith("\n"):  # a last line with no line end
             text += "\n"
         lines = text.count("\n")
-        block = _plain_block(text, lines, last_ts)
+        block = _plain_block(text, lines, last_ts, is_on, known)
         if block is None:
             samples = list(
                 iter_power_trace(text.split("\n"), channel, first_line, last_ts)
             )
-            block = [ts for ts, _ in samples], [watts for _, watts in samples]
+            block = (
+                [ts for ts, _ in samples],
+                list(compress(count(), map(is_on, map(itemgetter(1), samples)))),
+            )
         first_line += lines
         if block[0]:
             last_ts = block[0][-1]
@@ -170,14 +190,21 @@ def power_trace_blocks(
 
 
 def _plain_block(
-    text: str, lines: int, last_ts: int | None
-) -> tuple[list[int], list[float]] | None:
-    """The samples of ``text`` if each of its ``lines`` is a plain, valid
-    ``<stamp> <watts>`` line and the first follows ``last_ts``, else None.
+    text: str, lines: int, last_ts: int | None,
+    is_on: Callable[[float], bool], known: dict[str, bool],
+) -> tuple[list[int], list[int]] | None:
+    """The stamps and on-sample indices of ``text`` if each of its ``lines``
+    is a plain, valid ``<stamp> <watts>`` line and the first follows
+    ``last_ts``, else None.
 
     Builtins check the whole block at once: one space and only number
     characters on each line, two tokens a line, stamps that parse, are exact
     as floats and strictly increase, and watts that are finite and >= 0.
+    Watts texts are looked up in ``known``; a block with a text not in it is
+    parsed and checked whole, and, if accepted, its texts go into ``known``
+    while that holds fewer than `WATTS_MEMO_TEXTS`.  So ``known`` holds only
+    texts proven finite and >= 0, and its size is bounded whatever the
+    trace.
     """
     if text.translate(_NUMBER_CHARS) != " \n" * lines:
         return None
@@ -185,55 +212,68 @@ def _plain_block(
     if len(tokens) != 2 * lines:  # a line with an empty field
         return None
     try:
+        stamps = list(map(int, tokens[::2]))
+    except ValueError:  # a fraction or an exponent: truncate its float
         try:
-            stamps = list(map(int, tokens[::2]))
-        except ValueError:  # a fraction or an exponent: truncate its float
             stamps = list(map(int, map(float, tokens[::2])))
-        watts = list(map(float, tokens[1::2]))
-    except (ValueError, OverflowError):
-        return None
-    if (
+        except (ValueError, OverflowError):
+            return None
+    if not (
         (last_ts is None or last_ts < stamps[0])
         and all(map(lt, stamps, islice(stamps, 1, None)))
         and -_EXACT_INT < stamps[0] and stamps[-1] < _EXACT_INT
-        and min(watts) >= 0 and math.isfinite(sum(watts))
     ):
-        return stamps, watts
-    return None
+        return None
+    texts = tokens[1::2]
+    try:
+        return stamps, list(compress(count(), map(known.__getitem__, texts)))
+    except KeyError:
+        pass
+    try:
+        watts = list(map(float, texts))
+    except ValueError:
+        return None
+    if not (min(watts) >= 0 and math.isfinite(sum(watts))):
+        return None
+    flags = list(map(is_on, watts))
+    room = WATTS_MEMO_TEXTS - len(known)
+    if room > 0:
+        known.update(islice(zip(texts, flags), room))
+    return stamps, list(compress(count(), flags))
 
 
-def _check_thresholds(on_watts: float, gap_tolerance: int) -> None:
+def _check_on_watts(on_watts: float) -> None:
     if on_watts <= 0:
         raise ValueError(f"on_watts must be > 0, got {on_watts}")
+
+
+def _check_gap_tolerance(gap_tolerance: int) -> None:
     if gap_tolerance < 0:
         raise ValueError(f"gap_tolerance must be >= 0, got {gap_tolerance}")
 
 
 def trace_occurrences(
-    blocks: Iterable[tuple[list[int], list[float]]],
+    blocks: Iterable[tuple[list[int], list[int]]],
     defn: ComplexActivityDefinition,
-    on_watts: float,
     gap_tolerance: int,
 ) -> list[OccurrenceRecord]:
     """One record per on-run of a trace, given as `power_trace_blocks` yields it.
 
-    Gives the records of ``segment_occurrences(binarize(...))``.  Builtins
-    pick out each block's on-samples and the steps between their indices
-    that skip more than ``gap_tolerance`` off samples; each such step ends
-    one run and starts the next, and Python code runs only there.  Trailing
-    off samples never extend a run.  From block to block only the open run's
-    bounds are kept.  Like ``segment_occurrences``, each record carries the
-    full id sets of ``defn``, the activity the channel maps to.
+    Gives the records of ``segment_occurrences(binarize(...))`` at the
+    blocks' ``on_watts``.  Builtins pick out the steps between the indices
+    of each block's on-samples that skip more than ``gap_tolerance`` off
+    samples; each such step ends one run and starts the next, and Python
+    code runs only there.  Trailing off samples never extend a run.  From
+    block to block only the open run's bounds are kept.  Like
+    ``segment_occurrences``, each record carries the full id sets of
+    ``defn``, the activity the channel maps to.
     """
-    _check_thresholds(on_watts, gap_tolerance)
-    # not on_watts.__lt__: for an int threshold it returns NotImplemented, which is truthy
-    is_on = partial(lt, on_watts)
+    _check_gap_tolerance(gap_tolerance)
     ends_run = partial(lt, gap_tolerance + 1)  # applied to an index step
     runs: list[tuple[int, int]] = []
     start = end = 0
     last: int | None = None  # index of the open run's last on-sample in this block
-    for stamps, watts in blocks:
-        on = list(compress(range(len(stamps)), map(is_on, watts)))
+    for stamps, on in blocks:
         if on:
             if last is None or ends_run(on[0] - last):
                 if last is not None:
@@ -281,7 +321,8 @@ def binarize(
     ``gap_tolerance`` samples flanked by on-states on both sides are promoted
     to on, so brief sensor dropouts do not split one activity in two.
     """
-    _check_thresholds(on_watts, gap_tolerance)
+    _check_on_watts(on_watts)
+    _check_gap_tolerance(gap_tolerance)
     channel = samples[0].channel if samples else ""
     states = [1 if s.value > on_watts else 0 for s in samples]
 

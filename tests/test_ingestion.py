@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adl_engine import tables
+from adl_engine import ingestion, tables
 from adl_engine.ingestion import (
     AnnotationParseError,
     BinarySeries,
@@ -136,15 +136,100 @@ def _samples_or_error(read):
 @example(text="1 inf\n2 nan\n", block_chars=64)
 @example(text="1 1e400\n", block_chars=64)
 def test_power_trace_blocks_match_iter_power_trace(text, block_chars):
-    expected = _samples_or_error(lambda: list(iter_power_trace(io.StringIO(text), "tv")))
+    _check_blocks_against_iter_power_trace(text, block_chars, 10.0)
+
+
+def _check_blocks_against_iter_power_trace(text, block_chars, on_watts):
+    """The stamps and on-flags of `power_trace_blocks`, concatenated, are
+    those of `iter_power_trace` thresholded at ``on_watts``, or it raises
+    the same error."""
+    def thresholded():
+        samples = list(iter_power_trace(io.StringIO(text), "tv"))
+        return [ts for ts, _ in samples], [
+            i for i, (_, watts) in enumerate(samples) if watts > on_watts
+        ]
+
+    def concatenated():
+        all_stamps, all_on = [], []
+        for stamps, on in power_trace_blocks(io.StringIO(text), "tv", on_watts):
+            assert stamps
+            all_on += [len(all_stamps) + i for i in on]
+            all_stamps += stamps
+        return all_stamps, all_on
+
+    expected = _samples_or_error(thresholded)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tables, "TRACE_BLOCK_CHARS", block_chars)
-        got = _samples_or_error(lambda: [
-            sample
-            for stamps, watts in power_trace_blocks(io.StringIO(text), "tv")
-            for sample in zip(stamps, watts)
-        ])
+        got = _samples_or_error(concatenated)
     assert got == expected
+
+
+# watts texts that are equal as numbers or sit at a threshold drawn below:
+# a memo keyed by text must still give each its value's flag
+_MEMO_WATTS = st.sampled_from(["-0.0", "0", "0.0", "10", "10.0", "10.5", "+4", "3000"])
+_BAD_WATTS = st.sampled_from(["1e400", "nan", "-3"])
+
+
+@st.composite
+def _repeating_trace_texts(draw):
+    """Plain trace lines that repeat a few watts texts, with a rare bad text
+    or non-monotonic stamp, so blocks hit, miss and are rejected in turn."""
+    ts = 1_700_000_000
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        ts += draw(st.sampled_from([6] * 30 + [0]))
+        watts = draw(_BAD_WATTS if draw(st.integers(0, 30)) == 0 else _MEMO_WATTS)
+        lines.append(f"{ts} {watts}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    text=_trace_texts() | _repeating_trace_texts(),
+    block_chars=st.sampled_from([TRACE_BLOCK_CHARS, 64, 8, 3]),
+    memo_texts=st.sampled_from([0, 1, 2, ingestion.WATTS_MEMO_TEXTS]),
+    on_watts=st.sampled_from([10, 10.0, 0.5]),
+)
+# "10" is first seen in a plain block rejected for its watts sum, which
+# overflows, then in an accepted one
+@example(text="1 10\n2 1e308\n3 1e308\n4 10\n5 0\n", block_chars=24,
+         memo_texts=ingestion.WATTS_MEMO_TEXTS, on_watts=10)
+# "10" is first seen in the block whose 1e400 is rejected
+@example(text="1 10\n2 1e400\n3 10\n4 0\n", block_chars=64,
+         memo_texts=ingestion.WATTS_MEMO_TEXTS, on_watts=10)
+# blocks of one line whose watts are known: the stamps are still checked
+@example(text="1 10\n2 10\n2 10\n", block_chars=4,
+         memo_texts=ingestion.WATTS_MEMO_TEXTS, on_watts=10)
+@example(text="1 10\n9007199254740993 10\n", block_chars=4,
+         memo_texts=ingestion.WATTS_MEMO_TEXTS, on_watts=10)
+@example(text="1 10\n2 10\n2 10\n3 10.5\n", block_chars=64, memo_texts=2, on_watts=10)
+@example(text="1 -0.0\n2 0\n3 0.0\n4 +4\n5 -0.0\n6 -3\n", block_chars=8,
+         memo_texts=1, on_watts=0.5)
+def test_power_trace_blocks_threshold_through_the_watts_memo(
+    text, block_chars, memo_texts, on_watts
+):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingestion, "WATTS_MEMO_TEXTS", memo_texts)
+        _check_blocks_against_iter_power_trace(text, block_chars, on_watts)
+
+
+def test_power_trace_blocks_memo_holds_only_accepted_texts():
+    # blocks of 16 characters: the second is plain but rejected, as its watts
+    # sum overflows, so the per-line parser reads it; the third is known
+    text = "1 7.5\n2 0\n3 7.5\n" "4 1e308\n5 1e308\n" "6 7.5\n7 0\n"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables, "TRACE_BLOCK_CHARS", 16)
+        blocks = power_trace_blocks(io.StringIO(text), "tv", 5.0)
+        assert list(blocks) == [([1, 2, 3], [0, 2]), ([4, 5], [0, 1]), ([6, 7], [0])]
+        # the memo is the reader's local; a finished generator drops it
+        blocks = power_trace_blocks(io.StringIO(text), "tv", 5.0)
+        for _ in range(3):
+            next(blocks)
+        assert blocks.gi_frame.f_locals["known"] == {"7.5": True, "0": False}
+        # a block whose 7.5 is known but whose 1e400 is not is checked whole
+        bad = "1 7.5\n2 7.5\n3 7.5\n" "4 7.5\n5 1e400\n"
+        with pytest.raises(TraceParseError, match="tv: line 5: watts must be finite"):
+            list(power_trace_blocks(io.StringIO(bad), "tv", 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -313,36 +398,46 @@ def test_trace_occurrences_matches_three_step_reference(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tables, "TRACE_BLOCK_CHARS", block_chars)
         records = trace_occurrences(
-            power_trace_blocks(io.StringIO(text), "tv"),
-            ukdale_defs["Watching TV"], 10.0, tolerance,
+            power_trace_blocks(io.StringIO(text), "tv", 10.0),
+            ukdale_defs["Watching TV"], tolerance,
         )
     assert records == expected
 
 
+class _UnreadableStream(io.StringIO):
+    def read(self, *args):
+        raise AssertionError("a line was read")
+
+
 def test_trace_occurrences_parameter_validation(ukdale_defs):
+    # both checks raise before any line of the trace is read
     defn = ukdale_defs["Watching TV"]
-    with pytest.raises(ValueError, match="on_watts"):
-        trace_occurrences([], defn, on_watts=0, gap_tolerance=0)
-    with pytest.raises(ValueError, match="gap_tolerance"):
-        trace_occurrences([], defn, on_watts=10, gap_tolerance=-1)
+    blocks = power_trace_blocks(_UnreadableStream(), "tv", on_watts=0)
+    with pytest.raises(ValueError, match="on_watts must be > 0, got 0"):
+        trace_occurrences(blocks, defn, gap_tolerance=0)
+    blocks = power_trace_blocks(_UnreadableStream(), "tv", on_watts=10)
+    with pytest.raises(ValueError, match="gap_tolerance must be >= 0, got -1"):
+        trace_occurrences(blocks, defn, gap_tolerance=-1)
 
 
-def _ten_run_lines(samples: int):
-    """A 6 s trace with ten on-runs, each holding one bridged dropout."""
+def _ten_run_lines(samples: int, distinct: bool):
+    """A 6 s trace with ten on-runs, each holding one bridged dropout; with
+    ``distinct``, no two on-samples share a watts text."""
     period = samples // 10
     for i in range(samples):
         phase = i % period
         on = phase < period // 2 and phase != period // 4
-        yield f"{1_700_000_000 + 6 * i} {1200.0 if on else 1.5}\n"
+        watts = (f"{1200 + i / 100:.2f}" if distinct else "1200.0") if on else "1.5"
+        yield f"{1_700_000_000 + 6 * i} {watts}\n"
 
 
-def _peak_traced_bytes(samples: int, defn, path) -> int:
+def _peak_traced_bytes(samples: int, defn, path, distinct: bool = False) -> int:
     with open(path, "w") as stream:
-        stream.writelines(_ten_run_lines(samples))
+        stream.writelines(_ten_run_lines(samples, distinct))
     with open(path) as stream:
         tracemalloc.start()
         try:
-            records = trace_occurrences(power_trace_blocks(stream, "tv"), defn, 10.0, 2)
+            records = trace_occurrences(power_trace_blocks(stream, "tv", 10.0), defn, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -354,6 +449,15 @@ def test_trace_occurrences_memory_does_not_grow_with_trace_length(ukdale_defs, t
     defn = ukdale_defs["Watching TV"]
     short = _peak_traced_bytes(20_000, defn, tmp_path / "short.dat")
     long = _peak_traced_bytes(200_000, defn, tmp_path / "long.dat")
+    assert long - short < 64 * 1024
+
+
+def test_trace_occurrences_memory_is_bounded_for_distinct_readings(ukdale_defs, tmp_path):
+    # every on-sample's watts text is new, so the memo fills to its cap in
+    # both traces and then stops growing
+    defn = ukdale_defs["Watching TV"]
+    short = _peak_traced_bytes(20_000, defn, tmp_path / "short.dat", distinct=True)
+    long = _peak_traced_bytes(200_000, defn, tmp_path / "long.dat", distinct=True)
     assert long - short < 64 * 1024
 
 
@@ -387,9 +491,7 @@ def test_records_share_their_definitions_id_sets(adl_defs, ukdale_defs):
     log = ADL_CSV + ADL_CSV.split("\n", 1)[1]  # every activity twice
     records = parse_adl_log(io.StringIO(log), adl_defs)
     tv = ukdale_defs["Watching TV"]
-    records += trace_occurrences(
-        [([0, 6, 12, 18, 24], [50.0, 0.0, 0.0, 0.0, 50.0])], tv, 10.0, 2
-    )
+    records += trace_occurrences([([0, 6, 12, 18, 24], [0, 4])], tv, 2)
     assert len(records) == 16
     for r in records:
         defn = adl_defs[r.activity] if r.activity in adl_defs else tv
