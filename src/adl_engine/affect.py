@@ -5,9 +5,8 @@ whether the occurrence completed, whether the activity's most important
 atomic (and its paired context) was present, and how the occurrence's weight
 compares with the person's recent scores for the same activity.  A separate
 learned table maps those emotions, per activity and time-of-day bucket, onto
-a good/bad experience label.
-
-An `AffectAnnotation` is a named tuple, one per occurrence.
+a good/bad experience label.  `annotate` applies both in one pass over a
+run's occurrences, giving one `AffectAnnotation` named tuple per occurrence.
 """
 
 from __future__ import annotations
@@ -19,15 +18,12 @@ from enum import Enum
 from typing import Collection, Iterable, NamedTuple, Sequence, TextIO
 
 from .definitions import ComplexActivityDefinition
-from .recognition import Evidence, OccurrenceVerdict, ScoredOccurrence
+from .recognition import Evidence, ScoredOccurrence
 from .tables import (
     FLAG_TEXT, FieldLookup, check_order, csv_field, member_parser, named_rows,
-    parse_flag, read_csv_blocks, score_texts, write_table,
+    parse_flag, parse_scores, read_csv_blocks, score_texts, write_table,
 )
 from .temporal import MINUTES_PER_DAY, minute_of_day
-
-# a verdict in memory, or its row read back from the verdict CSV
-Verdict = OccurrenceVerdict | ScoredOccurrence
 
 DEFAULT_WINDOW = 5
 DEFAULT_EPSILON = 0.05
@@ -51,55 +47,6 @@ UX_TEXT = {m: m.value for m in UXLabel}
 
 
 # ---------------------------------------------------------------------------
-# Emotion rule
-# ---------------------------------------------------------------------------
-
-def infer_emotion(
-    defn: ComplexActivityDefinition,
-    history: list[float],
-    observation: Evidence,
-    verdict: Verdict,
-    window: int = DEFAULT_WINDOW,
-    epsilon: float = DEFAULT_EPSILON,
-) -> EmotionLabel:
-    """Label one occurrence positive or negative.
-
-    Positive requires all three of:
-      (a) the occurrence completed;
-      (b) the most important atomic was observed and its paired context held;
-      (c) the score is within ``epsilon`` below the mean of the last
-          ``window`` scores for this activity (vacuous when history is empty).
-
-    ``history`` holds earlier occurrence scores, oldest first, and must not
-    include the occurrence under judgment.
-    """
-    _check_window(window, epsilon)
-
-    if not verdict.completed:
-        return EmotionLabel.NEGATIVE
-
-    atomic_id, context_id = defn.most_important_pair
-    if atomic_id not in observation.observed_atomics:
-        return EmotionLabel.NEGATIVE
-    if context_id not in observation.satisfied_contexts:
-        return EmotionLabel.NEGATIVE
-
-    if history:
-        recent = history[-window:]
-        # statistics.fmean's own arithmetic
-        if verdict.score < math.fsum(recent) / len(recent) - epsilon:
-            return EmotionLabel.NEGATIVE
-    return EmotionLabel.POSITIVE
-
-
-def _check_window(window: int, epsilon: float) -> None:
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-
-
-# ---------------------------------------------------------------------------
 # Experience mapping
 # ---------------------------------------------------------------------------
 
@@ -109,15 +56,6 @@ def check_bucket_width(bucket_width: int) -> None:
         raise ValueError(
             f"bucket_width must be in [1, {MINUTES_PER_DAY}], got {bucket_width}"
         )
-
-
-def time_bucket(minute_of_day: int, bucket_width: int = DEFAULT_BUCKET_WIDTH) -> int:
-    if not 0 <= minute_of_day < MINUTES_PER_DAY:
-        raise ValueError(
-            f"minute_of_day must be in [0, {MINUTES_PER_DAY}), got {minute_of_day}"
-        )
-    check_bucket_width(bucket_width)
-    return minute_of_day // bucket_width
 
 
 @dataclass(frozen=True)
@@ -178,20 +116,27 @@ class AffectAnnotation(NamedTuple):
 
 
 def annotate(
-    items: Iterable[tuple[ComplexActivityDefinition, Evidence, Verdict, int, int]],
+    items: Iterable[tuple[ComplexActivityDefinition, Evidence, ScoredOccurrence]],
     model: UXModel,
 ) -> list[AffectAnnotation]:
-    """Run emotion inference over occurrences in order, then map UX.
+    """Label each occurrence positive or negative, then good or bad.
 
-    ``items`` pairs each occurrence's definition, observation, verdict, start
-    and end timestamps, already in chronological order.  Score history is
-    tracked per activity, so one activity's run of poor scores cannot sour
-    another's.  Each row gets the labels `infer_emotion` and then `map_ux`
-    give it, at the end time's `time_bucket`; the model's parameters are
-    checked once per call, and definitions are told apart by name.
+    ``items`` gives each occurrence's definition, evidence and verdict (its
+    start, end, score and completion), in chronological order.  An occurrence
+    is positive when it completed, its definition's most important atomic was
+    observed and its paired context held, and its score is at least the mean
+    of the activity's last ``window`` scores less ``epsilon`` (vacuous for
+    its first).  Histories are kept per activity, so one activity's run of
+    poor scores cannot sour another's.  UX is the model's learned label for
+    the emotion, activity and end time's bucket, else the emotion's sign
+    (`map_ux`).  The model's parameters are checked once per call, and
+    definitions are told apart by name.
     """
     window, epsilon, bucket_width = model.window, model.epsilon, model.bucket_width
-    _check_window(window, epsilon)
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     check_bucket_width(bucket_width)
     table = model.table
     # members held in locals: reading one off its enum class is a slow lookup
@@ -205,8 +150,9 @@ def annotate(
     new = tuple.__new__
     annotations: list[AffectAnnotation] = []
     append = annotations.append
-    for defn, observation, verdict, start, end in items:
+    for defn, observation, verdict in items:
         name = defn.name
+        _, start, end, score, completed = verdict
         atomics = observation.observed_atomics
         contexts = observation.satisfied_contexts
         key = (name, atomics, contexts)
@@ -214,7 +160,6 @@ def annotate(
         if paired is None:
             atomic_id, context_id = defn.most_important_pair
             paired = has_pair[key] = atomic_id in atomics and context_id in contexts
-        score, completed = verdict.score, verdict.completed
         history = histories.get(name)
         if history is None:
             history = histories[name] = deque(maxlen=window)
@@ -254,9 +199,9 @@ def write_annotated(rows: Iterable[AffectAnnotation], stream: TextIO) -> None:
 def read_annotated(
     stream: TextIO, activities: Collection[str] | None = None
 ) -> list[AffectAnnotation]:
-    """Parse an annotated CSV; a malformed row, an end before its start, or,
-    when ``activities`` is given, an activity not among them raises
-    ValueError with its line number, as `read_csv_blocks` raises it."""
+    """Parse an annotated CSV; a malformed row, an end before its start, a
+    score outside [0, 1] or, when ``activities`` is given, an activity not in
+    them raises ValueError with its line number, as `read_csv_blocks` does."""
     known = None if activities is None else FieldLookup(
         {name: name for name in activities}, "unknown activity"
     )
@@ -270,7 +215,7 @@ def read_annotated(
             activity = list(map(known.__getitem__, activity))
         starts, ends = list(map(int, start)), list(map(int, end))
         rows = named_rows(
-            AffectAnnotation, activity, starts, ends, map(float, score),
+            AffectAnnotation, activity, starts, ends, parse_scores(score),
             map(parse_flag, completed), map(parse_emotion, emotion), map(parse_ux, ux),
         )
         check_order(starts, ends)

@@ -33,8 +33,8 @@ from .config import KEYS, PARAMS, ConfigError, RunConfig, load_config, with_over
 from .tables import FieldLookup, csv_field, read_csv_columns, write_table
 
 _timed_of = attrgetter("activity", "start", "end")
-_activity_of, _start_of, _end_of, _completed_of, _emotion_of = map(
-    attrgetter, ("activity", "start", "end", "completed", "emotion")
+_activity_of, _completed_of, _emotion_of = map(
+    attrgetter, ("activity", "completed", "emotion")
 )
 
 _RECOVERABLE = (
@@ -336,8 +336,7 @@ def _affect(store: Store) -> str:
     definitions = store["defs"].definitions
     records = store["records"]
     items = zip(
-        map(definitions.__getitem__, map(_activity_of, records)), records,
-        store["verdicts"], map(_start_of, records), map(_end_of, records),
+        map(definitions.__getitem__, map(_activity_of, records)), records, store["verdicts"]
     )
     # no UX labels exist to learn from, so UX follows the sign of the emotion
     ux_model = affect_mod.UXModel(

@@ -198,8 +198,8 @@ def _plain_block(
     ``last_ts``, else None.
 
     Builtins check the whole block at once: one space and only number
-    characters on each line, two tokens a line, stamps that parse, are exact
-    as floats and strictly increase, and watts that are finite and >= 0.
+    characters on each line, two tokens a line, integer stamps that are
+    exact as floats and strictly increase, and watts that are finite and >= 0.
     Watts texts are looked up in ``known``; a block with a text not in it is
     parsed and checked whole, and, if accepted, its texts go into ``known``
     while that holds fewer than `WATTS_MEMO_TEXTS`.  So ``known`` holds only
@@ -213,11 +213,8 @@ def _plain_block(
         return None
     try:
         stamps = list(map(int, tokens[::2]))
-    except ValueError:  # a fraction or an exponent: truncate its float
-        try:
-            stamps = list(map(int, map(float, tokens[::2])))
-        except (ValueError, OverflowError):
-            return None
+    except ValueError:  # a fraction or an exponent: `iter_power_trace` reads it
+        return None
     if not (
         (last_ts is None or last_ts < stamps[0])
         and all(map(lt, stamps, islice(stamps, 1, None)))

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence, Text
 
 from .definitions import ComplexActivityDefinition, DefinitionSet
 from .tables import (
-    FLAG_TEXT, Memo, csv_field, named_rows, parse_flag, read_csv_blocks, score_texts,
-    write_table,
+    FLAG_TEXT, Memo, csv_field, named_rows, parse_flag, parse_scores, read_csv_blocks,
+    score_texts, write_table,
 )
 
 if TYPE_CHECKING:
@@ -169,13 +169,14 @@ def _verdict_columns(
     activity: Sequence[str], start: Sequence[str], end: Sequence[str],
     score: Sequence[str], completed: Sequence[str],
 ) -> list[ScoredOccurrence]:
+    # fields convert in row order, so a row's first bad field gives its error
     return named_rows(
-        ScoredOccurrence, activity, map(int, start), map(int, end),
-        map(float, score), map(parse_flag, completed),
+        ScoredOccurrence, activity, list(map(int, start)), list(map(int, end)),
+        parse_scores(score), map(parse_flag, completed),
     )
 
 
 def read_verdicts(stream: TextIO) -> list[ScoredOccurrence]:
-    """Parse a verdict CSV; a malformed row raises ValueError with its line
-    number, as `read_csv_blocks` raises it."""
+    """Parse a verdict CSV; a malformed row or a score outside [0, 1] raises
+    ValueError with its line number, as `read_csv_blocks` raises it."""
     return read_csv_blocks(stream, VERDICT_FIELDS, _verdict_columns)

@@ -47,10 +47,6 @@ parse_day_kind = member_parser(DayKind, "day_kind")
 DAY_KIND = {True: DayKind.WEEKDAY, False: DayKind.WEEKEND}
 
 
-def day_kind_of(timestamp: int) -> DayKind:
-    return DAY_KIND[is_weekday(timestamp)]
-
-
 class _Features(NamedTuple):
     time_bucket: int
     previous_activity: str | None
@@ -197,8 +193,9 @@ class RecommenderModel:
         """The model that `to_json` wrote as ``text``.
 
         Text that is not JSON, a document that is not an object, a missing
-        key, a value that does not convert, and feature domains or counts
-        that lack a name of `FEATURE_NAMES` raise ValueError.
+        key, a value that does not convert, feature domains or counts that
+        lack a name of `FEATURE_NAMES`, an ``alpha`` that is not finite and
+        > 0, and a negative count raise ValueError.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -227,6 +224,15 @@ class RecommenderModel:
             for f in FEATURE_NAMES:
                 if f not in getattr(model, key):
                     raise ValueError(f"model {key} lacks feature {f!r}")
+        if not 0 < model.alpha < math.inf:
+            raise ValueError(f"model alpha must be finite and > 0, got {model.alpha}")
+        lowest = min((
+            model.n_transitions, *model.class_counts.values(),
+            *(n for per_class in model.feature_counts.values()
+              for values in per_class.values() for n in values.values()),
+        ))
+        if lowest < 0:
+            raise ValueError(f"model counts must be >= 0, got {lowest}")
         return model
 
 

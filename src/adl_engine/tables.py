@@ -323,6 +323,17 @@ def check_order(starts: list[int], ends: list[int]) -> None:
         raise ValueError(f"end {ends[i]} before start {starts[i]}")
 
 
+def parse_scores(texts: Iterable[str]) -> list[float]:
+    """The floats of a score column; a score that is not a number in [0, 1]
+    raises ValueError."""
+    scores = list(map(float, texts))
+    # min and max can step over a nan, but a nan makes the sum nan
+    if scores and not (0.0 <= min(scores) and max(scores) <= 1.0 and sum(scores) >= 0.0):
+        bad = next(s for s in scores if not 0.0 <= s <= 1.0)
+        raise ValueError(f"score must be in [0, 1], got {bad!r}")
+    return scores
+
+
 class Memo(dict):
     """A dict that makes the value of a missing key as ``make(key)`` and keeps it.
 

@@ -5,8 +5,9 @@ confusion matrices with their expected percentage tables, and two sets of
 prediction rows with known argmax outcomes), a hypothesis strategy for
 valid activity definitions, an independent brute-force posterior oracle
 the classifier is checked against, the per-transition training loop
-`train` is held to, the ``statistics.fmean`` emotion rule `infer_emotion` is
-held to, the per-row loops `score_occurrences`, `annotate`,
+`train` is held to, the ``statistics.fmean`` emotion rule `annotate` is held
+to, a helper that runs `annotate` on one occurrence after a score history,
+the per-row loops `score_occurrences`, `annotate`,
 `extract_transitions` and `cluster_report` are held to, the field-by-field
 ``csv.writer`` table writer the line-formatted stage writers are held to,
 and the per-row parsers the stage-table, annotation-log and user-table
@@ -27,15 +28,17 @@ from hypothesis import strategies as st
 
 from adl_engine.affect import (
     ANNOTATED_FIELDS,
+    DEFAULT_EPSILON,
+    DEFAULT_WINDOW,
     AffectAnnotation,
     EmotionLabel,
     UXLabel,
+    UXModel,
+    annotate,
     check_bucket_width,
-    infer_emotion,
     map_ux,
     parse_emotion,
     parse_ux,
-    time_bucket,
 )
 from adl_engine.definitions import (
     AtomicActivity,
@@ -51,14 +54,19 @@ from adl_engine.ingestion import (
     OccurrenceRecord,
     Source,
 )
-from adl_engine.recognition import VERDICT_FIELDS, ScoredOccurrence, detect_occurrence
+from adl_engine.recognition import (
+    VERDICT_FIELDS,
+    Observation,
+    ScoredOccurrence,
+    detect_occurrence,
+)
 from adl_engine.recommender import (
     FEATURE_NAMES,
     NO_PREVIOUS,
+    DayKind,
     FeatureVector,
     LabeledTransition,
     RecommenderModel,
-    day_kind_of,
     parse_day_kind,
 )
 from adl_engine.temporal import day_index, minute_of_day
@@ -358,7 +366,7 @@ def per_transition_train(
 def oracle_infer_emotion(
     defn, history, observation, verdict, window: int, epsilon: float
 ) -> EmotionLabel:
-    """`affect.infer_emotion` with the recent mean taken by
+    """The emotion rule of `affect.annotate`, with the recent mean taken by
     ``statistics.fmean``: negative unless the occurrence completed, its most
     important atomic and paired context were seen, and its score is at least
     the mean of the last ``window`` scores less ``epsilon``."""
@@ -374,22 +382,43 @@ def oracle_infer_emotion(
     return EmotionLabel.POSITIVE
 
 
+def emotion_after(
+    defn, history, evidence, verdict,
+    window: int = DEFAULT_WINDOW, epsilon: float = DEFAULT_EPSILON,
+) -> EmotionLabel:
+    """The emotion `affect.annotate` gives an occurrence of ``defn`` with
+    ``evidence`` and the ``score`` and ``completed`` of ``verdict``, run after
+    occurrences of the same activity that scored ``history``, oldest first."""
+    full = Observation(defn.name, defn.atomic_ids, defn.context_ids)
+    items = [(defn, full, ScoredOccurrence(defn.name, 0, 0, h, True)) for h in history]
+    items.append((defn, evidence, ScoredOccurrence(
+        defn.name, 0, 0, verdict.score, verdict.completed,
+    )))
+    return annotate(items, UXModel(window=window, epsilon=epsilon))[-1].emotion
+
+
 def per_row_annotate(items, model) -> list[AffectAnnotation]:
-    """`affect.annotate` as it was before it checked its parameters once per
-    call: each row runs `infer_emotion` on the activity's score history, then
-    `map_ux` at the end time's `time_bucket`."""
+    """`affect.annotate` a row at a time, checking its parameters as it does:
+    each row's emotion is `oracle_infer_emotion` on the activity's score
+    history, and its UX is `map_ux` at the end time's bucket."""
+    if model.window < 1:
+        raise ValueError(f"window must be >= 1, got {model.window}")
+    if model.epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {model.epsilon}")
+    if not 1 <= model.bucket_width <= 1440:
+        raise ValueError(f"bucket_width must be in [1, 1440], got {model.bucket_width}")
     histories: dict[str, list[float]] = {}
     annotations = []
-    for defn, observation, verdict, start, end in items:
+    for defn, observation, verdict in items:
         history = histories.setdefault(defn.name, [])
-        emotion = infer_emotion(
-            defn, history, observation, verdict,
-            window=model.window, epsilon=model.epsilon,
+        emotion = oracle_infer_emotion(
+            defn, history, observation, verdict, model.window, model.epsilon
         )
-        bucket = time_bucket(minute_of_day(end), model.bucket_width)
+        bucket = minute_of_day(verdict.end) // model.bucket_width
         ux = map_ux(model, emotion, defn.name, bucket)
         annotations.append(AffectAnnotation(
-            defn.name, start, end, verdict.score, verdict.completed, emotion, ux,
+            defn.name, verdict.start, verdict.end, verdict.score, verdict.completed,
+            emotion, ux,
         ))
         history.append(verdict.score)
     return annotations
@@ -414,7 +443,8 @@ def per_row_score_occurrences(defs, records, lam: float = 0.5) -> list:
 
 def per_row_extract_transitions(annotated, bucket_width: int = 30) -> list:
     """`recommender.extract_transitions` a pair of consecutive rows at a time,
-    each row's clock read through `minute_of_day` and `day_kind_of`."""
+    each row's bucket read through `minute_of_day` and its day kind through
+    the calendar weekday of its end."""
     check_bucket_width(bucket_width)
     vectors = {}
     transitions = []
@@ -424,7 +454,9 @@ def per_row_extract_transitions(annotated, bucket_width: int = 30) -> list:
             current.activity,
             current.emotion,
             current.ux,
-            day_kind_of(current.end),
+            DayKind.WEEKDAY
+            if datetime.fromtimestamp(current.end, timezone.utc).weekday() < 5
+            else DayKind.WEEKEND,
         )
         features = vectors.get(key)
         if features is None:
@@ -511,6 +543,13 @@ def _oracle_ids(text: str) -> frozenset[int]:
     return frozenset(int(p) for p in text.split(";")) if text else frozenset()
 
 
+def _oracle_score(text: str) -> float:
+    score = float(text)
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score must be in [0, 1], got {score!r}")
+    return score
+
+
 def _oracle_check_order(start: int, end: int) -> None:
     if end < start:
         raise ValueError(f"end {end} before start {start}")
@@ -549,7 +588,8 @@ def oracle_read_verdicts(stream) -> list:
     def parse(row: list[str]) -> ScoredOccurrence:
         activity, start, end, score, completed = row
         return ScoredOccurrence(
-            activity, int(start), int(end), float(score), _oracle_flag(completed)
+            activity, int(start), int(end), _oracle_score(score),
+            _oracle_flag(completed),
         )
 
     return oracle_read_table(stream, VERDICT_FIELDS, parse)
@@ -563,7 +603,8 @@ def oracle_read_annotated(stream, activities=None) -> list:
         if activities is not None and activity not in activities:
             raise ValueError(f"unknown activity {activity!r}")
         annotation = AffectAnnotation(
-            activity, int(start), int(end), float(score), _oracle_flag(completed),
+            activity, int(start), int(end), _oracle_score(score),
+            _oracle_flag(completed),
             _oracle_member(EmotionLabel, "emotion", emotion),
             _oracle_member(UXLabel, "ux", ux),
         )

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from adl_engine.affect import EmotionLabel, UXLabel, infer_emotion
+from adl_engine.affect import EmotionLabel, UXLabel
 from adl_engine.cli import main
 from adl_engine.evaluation import (
     ConfusionMatrix,
@@ -49,6 +49,7 @@ from helpers import (
     ROUTINE_PREDICTION_ROWS,
     ROUTINE_RECALL_PCT,
     ROUTINE_VECTOR_LABELS,
+    emotion_after,
     load_all_defs,
     oracle_posterior,
     vector_from_row,
@@ -250,8 +251,8 @@ def test_criterion_5_affect_determinism_and_dominance(criterion):
             observation = Observation(defn.name, observed, satisfied)
             verdict = OccurrenceVerdict(defn.name, score, defn.threshold, completed)
 
-            first = infer_emotion(defn, history, observation, verdict)
-            second = infer_emotion(defn, list(history), observation, verdict)
+            first = emotion_after(defn, history, observation, verdict)
+            second = emotion_after(defn, list(history), observation, verdict)
             assert first == second
             if not completed:
                 assert first is EmotionLabel.NEGATIVE

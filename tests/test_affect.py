@@ -15,10 +15,8 @@ from adl_engine.affect import (
     UXLabel,
     UXModel,
     annotate,
-    infer_emotion,
     map_ux,
     read_annotated,
-    time_bucket,
     train_ux_mapper,
     write_annotated,
 )
@@ -29,7 +27,7 @@ from adl_engine.recognition import (
     detect_occurrence,
 )
 from adl_engine.temporal import MINUTES_PER_DAY
-from helpers import oracle_infer_emotion, per_row_annotate
+from helpers import emotion_after, oracle_infer_emotion, per_row_annotate
 
 
 def _full(defn) -> Observation:
@@ -40,34 +38,42 @@ def _verdict(defn, score, completed) -> OccurrenceVerdict:
     return OccurrenceVerdict(defn.name, score, defn.threshold, completed)
 
 
+def _item(defn, observation, start, end):
+    """An `annotate` item: the occurrence as recognition scores it."""
+    verdict = detect_occurrence(defn, observation)
+    return defn, observation, ScoredOccurrence(
+        defn.name, start, end, verdict.score, verdict.completed,
+    )
+
+
 # ---------------------------------------------------------------------------
-# infer_emotion
+# The emotion rule, one occurrence after a score history
 # ---------------------------------------------------------------------------
 
 def test_first_occurrence_without_history_is_positive(ukdale_defs):
     defn = ukdale_defs["Using Microwave"]
-    emotion = infer_emotion(defn, [], _full(defn), _verdict(defn, 1.0, True))
+    emotion = emotion_after(defn, [], _full(defn), _verdict(defn, 1.0, True))
     assert emotion is EmotionLabel.POSITIVE
 
 
 def test_incomplete_occurrence_is_negative(ukdale_defs):
     defn = ukdale_defs["Using Microwave"]
     obs = Observation(defn.name, frozenset({1}), frozenset({1}))
-    emotion = infer_emotion(defn, [], obs, _verdict(defn, 0.1, False))
+    emotion = emotion_after(defn, [], obs, _verdict(defn, 0.1, False))
     assert emotion is EmotionLabel.NEGATIVE
 
 
 def test_score_slump_below_recent_mean_is_negative(ukdale_defs):
     # 0.80 < mean([1.0]*5) - 0.05 = 0.95
     defn = ukdale_defs["Using Microwave"]
-    emotion = infer_emotion(
+    emotion = emotion_after(
         defn, [1.0] * 5, _full(defn), _verdict(defn, 0.80, True))
     assert emotion is EmotionLabel.NEGATIVE
 
 
 def test_score_within_epsilon_of_recent_mean_is_positive(ukdale_defs):
     defn = ukdale_defs["Using Microwave"]
-    emotion = infer_emotion(
+    emotion = emotion_after(
         defn, [1.0] * 5, _full(defn), _verdict(defn, 0.96, True))
     assert emotion is EmotionLabel.POSITIVE
 
@@ -77,14 +83,14 @@ def test_missing_most_important_atomic_is_negative(ukdale_defs):
     # when the verdict is forced complete
     defn = ukdale_defs["Using Microwave"]
     obs = Observation(defn.name, defn.atomic_ids - {5}, defn.context_ids)
-    emotion = infer_emotion(defn, [], obs, _verdict(defn, 1.0, True))
+    emotion = emotion_after(defn, [], obs, _verdict(defn, 1.0, True))
     assert emotion is EmotionLabel.NEGATIVE
 
 
 def test_missing_paired_context_is_negative(ukdale_defs):
     defn = ukdale_defs["Using Microwave"]
     obs = Observation(defn.name, defn.atomic_ids, defn.context_ids - {5})
-    emotion = infer_emotion(defn, [], obs, _verdict(defn, 1.0, True))
+    emotion = emotion_after(defn, [], obs, _verdict(defn, 1.0, True))
     assert emotion is EmotionLabel.NEGATIVE
 
 
@@ -92,7 +98,7 @@ def test_window_trims_older_history(ukdale_defs):
     # old 1.0 scores fall outside the window; recent mean is 0.5
     defn = ukdale_defs["Using Microwave"]
     history = [1.0, 1.0, 1.0] + [0.5] * 5
-    emotion = infer_emotion(
+    emotion = emotion_after(
         defn, history, _full(defn), _verdict(defn, 0.5, True))
     assert emotion is EmotionLabel.POSITIVE
 
@@ -100,9 +106,9 @@ def test_window_trims_older_history(ukdale_defs):
 def test_window_and_epsilon_validation(ukdale_defs):
     defn = ukdale_defs["Using Microwave"]
     with pytest.raises(ValueError, match="window"):
-        infer_emotion(defn, [], _full(defn), _verdict(defn, 1.0, True), window=0)
+        emotion_after(defn, [], _full(defn), _verdict(defn, 1.0, True), window=0)
     with pytest.raises(ValueError, match="epsilon"):
-        infer_emotion(
+        emotion_after(
             defn, [], _full(defn), _verdict(defn, 1.0, True), epsilon=-0.01)
 
 
@@ -117,8 +123,8 @@ def test_window_and_epsilon_validation(ukdale_defs):
 def test_emotion_depends_only_on_window_suffix(ukdale_defs, prefix, recent, score):
     defn = ukdale_defs["Using Microwave"]
     verdict = _verdict(defn, score, True)
-    with_prefix = infer_emotion(defn, prefix + recent, _full(defn), verdict)
-    without = infer_emotion(defn, recent, _full(defn), verdict)
+    with_prefix = emotion_after(defn, prefix + recent, _full(defn), verdict)
+    without = emotion_after(defn, recent, _full(defn), verdict)
     assert with_prefix == without
 
 
@@ -132,8 +138,8 @@ def test_positive_emotion_is_monotone_in_score(ukdale_defs, history, low, bump):
     # raising the score can never flip positive to negative
     defn = ukdale_defs["Using Microwave"]
     obs = _full(defn)
-    lo = infer_emotion(defn, history, obs, _verdict(defn, low, True))
-    hi = infer_emotion(defn, history, obs, _verdict(defn, low + bump, True))
+    lo = emotion_after(defn, history, obs, _verdict(defn, low, True))
+    hi = emotion_after(defn, history, obs, _verdict(defn, low + bump, True))
     if lo is EmotionLabel.POSITIVE:
         assert hi is EmotionLabel.POSITIVE
 
@@ -159,30 +165,52 @@ def test_infer_emotion_matches_the_fmean_oracle(
         defn.name, defn.atomic_ids - {5}, defn.context_ids
     )
     verdict = _verdict(defn, score, completed)
-    assert infer_emotion(
+    assert emotion_after(
         defn, history, observation, verdict, window=window, epsilon=epsilon
     ) is oracle_infer_emotion(defn, history, observation, verdict, window, epsilon)
 
 
 # ---------------------------------------------------------------------------
-# time_bucket
+# The time bucket of an occurrence's end
 # ---------------------------------------------------------------------------
 
-def test_time_bucket_examples():
-    assert time_bucket(0) == 0
-    assert time_bucket(29) == 0
-    assert time_bucket(30) == 1
-    assert time_bucket(1439) == 47
-    assert time_bucket(90, bucket_width=60) == 1
+def _annotated_bucket(defn, end: int, bucket_width: int = 30) -> int:
+    """The bucket whose learned UX label `annotate` gives an occurrence of
+    ``defn`` that ends at ``end``: each candidate bucket is trained bad in
+    turn, and exactly one of them turns the positive occurrence bad."""
+    item = _item(defn, _full(defn), end - 60, end)
+    hits = [
+        bucket for bucket in range(MINUTES_PER_DAY // bucket_width + 1)
+        if annotate([item], train_ux_mapper(
+            [(EmotionLabel.POSITIVE, defn.name, bucket, UXLabel.BAD)],
+            bucket_width=bucket_width,
+        ))[0].ux is UXLabel.BAD
+    ]
+    assert len(hits) == 1, hits
+    return hits[0]
 
 
-def test_time_bucket_validation():
-    with pytest.raises(ValueError):
-        time_bucket(1440)
-    with pytest.raises(ValueError):
-        time_bucket(-1)
-    with pytest.raises(ValueError):
-        time_bucket(10, bucket_width=0)
+def test_time_bucket_examples(ukdale_defs):
+    defn = ukdale_defs["Using Microwave"]
+    day = 86400
+    assert _annotated_bucket(defn, day) == 0
+    assert _annotated_bucket(defn, day + 29 * 60 + 59) == 0
+    assert _annotated_bucket(defn, day + 30 * 60) == 1
+    assert _annotated_bucket(defn, 2 * day - 1) == 47
+    assert _annotated_bucket(defn, day + 90 * 60, bucket_width=60) == 1
+
+
+def test_time_bucket_validation(ukdale_defs):
+    # an end's minute always lies in its day, before or after the epoch; a
+    # bucket width outside [1, 1440] is refused
+    defn = ukdale_defs["Using Microwave"]
+    assert _annotated_bucket(defn, -1) == 47
+    assert _annotated_bucket(defn, -86400) == 0
+    assert _annotated_bucket(defn, 86400 - 1, bucket_width=1440) == 0
+    item = _item(defn, _full(defn), 0, 60)
+    for bucket_width in (0, 1441):
+        with pytest.raises(ValueError, match="bucket_width"):
+            annotate([item], UXModel(bucket_width=bucket_width))
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +277,8 @@ def test_annotate_keeps_histories_per_activity(ukdale_defs):
     # a weak TV run must not drag down the microwave's history
     tv = ukdale_defs["Watching TV"]
     mw = ukdale_defs["Using Microwave"]
-    items = []
-    for i in range(5):
-        obs = _full(tv)
-        items.append((tv, obs, detect_occurrence(tv, obs), i * 100, i * 100 + 50))
-    mw_obs = _full(mw)
-    items.append((mw, mw_obs, detect_occurrence(mw, mw_obs), 600, 650))
+    items = [_item(tv, _full(tv), i * 100, i * 100 + 50) for i in range(5)]
+    items.append(_item(mw, _full(mw), 600, 650))
     annotations = annotate(items, UXModel())
     assert [a.activity for a in annotations[:5]] == [tv.name] * 5
     assert annotations[-1].activity == mw.name
@@ -265,10 +289,8 @@ def test_annotate_uses_scores_seen_so_far(ukdale_defs):
     mw = ukdale_defs["Using Microwave"]
     strong = _full(mw)
     weak = Observation(mw.name, mw.atomic_ids - {1}, mw.context_ids - {1})
-    items = []
-    for i in range(5):
-        items.append((mw, strong, detect_occurrence(mw, strong), i * 100, i * 100 + 50))
-    items.append((mw, weak, detect_occurrence(mw, weak), 600, 650))
+    items = [_item(mw, strong, i * 100, i * 100 + 50) for i in range(5)]
+    items.append(_item(mw, weak, 600, 650))
     annotations = annotate(items, UXModel())
     assert all(a.emotion is EmotionLabel.POSITIVE for a in annotations[:5])
     # 0.90 < 1.0 - 0.05, so the sixth run sours
@@ -300,7 +322,6 @@ def _subset(ids: frozenset[int], mask: int) -> frozenset[int]:
         st.booleans(),  # completed
         st.integers(min_value=0, max_value=3 * 86400),  # start
         st.integers(min_value=0, max_value=7200),  # duration
-        st.booleans(),  # verdict in memory, or read back from the verdict table
     ), max_size=30),
     window=st.integers(min_value=1, max_value=8),
     epsilon=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)),
@@ -319,18 +340,14 @@ def test_annotate_matches_the_per_row_loop(
     # may be incomplete
     defs = list(ukdale_defs)[:3]
     items = []
-    for which, atomics, contexts, score, completed, start, duration, read in rows:
+    for which, atomics, contexts, score, completed, start, duration in rows:
         defn = defs[which]
         observation = Observation(
             defn.name, _subset(defn.atomic_ids, atomics),
             _subset(defn.context_ids, contexts),
         )
-        end = start + duration
-        verdict = (
-            ScoredOccurrence(defn.name, start, end, score, completed) if read
-            else OccurrenceVerdict(defn.name, score, defn.threshold, completed)
-        )
-        items.append((defn, observation, verdict, start, end))
+        verdict = ScoredOccurrence(defn.name, start, start + duration, score, completed)
+        items.append((defn, observation, verdict))
     # an empty table, or one trained on the drawn examples
     model = train_ux_mapper([
         (emotion, defs[which].name, minute // bucket_width, label)
@@ -350,8 +367,7 @@ def test_annotate_rejects_bad_parameters_as_the_per_row_loop_did(
     ukdale_defs, parameters, message
 ):
     defn = ukdale_defs["Using Microwave"]
-    obs = _full(defn)
-    items = [(defn, obs, detect_occurrence(defn, obs), 0, 60)]
+    items = [_item(defn, _full(defn), 0, 60)]
     model = UXModel(**parameters)
     with pytest.raises(ValueError) as reference:
         per_row_annotate(items, model)
@@ -398,7 +414,17 @@ _ANNOTATED_HEADER = "activity,start,end,score,completed,emotion,ux"
      "line 2: unknown emotion 'happy'"),
     (f"{_ANNOTATED_HEADER}\nLunch,300,400,1.0,true,positive,meh\n",
      "line 2: unknown ux 'meh'"),
-], ids=["flag", "extra-field", "reordered-header", "emotion", "ux"])
+    (f"{_ANNOTATED_HEADER}\nLunch,300,400,nan,true,positive,good\n",
+     r"line 2: score must be in \[0, 1\], got nan"),
+    (f"{_ANNOTATED_HEADER}\nLunch,300,400,1.0,true,positive,good\n"
+     "Lunch,500,600,-7.5,true,positive,good\n",
+     r"line 3: score must be in \[0, 1\], got -7.5"),
+    (f"{_ANNOTATED_HEADER}\nLunch,300,400,-inf,true,positive,good\n",
+     r"line 2: score must be in \[0, 1\], got -inf"),
+], ids=[
+    "flag", "extra-field", "reordered-header", "emotion", "ux", "nan-score",
+    "negative-score", "infinite-score",
+])
 def test_read_annotated_rejects_malformed_rows(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         read_annotated(io.StringIO(text))

@@ -885,13 +885,14 @@ def test_recommend_names_a_malformed_model_file(tmp_path, capsys, text, message)
     assert capsys.readouterr().err == f"error: {model}: {message}\n"
 
 
-@pytest.mark.parametrize("table", ["feature_domains", "feature_counts"])
-def test_recommend_names_a_model_feature_that_is_missing(tmp_path, capsys, table):
+def _recommend_with_edited_model(tmp_path, capsys, edit) -> tuple[Path, int, str]:
+    """The model path, exit code and stderr of ``recommend --features`` on
+    the bundled run's model.json after ``edit`` changed its JSON object."""
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
     model = out / "model.json"
     payload = json.loads(model.read_text())
-    del payload[table]["ux"]
+    edit(payload)
     model.write_text(json.dumps(payload))
     features = tmp_path / "features.csv"
     features.write_text(
@@ -903,9 +904,39 @@ def test_recommend_names_a_model_feature_that_is_missing(tmp_path, capsys, table
         "recommend", "--config", str(ADL_CONFIG), "--out", str(out),
         "--features", str(features),
     ])
+    return model, code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", ["feature_domains", "feature_counts"])
+def test_recommend_names_a_model_feature_that_is_missing(tmp_path, capsys, table):
+    model, code, err = _recommend_with_edited_model(
+        tmp_path, capsys, lambda payload: payload[table].pop("ux")
+    )
     assert code == 2
-    err = capsys.readouterr().err
     assert err == f"error: {model}: model {table} lacks feature 'ux'\n"
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, float("nan"), float("inf")])
+def test_recommend_rejects_a_model_alpha_that_is_not_finite_and_positive(
+    tmp_path, capsys, alpha
+):
+    # json writes nan and inf as NaN and Infinity, and reads them back
+    model, code, err = _recommend_with_edited_model(
+        tmp_path, capsys, lambda payload: payload.update(alpha=alpha)
+    )
+    assert code == 2
+    assert err == f"error: {model}: model alpha must be finite and > 0, got {alpha}\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: payload.update(n_transitions=-1),
+    lambda payload: payload["class_counts"].update(Sleeping=-1),
+    lambda payload: payload["feature_counts"]["ux"]["Sleeping"].update(good=-1),
+], ids=["n_transitions", "class_counts", "feature_counts"])
+def test_recommend_rejects_a_negative_model_count(tmp_path, capsys, edit):
+    model, code, err = _recommend_with_edited_model(tmp_path, capsys, edit)
+    assert code == 2
+    assert err == f"error: {model}: model counts must be >= 0, got -1\n"
 
 
 def test_recommend_rejects_unknown_day_kind(tmp_path, capsys):
@@ -1173,6 +1204,32 @@ def test_affect_rejects_unknown_completed_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {verdicts}: line 3: expected 'true' or 'false', got 'yes'" in err
+
+
+@pytest.mark.parametrize("stage, table", [
+    ("affect", "verdicts.csv"), ("train", "annotated.csv"),
+])
+@pytest.mark.parametrize("score", ["nan", "-7.5"])
+def test_stages_reject_a_score_outside_the_unit_interval(
+    tmp_path, capsys, stage, table, score
+):
+    out = tmp_path / "run"
+    config = ["--config", str(ADL_CONFIG), "--out", str(out)]
+    for earlier in ("ingest", "recognize", "affect"):
+        assert main([earlier, *config]) == 0
+    path = out / table
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[3] = score
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    before = _snapshot(out)
+    capsys.readouterr()
+    code = main([stage, *config])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {path}: line 3: score must be in [0, 1], got {score}" in err
+    assert _snapshot(out) == before
 
 
 # ---------------------------------------------------------------------------

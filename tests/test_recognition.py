@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adl_engine.affect import infer_emotion
 from adl_engine.definitions import (
     AtomicActivity,
     ComplexActivityDefinition,
     ContextAttribute,
+    DefinitionSet,
 )
 from adl_engine.ingestion import OccurrenceRecord, Source
 from adl_engine.recognition import (
@@ -23,7 +23,9 @@ from adl_engine.recognition import (
     score_occurrences,
     write_verdicts,
 )
-from helpers import definition_strategy, load_all_defs, per_row_score_occurrences
+from helpers import (
+    definition_strategy, emotion_after, load_all_defs, per_row_score_occurrences,
+)
 
 
 def _full(defn) -> Observation:
@@ -213,7 +215,19 @@ def test_read_verdicts_rejects_short_rows():
      "line 2: expected 5 fields, got 6"),
     ("activity,end,start,score,completed\nSleeping,400,300,1.0,true\n",
      "line 1: expected header"),
-], ids=["flag", "extra-field", "reordered-header"])
+    ("activity,start,end,score,completed\nSleeping,300,400,nan,true\n",
+     r"line 2: score must be in \[0, 1\], got nan"),
+    ("activity,start,end,score,completed\nSleeping,300,400,1.0,true\n"
+     "Sleeping,500,600,-7.5,true\n",
+     r"line 3: score must be in \[0, 1\], got -7.5"),
+    ("activity,start,end,score,completed\nSleeping,300,400,1.0000001,true\n",
+     r"line 2: score must be in \[0, 1\], got 1.0000001"),
+    ("activity,start,end,score,completed\nSleeping,300,400,inf,true\n",
+     r"line 2: score must be in \[0, 1\], got inf"),
+], ids=[
+    "flag", "extra-field", "reordered-header", "nan-score", "negative-score",
+    "score-above-one", "infinite-score",
+])
 def test_read_verdicts_rejects_malformed_rows(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         read_verdicts(io.StringIO(text))
@@ -230,13 +244,33 @@ def test_record_scores_like_its_observation(defn, data):
     lam = data.draw(st.floats(min_value=0.0, max_value=1.0))
     verdict = detect_occurrence(defn, observation, lam)
     assert detect_occurrence(defn, record, lam) == verdict
-    assert infer_emotion(defn, [], record, verdict) is infer_emotion(
+    assert emotion_after(defn, [], record, verdict) is emotion_after(
         defn, [], observation, verdict)
 
 
 # ---------------------------------------------------------------------------
 # score_occurrences
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=100, derandomize=True)
+@given(defn=definition_strategy(), data=st.data())
+def test_scores_the_engine_writes_pass_the_score_check(defn, data):
+    # read_verdicts and read_annotated refuse a score outside [0, 1]; no
+    # evidence and no lam in [0, 1] makes one
+    ids = sorted(defn.atomic_ids)
+    evidence = st.frozensets(st.sampled_from(ids))
+    records = [
+        OccurrenceRecord(defn.name, i, i + 1, atomics, contexts, Source.ANNOTATION)
+        for i, (atomics, contexts) in enumerate(data.draw(
+            st.lists(st.tuples(evidence, evidence), min_size=1, max_size=8)))
+    ]
+    lam = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    rows = score_occurrences(DefinitionSet({defn.name: defn}), records, lam)
+    assert all(0.0 <= row.score <= 1.0 for row in rows)
+    buf = io.StringIO()
+    write_verdicts(rows, buf)
+    assert read_verdicts(io.StringIO(buf.getvalue())) == rows
+
 
 def _subset(ids: frozenset[int], mask: int) -> frozenset[int]:
     """``ids`` themselves when ``mask`` is 0, else the ids whose bits it sets."""

@@ -13,7 +13,6 @@ from adl_engine.recommender import (
     DayKind,
     FeatureVector,
     LabeledTransition,
-    day_kind_of,
     extract_transitions,
     predict_confidences,
     read_model,
@@ -53,15 +52,21 @@ def _utc(y, mo, d, h, mi) -> int:
 
 
 # ---------------------------------------------------------------------------
-# day_kind_of
+# The day kind of a transition's end
 # ---------------------------------------------------------------------------
+
+def _day_kind_at(end: int) -> DayKind:
+    """The day kind `extract_transitions` gives an occurrence ending at ``end``."""
+    [transition] = extract_transitions([_ann("A", end, end), _ann("B", end, end)])
+    return transition.features.day_kind
+
 
 def test_day_kind_of_epoch_week():
     # 1970-01-01 was a Thursday
-    assert day_kind_of(0) is DayKind.WEEKDAY
-    assert day_kind_of(2 * 86400) is DayKind.WEEKEND  # Saturday
-    assert day_kind_of(3 * 86400) is DayKind.WEEKEND  # Sunday
-    assert day_kind_of(4 * 86400) is DayKind.WEEKDAY  # Monday
+    assert _day_kind_at(0) is DayKind.WEEKDAY
+    assert _day_kind_at(2 * 86400) is DayKind.WEEKEND  # Saturday
+    assert _day_kind_at(3 * 86400) is DayKind.WEEKEND  # Sunday
+    assert _day_kind_at(4 * 86400) is DayKind.WEEKDAY  # Monday
 
 
 @settings(max_examples=200, derandomize=True)
@@ -72,7 +77,7 @@ def test_day_kind_of_epoch_week():
 @example(-3 * 86400 - 1)  # the Sunday before that
 def test_day_kind_of_matches_calendar_weekday(timestamp):
     weekday = datetime.fromtimestamp(timestamp, timezone.utc).weekday()
-    assert (day_kind_of(timestamp) is DayKind.WEEKDAY) == (weekday < 5)
+    assert (_day_kind_at(timestamp) is DayKind.WEEKDAY) == (weekday < 5)
 
 
 def test_feature_vector_rejects_negative_bucket():
