@@ -181,10 +181,12 @@ def _read_features(
 
     Columns are read by name; ``previous_activity`` and ``activity`` may be
     absent.  A row's fields are checked in order: the time bucket, emotion,
-    ux and day kind, then that the bucket is not negative, then that the
-    previous activity (none when empty or ``none``) and the true activity
-    (when not empty) name defined activities.
+    ux and day kind, then that the bucket is not negative and is one of the
+    model's `time_buckets`, then that the previous activity (none when empty
+    or ``none``) and the true activity (when not empty) name defined
+    activities.
     """
+    model = store["model"]
     names = {name: name for name in store["defs"].names}
     previous_of = {**names, "": None, recom_mod.NO_PREVIOUS: None}
     true_of = FieldLookup({**names, "": ""}, "unknown true activity")
@@ -200,12 +202,17 @@ def _read_features(
         for key in set(keys).difference(vectors):
             bucket, previous_text, emotion_text, ux_text, day_text = key
             previous_name = previous_text.strip()
-            features = recom_mod.FeatureVector(  # checks the bucket
+            features = recom_mod.FeatureVector(  # checks the bucket is not negative
                 int(bucket), previous_of.get(previous_name),
                 affect_mod.parse_emotion(emotion_text.strip()),
                 affect_mod.parse_ux(ux_text.strip()),
                 recom_mod.parse_day_kind(day_text.strip()),
             )
+            if features.time_bucket >= model.time_buckets:
+                raise ValueError(
+                    f"time_bucket must be < {model.time_buckets} for the model's "
+                    f"bucket_width {model.bucket_width}, got {features.time_bucket}"
+                )
             if previous_name not in previous_of:
                 raise ValueError(f"unknown previous activity {previous_name!r}")
             vectors[key] = features

@@ -12,15 +12,19 @@ annotation log is a table that `tables.read_csv_blocks` reads.
 A power trace becomes occurrence records a block at a time.
 `power_trace_blocks` splits each block once, checks it whole with builtins
 that run in C, and thresholds it against ``on_watts``, yielding each block's
-stamps and the indices of its on-samples.  A channel repeats few watts
-texts, so the reader keeps a per-stream dict from each watts text of an
-accepted block to its on flag and decides each distinct text once; a block
-whose texts are all known needs no float parsing.  The dict takes new texts
-only while it holds fewer than `WATTS_MEMO_TEXTS`, so a trace of all
-distinct readings cannot grow it without bound.  A block with any line that
-is not plain ``<stamp> <watts>`` text goes through the per-line parser
-`iter_power_trace` instead, which gives the same values or raises the same
-error.  `trace_occurrences` finds where runs end from the index steps
+stamps, as decimal texts, and the indices of its on-samples.  Stamps that
+are ASCII digits of one width sort as texts in number order, so a block of
+them is checked as texts and only its first and last stamps are read with
+`int`.  A channel repeats few watts texts, so the reader keeps a per-stream
+dict from each watts text of an accepted block to its on flag; a block
+whose texts are all known needs no float parsing, and of a block with texts
+the dict lacks only those are parsed.
+The dict takes new texts only while it holds fewer than `WATTS_MEMO_TEXTS`,
+so a trace of all distinct readings cannot grow it without bound.  A block
+with any line that is not plain ``<stamp> <watts>`` text, or with stamps of
+mixed widths, goes through the per-line parser `iter_power_trace` instead,
+which gives the same values or raises the same error.
+`trace_occurrences` finds where runs end from the index steps
 between on-samples, bridging dropouts of at most ``gap_tolerance`` samples;
 it keeps only the open run's bounds, so memory does not grow with trace
 length.  The three-step path `parse_power_trace` -> `binarize` ->
@@ -36,7 +40,7 @@ import math
 from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, filterfalse, islice, repeat
 from operator import attrgetter, itemgetter, lt, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -151,21 +155,21 @@ WATTS_MEMO_TEXTS = 4096
 
 def power_trace_blocks(
     stream: TextIO, channel: str, on_watts: float
-) -> Iterator[tuple[list[int], list[int]]]:
+) -> Iterator[tuple[list[str], list[int]]]:
     """Yield the samples of a power-trace stream as ``(stamps, on)`` lists:
-    the block's stamps, and the indices into them of the samples whose watts
-    exceed ``on_watts``.
+    the block's stamps as decimal texts, and the indices into them of the
+    samples whose watts exceed ``on_watts``.
 
-    Concatenated, the stamps are those `iter_power_trace` yields for the same
-    stream, and a bad line raises the TraceParseError it raises.  The stream
-    is read in `line_blocks`.  No yielded stamps list is empty.  A bad
-    ``on_watts`` raises ValueError as iteration starts, before any line is
-    read.
+    Concatenated and each read with `int`, the stamps are those
+    `iter_power_trace` yields for the same stream, and a bad line raises the
+    TraceParseError it raises.  The stream is read in `line_blocks`.  No
+    yielded stamps list is empty.  A bad ``on_watts`` raises ValueError as
+    iteration starts, before any line is read.
     """
     _check_on_watts(on_watts)
     # not on_watts.__lt__: for an int threshold it returns NotImplemented, which is truthy
     is_on = partial(lt, on_watts)
-    # {watts text: on flag} for texts of accepted plain blocks; a channel
+    # {watts text: on flag} for texts proven finite and >= 0; a channel
     # repeats few watts texts, so most blocks are thresholded by lookups alone
     known: dict[str, bool] = {}
     first_line = 1  # the number of the block's first line
@@ -180,45 +184,57 @@ def power_trace_blocks(
                 iter_power_trace(text.split("\n"), channel, first_line, last_ts)
             )
             block = (
-                [ts for ts, _ in samples],
+                list(map(str, map(itemgetter(0), samples))),
                 list(compress(count(), map(is_on, map(itemgetter(1), samples)))),
             )
         first_line += lines
         if block[0]:
-            last_ts = block[0][-1]
+            last_ts = int(block[0][-1])
             yield block
 
 
 def _plain_block(
     text: str, lines: int, last_ts: int | None,
     is_on: Callable[[float], bool], known: dict[str, bool],
-) -> tuple[list[int], list[int]] | None:
-    """The stamps and on-sample indices of ``text`` if each of its ``lines``
-    is a plain, valid ``<stamp> <watts>`` line and the first follows
-    ``last_ts``, else None.
+) -> tuple[list[str], list[int]] | None:
+    """The stamp texts and on-sample indices of ``text`` if each of its
+    ``lines`` is a plain, valid ``<stamp> <watts>`` line and the first
+    follows ``last_ts``, else None.
 
     Builtins check the whole block at once: one space and only number
-    characters on each line, two tokens a line, integer stamps that are
-    exact as floats and strictly increase, and watts that are finite and >= 0.
-    Watts texts are looked up in ``known``; a block with a text not in it is
-    parsed and checked whole, and, if accepted, its texts go into ``known``
+    characters on each line, and two tokens a line.  The stamps must be
+    ASCII digit texts of one width, which sort as their numbers do, so they
+    are checked as texts to strictly increase; only the first and the last
+    are read with `int`, to follow ``last_ts`` and to stay below 2**53,
+    where a float holds them exactly.  Stamps of mixed widths, a sign, a
+    fraction, an exponent or a stamp of 2**53 or more leave the block to
+    `iter_power_trace`.
+
+    Watts texts are looked up in ``known``.  On a miss, only the texts
+    ``known`` lacks are parsed and checked to be finite and >= 0: each
+    distinct one once, or, when it lacks them all, each in line order.  If
+    the block is accepted, they go into ``known``, in the order first seen,
     while that holds fewer than `WATTS_MEMO_TEXTS`.  So ``known`` holds only
-    texts proven finite and >= 0, and its size is bounded whatever the
-    trace.
+    texts proven finite and >= 0, its size is bounded whatever the trace,
+    and a miss costs work in proportion to the block, not to ``known``.
     """
     if text.translate(_NUMBER_CHARS) != " \n" * lines:
         return None
     tokens = text.split()
     if len(tokens) != 2 * lines:  # a line with an empty field
         return None
-    try:
-        stamps = list(map(int, tokens[::2]))
-    except ValueError:  # a fraction or an exponent: `iter_power_trace` reads it
-        return None
+    stamps = tokens[::2]
+    joined = " ".join(stamps)
+    width = len(stamps[0])
     if not (
-        (last_ts is None or last_ts < stamps[0])
+        # each stamp is `width` digits, so text order is number order
+        len(joined) == lines * (width + 1) - 1
+        and joined[width::width + 1] == " " * (lines - 1)
+        and "." not in joined and "e" not in joined and "E" not in joined
+        and "+" not in joined and "-" not in joined
         and all(map(lt, stamps, islice(stamps, 1, None)))
-        and -_EXACT_INT < stamps[0] and stamps[-1] < _EXACT_INT
+        and (last_ts is None or last_ts < int(stamps[0]))
+        and int(stamps[-1]) < _EXACT_INT
     ):
         return None
     texts = tokens[1::2]
@@ -226,8 +242,11 @@ def _plain_block(
         return stamps, list(compress(count(), map(known.__getitem__, texts)))
     except KeyError:
         pass
+    new = list(filterfalse(known.__contains__, texts))
+    if len(new) < len(texts):
+        new = list(dict.fromkeys(new))
     try:
-        watts = list(map(float, texts))
+        watts = list(map(float, new))
     except ValueError:
         return None
     if not (min(watts) >= 0 and math.isfinite(sum(watts))):
@@ -235,8 +254,13 @@ def _plain_block(
     flags = list(map(is_on, watts))
     room = WATTS_MEMO_TEXTS - len(known)
     if room > 0:
-        known.update(islice(zip(texts, flags), room))
-    return stamps, list(compress(count(), flags))
+        known.update(islice(zip(new, flags), room))
+    if len(new) == len(texts):  # no text was known: the flags are in line order
+        return stamps, list(compress(count(), flags))
+    if room >= len(new):  # every text is now known
+        return stamps, list(compress(count(), map(known.__getitem__, texts)))
+    fresh = dict(zip(new, flags))
+    return stamps, list(compress(count(), map(fresh.get, texts, map(known.get, texts))))
 
 
 def _check_on_watts(on_watts: float) -> None:
@@ -250,7 +274,7 @@ def _check_gap_tolerance(gap_tolerance: int) -> None:
 
 
 def trace_occurrences(
-    blocks: Iterable[tuple[list[int], list[int]]],
+    blocks: Iterable[tuple[list[str], list[int]]],
     defn: ComplexActivityDefinition,
     gap_tolerance: int,
 ) -> list[OccurrenceRecord]:
@@ -261,14 +285,15 @@ def trace_occurrences(
     of each block's on-samples that skip more than ``gap_tolerance`` off
     samples; each such step ends one run and starts the next, and Python
     code runs only there.  Trailing off samples never extend a run.  From
-    block to block only the open run's bounds are kept.  Like
+    block to block only the open run's bounds are kept, and a stamp text
+    is read with `int` only where it bounds a run.  Like
     ``segment_occurrences``, each record carries the full id sets of
     ``defn``, the activity the channel maps to.
     """
     _check_gap_tolerance(gap_tolerance)
     ends_run = partial(lt, gap_tolerance + 1)  # applied to an index step
-    runs: list[tuple[int, int]] = []
-    start = end = 0
+    runs: list[tuple[str, str]] = []
+    start = end = ""
     last: int | None = None  # index of the open run's last on-sample in this block
     for stamps, on in blocks:
         if on:
@@ -288,8 +313,8 @@ def trace_occurrences(
     return [
         OccurrenceRecord(
             activity=defn.name,
-            start=start,
-            end=end,
+            start=int(start),
+            end=int(end),
             observed_atomics=defn.atomic_ids,
             satisfied_contexts=defn.context_ids,
             source=Source.POWER_TRACE,

@@ -29,7 +29,7 @@ from .affect import (
 )
 from .definitions import NO_PREVIOUS
 from .tables import Memo, member_parser, named_rows
-from .temporal import is_weekday, minute_of_day
+from .temporal import MINUTES_PER_DAY, is_weekday, minute_of_day
 
 DEFAULT_ALPHA = 1.0
 FEATURE_NAMES = ("time_bucket", "previous_activity", "emotion", "ux", "day_kind")
@@ -140,6 +140,11 @@ class RecommenderModel:
     feature_domains: dict[str, tuple[str, ...]]
     feature_counts: dict[str, dict[str, dict[str, int]]]
 
+    @property
+    def time_buckets(self) -> int:
+        """How many time buckets of ``bucket_width`` minutes a day holds."""
+        return -(-MINUTES_PER_DAY // self.bucket_width)
+
     def prior(self, activity: str) -> float:
         count = self.class_counts.get(activity, 0)
         denom = self.n_transitions + self.alpha * len(self.activities)
@@ -195,7 +200,8 @@ class RecommenderModel:
         Text that is not JSON, a document that is not an object, a missing
         key, a value that does not convert, feature domains or counts that
         lack a name of `FEATURE_NAMES`, an ``alpha`` that is not finite and
-        > 0, and a negative count raise ValueError.
+        > 0, a ``bucket_width`` that `check_bucket_width` rejects, and a
+        negative count raise ValueError.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -226,6 +232,7 @@ class RecommenderModel:
                     raise ValueError(f"model {key} lacks feature {f!r}")
         if not 0 < model.alpha < math.inf:
             raise ValueError(f"model alpha must be finite and > 0, got {model.alpha}")
+        check_bucket_width(model.bucket_width)
         lowest = min((
             model.n_transitions, *model.class_counts.values(),
             *(n for per_class in model.feature_counts.values()

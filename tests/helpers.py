@@ -710,6 +710,13 @@ def oracle_read_features(store, path) -> list:
                 ux=parse_ux(row["ux"].strip()),
                 day_kind=parse_day_kind(row["day_kind"].strip()),
             )
+            bucket_width = store["model"].bucket_width
+            buckets = math.ceil(1440 / bucket_width)
+            if features.time_bucket >= buckets:
+                raise ValueError(
+                    f"time_bucket must be < {buckets} for the model's bucket_width "
+                    f"{bucket_width}, got {features.time_bucket}"
+                )
             previous_label = features.previous_activity
             if previous_label is not None and previous_label not in known:
                 raise ValueError(f"unknown previous activity {previous_label!r}")

@@ -939,6 +939,48 @@ def test_recommend_rejects_a_negative_model_count(tmp_path, capsys, edit):
     assert err == f"error: {model}: model counts must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("bucket_width", [0, 1441])
+def test_recommend_rejects_a_model_bucket_width_outside_a_day(
+    tmp_path, capsys, bucket_width
+):
+    model, code, err = _recommend_with_edited_model(
+        tmp_path, capsys, lambda payload: payload.update(bucket_width=bucket_width)
+    )
+    assert code == 2
+    assert err == f"error: {model}: bucket_width must be in [1, 1440], got {bucket_width}\n"
+
+
+@pytest.mark.parametrize("bucket_width, last_bucket", [(30, 47), (60, 23), (7, 205)])
+def test_recommend_rejects_a_time_bucket_the_model_cannot_hold(
+    tmp_path, capsys, bucket_width, last_bucket
+):
+    # a day holds ceil(1440 / bucket_width) buckets of the model's width
+    out = tmp_path / "run"
+    assert main([
+        "pipeline", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--bucket-width", str(bucket_width),
+    ]) == 0
+    features = tmp_path / "features.csv"
+    row = ",Eating Breakfast,positive,good,weekday,Leaving\n"
+    header = "time_bucket,previous_activity,emotion,ux,day_kind,activity\n"
+    features.write_text(header + f"{last_bucket}{row}")
+    argv = [
+        "recommend", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--features", str(features),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 0
+    features.write_text(header + f"{last_bucket}{row}" * 2 + f"{last_bucket + 1}{row}")
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {features}: line 4: time_bucket must be < {last_bucket + 1} "
+        f"for the model's bucket_width {bucket_width}, got {last_bucket + 1}\n"
+    )
+    assert _snapshot(out) == before
+
+
 def test_recommend_rejects_unknown_day_kind(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0

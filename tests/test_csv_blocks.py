@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adl_engine import cli, tables
-from adl_engine.affect import ANNOTATED_FIELDS, read_annotated
+from adl_engine.affect import ANNOTATED_FIELDS, EmotionLabel, UXLabel, read_annotated
 from adl_engine.ingestion import (
     ADL_LOG_FIELDS,
     OCCURRENCE_FIELDS,
@@ -38,6 +38,7 @@ from adl_engine.ingestion import (
     write_occurrences,
 )
 from adl_engine.recognition import VERDICT_FIELDS, read_verdicts
+from adl_engine.recommender import DayKind, FeatureVector, LabeledTransition, train
 from adl_engine.tables import TRACE_BLOCK_CHARS, csv_field
 from helpers import (
     load_adl_defs,
@@ -252,7 +253,11 @@ def test_a_field_over_the_csv_limit_matches_per_row(read, oracle, header):
 
 # defined names that need quotes, beside the catalogue's
 _USER_NAMES = (*NAMES, "a,b", 'say "hi"')
-_USER_STORE = {"defs": SimpleNamespace(names=_USER_NAMES)}
+# a model of 30-minute buckets, so a day holds buckets 0 to 47
+_MODEL = train([LabeledTransition(
+    FeatureVector(0, None, EmotionLabel.POSITIVE, UXLabel.GOOD, DayKind.WEEKDAY), NAMES[0],
+)], bucket_width=30)
+_USER_STORE = {"defs": SimpleNamespace(names=_USER_NAMES), "model": _MODEL}
 _LABELS = (list(_USER_NAMES), ["Jogging", "none", "None", "two\nlines", "cr\rx"])
 _EXTRA = (["x", "a,b", 'q"uote', "line\nbreak", ""], [])
 
@@ -260,7 +265,7 @@ _EXTRA = (["x", "a,b", 'q"uote', "line\nbreak", ""], [])
 _USER_TABLES = {
     "features": {
         "time_bucket": (True, ["0", "15", "47", " 7", "1_000"],
-                        ["soon", "1.5", "", "-5", "-1"]),
+                        ["soon", "1.5", "", "-5", "-1", "48", "1000"]),
         "emotion": (True, ["positive", "negative", " positive"], ["meh", ""]),
         "ux": (True, ["good", "bad"], ["ok"]),
         "day_kind": (True, ["weekday", "weekend"], ["holiday", "Weekday"]),
@@ -412,7 +417,7 @@ def test_plain_user_tables_never_reach_csv_reader(monkeypatch, tmp_path):
         + "".join(f"{name},{name}," + ",".join(["0.125"] * len(NAMES)) + "\n"
                   for name in NAMES * 40)
     )
-    store = {"defs": ADL_DEFS}
+    store = {"defs": ADL_DEFS, "model": _MODEL}
     with monkeypatch.context() as patch:
         patch.setattr(csv, "reader", _no_csv_reader)
         rows = cli._read_features(store, features)

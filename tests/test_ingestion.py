@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 import tracemalloc
 
 import pytest
@@ -140,9 +141,9 @@ def test_power_trace_blocks_match_iter_power_trace(text, block_chars):
 
 
 def _check_blocks_against_iter_power_trace(text, block_chars, on_watts):
-    """The stamps and on-flags of `power_trace_blocks`, concatenated, are
-    those of `iter_power_trace` thresholded at ``on_watts``, or it raises
-    the same error."""
+    """The stamp texts of `power_trace_blocks`, concatenated and read with
+    `int`, and its on-flags are those of `iter_power_trace` thresholded at
+    ``on_watts``, or it raises the same error."""
     def thresholded():
         samples = list(iter_power_trace(io.StringIO(text), "tv"))
         return [ts for ts, _ in samples], [
@@ -153,8 +154,9 @@ def _check_blocks_against_iter_power_trace(text, block_chars, on_watts):
         all_stamps, all_on = [], []
         for stamps, on in power_trace_blocks(io.StringIO(text), "tv", on_watts):
             assert stamps
+            assert all(type(stamp) is str for stamp in stamps)
             all_on += [len(all_stamps) + i for i in on]
-            all_stamps += stamps
+            all_stamps += map(int, stamps)
         return all_stamps, all_on
 
     expected = _samples_or_error(thresholded)
@@ -220,16 +222,105 @@ def test_power_trace_blocks_memo_holds_only_accepted_texts():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tables, "TRACE_BLOCK_CHARS", 16)
         blocks = power_trace_blocks(io.StringIO(text), "tv", 5.0)
-        assert list(blocks) == [([1, 2, 3], [0, 2]), ([4, 5], [0, 1]), ([6, 7], [0])]
+        assert list(blocks) == [
+            (["1", "2", "3"], [0, 2]), (["4", "5"], [0, 1]), (["6", "7"], [0]),
+        ]
         # the memo is the reader's local; a finished generator drops it
         blocks = power_trace_blocks(io.StringIO(text), "tv", 5.0)
         for _ in range(3):
             next(blocks)
         assert blocks.gi_frame.f_locals["known"] == {"7.5": True, "0": False}
-        # a block whose 7.5 is known but whose 1e400 is not is checked whole
-        bad = "1 7.5\n2 7.5\n3 7.5\n" "4 7.5\n5 1e400\n"
-        with pytest.raises(TraceParseError, match="tv: line 5: watts must be finite"):
-            list(power_trace_blocks(io.StringIO(bad), "tv", 5.0))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    text=_repeating_trace_texts(), memo_texts=st.sampled_from([0, 1, 2, 3, 5]),
+    block_chars=st.sampled_from([64, 24, 8]),
+)
+def test_power_trace_blocks_memo_stays_capped_and_valid(text, memo_texts, block_chars):
+    # with a small cap, blocks miss on some texts while others are known;
+    # after each block the memo holds at most its cap of texts, each finite
+    # and >= 0 and mapped to its own flag
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables, "TRACE_BLOCK_CHARS", block_chars)
+        patch.setattr(ingestion, "WATTS_MEMO_TEXTS", memo_texts)
+        blocks = power_trace_blocks(io.StringIO(text), "tv", 10.0)
+        try:
+            for _ in blocks:
+                known = blocks.gi_frame.f_locals["known"]
+                assert len(known) <= memo_texts
+                for watts_text, flag in known.items():
+                    watts = float(watts_text)
+                    assert math.isfinite(watts) and watts >= 0
+                    assert flag == (watts > 10.0)
+        except TraceParseError:
+            pass
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400", "-1"])
+def test_power_trace_blocks_bad_text_among_known_ones_names_its_line(bad):
+    # the first block of 16 characters makes 7.5 and 0 known; the second
+    # holds those texts and one bad one
+    text = f"1 7.5\n2 0\n3 7.5\n4 7.5\n5 0\n6 {bad}\n7 7.5\n"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables, "TRACE_BLOCK_CHARS", 16)
+        with pytest.raises(TraceParseError, match="tv: line 6: watts must be finite and >= 0"):
+            list(power_trace_blocks(io.StringIO(text), "tv", 5.0))
+
+
+@st.composite
+def _stamp_trace_lines(draw):
+    """Trace lines of valid watts whose stamps the text checks must read as
+    numbers or leave to `iter_power_trace`: widths that change (99 -> 100),
+    leading zeros, signs, fractions and exponents, stamps at and above
+    2**53, and equal or decreasing stamps of one width."""
+    ts = draw(st.sampled_from([-20, 0, 90, 99_990, 2**53 - 30]))
+    pad = draw(st.sampled_from([0, 0, 7, 17]))  # zero-padded to this width
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        ts += draw(st.sampled_from([1, 3, 6, 6, 6, 0, -1]))
+        stamp = draw(st.sampled_from(
+            ["{:0{pad}d}"] * 8 + ["0{}", "+{}", "{}.0", "{}.5", "{}e0", "{}E0"]
+        )).format(ts, pad=pad)
+        lines.append(f"{stamp} {draw(st.sampled_from(['0', '1.5', '12', '250.0']))}")
+    return lines
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    lines=_stamp_trace_lines(), tolerance=st.integers(0, 3),
+    block_chars=st.sampled_from([TRACE_BLOCK_CHARS, 64, 16, 8, 3]),
+)
+@example(lines=["98 12", "99 12", "100 12", "101 12"], tolerance=0, block_chars=12)
+@example(lines=["99 12", "100 12"], tolerance=0, block_chars=6)  # a width change at an edge
+# mixed widths that sort as texts, and whose sum of widths, or all but the
+# last width, is what one width gives
+@example(lines=["10 12", "100 12", "2 12"], tolerance=0, block_chars=64)
+@example(lines=["100 12", "101 12", "99 12"], tolerance=0, block_chars=64)
+@example(lines=["007 12", "010 0", "011 12"], tolerance=0, block_chars=64)
+@example(lines=["+9 12", "05 12"], tolerance=0, block_chars=64)  # +9 sorts before 05
+@example(lines=["-3 12", "-5 12"], tolerance=0, block_chars=64)  # -3 sorts before -5
+@example(lines=["15 12", "15 12"], tolerance=0, block_chars=64)
+@example(lines=["16 12", "15 12"], tolerance=0, block_chars=64)
+@example(lines=["10 12", "5e1 12", "60 12"], tolerance=0, block_chars=64)
+@example(lines=["9007199254740991 12", "9007199254740992 12"], tolerance=0, block_chars=64)
+@example(lines=["9007199254740992 12", "9007199254740993 12"], tolerance=0, block_chars=64)
+def test_stamp_texts_match_iter_power_trace_and_three_step_reference(
+    lines, tolerance, block_chars, ukdale_defs
+):
+    text = "\n".join(lines) + "\n"
+    _check_blocks_against_iter_power_trace(text, block_chars, 10.0)
+    expected = _samples_or_error(lambda: segment_occurrences(
+        binarize(parse_power_trace(io.StringIO(text), "tv"), 10.0, tolerance),
+        {"tv": "Watching TV"}, ukdale_defs,
+    ))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables, "TRACE_BLOCK_CHARS", block_chars)
+        got = _samples_or_error(lambda: trace_occurrences(
+            power_trace_blocks(io.StringIO(text), "tv", 10.0),
+            ukdale_defs["Watching TV"], tolerance,
+        ))
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +582,7 @@ def test_records_share_their_definitions_id_sets(adl_defs, ukdale_defs):
     log = ADL_CSV + ADL_CSV.split("\n", 1)[1]  # every activity twice
     records = parse_adl_log(io.StringIO(log), adl_defs)
     tv = ukdale_defs["Watching TV"]
-    records += trace_occurrences([([0, 6, 12, 18, 24], [0, 4])], tv, 2)
+    records += trace_occurrences([(["0", "6", "12", "18", "24"], [0, 4])], tv, 2)
     assert len(records) == 16
     for r in records:
         defn = adl_defs[r.activity] if r.activity in adl_defs else tv

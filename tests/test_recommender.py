@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -436,3 +437,20 @@ def test_model_json_round_trip():
     assert restored == model
     query = _q(0, "X")
     assert predict_confidences(restored, query) == predict_confidences(model, query)
+
+
+@pytest.mark.parametrize("bucket_width", [0, 1441])
+def test_read_model_rejects_a_bucket_width_outside_a_day(bucket_width):
+    model = train([_t(0, "X", "A"), _t(1, "Y", "B")], bucket_width=60)
+    payload = json.loads(model.to_json())
+    payload["bucket_width"] = bucket_width
+    with pytest.raises(
+        ValueError, match=rf"bucket_width must be in \[1, 1440\], got {bucket_width}"
+    ):
+        read_model(io.StringIO(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("bucket_width, buckets", [(1, 1440), (30, 48), (7, 206), (1440, 1)])
+def test_model_time_buckets_cover_a_day(bucket_width, buckets):
+    model = train([_t(0, "X", "A"), _t(0, "Y", "B")], bucket_width=bucket_width)
+    assert model.time_buckets == buckets
