@@ -2,13 +2,15 @@
 
 The engine is one ordered table of stages, `STAGES`: ingest, recognize,
 affect, cluster, train, recommend, evaluate.  A stage reads its inputs from
-the invocation's value store, writes its artifacts into the configured
-output directory and returns its one-line summary.  `pipeline` runs every
-stage on one store, so each value passes to later stages in memory.  A
-stage subcommand runs its one entry; an input that no stage of the run made
-is loaded from the previous stage's file in the output directory, or from
-the file its flag names.  Outputs carry no timestamps or machine state:
-identical inputs and config produce byte-identical artifacts.
+the invocation's value store and returns its one-line summary with one
+writer per artifact it names; the stage loop in `main` writes each artifact
+into the configured output directory before the next stage runs.
+`pipeline` runs every stage on one store, so each value passes to later
+stages in memory.  A stage subcommand runs its one entry; an input that no
+stage of the run made is loaded from the previous stage's file in the
+output directory, or from the file its flag names.  Outputs carry no
+timestamps or machine state: identical inputs and config produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import gc
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 from operator import attrgetter, countOf, ne
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, TextIO
@@ -66,22 +69,6 @@ def _log(level: str, message: str, traceback: bool = False) -> None:
 
         message += "\n" + format_exc().removesuffix("\n")
     print(f"{level.upper()} adl_engine: {message}", file=sys.stderr)
-
-
-def _load_all_definitions(paths: tuple[str, ...]) -> defs_mod.DefinitionSet:
-    if not paths:
-        raise ConfigError("config key 'definitions': at least one file is required")
-    merged: dict[str, defs_mod.ComplexActivityDefinition] = {}
-    for path in paths:
-        loaded = defs_mod.load_definitions(path)
-        for name in loaded.names:
-            if name in merged:
-                raise defs_mod.DefinitionError(
-                    f"{path}: duplicate definition {name!r} across files",
-                    violations=[name],
-                )
-            merged[name] = loaded[name]
-    return defs_mod.DefinitionSet(definitions=merged)
 
 
 @contextmanager
@@ -142,7 +129,20 @@ class Store:
 
 
 def _read_definitions(store: Store, _path: None) -> defs_mod.DefinitionSet:
-    return _load_all_definitions(store.config.definitions)
+    """The definitions of every configured file; no name may repeat across files."""
+    if not store.config.definitions:
+        raise ConfigError("config key 'definitions': at least one file is required")
+    merged: dict[str, defs_mod.ComplexActivityDefinition] = {}
+    for path in store.config.definitions:
+        loaded = defs_mod.load_definitions(path)
+        for name in loaded.names:
+            if name in merged:
+                raise defs_mod.DefinitionError(
+                    f"{path}: duplicate definition {name!r} across files",
+                    violations=[name],
+                )
+            merged[name] = loaded[name]
+    return defs_mod.DefinitionSet(definitions=merged)
 
 
 def _read_records(store: Store, path: Path) -> list[ingest_mod.OccurrenceRecord]:
@@ -290,7 +290,10 @@ _INPUTS = {
 # Stages
 # ---------------------------------------------------------------------------
 
-def _ingest(store: Store) -> str:
+StageResult = tuple[str, list[Callable[[TextIO], None]]]  # line, a writer per artifact
+
+
+def _ingest(store: Store) -> StageResult:
     config = store.config
     defs = store["defs"]
     if not config.datasets:
@@ -320,24 +323,20 @@ def _ingest(store: Store) -> str:
         _log("info", f"ingested {len(records)} occurrences from {spec.path}")
         per_file.append(records)
     records = store["records"] = ingest_mod.merge_sorted(per_file)
-    path = store.out / "occurrences.csv"
-    with _open_write(path) as stream:
-        ingest_mod.write_occurrences(records, stream)
-    return f"wrote {len(records)} occurrences to {path}"
+    return (f"wrote {len(records)} occurrences to {{path}}",
+            [partial(ingest_mod.write_occurrences, records)])
 
 
-def _recognize(store: Store) -> str:
+def _recognize(store: Store) -> StageResult:
     verdicts = store["verdicts"] = recog_mod.score_occurrences(
         store["defs"], store["records"], store.config.lam
     )
-    path = store.out / "verdicts.csv"
-    with _open_write(path) as stream:
-        recog_mod.write_verdicts(verdicts, stream)
     completed = countOf(map(_completed_of, verdicts), True)
-    return f"wrote {len(verdicts)} verdicts ({completed} completed) to {path}"
+    return (f"wrote {len(verdicts)} verdicts ({completed} completed) to {{path}}",
+            [partial(recog_mod.write_verdicts, verdicts)])
 
 
-def _affect(store: Store) -> str:
+def _affect(store: Store) -> StageResult:
     config = store.config
     # every record names a defined activity: its loader or its parser checked
     definitions = store["defs"].definitions
@@ -350,22 +349,18 @@ def _affect(store: Store) -> str:
         window=config.window, epsilon=config.epsilon, bucket_width=config.bucket_width
     )
     annotations = store["annotations"] = affect_mod.annotate(items, ux_model)
-    path = store.out / "annotated.csv"
-    with _open_write(path) as stream:
-        affect_mod.write_annotated(annotations, stream)
     positive = countOf(map(_emotion_of, annotations), affect_mod.EmotionLabel.POSITIVE)
-    return f"wrote {len(annotations)} annotations ({positive} positive) to {path}"
+    return (f"wrote {len(annotations)} annotations ({positive} positive) to {{path}}",
+            [partial(affect_mod.write_annotated, annotations)])
 
 
-def _cluster(store: Store) -> str:
+def _cluster(store: Store) -> StageResult:
     rows = temporal_mod.cluster_report(store["records"])
-    path = store.out / "clusters.csv"
-    with _open_write(path) as stream:
-        temporal_mod.write_clusters(rows, stream)
-    return f"wrote {len(rows)} cluster rows to {path}"
+    return (f"wrote {len(rows)} cluster rows to {{path}}",
+            [partial(temporal_mod.write_clusters, rows)])
 
 
-def _train(store: Store) -> str:
+def _train(store: Store) -> StageResult:
     """Fit on the training split; the held-out split feeds `recommend`."""
     config = store.config
     defs = store["defs"]
@@ -390,16 +385,11 @@ def _train(store: Store) -> str:
         activities=defs.names,
     )
     store["features"] = [(label, features) for features, label in test_part]
-    path = store.out / "model.json"
-    with _open_write(path) as stream:
-        recom_mod.write_model(model, stream)
-    return (
-        f"trained on {len(train_part)} of {len(transitions)} transitions, "
-        f"wrote {path}"
-    )
+    return (f"trained on {len(train_part)} of {len(transitions)} transitions, "
+            "wrote {path}", [partial(recom_mod.write_model, model)])
 
 
-def _recommend(store: Store) -> str:
+def _recommend(store: Store) -> StageResult:
     model = store["model"]
     # feature rows repeat few distinct vectors, so each is predicted, and its
     # prediction and confidences formatted, once
@@ -420,51 +410,54 @@ def _recommend(store: Store) -> str:
     header = ["activity", "prediction"] + [
         f"confidence({name})" for name in model.activities
     ]
-    path = store.out / "predictions.csv"
-    with _open_write(path) as stream:
-        write_table(stream, header, (
-            f"{csv_field(label)},{tail}"
-            for (_, label), tail in zip(pairs, tails)
-        ))
+    lines = (f"{csv_field(label)},{tail}" for (_, label), tail in zip(pairs, tails))
     store["predictions"] = pairs
-    return f"wrote {len(pairs)} predictions to {path}"
+    return (f"wrote {len(pairs)} predictions to {{path}}",
+            [partial(write_table, header=header, lines=lines)])
 
 
-def _evaluate(store: Store) -> str:
+def _evaluate(store: Store) -> StageResult:
     labels = tuple(sorted(store["defs"].names))
     cm = eval_mod.build_confusion(store["predictions"], labels)
     report = eval_mod.build_report(cm)
-    with _open_write(store.out / "confusion.csv") as stream:
-        eval_mod.write_confusion(cm, stream)
-    with _open_write(store.out / "report.csv") as stream:
-        eval_mod.write_report_csv(report, store.config.seed, stream)
-    with _open_write(store.out / "report.json") as stream:
-        eval_mod.write_report_json(report, stream)
-    return f"accuracy: {report.accuracy * 100:.2f}% over {report.grand_total} pairs"
+    return (
+        f"accuracy: {report.accuracy * 100:.2f}% over {report.grand_total} pairs",
+        [partial(eval_mod.write_confusion, cm),
+         partial(eval_mod.write_report_csv, report, store.config.seed),
+         partial(eval_mod.write_report_json, report)],
+    )
 
 
 class Stage(NamedTuple):
-    """One pipeline step: the store values it reads, and what it does."""
+    """One pipeline step: the store values it reads, the artifacts it makes,
+    and what it does.  `run` returns the summary line, whose ``{path}`` the
+    loop in `main` fills with the first artifact's path, and one writer per
+    artifact; it looks writers up on their modules when it runs, so a writer
+    replaced there after import is the one called."""
 
     name: str
     help: str
     inputs: tuple[str, ...]
-    run: Callable[[Store], str]
+    outputs: tuple[str, ...]
+    run: Callable[[Store], StageResult]
 
 
 STAGES = (
-    Stage("ingest", "parse datasets into occurrence records", ("defs",), _ingest),
+    Stage("ingest", "parse datasets into occurrence records", ("defs",),
+          ("occurrences.csv",), _ingest),
     Stage("recognize", "score occurrences against their definitions",
-          ("defs", "records"), _recognize),
+          ("defs", "records"), ("verdicts.csv",), _recognize),
     Stage("affect", "attach emotion and UX labels to occurrences",
-          ("defs", "records", "verdicts"), _affect),
-    Stage("cluster", "lay out occurrences on the day clock", ("records",), _cluster),
+          ("defs", "records", "verdicts"), ("annotated.csv",), _affect),
+    Stage("cluster", "lay out occurrences on the day clock", ("records",),
+          ("clusters.csv",), _cluster),
     Stage("train", "fit the next-activity model on the training split",
-          ("defs", "annotations"), _train),
+          ("defs", "annotations"), ("model.json",), _train),
     Stage("recommend", "predict confidence vectors for feature rows",
-          ("model", "features"), _recommend),
+          ("model", "features"), ("predictions.csv",), _recommend),
     Stage("evaluate", "score saved predictions into a metrics report",
-          ("defs", "predictions"), _evaluate),
+          ("defs", "predictions"), ("confusion.csv", "report.csv", "report.json"),
+          _evaluate),
 )
 
 
@@ -557,7 +550,13 @@ def main(argv: list[str] | None = None) -> int:
         store = Store(config, args)
         for stage in STAGES:
             if args.command in (stage.name, "pipeline"):
-                print(stage.run(store))
+                line, writers = stage.run(store)
+                paths = [store.out / name for name in stage.outputs]
+                for path, write in zip(paths, writers):
+                    with _open_write(path) as stream:
+                        write(stream)
+                print(line.format(path=paths[0]))
+                writers = write = None  # the next stage runs without these values
         if args.command == "pipeline":
             trained = store["model"].n_transitions
             tested = len(store["features"])

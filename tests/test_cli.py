@@ -9,6 +9,7 @@ import io
 import json
 import logging
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,11 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adl_engine import affect as affect_mod
 from adl_engine import cli
 from adl_engine import evaluation as eval_mod
+from adl_engine import ingestion as ingest_mod
 from adl_engine import recognition as recog_mod
 from adl_engine import recommender as recom_mod
 from adl_engine import tables
+from adl_engine import temporal as temporal_mod
 from adl_engine.affect import EmotionLabel, UXLabel
 from adl_engine.cli import _build_parser, _resolve_config, main
 from adl_engine.config import (
@@ -741,6 +745,96 @@ def test_evaluate_replaces_each_report_file_whole(tmp_path, capsys, monkeypatch)
     assert replaced == ["confusion.csv", "report.csv", "report.json"]
 
 
+def test_pipeline_prints_each_stage_line_then_its_summary(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote 144 occurrences to {out / 'occurrences.csv'}\n"
+        f"wrote 144 verdicts (144 completed) to {out / 'verdicts.csv'}\n"
+        f"wrote 144 annotations (144 positive) to {out / 'annotated.csv'}\n"
+        f"wrote 144 cluster rows to {out / 'clusters.csv'}\n"
+        f"trained on 101 of 143 transitions, wrote {out / 'model.json'}\n"
+        f"wrote 42 predictions to {out / 'predictions.csv'}\n"
+        "accuracy: 85.71% over 42 pairs\n"
+        "pipeline: 144 occurrences, 143 transitions (101 train / 42 test)\n"
+    )
+
+
+def test_each_stage_subcommand_writes_exactly_its_outputs(tmp_path, capsys):
+    out = tmp_path / "run"
+    features = tmp_path / "features.csv"
+    features.write_text(
+        "time_bucket,previous_activity,emotion,ux,day_kind,activity\n"
+        "15,Eating Breakfast,positive,good,weekday,Leaving\n"
+    )
+    written: set[str] = set()
+    for stage in cli.STAGES:
+        argv = [stage.name, "--config", str(ADL_CONFIG), "--out", str(out)]
+        if stage.name == "recommend":
+            argv += ["--features", str(features)]
+        assert main(argv) == 0, stage.name
+        new = {p.name for p in out.iterdir()} - written
+        assert new == set(stage.outputs), stage.name
+        written |= new
+    capsys.readouterr()
+    assert written == PIPELINE_ARTIFACTS
+
+    # the README's `subcommand | reads | writes` table names the same files
+    rows = [
+        line.strip("|").split("|")
+        for line in (REPO_ROOT / "README.md").read_text().splitlines()
+        if line.startswith("| `")
+    ]
+    readme = {re.findall(r"`([^`]+)`", row[0])[0]: re.findall(r"`([^`]+)`", row[2])
+              for row in rows}
+    assert {stage.name: readme[stage.name] for stage in cli.STAGES} == {
+        stage.name: list(stage.outputs) for stage in cli.STAGES
+    }
+
+
+def test_cluster_calls_the_writer_its_module_holds_when_it_runs(
+    tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "run"
+    config = ["--config", str(ADL_CONFIG), "--out", str(out)]
+    assert main(["ingest", *config]) == 0
+    calls = []
+    write = temporal_mod.write_clusters
+
+    def spy(rows, stream):
+        calls.append(rows)
+        write(rows, stream)
+
+    monkeypatch.setattr(temporal_mod, "write_clusters", spy)
+    assert main(["cluster", *config]) == 0
+    capsys.readouterr()
+    with open(out / "occurrences.csv", newline="") as stream:
+        records = ingest_mod.read_occurrences(stream, load_adl_defs())
+    assert calls == [temporal_mod.cluster_report(records)]
+
+
+@pytest.mark.parametrize("module, writer", [
+    (ingest_mod, "write_occurrences"),
+    (recog_mod, "write_verdicts"),
+    (affect_mod, "write_annotated"),
+    (temporal_mod, "write_clusters"),
+], ids=["occurrences", "verdicts", "annotated", "clusters"])
+def test_pipeline_calls_each_writer_replaced_after_import_once(
+    tmp_path, capsys, monkeypatch, module, writer
+):
+    calls = []
+    write = getattr(module, writer)
+
+    def spy(rows, stream):
+        calls.append(len(rows))
+        write(rows, stream)
+
+    monkeypatch.setattr(module, writer, spy)
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == [144]
+
+
 def test_recommend_subcommand(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
@@ -1289,7 +1383,7 @@ def test_main_runs_stages_without_the_collector_and_restores_it(
         seen.append(gc.isenabled())
         if fails:
             raise ConfigError("stage failed")
-        return "stage done"
+        return "stage done", []
 
     monkeypatch.setattr(
         cli, "STAGES", tuple(s._replace(run=stage) for s in cli.STAGES)

@@ -7,8 +7,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -318,12 +316,11 @@ def test_recommend_stage_matches_the_csv_writer_oracle(case):
     header = ["activity", "prediction"] + [
         f"confidence({name})" for name in model.activities
     ]
-    with tempfile.TemporaryDirectory() as out:
-        store = cli.Store(RunConfig(out_dir=out), argparse.Namespace())
-        store["model"] = model
-        store["features"] = rows
-        cli._recommend(store)
-        with open(Path(out) / "predictions.csv", newline="") as stream:
-            written = stream.read()
-    assert written == oracle_table(header, oracle_rows)
+    store = cli.Store(RunConfig(), argparse.Namespace())
+    store["model"] = model
+    store["features"] = rows
+    _, (write,) = cli._recommend(store)
+    buf = io.StringIO(newline="")
+    write(buf)
+    assert buf.getvalue() == oracle_table(header, oracle_rows)
     assert store["predictions"] == [(predicted, label) for label, predicted, *_ in oracle_rows]
