@@ -17,17 +17,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Collection, Iterable, NamedTuple, Sequence, TextIO
 
+from .config import RunConfig, check_param
 from .definitions import ComplexActivityDefinition
 from .recognition import Evidence, ScoredOccurrence
 from .tables import (
     FLAG_TEXT, FieldLookup, check_order, csv_field, member_parser, named_rows,
     parse_flag, parse_scores, read_csv_blocks, score_texts, write_table,
 )
-from .temporal import MINUTES_PER_DAY, minute_of_day
-
-DEFAULT_WINDOW = 5
-DEFAULT_EPSILON = 0.05
-DEFAULT_BUCKET_WIDTH = 30
+from .temporal import minute_of_day
 
 
 class EmotionLabel(str, Enum):
@@ -50,29 +47,21 @@ UX_TEXT = {m: m.value for m in UXLabel}
 # Experience mapping
 # ---------------------------------------------------------------------------
 
-def check_bucket_width(bucket_width: int) -> None:
-    """Raise ValueError unless ``bucket_width`` minutes divide a day into buckets."""
-    if not 1 <= bucket_width <= MINUTES_PER_DAY:
-        raise ValueError(
-            f"bucket_width must be in [1, {MINUTES_PER_DAY}], got {bucket_width}"
-        )
-
-
 @dataclass(frozen=True)
 class UXModel:
     """Majority-vote table from (emotion, activity, bucket) to a UX label."""
 
     table: dict[tuple[str, str, int], UXLabel] = field(default_factory=dict)
-    window: int = DEFAULT_WINDOW
-    epsilon: float = DEFAULT_EPSILON
-    bucket_width: int = DEFAULT_BUCKET_WIDTH
+    window: int = RunConfig.window
+    epsilon: float = RunConfig.epsilon
+    bucket_width: int = RunConfig.bucket_width
 
 
 def train_ux_mapper(
     examples: list[tuple[EmotionLabel, str, int, UXLabel]],
-    window: int = DEFAULT_WINDOW,
-    epsilon: float = DEFAULT_EPSILON,
-    bucket_width: int = DEFAULT_BUCKET_WIDTH,
+    window: int = RunConfig.window,
+    epsilon: float = RunConfig.epsilon,
+    bucket_width: int = RunConfig.bucket_width,
 ) -> UXModel:
     """Learn the mapping by majority vote per key; ties resolve to good."""
     votes: dict[tuple[str, str, int], list[int]] = {}
@@ -133,11 +122,9 @@ def annotate(
     definitions are told apart by name.
     """
     window, epsilon, bucket_width = model.window, model.epsilon, model.bucket_width
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    check_bucket_width(bucket_width)
+    check_param("window", window)
+    check_param("epsilon", epsilon)
+    check_param("bucket_width", bucket_width)
     table = model.table
     # members held in locals: reading one off its enum class is a slow lookup
     positive, negative = EmotionLabel.POSITIVE, EmotionLabel.NEGATIVE

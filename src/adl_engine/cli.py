@@ -257,33 +257,7 @@ class _Input(NamedTuple):
     read: Callable[[Store, Path | None], Any]
     default: str | None = None  # file name in the output directory
     option: str | None = None  # --<option> names the file instead
-    help: str = ""
-
-
-_INPUTS = {
-    "defs": _Input(_read_definitions),
-    "records": _Input(
-        _read_records, "occurrences.csv", "occurrences",
-        "occurrence CSV (default: <out>/occurrences.csv)",
-    ),
-    "verdicts": _Input(_read_verdicts, "verdicts.csv"),
-    "annotations": _Input(
-        _read_annotations, "annotated.csv", "annotated",
-        "annotated CSV (default: <out>/annotated.csv)",
-    ),
-    "model": _Input(
-        _read_model, "model.json", "model", "model JSON (default: <out>/model.json)"
-    ),
-    "features": _Input(
-        _read_features, None, "features",
-        "feature rows CSV "
-        "(time_bucket,previous_activity,emotion,ux,day_kind[,activity])",
-    ),
-    "predictions": _Input(
-        _read_predictions, "predictions.csv", "predictions",
-        "predictions CSV (default: <out>/predictions.csv)",
-    ),
-}
+    help: str = ""  # of --<option>; the parser appends ``default``
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +435,29 @@ STAGES = (
 )
 
 
+# each stage's first artifact, which a later stage subcommand reads back
+_FILE_OF = {stage.name: stage.outputs[0] for stage in STAGES}
+_INPUTS = {
+    "defs": _Input(_read_definitions),
+    "records": _Input(
+        _read_records, _FILE_OF["ingest"], "occurrences", "occurrence CSV"
+    ),
+    "verdicts": _Input(_read_verdicts, _FILE_OF["recognize"]),
+    "annotations": _Input(
+        _read_annotations, _FILE_OF["affect"], "annotated", "annotated CSV"
+    ),
+    "model": _Input(_read_model, _FILE_OF["train"], "model", "model JSON"),
+    "features": _Input(
+        _read_features, None, "features",
+        "feature rows CSV "
+        "(time_bucket,previous_activity,emotion,ux,day_kind[,activity])",
+    ),
+    "predictions": _Input(
+        _read_predictions, _FILE_OF["recommend"], "predictions", "predictions CSV"
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # validate: the one subcommand outside the stage table
 # ---------------------------------------------------------------------------
@@ -516,8 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
         for key in stage.inputs:
             source = _INPUTS[key]
             if source.option:
+                default = f" (default: <out>/{source.default})" if source.default else ""
                 p.add_argument(f"--{source.option}", required=source.default is None,
-                               help=source.help)
+                               help=source.help + default)
     sub.add_parser("pipeline", help="run every stage end to end", parents=[common])
 
     return parser

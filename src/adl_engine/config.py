@@ -6,6 +6,8 @@ can travel with its data.  Each scalar parameter is declared once, as a
 `RunConfig` field, and the loader, `validate_config` and the CLI flags all
 read that declaration: a wrong type, a non-finite number or an out-of-range
 value is a `ConfigError` naming the config key, from JSON or from a flag.
+Engine functions take their parameters' defaults from the `RunConfig`
+fields and check a value with `check_param`, which applies the same rule.
 """
 
 import json
@@ -86,6 +88,7 @@ class RunConfig:
 # the scalar parameters, in the order of their flags, and each field's JSON key
 PARAMS = tuple(f for f in fields(RunConfig) if "help" in f.metadata)
 KEYS = {f.name: f.metadata.get("key", f.name) for f in fields(RunConfig)}
+_PARAM_OF = {f.name: f for f in PARAMS}
 # what a JSON value of each parameter type may be, and its name in messages
 _TYPES = {
     float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string"),
@@ -97,16 +100,29 @@ def _require(condition: bool, key: str, message: str) -> None:
         raise ConfigError(f"config key {key!r}: {message}")
 
 
+def _fault(f: Field, value: Any) -> str | None:
+    """What keeps `value` from parameter `f`, which takes only finite values
+    in its range, as ``must be <rule>, got <value>``; None if nothing does."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"must be finite, got {value!r}"
+    if not f.metadata["check"](value):
+        return f"must be {f.metadata['rule']}, got {value!r}"
+    return None
+
+
 def _check(f: Field, value: Any) -> None:
     """Raise ConfigError unless `value` is finite and in parameter `f`'s range."""
-    _require(
-        not isinstance(value, float) or math.isfinite(value),
-        KEYS[f.name], f"must be finite, got {value!r}",
-    )
-    _require(
-        f.metadata["check"](value), KEYS[f.name],
-        f"must be {f.metadata['rule']}, got {value!r}",
-    )
+    fault = _fault(f, value)
+    if fault:
+        raise ConfigError(f"config key {KEYS[f.name]!r}: {fault}")
+
+
+def check_param(name: str, value: Any) -> None:
+    """Raise ValueError ``<name> must be <rule>, got <value>`` unless `value`
+    passes the rule `load_config` applies to the `RunConfig` field ``name``."""
+    fault = _fault(_PARAM_OF[name], value)
+    if fault:
+        raise ValueError(f"{name} {fault}")
 
 
 def _typed(f: Field, value: Any) -> Any:

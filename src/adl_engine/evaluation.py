@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, TextIO, TypeVar
 
+from .config import check_param
 from .tables import csv_field, write_table
 
 T = TypeVar("T")
@@ -60,8 +61,7 @@ class ConfusionMatrix:
 # ---------------------------------------------------------------------------
 
 def _cut(n: int, train_fraction: float) -> int:
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    check_param("train_fraction", train_fraction)
     # guard against float products like 93*0.7 landing a hair above the integer
     return math.ceil(n * train_fraction - 1e-9)
 
@@ -79,6 +79,7 @@ def split_random(
 ) -> tuple[list[T], list[T]]:
     """Seeded shuffle, then the same ceiling cut as the chronological split."""
     cut = _cut(len(records), train_fraction)
+    check_param("seed", seed)
     shuffled = list(records)
     random.Random(seed).shuffle(shuffled)
     return shuffled[:cut], shuffled[cut:]

@@ -44,6 +44,7 @@ from itertools import compress, count, filterfalse, islice, repeat
 from operator import attrgetter, itemgetter, lt, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
+from .config import check_param
 from .definitions import ComplexActivityDefinition, DefinitionSet
 from .tables import (
     FieldLookup, Memo, check_order, csv_field, line_blocks, member_parser, named_rows,
@@ -166,7 +167,7 @@ def power_trace_blocks(
     yielded stamps list is empty.  A bad ``on_watts`` raises ValueError as
     iteration starts, before any line is read.
     """
-    _check_on_watts(on_watts)
+    check_param("on_watts", on_watts)
     # not on_watts.__lt__: for an int threshold it returns NotImplemented, which is truthy
     is_on = partial(lt, on_watts)
     # {watts text: on flag} for texts proven finite and >= 0; a channel
@@ -263,16 +264,6 @@ def _plain_block(
     return stamps, list(compress(count(), map(fresh.get, texts, map(known.get, texts))))
 
 
-def _check_on_watts(on_watts: float) -> None:
-    if on_watts <= 0:
-        raise ValueError(f"on_watts must be > 0, got {on_watts}")
-
-
-def _check_gap_tolerance(gap_tolerance: int) -> None:
-    if gap_tolerance < 0:
-        raise ValueError(f"gap_tolerance must be >= 0, got {gap_tolerance}")
-
-
 def trace_occurrences(
     blocks: Iterable[tuple[list[str], list[int]]],
     defn: ComplexActivityDefinition,
@@ -290,7 +281,7 @@ def trace_occurrences(
     ``segment_occurrences``, each record carries the full id sets of
     ``defn``, the activity the channel maps to.
     """
-    _check_gap_tolerance(gap_tolerance)
+    check_param("gap_tolerance", gap_tolerance)
     ends_run = partial(lt, gap_tolerance + 1)  # applied to an index step
     runs: list[tuple[str, str]] = []
     start = end = ""
@@ -343,8 +334,8 @@ def binarize(
     ``gap_tolerance`` samples flanked by on-states on both sides are promoted
     to on, so brief sensor dropouts do not split one activity in two.
     """
-    _check_on_watts(on_watts)
-    _check_gap_tolerance(gap_tolerance)
+    check_param("on_watts", on_watts)
+    check_param("gap_tolerance", gap_tolerance)
     channel = samples[0].channel if samples else ""
     states = [1 if s.value > on_watts else 0 for s in samples]
 

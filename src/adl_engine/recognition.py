@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence, TextIO
 
+from .config import RunConfig, check_param
 from .definitions import ComplexActivityDefinition, DefinitionSet
 from .tables import (
     FLAG_TEXT, Memo, csv_field, named_rows, parse_flag, parse_scores, read_csv_blocks,
@@ -59,17 +60,16 @@ class OccurrenceVerdict(NamedTuple):
 def occurrence_weight(
     defn: ComplexActivityDefinition,
     observation: Evidence,
-    lam: float = 0.5,
+    lam: float = RunConfig.lam,
 ) -> float:
     """Blend of observed atomic and satisfied context weight fractions.
 
     Each side is the fsum of the weights seen divided by the fsum of all the
     definition's weights on that side, so a full observation scores exactly
     1.0 even when the listed weights only sum to 1 within tolerance.  ``lam``
-    is the atomic side's blend share and must lie in [0, 1].
+    is the atomic side's blend share, checked by `config.check_param`.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must be in [0, 1], got {lam}")
+    check_param("lam", lam)
     observed = observation.observed_atomics
     satisfied = observation.satisfied_contexts
     atomic_ids = defn.atomic_ids
@@ -104,7 +104,7 @@ def occurrence_weight(
 def detect_occurrence(
     defn: ComplexActivityDefinition,
     observation: Evidence,
-    lam: float = 0.5,
+    lam: float = RunConfig.lam,
 ) -> OccurrenceVerdict:
     """Score an observation and compare against the threshold (inclusive)."""
     score = occurrence_weight(defn, observation, lam)
@@ -134,7 +134,7 @@ VERDICT_FIELDS = ["activity", "start", "end", "score", "completed"]
 
 
 def score_occurrences(
-    defs: DefinitionSet, records: Iterable[OccurrenceRecord], lam: float = 0.5
+    defs: DefinitionSet, records: Iterable[OccurrenceRecord], lam: float = RunConfig.lam
 ) -> list[ScoredOccurrence]:
     """One `ScoredOccurrence` per record, in order, scored by `detect_occurrence`.
 

@@ -24,14 +24,12 @@ from itertools import islice, repeat
 from operator import attrgetter, floordiv
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .affect import (
-    DEFAULT_BUCKET_WIDTH, AffectAnnotation, EmotionLabel, UXLabel, check_bucket_width,
-)
+from .affect import AffectAnnotation, EmotionLabel, UXLabel
+from .config import RunConfig, check_param
 from .definitions import NO_PREVIOUS
 from .tables import Memo, member_parser, named_rows
 from .temporal import MINUTES_PER_DAY, is_weekday, minute_of_day
 
-DEFAULT_ALPHA = 1.0
 FEATURE_NAMES = ("time_bucket", "previous_activity", "emotion", "ux", "day_kind")
 
 
@@ -199,9 +197,8 @@ class RecommenderModel:
 
         Text that is not JSON, a document that is not an object, a missing
         key, a value that does not convert, feature domains or counts that
-        lack a name of `FEATURE_NAMES`, an ``alpha`` that is not finite and
-        > 0, a ``bucket_width`` that `check_bucket_width` rejects, and a
-        negative count raise ValueError.
+        lack a name of `FEATURE_NAMES`, an ``alpha`` or ``bucket_width`` that
+        `check_param` rejects, and a negative count raise ValueError.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -230,9 +227,8 @@ class RecommenderModel:
             for f in FEATURE_NAMES:
                 if f not in getattr(model, key):
                     raise ValueError(f"model {key} lacks feature {f!r}")
-        if not 0 < model.alpha < math.inf:
-            raise ValueError(f"model alpha must be finite and > 0, got {model.alpha}")
-        check_bucket_width(model.bucket_width)
+        check_param("alpha", model.alpha)
+        check_param("bucket_width", model.bucket_width)
         lowest = min((
             model.n_transitions, *model.class_counts.values(),
             *(n for per_class in model.feature_counts.values()
@@ -254,7 +250,7 @@ _end_of, _activity_of, _emotion_of, _ux_of = map(
 
 def extract_transitions(
     annotated: Sequence[AffectAnnotation],
-    bucket_width: int = DEFAULT_BUCKET_WIDTH,
+    bucket_width: int = RunConfig.bucket_width,
 ) -> list[LabeledTransition]:
     """Pair consecutive occurrences into labeled transitions.
 
@@ -263,7 +259,7 @@ def extract_transitions(
     the activity of occurrence i+1.  n occurrences yield n-1 transitions.
     Transitions with equal features share one `FeatureVector`.
     """
-    check_bucket_width(bucket_width)
+    check_param("bucket_width", bucket_width)
     vectors = Memo(lambda key: FeatureVector(*key))
     # every occurrence but the last: zip stops when its first column ends
     heads = islice(annotated, max(len(annotated) - 1, 0))
@@ -280,8 +276,8 @@ def extract_transitions(
 
 def train(
     transitions: Sequence[LabeledTransition],
-    alpha: float = DEFAULT_ALPHA,
-    bucket_width: int = DEFAULT_BUCKET_WIDTH,
+    alpha: float = RunConfig.alpha,
+    bucket_width: int = RunConfig.bucket_width,
     activities: Sequence[str] | None = None,
 ) -> RecommenderModel:
     """Count transition frequencies into a smoothed model.
@@ -292,8 +288,8 @@ def train(
     """
     if not transitions:
         raise ValueError("train needs at least one transition")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    check_param("alpha", alpha)
+    check_param("bucket_width", bucket_width)
 
     # a transition is a (features, label) pair and few distinct pairs
     # repeat, so each distinct pair is encoded once

@@ -28,18 +28,16 @@ from hypothesis import strategies as st
 
 from adl_engine.affect import (
     ANNOTATED_FIELDS,
-    DEFAULT_EPSILON,
-    DEFAULT_WINDOW,
     AffectAnnotation,
     EmotionLabel,
     UXLabel,
     UXModel,
     annotate,
-    check_bucket_width,
     map_ux,
     parse_emotion,
     parse_ux,
 )
+from adl_engine.config import RunConfig
 from adl_engine.definitions import (
     AtomicActivity,
     ComplexActivityDefinition,
@@ -384,7 +382,7 @@ def oracle_infer_emotion(
 
 def emotion_after(
     defn, history, evidence, verdict,
-    window: int = DEFAULT_WINDOW, epsilon: float = DEFAULT_EPSILON,
+    window: int = RunConfig.window, epsilon: float = RunConfig.epsilon,
 ) -> EmotionLabel:
     """The emotion `affect.annotate` gives an occurrence of ``defn`` with
     ``evidence`` and the ``score`` and ``completed`` of ``verdict``, run after
@@ -445,7 +443,8 @@ def per_row_extract_transitions(annotated, bucket_width: int = 30) -> list:
     """`recommender.extract_transitions` a pair of consecutive rows at a time,
     each row's bucket read through `minute_of_day` and its day kind through
     the calendar weekday of its end."""
-    check_bucket_width(bucket_width)
+    if not 1 <= bucket_width <= 1440:
+        raise ValueError(f"bucket_width must be in [1, 1440], got {bucket_width}")
     vectors = {}
     transitions = []
     for current, nxt in zip(annotated, annotated[1:]):

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adl_engine.affect import (
-    DEFAULT_EPSILON,
-    DEFAULT_WINDOW,
     AffectAnnotation,
     EmotionLabel,
     UXLabel,
@@ -20,6 +18,7 @@ from adl_engine.affect import (
     train_ux_mapper,
     write_annotated,
 )
+from adl_engine.config import RunConfig
 from adl_engine.recognition import (
     Observation,
     OccurrenceVerdict,
@@ -117,7 +116,7 @@ def test_window_and_epsilon_validation(ukdale_defs):
     prefix=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
     recent=st.lists(
         st.floats(min_value=0.0, max_value=1.0),
-        min_size=DEFAULT_WINDOW, max_size=DEFAULT_WINDOW),
+        min_size=RunConfig.window, max_size=RunConfig.window),
     score=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_emotion_depends_only_on_window_suffix(ukdale_defs, prefix, recent, score):
