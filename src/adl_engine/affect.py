@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Iterable, NamedTuple, Sequence, TextIO
+from types import MappingProxyType
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
-from .config import RunConfig, check_param
+from .config import DEFAULTS, check_param
 from .definitions import ComplexActivityDefinition
 from .recognition import Evidence, ScoredOccurrence
 from .tables import (
@@ -47,21 +47,20 @@ UX_TEXT = {m: m.value for m in UXLabel}
 # Experience mapping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UXModel:
+class UXModel(NamedTuple):
     """Majority-vote table from (emotion, activity, bucket) to a UX label."""
 
-    table: dict[tuple[str, str, int], UXLabel] = field(default_factory=dict)
-    window: int = RunConfig.window
-    epsilon: float = RunConfig.epsilon
-    bucket_width: int = RunConfig.bucket_width
+    table: Mapping[tuple[str, str, int], UXLabel] = MappingProxyType({})
+    window: int = DEFAULTS.window
+    epsilon: float = DEFAULTS.epsilon
+    bucket_width: int = DEFAULTS.bucket_width
 
 
 def train_ux_mapper(
     examples: list[tuple[EmotionLabel, str, int, UXLabel]],
-    window: int = RunConfig.window,
-    epsilon: float = RunConfig.epsilon,
-    bucket_width: int = RunConfig.bucket_width,
+    window: int = DEFAULTS.window,
+    epsilon: float = DEFAULTS.epsilon,
+    bucket_width: int = DEFAULTS.bucket_width,
 ) -> UXModel:
     """Learn the mapping by majority vote per key; ties resolve to good."""
     votes: dict[tuple[str, str, int], list[int]] = {}

@@ -32,7 +32,8 @@ from . import ingestion as ingest_mod
 from . import recognition as recog_mod
 from . import recommender as recom_mod
 from . import temporal as temporal_mod
-from .config import KEYS, PARAMS, ConfigError, RunConfig, load_config, with_overrides
+from . import InputError
+from .config import PARAMS, ConfigError, RunConfig, load_config, with_overrides
 from .tables import FieldLookup, csv_field, read_csv_columns, write_table
 
 _timed_of = attrgetter("activity", "start", "end")
@@ -40,15 +41,8 @@ _activity_of, _completed_of, _emotion_of = map(
     attrgetter, ("activity", "completed", "emotion")
 )
 
-_RECOVERABLE = (
-    ConfigError,
-    defs_mod.DefinitionError,
-    ingest_mod.TraceParseError,
-    ingest_mod.AnnotationParseError,
-    ValueError,
-    KeyError,
-    OSError,
-)
+# an input at fault; any other exception is a bug and keeps its traceback
+_RECOVERABLE = (InputError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +86,13 @@ def _open_write(path: Path) -> Iterator[TextIO]:
 
 
 def _parse_file(path: str | Path, parse: Callable[[TextIO], Any]) -> Any:
-    """`parse` applied to the opened file; a ValueError names the file."""
-    with open(path) as stream:
-        try:
+    """`parse` applied to the opened file; a ValueError it raises is an
+    InputError naming the file."""
+    try:
+        with open(path) as stream:
             return parse(stream)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +153,7 @@ def _read_verdicts(store: Store, path: Path) -> list[recog_mod.ScoredOccurrence]
     if len(verdicts) != len(records) or any(
         map(ne, map(_timed_of, verdicts), map(_timed_of, records))
     ):
-        raise ValueError(
+        raise InputError(
             f"{path}: rows do not match the occurrences row for row; re-run recognize"
         )
     return verdicts
@@ -346,7 +341,9 @@ def _train(store: Store) -> StageResult:
     else:
         parts = eval_mod.split_chronological(transitions, config.train_fraction)
     train_part, test_part = parts
-    if transitions and not (train_part and test_part):
+    if not transitions:
+        raise InputError("train needs at least one transition")
+    if not (train_part and test_part):
         raise ConfigError(
             f"config key 'train_fraction': {config.train_fraction!r} splits "
             f"{len(transitions)} transitions into {len(train_part)} for training "
@@ -392,6 +389,8 @@ def _recommend(store: Store) -> StageResult:
 
 def _evaluate(store: Store) -> StageResult:
     labels = tuple(sorted(store["defs"].names))
+    if not store["predictions"]:  # read from a file that holds no rows
+        raise InputError("no predictions to evaluate")
     cm = eval_mod.build_confusion(store["predictions"], labels)
     report = eval_mod.build_report(cm)
     return (
@@ -501,9 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # the flags every subcommand takes, declared once
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to the JSON run configuration")
-    for f in PARAMS:
-        flag = f.metadata.get("flag", "--" + KEYS[f.name].replace("_", "-"))
-        common.add_argument(flag, type=f.type, dest=f.name, help=f.metadata["help"])
+    for param in PARAMS:
+        common.add_argument(param.flag, type=param.type, dest=param.name, help=param.help)
 
     p_validate = sub.add_parser("validate", help="check definition files", parents=[common])
     p_validate.add_argument("files", nargs="*", help="definition JSON files")
@@ -524,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> RunConfig | None:
     if args.config is None:
         return None
-    overrides = {f.name: getattr(args, f.name) for f in PARAMS}
+    overrides = {p.name: getattr(args, p.name) for p in PARAMS}
     return with_overrides(load_config(args.config), **overrides)
 
 

@@ -2,27 +2,31 @@
 
 Flags override config keys, config keys override defaults.  Relative paths
 inside a config file resolve against the file's own directory, so a config
-can travel with its data.  Each scalar parameter is declared once, as a
-`RunConfig` field, and the loader, `validate_config` and the CLI flags all
-read that declaration: a wrong type, a non-finite number or an out-of-range
-value is a `ConfigError` naming the config key, from JSON or from a flag.
-Engine functions take their parameters' defaults from the `RunConfig`
-fields and check a value with `check_param`, which applies the same rule.
+can travel with its data.  Each scalar parameter is declared once, as one
+`Param` row of `PARAMS`: its `RunConfig` field name, type and default, its
+flag's help, its range check and that check's text, its config key and its
+flag.  The loader, `validate_config` and the CLI flags all read that row: a
+wrong type, a non-finite number or an out-of-range value is a `ConfigError`
+naming the config key, from JSON or from a flag.  Engine functions take
+their parameters' defaults from `DEFAULTS` and check a value with
+`check_param`, which applies the same rule.
 """
 
 import json
 import math
-from dataclasses import Field, dataclass, field, fields, replace
+from collections import namedtuple
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, NamedTuple
 
+from . import InputError
 from .temporal import MINUTES_PER_DAY
 
 DATASET_KINDS = ("power-trace", "adl-log")
 SPLIT_KINDS = ("chronological", "random")
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """A config document failed to parse or a key is out of range."""
 
 
@@ -34,61 +38,55 @@ class DatasetSpec(NamedTuple):
     channel: str | None = None
 
 
-def _param(
-    default: Any, help: str, check: Callable[[Any], bool] = lambda value: True,
-    rule: str = "", **names: str,
-) -> Any:
-    """A scalar parameter whose values must pass `check`; `rule` says how.
+class Param(NamedTuple):
+    """A scalar parameter whose values must pass `check`; `rule` says how."""
 
-    `names` may give its config `key`, if not the field name, and its `flag`,
-    if not the key with dashes (`bucket_width`, `--bucket-width`).
-    """
-    metadata = dict(names, help=help, check=check, rule=rule)
-    return field(default=default, metadata=metadata)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    definitions: tuple[str, ...] = ()
-    datasets: tuple[DatasetSpec, ...] = ()
-    channel_map: dict[str, str] = field(default_factory=dict)
-    out_dir: str = _param(
-        "out", "output directory (overrides config)", lambda v: v != "", "non-empty",
-        flag="--out",
-    )
-    seed: int = _param(0, "seed for randomized splitting", lambda v: v >= 0, ">= 0")
-    on_watts: float = _param(
-        10.0, "power on-threshold in watts", lambda v: v > 0, "> 0"
-    )
-    gap_tolerance: int = _param(
-        2, "max off-samples bridged inside an occurrence", lambda v: v >= 0, ">= 0"
-    )
-    lam: float = _param(
-        0.5, "atomic-side blend share in [0, 1]", lambda v: 0.0 <= v <= 1.0,
-        "in [0, 1]", key="lambda",
-    )
-    window: int = _param(5, "score history window size", lambda v: v >= 1, ">= 1")
-    epsilon: float = _param(
-        0.05, "score slack below history mean", lambda v: v >= 0, ">= 0"
-    )
-    bucket_width: int = _param(
-        30, "time bucket width in minutes", lambda v: 1 <= v <= MINUTES_PER_DAY,
-        f"in [1, {MINUTES_PER_DAY}]",
-    )
-    alpha: float = _param(1.0, "additive smoothing constant", lambda v: v > 0, "> 0")
-    train_fraction: float = _param(
-        0.7, "training share in (0, 1)", lambda v: 0.0 < v < 1.0, "in (0, 1)"
-    )
-    split: str = _param(
-        "chronological", f"split discipline, one of {SPLIT_KINDS}",
-        lambda v: v in SPLIT_KINDS, f"one of {SPLIT_KINDS}",
-    )
+    name: str  # of its `RunConfig` field
+    type: type
+    default: Any
+    help: str  # of its flag
+    check: Callable[[Any], bool]
+    rule: str
+    key: str  # in a config document
+    flag: str
 
 
-# the scalar parameters, in the order of their flags, and each field's JSON key
-PARAMS = tuple(f for f in fields(RunConfig) if "help" in f.metadata)
-KEYS = {f.name: f.metadata.get("key", f.name) for f in fields(RunConfig)}
-_PARAM_OF = {f.name: f for f in PARAMS}
+# the scalar parameters, in the order of their flags
+PARAMS = (
+    Param("out_dir", str, "out", "output directory (overrides config)",
+          lambda v: v != "", "non-empty", "out_dir", "--out"),
+    Param("seed", int, 0, "seed for randomized splitting",
+          lambda v: v >= 0, ">= 0", "seed", "--seed"),
+    Param("on_watts", float, 10.0, "power on-threshold in watts",
+          lambda v: v > 0, "> 0", "on_watts", "--on-watts"),
+    Param("gap_tolerance", int, 2, "max off-samples bridged inside an occurrence",
+          lambda v: v >= 0, ">= 0", "gap_tolerance", "--gap-tolerance"),
+    Param("lam", float, 0.5, "atomic-side blend share in [0, 1]",
+          lambda v: 0.0 <= v <= 1.0, "in [0, 1]", "lambda", "--lambda"),
+    Param("window", int, 5, "score history window size",
+          lambda v: v >= 1, ">= 1", "window", "--window"),
+    Param("epsilon", float, 0.05, "score slack below history mean",
+          lambda v: v >= 0, ">= 0", "epsilon", "--epsilon"),
+    Param("bucket_width", int, 30, "time bucket width in minutes",
+          lambda v: 1 <= v <= MINUTES_PER_DAY, f"in [1, {MINUTES_PER_DAY}]",
+          "bucket_width", "--bucket-width"),
+    Param("alpha", float, 1.0, "additive smoothing constant",
+          lambda v: v > 0, "> 0", "alpha", "--alpha"),
+    Param("train_fraction", float, 0.7, "training share in (0, 1)",
+          lambda v: 0.0 < v < 1.0, "in (0, 1)", "train_fraction", "--train-fraction"),
+    Param("split", str, "chronological", f"split discipline, one of {SPLIT_KINDS}",
+          lambda v: v in SPLIT_KINDS, f"one of {SPLIT_KINDS}", "split", "--split"),
+)
+_PARAM_OF = {p.name: p for p in PARAMS}
+
+# A run's configuration: its definition files, its datasets with their
+# channel map, then one field per `PARAMS` row, defaulted to its value.
+RunConfig = namedtuple(
+    "RunConfig", ["definitions", "datasets", "channel_map", *_PARAM_OF],
+    defaults=[(), (), MappingProxyType({}), *(p.default for p in PARAMS)],
+)
+# every parameter at its default, for the engine functions' own defaults
+DEFAULTS = RunConfig()
 # what a JSON value of each parameter type may be, and its name in messages
 _TYPES = {
     float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string"),
@@ -100,47 +98,49 @@ def _require(condition: bool, key: str, message: str) -> None:
         raise ConfigError(f"config key {key!r}: {message}")
 
 
-def _fault(f: Field, value: Any) -> str | None:
-    """What keeps `value` from parameter `f`, which takes only finite values
+def _fault(p: Param, value: Any) -> str | None:
+    """What keeps `value` from parameter `p`, which takes only finite values
     in its range, as ``must be <rule>, got <value>``; None if nothing does."""
     if isinstance(value, float) and not math.isfinite(value):
         return f"must be finite, got {value!r}"
-    if not f.metadata["check"](value):
-        return f"must be {f.metadata['rule']}, got {value!r}"
+    if not p.check(value):
+        return f"must be {p.rule}, got {value!r}"
     return None
 
 
-def _check(f: Field, value: Any) -> None:
-    """Raise ConfigError unless `value` is finite and in parameter `f`'s range."""
-    fault = _fault(f, value)
+def _check(p: Param, value: Any) -> None:
+    """Raise ConfigError unless `value` is finite and in parameter `p`'s range."""
+    fault = _fault(p, value)
     if fault:
-        raise ConfigError(f"config key {KEYS[f.name]!r}: {fault}")
+        raise ConfigError(f"config key {p.key!r}: {fault}")
 
 
 def check_param(name: str, value: Any) -> None:
     """Raise ValueError ``<name> must be <rule>, got <value>`` unless `value`
-    passes the rule `load_config` applies to the `RunConfig` field ``name``."""
+    passes the rule `load_config` applies to the parameter ``name``."""
     fault = _fault(_PARAM_OF[name], value)
     if fault:
         raise ValueError(f"{name} {fault}")
 
 
-def _typed(f: Field, value: Any) -> Any:
-    """`value` as parameter `f`'s type, checked as it stands in the document
+def _typed(p: Param, value: Any) -> Any:
+    """`value` as parameter `p`'s type, checked as it stands in the document
     (an `out_dir` before it is resolved); a JSON integer is also a number."""
-    accepted, name = _TYPES[f.type]
+    accepted, name = _TYPES[p.type]
     _require(
         not isinstance(value, bool) and isinstance(value, accepted),
-        KEYS[f.name], f"must be {name}, got {value!r}",
+        p.key, f"must be {name}, got {value!r}",
     )
-    value = f.type(value)
-    _check(f, value)
+    value = p.type(value)
+    _check(p, value)
     return value
 
 
 def validate_config(config: RunConfig) -> None:
-    for f in PARAMS:
-        _check(f, getattr(config, f.name))
+    for p in PARAMS:
+        _check(p, getattr(config, p.name))
+    # no file can be made under it; the input paths fail as they are read
+    _require("\0" not in config.out_dir, "out_dir", "must hold no NUL character")
     for spec in config.datasets:
         _require(
             spec.kind in DATASET_KINDS, "datasets",
@@ -160,6 +160,8 @@ def load_config(path: str | Path) -> RunConfig:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    except ValueError as exc:  # undecodable text, a NUL in the path
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     if payload is None:
         payload = {}
     if not isinstance(payload, dict):
@@ -171,7 +173,9 @@ def load_config(path: str | Path) -> RunConfig:
         candidate = Path(p)
         return str(candidate if candidate.is_absolute() else base / candidate)
 
-    unknown = sorted(set(payload) - set(KEYS.values()))
+    unknown = sorted(
+        set(payload) - {"definitions", "datasets", "channel_map", *(p.key for p in PARAMS)}
+    )
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {unknown}")
 
@@ -211,11 +215,8 @@ def load_config(path: str | Path) -> RunConfig:
         "channel_map", f"must map channel names to activity names, got {channel_map!r}",
     )
 
-    scalars = {
-        f.name: _typed(f, payload[KEYS[f.name]])
-        for f in PARAMS if KEYS[f.name] in payload
-    }
-    scalars["out_dir"] = resolve(scalars.get("out_dir", RunConfig.out_dir))
+    scalars = {p.name: _typed(p, payload[p.key]) for p in PARAMS if p.key in payload}
+    scalars["out_dir"] = resolve(scalars.get("out_dir", DEFAULTS.out_dir))
     config = RunConfig(
         definitions=definitions,
         datasets=tuple(datasets),
@@ -229,6 +230,6 @@ def load_config(path: str | Path) -> RunConfig:
 def with_overrides(config: RunConfig, **overrides: object) -> RunConfig:
     """Apply non-None keyword overrides, re-validating the result."""
     changes = {k: v for k, v in overrides.items() if v is not None}
-    updated = replace(config, **changes) if changes else config
+    updated = config._replace(**changes)
     validate_config(updated)
     return updated

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, NamedTuple
+
+from . import InputError
 
 WEIGHT_SUM_TOLERANCE = 1e-6
 
@@ -23,7 +24,7 @@ WEIGHT_SUM_TOLERANCE = 1e-6
 NO_PREVIOUS = "none"
 
 
-class DefinitionError(ValueError):
+class DefinitionError(InputError):
     """Raised when a definition file cannot be parsed or fails validation.
 
     ``violations`` lists every individual problem found, not just the first.
@@ -50,18 +51,7 @@ class ContextAttribute(NamedTuple):
     weight: float
 
 
-@dataclass(frozen=True)
-class ComplexActivityDefinition:
-    """A named activity decomposed into weighted atomics and contexts.
-
-    ``atomics`` and ``contexts`` are positionally paired (id i with id i);
-    the core/start/end sets reference those ids.  ``threshold`` is the
-    minimum occurrence weight at or above which an instance counts as
-    successfully completed.  The id sets, weight totals and most important
-    pair are computed on first use and then shared by every caller, so all
-    records of one definition hold the same two id-set objects.
-    """
-
+class _Definition(NamedTuple):
     name: str
     short_code: str
     atomics: tuple[AtomicActivity, ...]
@@ -74,6 +64,19 @@ class ComplexActivityDefinition:
     end_contexts: frozenset[int]
     threshold: float
     comment: str = ""
+
+
+class ComplexActivityDefinition(_Definition):
+    """A named activity decomposed into weighted atomics and contexts.
+
+    ``atomics`` and ``contexts`` are positionally paired (id i with id i);
+    the core/start/end sets reference those ids.  ``threshold`` is the
+    minimum occurrence weight at or above which an instance counts as
+    successfully completed.  The id sets, weight totals and most important
+    pair are computed on first use and then shared by every caller, so all
+    records of one definition hold the same two id-set objects.  (The class
+    has no ``__slots__``: its instances keep those values in a ``__dict__``.)
+    """
 
     @cached_property
     def atomic_ids(self) -> frozenset[int]:
@@ -101,11 +104,13 @@ class ComplexActivityDefinition:
         return best.id, best.id
 
 
-@dataclass(frozen=True)
 class DefinitionSet:
     """Validated, insertion-ordered collection of definitions keyed by name."""
 
-    definitions: dict[str, ComplexActivityDefinition] = field(default_factory=dict)
+    __slots__ = ("definitions",)
+
+    def __init__(self, definitions: dict[str, ComplexActivityDefinition]) -> None:
+        self.definitions = definitions
 
     def __getitem__(self, name: str) -> ComplexActivityDefinition:
         try:
@@ -251,10 +256,10 @@ def parse_definition_file(path: str | Path) -> list[ComplexActivityDefinition]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DefinitionError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DefinitionError(f"{path}: not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, a NUL in the path
+        raise DefinitionError(f"cannot read {path}: {exc}") from exc
 
     if not isinstance(raw, dict) or not isinstance(raw.get("definitions"), list):
         raise DefinitionError(f"{path}: expected an object with a 'definitions' list")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, TextIO, TypeVar
 
 from .config import check_param
@@ -20,21 +19,23 @@ from .tables import csv_field, write_table
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
 class ConfusionMatrix:
     """Square count matrix, rows = predicted label, columns = true label."""
 
-    labels: tuple[str, ...]
-    counts: tuple[tuple[int, ...], ...]
+    __slots__ = ("labels", "counts")
 
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(self.counts) != n or any(len(row) != n for row in self.counts):
+    def __init__(
+        self, labels: tuple[str, ...], counts: tuple[tuple[int, ...], ...]
+    ) -> None:
+        n = len(labels)
+        if len(counts) != n or any(len(row) != n for row in counts):
             raise ValueError(f"counts must be {n}x{n} to match labels")
-        if any(c < 0 for row in self.counts for c in row):
+        if any(c < 0 for row in counts for c in row):
             raise ValueError("counts must be non-negative")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
+        self.labels = labels
+        self.counts = counts
 
     def index(self, label: str) -> int:
         try:

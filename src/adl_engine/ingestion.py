@@ -44,6 +44,7 @@ from itertools import compress, count, filterfalse, islice, repeat
 from operator import attrgetter, itemgetter, lt, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
+from . import InputError
 from .config import check_param
 from .definitions import ComplexActivityDefinition, DefinitionSet
 from .tables import (
@@ -52,11 +53,11 @@ from .tables import (
 )
 
 
-class TraceParseError(ValueError):
+class TraceParseError(InputError):
     """Malformed or non-monotonic power-trace input."""
 
 
-class AnnotationParseError(ValueError):
+class AnnotationParseError(InputError):
     """Malformed annotation-log input."""
 
 

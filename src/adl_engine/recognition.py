@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence, TextIO
 
-from .config import RunConfig, check_param
+from .config import DEFAULTS, check_param
 from .definitions import ComplexActivityDefinition, DefinitionSet
 from .tables import (
     FLAG_TEXT, Memo, csv_field, named_rows, parse_flag, parse_scores, read_csv_blocks,
@@ -60,7 +60,7 @@ class OccurrenceVerdict(NamedTuple):
 def occurrence_weight(
     defn: ComplexActivityDefinition,
     observation: Evidence,
-    lam: float = RunConfig.lam,
+    lam: float = DEFAULTS.lam,
 ) -> float:
     """Blend of observed atomic and satisfied context weight fractions.
 
@@ -104,7 +104,7 @@ def occurrence_weight(
 def detect_occurrence(
     defn: ComplexActivityDefinition,
     observation: Evidence,
-    lam: float = RunConfig.lam,
+    lam: float = DEFAULTS.lam,
 ) -> OccurrenceVerdict:
     """Score an observation and compare against the threshold (inclusive)."""
     score = occurrence_weight(defn, observation, lam)
@@ -134,7 +134,7 @@ VERDICT_FIELDS = ["activity", "start", "end", "score", "completed"]
 
 
 def score_occurrences(
-    defs: DefinitionSet, records: Iterable[OccurrenceRecord], lam: float = RunConfig.lam
+    defs: DefinitionSet, records: Iterable[OccurrenceRecord], lam: float = DEFAULTS.lam
 ) -> list[ScoredOccurrence]:
     """One `ScoredOccurrence` per record, in order, scored by `detect_occurrence`.
 

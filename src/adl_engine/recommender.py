@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import islice, repeat
@@ -25,7 +24,7 @@ from operator import attrgetter, floordiv
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .affect import AffectAnnotation, EmotionLabel, UXLabel
-from .config import RunConfig, check_param
+from .config import DEFAULTS, check_param
 from .definitions import NO_PREVIOUS
 from .tables import Memo, member_parser, named_rows
 from .temporal import MINUTES_PER_DAY, is_weekday, minute_of_day
@@ -80,16 +79,24 @@ class LabeledTransition(NamedTuple):
     next_activity: str
 
 
-@dataclass(frozen=True)
 class ConfidenceVector:
     """Per-activity confidence mapping; argmax is the recommendation.
 
     Construction does not insist the values sum to 1: vectors transcribed
     from rounded external sources may be off by a unit in the last place.
-    Vectors produced by predict_confidences always normalize exactly.
+    Vectors produced by predict_confidences always normalize exactly.  Two
+    vectors are equal when their mappings are.
     """
 
-    confidences: dict[str, float]
+    __slots__ = ("confidences",)
+
+    def __init__(self, confidences: dict[str, float]) -> None:
+        self.confidences = confidences
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConfidenceVector):
+            return NotImplemented
+        return self.confidences == other.confidences
 
     def __getitem__(self, activity: str) -> float:
         return self.confidences[activity]
@@ -119,17 +126,7 @@ def _encode(features: FeatureVector) -> dict[str, str]:
 # Model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecommenderModel:
-    """Smoothed frequency tables for the naive-Bayes posterior.
-
-    ``feature_counts[f][c][v]`` counts transitions of class ``c`` whose
-    encoded feature ``f`` had value ``v``; ``feature_domains[f]`` is the
-    sorted set of values seen for ``f`` across all classes.  `prior` computes
-    one class's smoothed prior; `factors` holds every prior and conditional,
-    computed once per model.
-    """
-
+class _Model(NamedTuple):
     activities: tuple[str, ...]
     alpha: float
     bucket_width: int
@@ -137,6 +134,18 @@ class RecommenderModel:
     class_counts: dict[str, int]
     feature_domains: dict[str, tuple[str, ...]]
     feature_counts: dict[str, dict[str, dict[str, int]]]
+
+
+class RecommenderModel(_Model):
+    """Smoothed frequency tables for the naive-Bayes posterior.
+
+    ``feature_counts[f][c][v]`` counts transitions of class ``c`` whose
+    encoded feature ``f`` had value ``v``; ``feature_domains[f]`` is the
+    sorted set of values seen for ``f`` across all classes.  `prior` computes
+    one class's smoothed prior; `factors` holds every prior and conditional,
+    computed once per model and kept in the instance's ``__dict__`` (the
+    class has no ``__slots__``).
+    """
 
     @property
     def time_buckets(self) -> int:
@@ -196,9 +205,10 @@ class RecommenderModel:
         """The model that `to_json` wrote as ``text``.
 
         Text that is not JSON, a document that is not an object, a missing
-        key, a value that does not convert, feature domains or counts that
-        lack a name of `FEATURE_NAMES`, an ``alpha`` or ``bucket_width`` that
-        `check_param` rejects, and a negative count raise ValueError.
+        key, a value that does not convert, no activities, feature domains or
+        counts that lack a name of `FEATURE_NAMES`, an ``alpha`` or
+        ``bucket_width`` that `check_param` rejects, and a negative count
+        raise ValueError.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -223,6 +233,8 @@ class RecommenderModel:
             raise ValueError(f"model lacks key {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed model: {exc}") from exc
+        if not model.activities:
+            raise ValueError("model activities must not be empty")
         for key in ("feature_domains", "feature_counts"):
             for f in FEATURE_NAMES:
                 if f not in getattr(model, key):
@@ -250,7 +262,7 @@ _end_of, _activity_of, _emotion_of, _ux_of = map(
 
 def extract_transitions(
     annotated: Sequence[AffectAnnotation],
-    bucket_width: int = RunConfig.bucket_width,
+    bucket_width: int = DEFAULTS.bucket_width,
 ) -> list[LabeledTransition]:
     """Pair consecutive occurrences into labeled transitions.
 
@@ -276,8 +288,8 @@ def extract_transitions(
 
 def train(
     transitions: Sequence[LabeledTransition],
-    alpha: float = RunConfig.alpha,
-    bucket_width: int = RunConfig.bucket_width,
+    alpha: float = DEFAULTS.alpha,
+    bucket_width: int = DEFAULTS.bucket_width,
     activities: Sequence[str] | None = None,
 ) -> RecommenderModel:
     """Count transition frequencies into a smoothed model.

@@ -37,7 +37,7 @@ from adl_engine.affect import (
     parse_emotion,
     parse_ux,
 )
-from adl_engine.config import RunConfig
+from adl_engine.config import DEFAULTS
 from adl_engine.definitions import (
     AtomicActivity,
     ComplexActivityDefinition,
@@ -382,7 +382,7 @@ def oracle_infer_emotion(
 
 def emotion_after(
     defn, history, evidence, verdict,
-    window: int = RunConfig.window, epsilon: float = RunConfig.epsilon,
+    window: int = DEFAULTS.window, epsilon: float = DEFAULTS.epsilon,
 ) -> EmotionLabel:
     """The emotion `affect.annotate` gives an occurrence of ``defn`` with
     ``evidence`` and the ``score`` and ``completed`` of ``verdict``, run after

@@ -18,7 +18,7 @@ from adl_engine.affect import (
     train_ux_mapper,
     write_annotated,
 )
-from adl_engine.config import RunConfig
+from adl_engine.config import DEFAULTS
 from adl_engine.recognition import (
     Observation,
     OccurrenceVerdict,
@@ -116,7 +116,7 @@ def test_window_and_epsilon_validation(ukdale_defs):
     prefix=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
     recent=st.lists(
         st.floats(min_value=0.0, max_value=1.0),
-        min_size=RunConfig.window, max_size=RunConfig.window),
+        min_size=DEFAULTS.window, max_size=DEFAULTS.window),
     score=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_emotion_depends_only_on_window_suffix(ukdale_defs, prefix, recent, score):

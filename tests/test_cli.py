@@ -11,6 +11,8 @@ import logging
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -29,7 +31,6 @@ from adl_engine import temporal as temporal_mod
 from adl_engine.affect import EmotionLabel, UXLabel
 from adl_engine.cli import _build_parser, _resolve_config, main
 from adl_engine.config import (
-    KEYS,
     PARAMS,
     ConfigError,
     DatasetSpec,
@@ -168,7 +169,7 @@ RUN_PARAMETERS = {
 
 
 def test_run_parameters_keep_their_keys_and_flags():
-    assert [(f.name, KEYS[f.name]) for f in PARAMS] == [
+    assert [(p.name, p.key) for p in PARAMS] == [
         (name, key) for name, (key, *_) in RUN_PARAMETERS.items()
     ]
     pinned = ["-h", "--help", "--config", *(flag for _, flag, *_ in RUN_PARAMETERS.values())]
@@ -181,7 +182,7 @@ def test_run_parameters_keep_their_keys_and_flags():
 
 def test_each_subcommand_takes_the_shared_flags_in_params_order():
     shared = [("config", None, "path to the JSON run configuration")] + [
-        (f.name, f.type, f.metadata["help"]) for f in PARAMS
+        (p.name, p.type, p.help) for p in PARAMS
     ]
     parser = _build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -942,6 +943,74 @@ def test_invalid_flag_override(capsys):
     assert "train_fraction" in err
 
 
+def test_a_log_of_one_occurrence_is_an_input_error(tmp_path, capsys):
+    log = tmp_path / "one.csv"
+    log.write_text("".join((DATA_DIR / "adl_log.csv").read_text().splitlines(True)[:2]))
+    config = tmp_path / "one.json"
+    config.write_text(json.dumps({
+        "definitions": [str(DEFINITIONS_DIR / "adl.json")],
+        "datasets": [{"path": str(log), "kind": "adl-log"}],
+    }))
+    assert main(["pipeline", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: train needs at least one transition\n"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["pipeline", "--config"]])
+def test_an_undecodable_definition_or_config_file_is_an_input_error(
+    tmp_path, capsys, command
+):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("key, message", [
+    ("definitions", "embedded null byte"),
+    ("datasets", "embedded null byte"),
+    ("out_dir", "config key 'out_dir': must hold no NUL character"),
+])
+def test_a_nul_in_a_path_is_an_input_error(tmp_path, capsys, key, message):
+    document = {
+        "definitions": [str(DEFINITIONS_DIR / "adl.json")],
+        "datasets": [{"path": str(DATA_DIR / "adl_log.csv"), "kind": "adl-log"}],
+        "out_dir": str(tmp_path / "out"),
+    }
+    if key == "definitions":
+        document["definitions"] = [str(DEFINITIONS_DIR / "a\0dl.json")]
+    elif key == "datasets":
+        document["datasets"][0]["path"] = str(DATA_DIR / "adl\0log.csv")
+    else:
+        document["out_dir"] += "\0"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(document))
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.endswith(message + "\n")
+
+
+def test_a_program_bug_exits_1_with_its_traceback(tmp_path):
+    # the stage's own code raises a plain ValueError, as a bug would
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from adl_engine import cli, temporal\n"
+        "def cluster_report(records):\n"
+        "    raise ValueError('a bug, not an input error')\n"
+        "temporal.cluster_report = cluster_report\n"
+        "sys.exit(cli.main(sys.argv[2:]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(REPO_ROOT / "src"),
+         "pipeline", "--config", str(ADL_CONFIG), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("Traceback (most recent call last):\n")
+    assert result.stderr.endswith("ValueError: a bug, not an input error\n")
+    assert "error:" not in result.stderr
+
+
 def test_recommend_rejects_malformed_feature_rows(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
@@ -1000,6 +1069,14 @@ def _recommend_with_edited_model(tmp_path, capsys, edit) -> tuple[Path, int, str
         "--features", str(features),
     ])
     return model, code, capsys.readouterr().err
+
+
+def test_recommend_rejects_a_model_with_no_activities(tmp_path, capsys):
+    model, code, err = _recommend_with_edited_model(
+        tmp_path, capsys, lambda payload: payload.update(activities=[], class_counts={})
+    )
+    assert code == 2
+    assert err == f"error: {model}: model activities must not be empty\n"
 
 
 @pytest.mark.parametrize("table", ["feature_domains", "feature_counts"])
@@ -1155,6 +1232,16 @@ def test_recommend_rejects_long_feature_rows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {features}: line 3: more fields than the header" in err
+
+
+def test_evaluate_rejects_a_predictions_file_with_no_rows(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    predictions = out / "predictions.csv"
+    predictions.write_text(predictions.read_text().splitlines(keepends=True)[0])
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(ADL_CONFIG), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no predictions to evaluate\n"
 
 
 def test_evaluate_rejects_long_prediction_rows(tmp_path, capsys):

@@ -2,7 +2,7 @@
 functions that take a parameter apply it.
 
 Each parameter's default and allowed range are declared once, as a
-`RunConfig` field.  An engine function called directly accepts a value
+`config.PARAMS` row.  An engine function called directly accepts a value
 exactly when a config document may hold it, and rejects the rest with
 ``<name> must be <rule>, got <value>``, the text after the config key in the
 `ConfigError` of `load_config`.
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from adl_engine import cli
 from adl_engine.affect import EmotionLabel, UXLabel, UXModel, annotate
-from adl_engine.config import KEYS, PARAMS, ConfigError, load_config
+from adl_engine.config import PARAMS, ConfigError, load_config
 from adl_engine.evaluation import split_chronological, split_random
 from adl_engine.ingestion import (
     SensorSample, binarize, power_trace_blocks, trace_occurrences,
@@ -102,11 +102,11 @@ VALUES = {
 def test_an_engine_function_takes_exactly_the_values_a_config_may_hold(
     tmp_path, adl_defs, name, function
 ):
-    [param] = [f for f in PARAMS if f.name == name]
-    prefix = f"config key {KEYS[name]!r}: "
+    [param] = [p for p in PARAMS if p.name == name]
+    prefix = f"config key {param.key!r}: "
     path = tmp_path / "config.json"
     for value in VALUES[param.type]:
-        path.write_text(json.dumps({KEYS[name]: value}))
+        path.write_text(json.dumps({param.key: value}))
         try:
             load_config(path)
         except ConfigError as exc:
@@ -185,10 +185,10 @@ def test_readme_configuration_table_matches_the_parameters():
     ]
     # a scalar row names its flag; the others hold the config's lists and maps
     readme = {key.strip("`"): (flag, default) for key, flag, default, _ in rows if flag}
-    assert set(readme) == {KEYS[f.name] for f in PARAMS}
+    assert set(readme) == {p.key for p in PARAMS}
     parser = cli._build_parser()
     for f in PARAMS:
-        flag, default = readme[KEYS[f.name]]
+        flag, default = readme[f.key]
         assert default == f"`{json.dumps(f.default)}`", f.name
         [flag] = re.fullmatch(r"`(--[a-z-]+)`", flag).groups()
         args = parser.parse_args(["pipeline", flag, str(f.default)])
