@@ -168,9 +168,7 @@ def annotate(
     return annotations
 
 
-ANNOTATED_FIELDS = [
-    "activity", "start", "end", "score", "completed", "emotion", "ux",
-]
+ANNOTATED_FIELDS = list(AffectAnnotation._fields)
 
 
 def write_annotated(rows: Iterable[AffectAnnotation], stream: TextIO) -> None:

@@ -490,9 +490,7 @@ def _stamps(texts: Sequence[str]) -> list[int]:
 # Occurrence CSV (pipeline intermediate)
 # ---------------------------------------------------------------------------
 
-OCCURRENCE_FIELDS = [
-    "activity", "start", "end", "observed_atomics", "satisfied_contexts", "source",
-]
+OCCURRENCE_FIELDS = list(OccurrenceRecord._fields)
 
 
 def _ids_to_field(ids: frozenset[int]) -> str:

@@ -72,32 +72,19 @@ def occurrence_weight(
     check_param("lam", lam)
     observed = observation.observed_atomics
     satisfied = observation.satisfied_contexts
-    atomic_ids = defn.atomic_ids
-    context_ids = defn.context_ids
-    # records built from a definition share its id sets, so `is` settles them
-    full_atomics = observed is atomic_ids or observed == atomic_ids
-    if not (full_atomics or observed <= atomic_ids):
-        unknown = sorted(observed - atomic_ids)
+    unknown = sorted(observed - defn.atomic_ids)
+    if unknown:
         raise KeyError(f"{defn.name}: unknown atomic ids {unknown}")
-    full_contexts = satisfied is context_ids or satisfied == context_ids
-    if not (full_contexts or satisfied <= context_ids):
-        unknown = sorted(satisfied - context_ids)
+    unknown = sorted(satisfied - defn.context_ids)
+    if unknown:
         raise KeyError(f"{defn.name}: unknown context ids {unknown}")
 
-    if full_atomics:
-        atomic_fraction = 1.0
-    else:
-        atomic_fraction = math.fsum(
-            a.weight for a in defn.atomics if a.id in observed
-        ) / defn.atomic_weight_total
-
-    if full_contexts:
-        context_fraction = 1.0
-    else:
-        context_fraction = math.fsum(
-            c.weight for c in defn.contexts if c.id in satisfied
-        ) / defn.context_weight_total
-
+    atomic_fraction = math.fsum(
+        a.weight for a in defn.atomics if a.id in observed
+    ) / defn.atomic_weight_total
+    context_fraction = math.fsum(
+        c.weight for c in defn.contexts if c.id in satisfied
+    ) / defn.context_weight_total
     return lam * atomic_fraction + (1.0 - lam) * context_fraction
 
 
@@ -130,7 +117,7 @@ class ScoredOccurrence(NamedTuple):
     completed: bool
 
 
-VERDICT_FIELDS = ["activity", "start", "end", "score", "completed"]
+VERDICT_FIELDS = list(ScoredOccurrence._fields)
 
 
 def score_occurrences(

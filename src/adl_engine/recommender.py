@@ -18,7 +18,6 @@ import json
 import math
 from collections import Counter
 from enum import Enum
-from functools import cached_property
 from itertools import islice, repeat
 from operator import attrgetter, floordiv
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -126,7 +125,15 @@ def _encode(features: FeatureVector) -> dict[str, str]:
 # Model
 # ---------------------------------------------------------------------------
 
-class _Model(NamedTuple):
+class RecommenderModel(NamedTuple):
+    """Smoothed frequency tables for the naive-Bayes posterior.
+
+    ``feature_counts[f][c][v]`` counts transitions of class ``c`` whose
+    encoded feature ``f`` had value ``v``; ``feature_domains[f]`` is the
+    sorted set of values seen for ``f`` across all classes.  `prior` computes
+    one class's smoothed prior.
+    """
+
     activities: tuple[str, ...]
     alpha: float
     bucket_width: int
@@ -134,18 +141,6 @@ class _Model(NamedTuple):
     class_counts: dict[str, int]
     feature_domains: dict[str, tuple[str, ...]]
     feature_counts: dict[str, dict[str, dict[str, int]]]
-
-
-class RecommenderModel(_Model):
-    """Smoothed frequency tables for the naive-Bayes posterior.
-
-    ``feature_counts[f][c][v]`` counts transitions of class ``c`` whose
-    encoded feature ``f`` had value ``v``; ``feature_domains[f]`` is the
-    sorted set of values seen for ``f`` across all classes.  `prior` computes
-    one class's smoothed prior; `factors` holds every prior and conditional,
-    computed once per model and kept in the instance's ``__dict__`` (the
-    class has no ``__slots__``).
-    """
 
     @property
     def time_buckets(self) -> int:
@@ -156,37 +151,6 @@ class RecommenderModel(_Model):
         count = self.class_counts.get(activity, 0)
         denom = self.n_transitions + self.alpha * len(self.activities)
         return (count + self.alpha) / denom
-
-    @cached_property
-    def factors(
-        self,
-    ) -> tuple[list[float], dict[str, tuple[dict[str, list[float]], list[float]]]]:
-        """The priors, and per feature the conditionals of each value seen in
-        training plus those of an unseen value, all in ``activities`` order.
-
-        Each prior is what `prior` computes and each conditional is ``(count
-        + alpha) / (class count + alpha * domain size)``, so a product of them
-        is bit-identical to one of factors computed one per call, as the
-        tests' per-call posterior does.  Cached on the model and never
-        serialized.
-        """
-        priors = [self.prior(a) for a in self.activities]
-        tables = {}
-        for f in FEATURE_NAMES:
-            domain_size = len(self.feature_domains[f])
-            counts = [self.feature_counts[f].get(a, {}) for a in self.activities]
-            denominators = [
-                self.class_counts.get(a, 0) + self.alpha * domain_size
-                for a in self.activities
-            ]
-            seen = {v for per_class in counts for v in per_class}
-            rows = {
-                v: [(c.get(v, 0) + self.alpha) / d for c, d in zip(counts, denominators)]
-                for v in seen
-            }
-            unseen = [(0 + self.alpha) / d for d in denominators]  # count 0
-            tables[f] = rows, unseen
-        return priors, tables
 
     def to_json(self) -> str:
         payload = {
@@ -337,18 +301,24 @@ def predict_confidences(
 ) -> ConfidenceVector:
     """Posterior over activities: prior times per-feature conditionals.
 
-    The factors come from `RecommenderModel.factors` and multiply in the
-    order prior, then `FEATURE_NAMES`.  Values absent from a feature's
-    training domain still contribute the smoothing mass alpha over the
-    recorded domain size, so every activity keeps strictly positive
-    confidence.  The result is normalized to sum 1.
+    Each conditional is ``(count + alpha) / (class count + alpha * domain
+    size)``, and the product runs in the order prior, then
+    `FEATURE_NAMES`.  Values absent from a feature's training domain still
+    contribute the smoothing mass alpha over the recorded domain size, so
+    every activity keeps strictly positive confidence.  The result is
+    normalized to sum 1.
     """
     encoded = _encode(features)
-    products, tables = model.factors
-    for f in FEATURE_NAMES:
-        rows, unseen = tables[f]
-        products = [p * x for p, x in zip(products, rows.get(encoded[f], unseen))]
-    weights = dict(zip(model.activities, products))
+    alpha = model.alpha
+    weights = {}
+    for a in model.activities:
+        weight = model.prior(a)
+        class_count = model.class_counts.get(a, 0)
+        for f in FEATURE_NAMES:
+            count = model.feature_counts[f].get(a, {}).get(encoded[f], 0)
+            domain_size = len(model.feature_domains[f])
+            weight *= (count + alpha) / (class_count + alpha * domain_size)
+        weights[a] = weight
     total = math.fsum(weights.values())
     return ConfidenceVector({a: w / total for a, w in sorted(weights.items())})
 

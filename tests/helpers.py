@@ -303,8 +303,8 @@ def oracle_posterior(
 def conditional(
     model: RecommenderModel, feature: str, value: str, activity: str
 ) -> float:
-    """One smoothed conditional, as `RecommenderModel.conditional` computed
-    it per call before `RecommenderModel.factors` held them all."""
+    """One smoothed conditional P(``feature`` = ``value`` | ``activity``):
+    ``(count + alpha) / (class count + alpha * domain size)``."""
     domain_size = len(model.feature_domains[feature])
     count = model.feature_counts[feature].get(activity, {}).get(value, 0)
     class_count = model.class_counts.get(activity, 0)
@@ -312,9 +312,9 @@ def conditional(
 
 
 def per_call_posterior(model: RecommenderModel, features) -> dict[str, float]:
-    """The posterior computed one factor per call, as `predict_confidences`
-    did before `RecommenderModel.factors`: per activity, `prior` times the
-    `conditional` of each feature in `FEATURE_NAMES` order, normalized."""
+    """The posterior computed one factor per call: per activity, `prior`
+    times the `conditional` of each feature in `FEATURE_NAMES` order,
+    normalized by the fsum of the products."""
     query = _oracle_encode(features)
     weights: dict[str, float] = {}
     for activity in model.activities:

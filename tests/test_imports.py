@@ -4,11 +4,12 @@ timing, and the behaviour its classes keep without the `dataclasses` module.
 Every CLI invocation pays for ``import adl_engine.cli``, so no engine class
 is a dataclass: ``import dataclasses`` loads `inspect` (and through it `ast`,
 `dis` and `tokenize`), and each decorated class runs ``exec`` on its
-generated methods when it is made.  Records are named tuples; one that
-caches values it derives (`ComplexActivityDefinition`, `RecommenderModel`)
-subclasses its named tuple without ``__slots__``, so `functools.cached_property`
-has a ``__dict__`` to fill.  Classes whose methods would clash with the tuple
-protocol (`DefinitionSet`, `ConfusionMatrix`, `ConfidenceVector`) are small
+generated methods when it is made.  Records are named tuples.  Only
+`ComplexActivityDefinition`, which caches values it derives, subclasses its
+named tuple without ``__slots__``, so `functools.cached_property` has a
+``__dict__`` to fill; the others, `RecommenderModel` among them, have no
+``__dict__``.  Classes whose methods would clash with the tuple protocol
+(`DefinitionSet`, `ConfusionMatrix`, `ConfidenceVector`) are small
 ``__slots__`` classes.  The CLI writes its own diagnostics instead of
 importing ``logging``.  The table format in `tables` depends on no other
 engine module, and loading a config loads neither `ingestion` nor
@@ -130,8 +131,8 @@ def test_derived_values_are_computed_once_per_record(adl_defs):
     defn = adl_defs["Sleeping"]
     assert defn.atomic_ids is defn.atomic_ids
     model = _model()
-    assert model.factors is model.factors
-    # a cached value is not a field: equality, and the JSON, ignore it
+    assert not hasattr(model, "__dict__")
+    # the model caches nothing, so it reads back equal from its JSON
     assert recommender.read_model(io.StringIO(model.to_json())) == model
 
 
