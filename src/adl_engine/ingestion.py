@@ -11,14 +11,15 @@ annotation log is a table that `tables.read_csv_blocks` reads.
 
 A power trace becomes occurrence records a block at a time.
 `power_trace_blocks` splits each block once, checks it whole with builtins
-that run in C, and thresholds it against ``on_watts``, yielding each block's
-stamps, as decimal texts, and the indices of its on-samples.  Stamps that
-are ASCII digits of one width sort as texts in number order, so a block of
-them is checked as texts and only its first and last stamps are read with
-`int`.  A channel repeats few watts texts, so the reader keeps a per-stream
-dict from each watts text of an accepted block to its on flag; a block
-whose texts are all known needs no float parsing, and of a block with texts
-the dict lacks only those are parsed.
+that run in C (its shape on its UTF-8 bytes), and thresholds it against
+``on_watts``, yielding each block's stamps, as decimal texts, and the
+indices of its on-samples.  Stamps that are ASCII digits of one width sort
+as texts in number order, so a block of them is checked as texts and only
+its first and last stamps are read with `int`.  A channel repeats few watts
+texts, so the reader keeps a per-stream dict from each watts text of an
+accepted block to its on flag, and the set of its texts flagged off: a
+block of standby texts is settled by one set test, a block of known texts
+needs no float parsing, and of other blocks only the unknown texts are parsed.
 The dict takes new texts only while it holds fewer than `WATTS_MEMO_TEXTS`,
 so a trace of all distinct readings cannot grow it without bound.  A block
 with any line that is not plain ``<stamp> <watts>`` text, or with stamps of
@@ -41,7 +42,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
 from itertools import compress, count, filterfalse, islice, repeat
-from operator import attrgetter, itemgetter, lt, sub
+from operator import attrgetter, itemgetter, lt, not_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import InputError
@@ -148,7 +149,7 @@ def iter_power_trace(
 
 
 # deleting these from a plain line ``<stamp> <watts>\n`` leaves `` \n``
-_NUMBER_CHARS = str.maketrans("", "", "0123456789.+-eE")
+_NUMBER_BYTES = b"0123456789.+-eE"
 # an int below this in magnitude is exactly a float, so int(tok) == int(float(tok))
 _EXACT_INT = 2 ** 53
 # a stream's watts memo takes new texts only while it holds fewer than this
@@ -171,16 +172,17 @@ def power_trace_blocks(
     check_param("on_watts", on_watts)
     # not on_watts.__lt__: for an int threshold it returns NotImplemented, which is truthy
     is_on = partial(lt, on_watts)
-    # {watts text: on flag} for texts proven finite and >= 0; a channel
-    # repeats few watts texts, so most blocks are thresholded by lookups alone
+    # {watts text: on flag} for texts proven finite and >= 0, and `off`, its
+    # texts flagged False; a channel repeats few watts texts, so most blocks
+    # are thresholded by lookups alone, and all-standby ones by one set test
     known: dict[str, bool] = {}
+    off: set[str] = set()
     first_line = 1  # the number of the block's first line
     last_ts: int | None = None
     for text in line_blocks(stream):
         if not text.endswith("\n"):  # a last line with no line end
             text += "\n"
-        lines = text.count("\n")
-        block = _plain_block(text, lines, last_ts, is_on, known)
+        block = _plain_block(text, last_ts, is_on, known, off)
         if block is None:
             samples = list(
                 iter_power_trace(text.split("\n"), channel, first_line, last_ts)
@@ -189,38 +191,45 @@ def power_trace_blocks(
                 list(map(str, map(itemgetter(0), samples))),
                 list(compress(count(), map(is_on, map(itemgetter(1), samples)))),
             )
-        first_line += lines
+            first_line += text.count("\n")
+        else:  # a plain block has one stamp a line
+            first_line += len(block[0])
         if block[0]:
             last_ts = int(block[0][-1])
             yield block
 
 
 def _plain_block(
-    text: str, lines: int, last_ts: int | None,
-    is_on: Callable[[float], bool], known: dict[str, bool],
+    text: str, last_ts: int | None, is_on: Callable[[float], bool],
+    known: dict[str, bool], off: set[str],
 ) -> tuple[list[str], list[int]] | None:
     """The stamp texts and on-sample indices of ``text`` if each of its
-    ``lines`` is a plain, valid ``<stamp> <watts>`` line and the first
-    follows ``last_ts``, else None.
+    lines is a plain, valid ``<stamp> <watts>`` line and the first follows
+    ``last_ts``, else None.
 
     Builtins check the whole block at once: one space and only number
-    characters on each line, and two tokens a line.  The stamps must be
-    ASCII digit texts of one width, which sort as their numbers do, so they
-    are checked as texts to strictly increase; only the first and the last
-    are read with `int`, to follow ``last_ts`` and to stay below 2**53,
-    where a float holds them exactly.  Stamps of mixed widths, a sign, a
-    fraction, an exponent or a stamp of 2**53 or more leave the block to
-    `iter_power_trace`.
+    characters on each line, checked on the block's UTF-8 bytes (no other
+    character encodes to a number character's byte), and two tokens a line.
+    The stamps must be ASCII digit texts of one width, which sort as their
+    numbers do, so they are checked as texts to strictly increase; only the
+    first and the last are read with `int`, to follow ``last_ts`` and to
+    stay below 2**53, where a float holds them exactly.  Stamps of mixed
+    widths, a sign, a fraction, an exponent or a stamp of 2**53 or more
+    leave the block to `iter_power_trace`.
 
-    Watts texts are looked up in ``known``.  On a miss, only the texts
-    ``known`` lacks are parsed and checked to be finite and >= 0: each
-    distinct one once, or, when it lacks them all, each in line order.  If
-    the block is accepted, they go into ``known``, in the order first seen,
-    while that holds fewer than `WATTS_MEMO_TEXTS`.  So ``known`` holds only
-    texts proven finite and >= 0, its size is bounded whatever the trace,
-    and a miss costs work in proportion to the block, not to ``known``.
+    A block of watts texts all in ``off``, the texts ``known`` flags False,
+    has no on-sample; other texts are looked up in ``known``.  On a miss,
+    only the texts ``known`` lacks are parsed and checked to be finite and
+    >= 0: each distinct one once, or, when it lacks them all, each in line
+    order.  If the block is accepted, they go into ``known``, and the off
+    ones into ``off``, in the order first seen, while ``known`` holds fewer
+    than `WATTS_MEMO_TEXTS`.  So ``known`` holds only texts proven finite
+    and >= 0, its size is bounded whatever the trace, and a miss costs work
+    in proportion to the block, not to ``known``.
     """
-    if text.translate(_NUMBER_CHARS) != " \n" * lines:
+    shape = text.encode("utf-8", "surrogatepass").translate(None, _NUMBER_BYTES)
+    lines = len(shape) // 2
+    if shape != b" \n" * lines:
         return None
     tokens = text.split()
     if len(tokens) != 2 * lines:  # a line with an empty field
@@ -240,6 +249,8 @@ def _plain_block(
     ):
         return None
     texts = tokens[1::2]
+    if off.issuperset(texts):
+        return stamps, []
     try:
         return stamps, list(compress(count(), map(known.__getitem__, texts)))
     except KeyError:
@@ -257,6 +268,7 @@ def _plain_block(
     room = WATTS_MEMO_TEXTS - len(known)
     if room > 0:
         known.update(islice(zip(new, flags), room))
+        off.update(compress(islice(new, room), map(not_, flags)))
     if len(new) == len(texts):  # no text was known: the flags are in line order
         return stamps, list(compress(count(), flags))
     if room >= len(new):  # every text is now known

@@ -230,6 +230,7 @@ def test_power_trace_blocks_memo_holds_only_accepted_texts():
         for _ in range(3):
             next(blocks)
         assert blocks.gi_frame.f_locals["known"] == {"7.5": True, "0": False}
+        assert blocks.gi_frame.f_locals["off"] == {"0"}
 
 
 @settings(max_examples=200, derandomize=True)
@@ -240,7 +241,8 @@ def test_power_trace_blocks_memo_holds_only_accepted_texts():
 def test_power_trace_blocks_memo_stays_capped_and_valid(text, memo_texts, block_chars):
     # with a small cap, blocks miss on some texts while others are known;
     # after each block the memo holds at most its cap of texts, each finite
-    # and >= 0 and mapped to its own flag
+    # and >= 0 and mapped to its own flag, and the off set holds exactly its
+    # texts flagged off
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tables, "TRACE_BLOCK_CHARS", block_chars)
         patch.setattr(ingestion, "WATTS_MEMO_TEXTS", memo_texts)
@@ -253,19 +255,28 @@ def test_power_trace_blocks_memo_stays_capped_and_valid(text, memo_texts, block_
                     watts = float(watts_text)
                     assert math.isfinite(watts) and watts >= 0
                     assert flag == (watts > 10.0)
+                off = blocks.gi_frame.f_locals["off"]
+                assert off == {t for t, flag in known.items() if not flag}
         except TraceParseError:
             pass
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "1e400", "-1"])
 def test_power_trace_blocks_bad_text_among_known_ones_names_its_line(bad):
-    # the first block of 16 characters makes 7.5 and 0 known; the second
-    # holds those texts and one bad one
-    text = f"1 7.5\n2 0\n3 7.5\n4 7.5\n5 0\n6 {bad}\n7 7.5\n"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tables, "TRACE_BLOCK_CHARS", 16)
-        with pytest.raises(TraceParseError, match="tv: line 6: watts must be finite and >= 0"):
-            list(power_trace_blocks(io.StringIO(text), "tv", 5.0))
+    # the first block of 16 characters makes its two watts texts known; the
+    # second holds those texts and one bad one
+    for text in (
+        f"1 7.5\n2 0\n3 7.5\n4 7.5\n5 0\n6 {bad}\n7 7.5\n",
+        # both known texts are off, so only the bad text keeps the second
+        # block from being settled as all off
+        f"1 0\n2 0.5\n3 0\n4 0\n5 0.5\n6 {bad}\n7 0\n",
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tables, "TRACE_BLOCK_CHARS", 16)
+            with pytest.raises(
+                TraceParseError, match="tv: line 6: watts must be finite and >= 0"
+            ):
+                list(power_trace_blocks(io.StringIO(text), "tv", 5.0))
 
 
 @st.composite
