@@ -34,7 +34,7 @@ from . import recommender as recom_mod
 from . import temporal as temporal_mod
 from . import InputError
 from .config import PARAMS, ConfigError, RunConfig, load_config, with_overrides
-from .tables import FieldLookup, csv_field, read_csv_columns, write_table
+from .tables import FieldLookup, Memo, csv_field, read_csv_columns, write_table
 
 _timed_of = attrgetter("activity", "start", "end")
 _activity_of, _completed_of, _emotion_of = map(
@@ -99,45 +99,41 @@ def _parse_file(path: str | Path, parse: Callable[[TextIO], Any]) -> Any:
 # Value store and input loaders
 # ---------------------------------------------------------------------------
 
-class Store:
+class Store(dict):
     """Values of one invocation, by name; a missing input is loaded on first use."""
 
+    __slots__ = ("config", "args", "out")
+
     def __init__(self, config: RunConfig, args: argparse.Namespace) -> None:
+        super().__init__()
         self.config = config
         self.args = args
         self.out = Path(config.out_dir)
-        self.values: dict[str, Any] = {}
 
-    def __getitem__(self, key: str) -> Any:
-        if key not in self.values:
-            source = _INPUTS[key]
-            given = source.option and getattr(self.args, source.option, None)
-            if given:
-                path = Path(given)
-            else:
-                path = self.out / source.default if source.default else None
-            self.values[key] = source.read(self, path)
-        return self.values[key]
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        self.values[key] = value
+    def __missing__(self, key: str) -> Any:
+        source = _INPUTS[key]
+        given = source.option and getattr(self.args, source.option, None)
+        default = source.default and self.out / source.default
+        value = self[key] = source.read(self, Path(given) if given else default)
+        return value
 
 
-def _read_definitions(store: Store, _path: None) -> defs_mod.DefinitionSet:
+def _read_definitions(
+    store: Store, _path: None
+) -> dict[str, defs_mod.ComplexActivityDefinition]:
     """The definitions of every configured file; no name may repeat across files."""
     if not store.config.definitions:
         raise ConfigError("config key 'definitions': at least one file is required")
     merged: dict[str, defs_mod.ComplexActivityDefinition] = {}
     for path in store.config.definitions:
-        loaded = defs_mod.load_definitions(path)
-        for name in loaded.names:
+        for name, defn in defs_mod.load_definitions(path).items():
             if name in merged:
                 raise defs_mod.DefinitionError(
                     f"{path}: duplicate definition {name!r} across files",
                     violations=[name],
                 )
-            merged[name] = loaded[name]
-    return defs_mod.DefinitionSet(definitions=merged)
+            merged[name] = defn
+    return merged
 
 
 def _read_records(store: Store, path: Path) -> list[ingest_mod.OccurrenceRecord]:
@@ -161,8 +157,8 @@ def _read_verdicts(store: Store, path: Path) -> list[recog_mod.ScoredOccurrence]
 
 def _read_annotations(store: Store, path: Path) -> list[affect_mod.AffectAnnotation]:
     """Saved annotations, each of which must name a defined activity."""
-    known = set(store["defs"].names)
-    return _parse_file(path, lambda stream: affect_mod.read_annotated(stream, known))
+    defs = store["defs"]
+    return _parse_file(path, lambda stream: affect_mod.read_annotated(stream, defs))
 
 
 def _read_model(store: Store, path: Path) -> recom_mod.RecommenderModel:
@@ -182,36 +178,39 @@ def _read_features(
     activities.
     """
     model = store["model"]
-    names = {name: name for name in store["defs"].names}
+    names = {name: name for name in store["defs"]}
     previous_of = {**names, "": None, recom_mod.NO_PREVIOUS: None}
     true_of = FieldLookup({**names, "": ""}, "unknown true activity")
+
+    def vector(key: tuple[str, ...]) -> recom_mod.FeatureVector:
+        bucket, previous_text, emotion_text, ux_text, day_text = key
+        previous_name = previous_text.strip()
+        features = recom_mod.FeatureVector(  # checks the bucket is not negative
+            int(bucket), previous_of.get(previous_name),
+            affect_mod.parse_emotion(emotion_text.strip()),
+            affect_mod.parse_ux(ux_text.strip()),
+            recom_mod.parse_day_kind(day_text.strip()),
+        )
+        if features.time_bucket >= model.time_buckets:
+            raise ValueError(
+                f"time_bucket must be < {model.time_buckets} for the model's "
+                f"bucket_width {model.bucket_width}, got {features.time_bucket}"
+            )
+        if previous_name not in previous_of:
+            raise ValueError(f"unknown previous activity {previous_name!r}")
+        return features
+
     # rows repeat few distinct feature texts, so each is parsed, and its
     # vector built, once
-    vectors: dict[tuple[str, ...], recom_mod.FeatureVector] = {}
+    vectors = Memo(vector)
 
     def columns(
         time_bucket: Sequence[str], emotion: Sequence[str], ux: Sequence[str],
         day_kind: Sequence[str], previous: Sequence[str], activity: Sequence[str],
     ) -> list[tuple[str, recom_mod.FeatureVector]]:
-        keys = list(zip(time_bucket, previous, emotion, ux, day_kind))
-        for key in set(keys).difference(vectors):
-            bucket, previous_text, emotion_text, ux_text, day_text = key
-            previous_name = previous_text.strip()
-            features = recom_mod.FeatureVector(  # checks the bucket is not negative
-                int(bucket), previous_of.get(previous_name),
-                affect_mod.parse_emotion(emotion_text.strip()),
-                affect_mod.parse_ux(ux_text.strip()),
-                recom_mod.parse_day_kind(day_text.strip()),
-            )
-            if features.time_bucket >= model.time_buckets:
-                raise ValueError(
-                    f"time_bucket must be < {model.time_buckets} for the model's "
-                    f"bucket_width {model.bucket_width}, got {features.time_bucket}"
-                )
-            if previous_name not in previous_of:
-                raise ValueError(f"unknown previous activity {previous_name!r}")
-            vectors[key] = features
-        features = map(vectors.__getitem__, keys)
+        features = list(map(
+            vectors.__getitem__, zip(time_bucket, previous, emotion, ux, day_kind)
+        ))
         return list(zip(map(true_of.__getitem__, map(str.strip, activity)), features))
 
     return _parse_file(path, lambda stream: read_csv_columns(
@@ -227,7 +226,7 @@ def _read_predictions(store: Store, path: Path) -> list[tuple[str, str]]:
     The true label must be present, then name a defined activity, and so
     must the predicted one.
     """
-    names = {name: name for name in store["defs"].names}
+    names = {name: name for name in store["defs"]}
     true_of = FieldLookup(names, "unknown true activity")
     predicted_of = FieldLookup(names, "unknown predicted activity")
 
@@ -308,10 +307,9 @@ def _recognize(store: Store) -> StageResult:
 def _affect(store: Store) -> StageResult:
     config = store.config
     # every record names a defined activity: its loader or its parser checked
-    definitions = store["defs"].definitions
     records = store["records"]
     items = zip(
-        map(definitions.__getitem__, map(_activity_of, records)), records, store["verdicts"]
+        map(store["defs"].__getitem__, map(_activity_of, records)), records, store["verdicts"]
     )
     # no UX labels exist to learn from, so UX follows the sign of the emotion
     ux_model = affect_mod.UXModel(
@@ -332,7 +330,6 @@ def _cluster(store: Store) -> StageResult:
 def _train(store: Store) -> StageResult:
     """Fit on the training split; the held-out split feeds `recommend`."""
     config = store.config
-    defs = store["defs"]
     transitions = recom_mod.extract_transitions(
         store["annotations"], config.bucket_width
     )
@@ -353,7 +350,7 @@ def _train(store: Store) -> StageResult:
         train_part,
         alpha=config.alpha,
         bucket_width=config.bucket_width,
-        activities=defs.names,
+        activities=list(store["defs"]),
     )
     store["features"] = [(label, features) for features, label in test_part]
     return (f"trained on {len(train_part)} of {len(transitions)} transitions, "
@@ -362,33 +359,31 @@ def _train(store: Store) -> StageResult:
 
 def _recommend(store: Store) -> StageResult:
     model = store["model"]
+
+    def predict(features: recom_mod.FeatureVector) -> tuple[str, str]:
+        vector = recom_mod.predict_confidences(model, features)
+        predicted = recom_mod.recommend(vector)
+        return predicted, ",".join([
+            csv_field(predicted), *[repr(vector[name]) for name in model.activities],
+        ]) + "\n"
+
     # feature rows repeat few distinct vectors, so each is predicted, and its
     # prediction and confidences formatted, once
-    memo: dict[recom_mod.FeatureVector, tuple[str, str]] = {}
-    pairs: list[tuple[str, str]] = []
-    tails: list[str] = []
-    for true_label, features in store["features"]:
-        known = memo.get(features)
-        if known is None:
-            vector = recom_mod.predict_confidences(model, features)
-            predicted = recom_mod.recommend(vector)
-            known = memo[features] = predicted, ",".join([
-                csv_field(predicted),
-                *[repr(vector[name]) for name in model.activities],
-            ]) + "\n"
-        pairs.append((known[0], true_label))
-        tails.append(known[1])
+    memo = Memo(predict)
+    rows = store["features"]
+    known = [memo[features] for _, features in rows]
+    pairs = [(predicted, label) for (label, _), (predicted, _) in zip(rows, known)]
     header = ["activity", "prediction"] + [
         f"confidence({name})" for name in model.activities
     ]
-    lines = (f"{csv_field(label)},{tail}" for (_, label), tail in zip(pairs, tails))
+    lines = (f"{csv_field(label)},{tail}" for (label, _), (_, tail) in zip(rows, known))
     store["predictions"] = pairs
     return (f"wrote {len(pairs)} predictions to {{path}}",
             [partial(write_table, header=header, lines=lines)])
 
 
 def _evaluate(store: Store) -> StageResult:
-    labels = tuple(sorted(store["defs"].names))
+    labels = tuple(sorted(store["defs"]))
     if not store["predictions"]:  # read from a file that holds no rows
         raise InputError("no predictions to evaluate")
     cm = eval_mod.build_confusion(store["predictions"], labels)
@@ -481,7 +476,7 @@ def _cmd_validate(config: RunConfig | None, args: argparse.Namespace) -> int:
     for failure in failures:
         print(f"FAIL {failure}")
     print(f"{passed} of {total} definitions passed")
-    return 0 if passed == total else 1
+    return 0 if passed == total else 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ context attributes, core/start/end id sets, and a completion threshold.
 
 A definition file is one JSON document holding a list of definitions; the
 repository ships two catalogues, ``definitions/ukdale.json`` (appliance
-activities) and ``definitions/adl.json`` (daily-living activities).  Loaded
-sets are immutable and safe to share across workers.
+activities) and ``definitions/adl.json`` (daily-living activities).
+`load_definitions` returns a dict from each name to its definition, in file
+order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import InputError
 
@@ -102,34 +103,6 @@ class ComplexActivityDefinition(_Definition):
         """
         best = max(self.atomics, key=lambda a: (a.weight, -a.id))
         return best.id, best.id
-
-
-class DefinitionSet:
-    """Validated, insertion-ordered collection of definitions keyed by name."""
-
-    __slots__ = ("definitions",)
-
-    def __init__(self, definitions: dict[str, ComplexActivityDefinition]) -> None:
-        self.definitions = definitions
-
-    def __getitem__(self, name: str) -> ComplexActivityDefinition:
-        try:
-            return self.definitions[name]
-        except KeyError:
-            raise KeyError(f"unknown activity {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.definitions
-
-    def __iter__(self) -> Iterator[ComplexActivityDefinition]:
-        return iter(self.definitions.values())
-
-    def __len__(self) -> int:
-        return len(self.definitions)
-
-    @property
-    def names(self) -> list[str]:
-        return list(self.definitions.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +248,8 @@ def parse_definition_file(path: str | Path) -> list[ComplexActivityDefinition]:
     return parsed
 
 
-def load_definitions(path: str | Path) -> DefinitionSet:
-    """Load and validate a definition file.
+def load_definitions(path: str | Path) -> dict[str, ComplexActivityDefinition]:
+    """Load and validate a definition file: ``{name: definition}`` in file order.
 
     Raises DefinitionError on parse failure, duplicate names, or any
     validation violation (all violations are reported together).
@@ -295,4 +268,4 @@ def load_definitions(path: str | Path) -> DefinitionSet:
         )
     if not parsed:
         raise DefinitionError(f"{path}: definition set is empty")
-    return DefinitionSet(definitions={d.name: d for d in parsed})
+    return {d.name: d for d in parsed}

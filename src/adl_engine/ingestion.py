@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import InputError
 from .config import check_param
-from .definitions import ComplexActivityDefinition, DefinitionSet
+from .definitions import ComplexActivityDefinition
 from .tables import (
     FieldLookup, Memo, check_order, csv_field, line_blocks, member_parser, named_rows,
     read_csv_blocks, write_table,
@@ -376,7 +376,7 @@ def binarize(
 def segment_occurrences(
     series: BinarySeries,
     activity_map: dict[str, str],
-    defs: DefinitionSet,
+    defs: dict[str, ComplexActivityDefinition],
 ) -> list[OccurrenceRecord]:
     """Cut a binary series into one record per maximal on-run.
 
@@ -436,7 +436,9 @@ _START_ACTIVITY = itemgetter(1, 0)
 _TZINFO = attrgetter("tzinfo")
 
 
-def parse_adl_log(stream: TextIO, defs: DefinitionSet) -> list[OccurrenceRecord]:
+def parse_adl_log(
+    stream: TextIO, defs: dict[str, ComplexActivityDefinition]
+) -> list[OccurrenceRecord]:
     """Parse an annotation CSV into records sorted by start time.
 
     Every activity label must name a definition in ``defs``.  Annotation rows
@@ -448,10 +450,10 @@ def parse_adl_log(stream: TextIO, defs: DefinitionSet) -> list[OccurrenceRecord]
     line.
     """
     atomics = FieldLookup(
-        {name: d.atomic_ids for name, d in defs.definitions.items()},
+        {name: d.atomic_ids for name, d in defs.items()},
         "unknown activity label",
     )
-    contexts = {name: d.context_ids for name, d in defs.definitions.items()}
+    contexts = {name: d.context_ids for name, d in defs.items()}
 
     def columns(
         starts: Sequence[str], ends: Sequence[str], labels: Sequence[str]
@@ -530,7 +532,7 @@ SOURCE_TEXT = {m: m.value for m in Source}
 
 
 def read_occurrences(
-    stream: TextIO, defs: DefinitionSet | None = None
+    stream: TextIO, defs: dict[str, ComplexActivityDefinition] | None = None
 ) -> list[OccurrenceRecord]:
     """Parse an occurrence CSV as written by `write_occurrences`.
 
@@ -539,30 +541,30 @@ def read_occurrences(
     or, when ``defs`` is given, an activity it does not define or an atomic
     or context id that the activity's definition lacks.
     """
+    def parse(key: tuple[str, str, str]) -> tuple[frozenset[int], frozenset[int]]:
+        name, atomic_text, context_text = key
+        ids = _field_to_ids(atomic_text), _field_to_ids(context_text)
+        if defs is not None:
+            defn = defs.get(name)
+            if defn is None:
+                raise ValueError(f"unknown activity {name!r}")
+            for what, got, known in zip(
+                ("atomic", "context"), ids, (defn.atomic_ids, defn.context_ids)
+            ):
+                unknown = sorted(got - known)
+                if unknown:
+                    raise ValueError(f"{name}: unknown {what} ids {unknown}")
+        return ids
+
     # records repeat few distinct (activity, atomics, contexts) texts, so each
     # is parsed, and checked against defs, once
-    evidence: dict[tuple[str, str, str], tuple[frozenset[int], frozenset[int]]] = {}
+    evidence = Memo(parse)
 
     def columns(
         activity: Sequence[str], start: Sequence[str], end: Sequence[str],
         atomics: Sequence[str], contexts: Sequence[str], source: Sequence[str],
     ) -> list[OccurrenceRecord]:
-        keys = list(zip(activity, atomics, contexts))
-        for key in set(keys).difference(evidence):
-            name, atomic_text, context_text = key
-            ids = _field_to_ids(atomic_text), _field_to_ids(context_text)
-            if defs is not None:
-                defn = defs.definitions.get(name)
-                if defn is None:
-                    raise ValueError(f"unknown activity {name!r}")
-                for what, got, known in zip(
-                    ("atomic", "context"), ids, (defn.atomic_ids, defn.context_ids)
-                ):
-                    unknown = sorted(got - known)
-                    if unknown:
-                        raise ValueError(f"{name}: unknown {what} ids {unknown}")
-            evidence[key] = ids
-        ids = list(map(evidence.__getitem__, keys))
+        ids = list(map(evidence.__getitem__, zip(activity, atomics, contexts)))
         starts, ends = list(map(int, start)), list(map(int, end))
         rows = named_rows(
             OccurrenceRecord, activity, starts, ends,

@@ -15,7 +15,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence, TextIO
 
 from .config import DEFAULTS, check_param
-from .definitions import ComplexActivityDefinition, DefinitionSet
+from .definitions import ComplexActivityDefinition
 from .tables import (
     FLAG_TEXT, Memo, csv_field, named_rows, parse_flag, parse_scores, read_csv_blocks,
     score_texts, write_table,
@@ -121,7 +121,8 @@ VERDICT_FIELDS = list(ScoredOccurrence._fields)
 
 
 def score_occurrences(
-    defs: DefinitionSet, records: Iterable[OccurrenceRecord], lam: float = DEFAULTS.lam
+    defs: dict[str, ComplexActivityDefinition], records: Iterable[OccurrenceRecord],
+    lam: float = DEFAULTS.lam,
 ) -> list[ScoredOccurrence]:
     """One `ScoredOccurrence` per record, in order, scored by `detect_occurrence`.
 

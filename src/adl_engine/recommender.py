@@ -169,10 +169,10 @@ class RecommenderModel(NamedTuple):
         """The model that `to_json` wrote as ``text``.
 
         Text that is not JSON, a document that is not an object, a missing
-        key, a value that does not convert, no activities, feature domains or
-        counts that lack a name of `FEATURE_NAMES`, an ``alpha`` or
-        ``bucket_width`` that `check_param` rejects, and a negative count
-        raise ValueError.
+        key, a value that does not convert, no activities or a repeated one,
+        feature domains or counts that lack a name of `FEATURE_NAMES`, an
+        ``alpha`` or ``bucket_width`` that `check_param` rejects, and a
+        negative count raise ValueError.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -199,6 +199,9 @@ class RecommenderModel(NamedTuple):
             raise ValueError(f"malformed model: {exc}") from exc
         if not model.activities:
             raise ValueError("model activities must not be empty")
+        for name in model.activities:
+            if model.activities.count(name) > 1:
+                raise ValueError(f"model activities must be distinct, got {name!r} twice")
         for key in ("feature_domains", "feature_counts"):
             for f in FEATURE_NAMES:
                 if f not in getattr(model, key):

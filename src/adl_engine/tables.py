@@ -41,7 +41,6 @@ from __future__ import annotations
 import csv
 import io
 from enum import Enum
-from functools import lru_cache
 from itertools import chain, compress, count, repeat
 from operator import lt
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO, TypeVar
@@ -82,18 +81,41 @@ def line_blocks(stream: TextIO) -> Iterator[str]:
             tail += chunk
 
 
-@lru_cache(maxsize=1024)
-def csv_field(text: str) -> str:
+class Memo(dict):
+    """A dict that makes the value of a missing key as ``make(key)`` and keeps it.
+
+    Its ``__getitem__`` runs in C for a key it holds, so
+    ``map(memo.__getitem__, keys)`` looks a column up without a Python call
+    per row and calls ``make`` once per distinct key.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
+
+
+def _quoted_field(text: str) -> str:
     """``text`` as a field of a CSV row, quoted only where the csv module quotes it.
 
     A field is quoted the same wherever it stands in a row of two or more
     fields, so the text between the delimiter and the line end of the row
-    ``("", text)`` is the field.  Tables repeat few distinct names, so each
-    is asked once; the memo is bounded for a process that writes many tables.
+    ``("", text)`` is the field.
     """
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow(("", text))
     return buffer.getvalue()[1:-1]
+
+
+# `_quoted_field` of a text, asked once per distinct text.  The texts are
+# activity names and header fields, of which a process meets few, so the memo
+# needs no bound.
+csv_field: Callable[[str], str] = Memo(_quoted_field).__getitem__
 
 
 def write_table(stream: TextIO, header: list[str], lines: Iterable[str]) -> None:
@@ -332,25 +354,6 @@ def parse_scores(texts: Iterable[str]) -> list[float]:
         bad = next(s for s in scores if not 0.0 <= s <= 1.0)
         raise ValueError(f"score must be in [0, 1], got {bad!r}")
     return scores
-
-
-class Memo(dict):
-    """A dict that makes the value of a missing key as ``make(key)`` and keeps it.
-
-    Its ``__getitem__`` runs in C for a key it holds, so
-    ``map(memo.__getitem__, keys)`` looks a column up without a Python call
-    per row and calls ``make`` once per distinct key.
-    """
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[Any], Any]) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: Any) -> Any:
-        value = self[key] = self.make(key)
-        return value
 
 
 class FieldLookup(dict):

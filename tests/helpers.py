@@ -42,7 +42,6 @@ from adl_engine.definitions import (
     AtomicActivity,
     ComplexActivityDefinition,
     ContextAttribute,
-    DefinitionSet,
     load_definitions,
 )
 from adl_engine.ingestion import (
@@ -75,16 +74,16 @@ DATA_DIR = REPO_ROOT / "data"
 CONFIGS_DIR = REPO_ROOT / "configs"
 
 
-def load_adl_defs() -> DefinitionSet:
+def load_adl_defs() -> dict[str, ComplexActivityDefinition]:
     return load_definitions(DEFINITIONS_DIR / "adl.json")
 
 
-def load_ukdale_defs() -> DefinitionSet:
+def load_ukdale_defs() -> dict[str, ComplexActivityDefinition]:
     return load_definitions(DEFINITIONS_DIR / "ukdale.json")
 
 
 def load_all_defs() -> list[ComplexActivityDefinition]:
-    return list(load_ukdale_defs()) + list(load_adl_defs())
+    return [*load_ukdale_defs().values(), *load_adl_defs().values()]
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +553,14 @@ def _oracle_check_order(start: int, end: int) -> None:
         raise ValueError(f"end {end} before start {start}")
 
 
-def oracle_read_occurrences(stream, defs: DefinitionSet | None = None) -> list:
+def oracle_read_occurrences(stream, defs: dict | None = None) -> list:
     """`ingestion.read_occurrences` a row at a time: id sets, then the
     activity and its ids against ``defs``, start, end, source, order."""
     def parse(row: list[str]) -> OccurrenceRecord:
         activity, start, end, atomics, contexts, source = row
         observed, satisfied = _oracle_ids(atomics), _oracle_ids(contexts)
         if defs is not None:
-            if activity not in defs.definitions:
+            if activity not in defs:
                 raise ValueError(f"unknown activity {activity!r}")
             defn = defs[activity]
             for what, got, known in (
@@ -627,7 +626,7 @@ def _oracle_stamp(text: str, lineno: int) -> int:
     return int(dt.timestamp())
 
 
-def oracle_parse_adl_log(stream, defs: DefinitionSet) -> list:
+def oracle_parse_adl_log(stream, defs: dict) -> list:
     """The per-row annotation-log parser, numbering each row by the line where
     it ends (``reader.line_num``), records sorted by (start, activity)."""
     reader = csv.reader(stream)
@@ -697,7 +696,7 @@ def _oracle_csv_rows(path):
 
 def oracle_read_features(store, path) -> list:
     """Feature rows, each with its true next activity ("" when unknown)."""
-    known = set(store["defs"].names)
+    known = set(store["defs"])
     rows = []
     for lineno, row in _oracle_csv_rows(path):
         try:
@@ -730,7 +729,7 @@ def oracle_read_features(store, path) -> list:
 
 def oracle_read_predictions(store, path) -> list:
     """(predicted, true) activity pairs from a predictions CSV."""
-    known = set(store["defs"].names)
+    known = set(store["defs"])
     pairs = []
     for lineno, row in _oracle_csv_rows(path):
         true_label = row.get("activity", "").strip()

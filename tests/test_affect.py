@@ -337,7 +337,7 @@ def test_annotate_matches_the_per_row_loop(
 ):
     # evidence may lack the most important atomic or its context, and verdicts
     # may be incomplete
-    defs = list(ukdale_defs)[:3]
+    defs = list(ukdale_defs.values())[:3]
     items = []
     for which, atomics, contexts, score, completed, start, duration in rows:
         defn = defs[which]

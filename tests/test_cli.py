@@ -342,7 +342,7 @@ def test_validate_reports_individual_failures(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     code = main(["validate", str(path)])
     out = capsys.readouterr().out
-    assert code == 1
+    assert code == 2
     assert "FAIL" in out
     assert "threshold 1.5" in out
     assert "1 of 2 definitions passed" in out
@@ -475,7 +475,7 @@ _ADL_DEFS = load_adl_defs()
 def _evidence(draw) -> tuple[str, frozenset[int], frozenset[int]]:
     """An activity with its full atomic and context id sets, or with partial
     ones drawn from low ids, so different activities often get equal sets."""
-    defn = _ADL_DEFS[draw(st.sampled_from(_ADL_DEFS.names))]
+    defn = _ADL_DEFS[draw(st.sampled_from(list(_ADL_DEFS)))]
     if draw(st.booleans()):
         return defn.name, defn.atomic_ids, defn.context_ids
     ids = st.frozensets(st.integers(1, 4))
@@ -1079,6 +1079,44 @@ def test_recommend_rejects_a_model_with_no_activities(tmp_path, capsys):
     assert err == f"error: {model}: model activities must not be empty\n"
 
 
+def test_recommend_rejects_a_model_that_repeats_an_activity(tmp_path, capsys):
+    model, code, err = _recommend_with_edited_model(
+        tmp_path, capsys, lambda payload: payload["activities"].append("Eating Breakfast")
+    )
+    assert code == 2
+    assert err == (
+        f"error: {model}: model activities must be distinct, "
+        "got 'Eating Breakfast' twice\n"
+    )
+
+
+def test_recommend_builds_one_feature_vector_per_distinct_row_text(
+    tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(out)]) == 0
+    features = tmp_path / "features.csv"
+    distinct = [
+        "1,none,positive,good,weekday\n",
+        "2,Sleeping,negative,bad,weekend\n",
+        "3,,positive,bad,weekday\n",
+    ]
+    features.write_text("time_bucket,previous_activity,emotion,ux,day_kind\n"
+                        + "".join(distinct * 4))
+    built = []
+    vector = recom_mod.FeatureVector
+    monkeypatch.setattr(
+        recom_mod, "FeatureVector", lambda *fields: built.append(fields) or vector(*fields)
+    )
+    capsys.readouterr()
+    assert main([
+        "recommend", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--features", str(features),
+    ]) == 0
+    assert capsys.readouterr().out.startswith("wrote 12 predictions to ")
+    assert len(built) == len(distinct)
+
+
 @pytest.mark.parametrize("table", ["feature_domains", "feature_counts"])
 def test_recommend_names_a_model_feature_that_is_missing(tmp_path, capsys, table):
     model, code, err = _recommend_with_edited_model(
@@ -1571,7 +1609,7 @@ def test_control_character_in_a_definition_name_is_rejected(tmp_path, capsys):
     config.write_text(json.dumps(document))
     violation = "'Using\\rMicrowave': definition name holds a control character"
 
-    assert main(["validate", str(definitions)]) == 1
+    assert main(["validate", str(definitions)]) == 2
     assert f"FAIL {definitions}: {violation}" in capsys.readouterr().out
 
     assert main(["ingest", "--config", str(config)]) == 2
@@ -1600,7 +1638,7 @@ def test_a_definition_named_none_is_rejected(tmp_path, capsys):
     config.write_text(json.dumps(document))
     violation = "none: the name is reserved for no previous activity"
 
-    assert main(["validate", str(definitions)]) == 1
+    assert main(["validate", str(definitions)]) == 2
     stdout = capsys.readouterr().out
     assert f"FAIL {definitions}: {violation}" in stdout
     assert f"{len(catalogue['definitions']) - 1} of {len(catalogue['definitions'])}" in stdout

@@ -20,7 +20,6 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,7 +50,7 @@ from helpers import (
 )
 
 ADL_DEFS = load_adl_defs()
-NAMES = ADL_DEFS.names
+NAMES = list(ADL_DEFS)
 BLOCK_SIZES = (TRACE_BLOCK_CHARS, 40, 7)
 BATCH_SIZES = (tables.CSV_BATCH_ROWS, 2)
 
@@ -257,7 +256,8 @@ _USER_NAMES = (*NAMES, "a,b", 'say "hi"')
 _MODEL = train([LabeledTransition(
     FeatureVector(0, None, EmotionLabel.POSITIVE, UXLabel.GOOD, DayKind.WEEKDAY), NAMES[0],
 )], bucket_width=30)
-_USER_STORE = {"defs": SimpleNamespace(names=_USER_NAMES), "model": _MODEL}
+# the readers look up only the names of the definitions
+_USER_STORE = {"defs": dict.fromkeys(_USER_NAMES), "model": _MODEL}
 _LABELS = (list(_USER_NAMES), ["Jogging", "none", "None", "two\nlines", "cr\rx"])
 _EXTRA = (["x", "a,b", 'q"uote', "line\nbreak", ""], [])
 

@@ -68,11 +68,11 @@ def test_all_shipped_weight_sums_within_tolerance():
 
 
 def test_expected_activity_names(adl_defs, ukdale_defs):
-    assert sorted(adl_defs.names) == [
+    assert sorted(adl_defs) == [
         "Eating Breakfast", "Eating Lunch", "Eating Snacks", "Leaving",
         "Showering", "Sleeping", "Watching TV in Spare Time",
     ]
-    assert sorted(ukdale_defs.names) == [
+    assert sorted(ukdale_defs) == [
         "Cooking in Kitchen", "Listening to Subwoofer", "Using Laptop",
         "Using Microwave", "Using Toaster", "Using Washing Machine",
         "Watching TV",
@@ -98,7 +98,7 @@ def test_most_important_pair_tie_takes_lowest_id():
 
 
 def test_derived_values_are_computed_once(adl_defs):
-    for defn in adl_defs:
+    for defn in adl_defs.values():
         assert defn.atomic_ids is defn.atomic_ids
         assert defn.context_ids is defn.context_ids
         assert defn.atomic_ids == frozenset(a.id for a in defn.atomics)
@@ -213,9 +213,8 @@ def test_save_load_round_trip(tmp_path, adl_defs):
     path = tmp_path / "round.json"
     path.write_text(json.dumps(_adl_document(), sort_keys=True), encoding="utf-8")
     reloaded = load_definitions(path)
-    assert reloaded.names == adl_defs.names
-    for name in adl_defs.names:
-        assert reloaded[name] == adl_defs[name]
+    assert list(reloaded) == list(adl_defs)
+    assert reloaded == adl_defs
 
 
 def test_load_rejects_duplicate_names(tmp_path):
@@ -256,11 +255,6 @@ def test_load_aggregates_all_violations(tmp_path):
     with pytest.raises(DefinitionError) as excinfo:
         load_definitions(path)
     assert len(excinfo.value.violations) == 2
-
-
-def test_definition_set_lookup_errors(adl_defs):
-    with pytest.raises(KeyError, match="unknown activity"):
-        adl_defs["Juggling"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ generated methods when it is made.  Records are named tuples.  Only
 named tuple without ``__slots__``, so `functools.cached_property` has a
 ``__dict__`` to fill; the others, `RecommenderModel` among them, have no
 ``__dict__``.  Classes whose methods would clash with the tuple protocol
-(`DefinitionSet`, `ConfusionMatrix`, `ConfidenceVector`) are small
-``__slots__`` classes.  The CLI writes its own diagnostics instead of
-importing ``logging``.  The table format in `tables` depends on no other
-engine module, and loading a config loads neither `ingestion` nor
-`definitions`.
+(`ConfusionMatrix`, `ConfidenceVector`) are small ``__slots__`` classes.
+The CLI writes its own diagnostics instead of importing ``logging``.  The
+table format in `tables` depends on no other engine module, and loading a
+config loads neither `ingestion` nor `definitions`.
 """
 
 from __future__ import annotations

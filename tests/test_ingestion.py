@@ -716,6 +716,28 @@ def test_serialize_then_parse_is_identity(adl_defs):
     assert again == records
 
 
+def test_read_occurrences_parses_each_distinct_evidence_text_once(monkeypatch, adl_defs):
+    # three distinct (activity, atomics, contexts) texts, each on 40 rows
+    evidence = [
+        ("Sleeping", adl_defs["Sleeping"].atomic_ids, adl_defs["Sleeping"].context_ids),
+        ("Sleeping", frozenset({1}), frozenset({1})),
+        ("Leaving", frozenset({1}), frozenset()),
+    ]
+    records = [
+        OccurrenceRecord(name, 60 * i, 60 * i + 30, atomics, contexts, Source.ANNOTATION)
+        for i in range(40) for name, atomics, contexts in evidence
+    ]
+    buf = io.StringIO()
+    write_occurrences(records, buf)
+    texts = []
+    parse = ingestion._field_to_ids
+    monkeypatch.setattr(
+        ingestion, "_field_to_ids", lambda text: texts.append(text) or parse(text)
+    )
+    assert read_occurrences(io.StringIO(buf.getvalue()), adl_defs) == records
+    assert len(texts) == 2 * len(evidence)
+
+
 def test_merge_sorted_orders_by_start_then_activity():
     a = OccurrenceRecord("B", 100, 110, frozenset({1}), frozenset(), Source.ANNOTATION)
     b = OccurrenceRecord("A", 100, 120, frozenset({1}), frozenset(), Source.ANNOTATION)

@@ -11,7 +11,6 @@ from adl_engine.definitions import (
     AtomicActivity,
     ComplexActivityDefinition,
     ContextAttribute,
-    DefinitionSet,
 )
 from adl_engine.ingestion import OccurrenceRecord, Source
 from adl_engine.recognition import (
@@ -265,7 +264,7 @@ def test_scores_the_engine_writes_pass_the_score_check(defn, data):
             st.lists(st.tuples(evidence, evidence), min_size=1, max_size=8)))
     ]
     lam = data.draw(st.floats(min_value=0.0, max_value=1.0))
-    rows = score_occurrences(DefinitionSet({defn.name: defn}), records, lam)
+    rows = score_occurrences({defn.name: defn}, records, lam)
     assert all(0.0 <= row.score <= 1.0 for row in rows)
     buf = io.StringIO()
     write_verdicts(rows, buf)
@@ -297,7 +296,7 @@ def _subset(ids: frozenset[int], mask: int) -> frozenset[int]:
 )
 def test_score_occurrences_matches_the_per_row_loop(ukdale_defs, rows, faults, lam):
     # evidence may be partial, and repeats across rows
-    defs = list(ukdale_defs)[:3]
+    defs = list(ukdale_defs.values())[:3]
     records = []
     for which, atomics, contexts, start in rows:
         defn = defs[which]
