@@ -162,7 +162,13 @@ def _read_annotations(store: Store, path: Path) -> list[affect_mod.AffectAnnotat
 
 
 def _read_model(store: Store, path: Path) -> recom_mod.RecommenderModel:
-    return _parse_file(path, recom_mod.read_model)
+    """A saved model, each of whose activities must be defined."""
+    model = _parse_file(path, recom_mod.read_model)
+    defs = store["defs"]
+    for name in model.activities:
+        if name not in defs:
+            raise InputError(f"{path}: model activity {name!r} is not defined")
+    return model
 
 
 def _read_features(

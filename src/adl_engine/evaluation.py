@@ -1,9 +1,11 @@
 """Dataset splitting, confusion matrices, and accuracy/precision/recall.
 
 The confusion matrix follows the predicted-rows/true-columns orientation and
-records its label order.  Per-class precision divides the diagonal cell by
-its row sum, recall by its column sum; a zero denominator yields an
-undefined metric, reported as n/a rather than 0 so averages stay honest.
+records its label order.  `build_report` derives every metric from the
+counts: accuracy divides the diagonal by the grand total, per-class precision
+divides the diagonal cell by its row sum, recall by its column sum.  A zero
+denominator yields an undefined metric, reported as n/a rather than 0 so
+averages stay honest.
 """
 
 from __future__ import annotations
@@ -36,25 +38,6 @@ class ConfusionMatrix:
             raise ValueError("labels must be distinct")
         self.labels = labels
         self.counts = counts
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown label {label!r}") from None
-
-    def grand_total(self) -> int:
-        return sum(c for row in self.counts for c in row)
-
-    def trace(self) -> int:
-        return sum(self.counts[i][i] for i in range(len(self.labels)))
-
-    def row_sum(self, label: str) -> int:
-        return sum(self.counts[self.index(label)])
-
-    def column_sum(self, label: str) -> int:
-        j = self.index(label)
-        return sum(row[j] for row in self.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -107,31 +90,6 @@ def build_confusion(
     )
 
 
-def accuracy(cm: ConfusionMatrix) -> float:
-    total = cm.grand_total()
-    if total == 0:
-        raise ValueError("accuracy undefined for an empty matrix")
-    return cm.trace() / total
-
-
-def class_precision(cm: ConfusionMatrix, label: str) -> float | None:
-    """Diagonal over row sum; None when the label was never predicted."""
-    i = cm.index(label)
-    row_total = cm.row_sum(label)
-    if row_total == 0:
-        return None
-    return cm.counts[i][i] / row_total
-
-
-def class_recall(cm: ConfusionMatrix, label: str) -> float | None:
-    """Diagonal over column sum; None when the label never truly occurred."""
-    i = cm.index(label)
-    col_total = cm.column_sum(label)
-    if col_total == 0:
-        return None
-    return cm.counts[i][i] / col_total
-
-
 class MetricsReport(NamedTuple):
     """Accuracy plus per-class precision/recall and the matrix totals."""
 
@@ -145,14 +103,25 @@ class MetricsReport(NamedTuple):
 
 
 def build_report(cm: ConfusionMatrix) -> MetricsReport:
+    """Every metric from the matrix's row totals, column totals and diagonal;
+    an empty matrix has no accuracy and raises ValueError."""
+    labels = cm.labels
+    predicted = [sum(row) for row in cm.counts]
+    true = [sum(column) for column in zip(*cm.counts)]
+    hits = [row[i] for i, row in enumerate(cm.counts)]
+    total = sum(predicted)
+    if total == 0:
+        raise ValueError("accuracy undefined for an empty matrix")
     return MetricsReport(
-        labels=cm.labels,
-        accuracy=accuracy(cm),
-        precision={label: class_precision(cm, label) for label in cm.labels},
-        recall={label: class_recall(cm, label) for label in cm.labels},
-        grand_total=cm.grand_total(),
-        predicted_totals={label: cm.row_sum(label) for label in cm.labels},
-        true_totals={label: cm.column_sum(label) for label in cm.labels},
+        labels=labels,
+        accuracy=sum(hits) / total,
+        precision={label: h / n if n else None
+                   for label, h, n in zip(labels, hits, predicted)},
+        recall={label: h / n if n else None
+                for label, h, n in zip(labels, hits, true)},
+        grand_total=total,
+        predicted_totals=dict(zip(labels, predicted)),
+        true_totals=dict(zip(labels, true)),
     )
 
 

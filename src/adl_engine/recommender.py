@@ -4,7 +4,7 @@ A multinomial naive-Bayes model with additive smoothing is trained on
 consecutive-occurrence transitions.  Each transition's features are the
 current occurrence's end-time bucket, its activity, its emotion and UX
 labels, and whether the day is a weekday; the label is the next activity.
-Predictions are confidence vectors over every known activity; the
+A prediction is a dict from every known activity to its confidence; the
 recommendation is the argmax with lexicographic tie-break.
 
 A `LabeledTransition` is a named tuple; transitions with equal features share
@@ -20,7 +20,7 @@ from collections import Counter
 from enum import Enum
 from itertools import islice, repeat
 from operator import attrgetter, floordiv
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Any, Iterable, NamedTuple, Sequence, TextIO
 
 from .affect import AffectAnnotation, EmotionLabel, UXLabel
 from .config import DEFAULTS, check_param
@@ -76,35 +76,6 @@ class FeatureVector(_Features):
 class LabeledTransition(NamedTuple):
     features: FeatureVector
     next_activity: str
-
-
-class ConfidenceVector:
-    """Per-activity confidence mapping; argmax is the recommendation.
-
-    Construction does not insist the values sum to 1: vectors transcribed
-    from rounded external sources may be off by a unit in the last place.
-    Vectors produced by predict_confidences always normalize exactly.  Two
-    vectors are equal when their mappings are.
-    """
-
-    __slots__ = ("confidences",)
-
-    def __init__(self, confidences: dict[str, float]) -> None:
-        self.confidences = confidences
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConfidenceVector):
-            return NotImplemented
-        return self.confidences == other.confidences
-
-    def __getitem__(self, activity: str) -> float:
-        return self.confidences[activity]
-
-    def items(self) -> Iterator[tuple[str, float]]:
-        return iter(sorted(self.confidences.items()))
-
-    def total(self) -> float:
-        return math.fsum(self.confidences.values())
 
 
 def _encode(features: FeatureVector) -> dict[str, str]:
@@ -169,10 +140,10 @@ class RecommenderModel(NamedTuple):
         """The model that `to_json` wrote as ``text``.
 
         Text that is not JSON, a document that is not an object, a missing
-        key, a value that does not convert, no activities or a repeated one,
-        feature domains or counts that lack a name of `FEATURE_NAMES`, an
-        ``alpha`` or ``bucket_width`` that `check_param` rejects, and a
-        negative count raise ValueError.
+        key, a value that does not convert, no activities, an activity that
+        is not a string or a repeated one, feature domains or counts that
+        lack a name of `FEATURE_NAMES`, an ``alpha`` or ``bucket_width`` that
+        `check_param` rejects, and a negative count raise ValueError.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -200,6 +171,8 @@ class RecommenderModel(NamedTuple):
         if not model.activities:
             raise ValueError("model activities must not be empty")
         for name in model.activities:
+            if not isinstance(name, str):
+                raise ValueError(f"model activities must be strings, got {name!r}")
             if model.activities.count(name) > 1:
                 raise ValueError(f"model activities must be distinct, got {name!r} twice")
         for key in ("feature_domains", "feature_counts"):
@@ -301,15 +274,15 @@ def train(
 
 def predict_confidences(
     model: RecommenderModel, features: FeatureVector
-) -> ConfidenceVector:
+) -> dict[str, float]:
     """Posterior over activities: prior times per-feature conditionals.
 
     Each conditional is ``(count + alpha) / (class count + alpha * domain
     size)``, and the product runs in the order prior, then
     `FEATURE_NAMES`.  Values absent from a feature's training domain still
     contribute the smoothing mass alpha over the recorded domain size, so
-    every activity keeps strictly positive confidence.  The result is
-    normalized to sum 1.
+    every activity keeps strictly positive confidence.  The result maps
+    each activity, in sorted order, to its confidence; the values sum to 1.
     """
     encoded = _encode(features)
     alpha = model.alpha
@@ -323,16 +296,16 @@ def predict_confidences(
             weight *= (count + alpha) / (class_count + alpha * domain_size)
         weights[a] = weight
     total = math.fsum(weights.values())
-    return ConfidenceVector({a: w / total for a, w in sorted(weights.items())})
+    return {a: w / total for a, w in sorted(weights.items())}
 
 
-def recommend(confidences: ConfidenceVector) -> str:
+def recommend(confidences: dict[str, float]) -> str:
     """Argmax activity; ties go to the lexicographically first name."""
-    if not confidences.confidences:
+    if not confidences:
         raise ValueError("cannot recommend from an empty confidence vector")
     best_name: str | None = None
     best_value = -1.0
-    for name, value in sorted(confidences.confidences.items()):
+    for name, value in sorted(confidences.items()):
         if value > best_value:
             best_name = name
             best_value = value

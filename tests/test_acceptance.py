@@ -8,6 +8,7 @@ Failures still surface as ordinary assertion errors.
 from __future__ import annotations
 
 import csv
+import math
 import random
 import time
 from collections import Counter
@@ -17,15 +18,9 @@ import pytest
 
 from adl_engine.affect import EmotionLabel, UXLabel
 from adl_engine.cli import main
-from adl_engine.evaluation import (
-    ConfusionMatrix,
-    accuracy,
-    class_precision,
-    class_recall,
-)
+from adl_engine.evaluation import ConfusionMatrix, build_report
 from adl_engine.recognition import Observation, OccurrenceVerdict, occurrence_weight
 from adl_engine.recommender import (
-    ConfidenceVector,
     DayKind,
     FeatureVector,
     LabeledTransition,
@@ -104,11 +99,11 @@ def test_criterion_1_metric_fidelity(criterion):
              ROUTINE_PRECISION_PCT, ROUTINE_RECALL_PCT),
         ]
         for labels, counts, acc_pct, prec_pct, rec_pct in cases:
-            cm = ConfusionMatrix(labels, counts)
-            assert abs(_rounded_pct(accuracy(cm)) - acc_pct) <= 0.005
+            report = build_report(ConfusionMatrix(labels, counts))
+            assert abs(_rounded_pct(report.accuracy) - acc_pct) <= 0.005
             for label in labels:
-                precision = class_precision(cm, label)
-                recall = class_recall(cm, label)
+                precision = report.precision[label]
+                recall = report.recall[label]
                 assert precision is not None and recall is not None, label
                 assert abs(_rounded_pct(precision) - prec_pct[label]) <= 0.005, label
                 assert abs(_rounded_pct(recall) - rec_pct[label]) <= 0.005, label
@@ -127,7 +122,7 @@ def test_criterion_2_recommendation_fidelity(criterion):
             (APPLIANCE_VECTOR_LABELS, APPLIANCE_PREDICTION_ROWS),
         ]:
             for true_label, expected, values in rows:
-                vector = ConfidenceVector(vector_from_row(labels, values))
+                vector = vector_from_row(labels, values)
                 assert recommend(vector) == expected, (true_label, values)
                 if expected != true_label:
                     mismatch_rows += 1
@@ -223,7 +218,7 @@ def test_criterion_4_classifier_oracle_equivalence(criterion):
             got = predict_confidences(model, query)
             want = oracle_posterior(
                 transitions, list(model.activities), alpha, query)
-            assert abs(got.total() - 1.0) <= 1e-9
+            assert abs(math.fsum(got.values()) - 1.0) <= 1e-9
             for name in model.activities:
                 assert abs(got[name] - want[name]) <= 1e-9, name
         detail["note"] = f"{instances} seeded instances within 1e-9 per entry"

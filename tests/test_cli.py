@@ -1090,6 +1090,20 @@ def test_recommend_rejects_a_model_that_repeats_an_activity(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda activities: activities.__setitem__(0, 7),
+     "model activities must be strings, got 7"),
+    (lambda activities: activities.append("Jogging"),
+     "model activity 'Jogging' is not defined"),
+], ids=["not-a-string", "undefined"])
+def test_recommend_rejects_a_model_activity(tmp_path, capsys, edit, message):
+    model, code, err = _recommend_with_edited_model(
+        tmp_path, capsys, lambda payload: edit(payload["activities"])
+    )
+    assert code == 2
+    assert err == f"error: {model}: {message}\n"
+
+
 def test_recommend_builds_one_feature_vector_per_distinct_row_text(
     tmp_path, capsys, monkeypatch
 ):

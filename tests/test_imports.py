@@ -8,8 +8,9 @@ generated methods when it is made.  Records are named tuples.  Only
 `ComplexActivityDefinition`, which caches values it derives, subclasses its
 named tuple without ``__slots__``, so `functools.cached_property` has a
 ``__dict__`` to fill; the others, `RecommenderModel` among them, have no
-``__dict__``.  Classes whose methods would clash with the tuple protocol
-(`ConfusionMatrix`, `ConfidenceVector`) are small ``__slots__`` classes.
+``__dict__``.  Besides the dict subclasses (`Memo`, `FieldLookup`
+and the CLI's `Store`), `ConfusionMatrix`, whose constructor
+checks its shape, counts and labels, is the one ``__slots__`` class.
 The CLI writes its own diagnostics instead of importing ``logging``.  The
 table format in `tables` depends on no other engine module, and loading a
 config loads neither `ingestion` nor `definitions`.

@@ -7,12 +7,15 @@ accept, a character the plain-block checks must catch, or a CSV or time
 zone fragment; a line is deleted, duplicated or swapped; the file is
 truncated anywhere.  The fast readers fall back to a slower per-line reader
 on anything unusual, and these runs check that each fallback still yields
-an input error, not a crash.
+an input error, not a crash.  The same menu applied to a bundled run's
+``model.json`` checks that `recommend` loads a model or rejects it as an
+input error.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -31,13 +34,12 @@ _TRACE_LINES = {
     for spec in _UKDALE["datasets"]
 }
 _TOKENS = ["nan", "inf", "-1", "1e308", "\0", "\ufeff", '"', ",", "+01:00"]
+ADL_CONFIG = CONFIGS_DIR / "adl.json"
 
 
-@st.composite
-def _mutated_trace(draw):
-    """A bundled trace's channel and its text after 1-3 mutations."""
-    channel = draw(st.sampled_from(sorted(_TRACE_LINES)))
-    lines = list(_TRACE_LINES[channel])
+def _mutate(draw, lines: list[str]) -> str:
+    """``lines`` joined after 1-3 mutations from the menu."""
+    lines = list(lines)
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
             break
@@ -56,7 +58,14 @@ def _mutated_trace(draw):
             lines[i], lines[j] = lines[j], lines[i]
         else:
             lines[i:] = [lines[i][:draw(st.integers(0, len(lines[i])))]]
-    return channel, "".join(lines)
+    return "".join(lines)
+
+
+@st.composite
+def _mutated_trace(draw):
+    """A bundled trace's channel and its text after 1-3 mutations."""
+    channel = draw(st.sampled_from(sorted(_TRACE_LINES)))
+    return channel, _mutate(draw, _TRACE_LINES[channel])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -76,6 +85,52 @@ def test_mutated_trace_is_ingested_or_rejected_as_an_input_error(mutated):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["ingest", "--config", str(config)])
+    _assert_ran_or_rejected(code, err.getvalue())
+
+
+def _assert_ran_or_rejected(code: int, err: str) -> None:
     assert code in (0, 2)
-    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == (code == 2)
+
+
+@functools.cache
+def _model_lines() -> list[str]:
+    """The lines of the ``model.json`` that `pipeline` writes for the bundled
+    ADL config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", tmp]) == 0
+        return (Path(tmp) / "model.json").read_text().splitlines(keepends=True)
+
+
+# rows across the day clock, with and without a previous activity
+_FEATURES = (
+    "time_bucket,previous_activity,emotion,ux,day_kind\n"
+    "0,none,positive,good,weekday\n"
+    "17,Sleeping,negative,bad,weekend\n"
+    "47,Showering,positive,bad,weekday\n"
+)
+
+
+@st.composite
+def _mutated_model(draw):
+    """The bundled run's model text after 1-3 mutations."""
+    return _mutate(draw, _model_lines())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=_mutated_model())
+def test_mutated_model_is_used_or_rejected_as_an_input_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.json"
+        model.write_text(text, encoding="utf-8")
+        features = Path(tmp) / "features.csv"
+        features.write_text(_FEATURES)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([
+                "recommend", "--config", str(ADL_CONFIG), "--out", str(Path(tmp) / "out"),
+                "--model", str(model), "--features", str(features),
+            ])
+    _assert_ran_or_rejected(code, err.getvalue())

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from datetime import datetime, timezone
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from adl_engine.affect import AffectAnnotation, EmotionLabel, UXLabel
 from adl_engine.recommender import (
-    ConfidenceVector,
     DayKind,
     FeatureVector,
     LabeledTransition,
@@ -218,7 +218,8 @@ def test_train_activities_widen_the_class_list():
     model = train([_t(0, "X", "A")], activities=["B", "A"])
     assert model.activities == ("A", "B")
     vector = predict_confidences(model, _q(0, "X"))
-    assert vector.total() == pytest.approx(1.0, abs=1e-12)
+    assert list(vector) == ["A", "B"]
+    assert math.fsum(vector.values()) == pytest.approx(1.0, abs=1e-12)
     assert vector["A"] > vector["B"] > 0.0
 
 
@@ -234,7 +235,7 @@ def test_none_previous_activity_is_encoded():
 def test_single_class_model_is_certain():
     model = train([_t(0, "X", "A")])
     vector = predict_confidences(model, _q(0, "X"))
-    assert vector.confidences == {"A": 1.0}
+    assert vector == {"A": 1.0}
 
 
 def test_symmetric_classes_split_evenly():
@@ -261,7 +262,7 @@ def test_three_class_posterior_matches_hand_computation():
 def test_unseen_feature_values_keep_all_classes_positive():
     model = train([_t(0, "X", "A"), _t(1, "Y", "B")])
     vector = predict_confidences(model, _q(7, "Z"))
-    assert vector.total() == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(vector.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(value > 0.0 for _, value in vector.items())
 
 
@@ -319,7 +320,7 @@ def test_posterior_matches_brute_force_oracle(data):
     )
     got = predict_confidences(model, query)
     want = oracle_posterior(transitions, list(model.activities), alpha, query)
-    assert got.total() == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(got.values()) == pytest.approx(1.0, abs=1e-12)
     for name in model.activities:
         assert got[name] == pytest.approx(want[name], abs=1e-12)
 
@@ -353,7 +354,10 @@ def test_factor_table_posterior_equals_per_call_product(data):
         day=st.sampled_from(list(DayKind)),
     ))
     for m in (model, reloaded):
-        assert predict_confidences(m, query).confidences == per_call_posterior(m, query)
+        # equal entries, in the same (sorted) key order
+        assert list(predict_confidences(m, query).items()) == list(
+            per_call_posterior(m, query).items()
+        )
 
 
 @settings(max_examples=100, derandomize=True)
@@ -388,37 +392,33 @@ def test_train_matches_per_transition_counting(data):
 
 
 # ---------------------------------------------------------------------------
-# recommend and ConfidenceVector
+# recommend
 # ---------------------------------------------------------------------------
 
 def test_recommend_picks_largest_confidence():
     row = next(r for r in ROUTINE_PREDICTION_ROWS if r[1] == "Leaving")
-    vector = ConfidenceVector(vector_from_row(ROUTINE_VECTOR_LABELS, row[2]))
+    vector = vector_from_row(ROUTINE_VECTOR_LABELS, row[2])
     assert recommend(vector) == "Leaving"
 
 
 def test_recommend_singleton():
-    assert recommend(ConfidenceVector({"Showering": 1.0})) == "Showering"
+    assert recommend({"Showering": 1.0}) == "Showering"
 
 
 def test_recommend_uniform_tie_is_lexicographic():
-    vector = ConfidenceVector({
-        "Eating Lunch": 1 / 3, "Eating Breakfast": 1 / 3, "Leaving": 1 / 3,
-    })
+    vector = {"Eating Lunch": 1 / 3, "Eating Breakfast": 1 / 3, "Leaving": 1 / 3}
     assert recommend(vector) == "Eating Breakfast"
 
 
 def test_recommend_rejects_empty_vector():
     with pytest.raises(ValueError):
-        recommend(ConfidenceVector({}))
+        recommend({})
 
 
 def test_confidence_vector_tolerates_rounded_totals():
-    # transcribed vectors may sum to 1.001; construction must not reject them
-    vector = ConfidenceVector({"A": 0.501, "B": 0.5})
-    assert vector.total() == pytest.approx(1.001, abs=1e-12)
-    assert list(vector.items()) == [("A", 0.501), ("B", 0.5)]
-    assert vector["A"] == 0.501
+    # transcribed vectors may sum to 1.001; recommend must not reject them
+    vector = {"B": 0.5, "A": 0.501}
+    assert math.fsum(vector.values()) == pytest.approx(1.001, abs=1e-12)
     assert recommend(vector) == "A"
 
 

@@ -267,7 +267,7 @@ def _percent(value: float | None) -> str:
 @_WRITER_SETTINGS
 @given(_confusion())
 def test_emit_report_matches_the_csv_writer_oracle(cm):
-    assume(cm.grand_total() > 0)
+    assume(any(map(any, cm.counts)))
     report = build_report(cm)
     rows = [["seed", "", "7"], ["accuracy", "", _percent(report.accuracy)]]
     rows += [["precision", label, _percent(report.precision[label])] for label in cm.labels]
