@@ -15,16 +15,21 @@ import math
 from collections import deque
 from enum import Enum
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import (
+    TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple, Sequence, TextIO,
+)
 
 from .config import DEFAULTS, check_param
 from .definitions import ComplexActivityDefinition
-from .recognition import Evidence, ScoredOccurrence
+from .recognition import Observation, ScoredOccurrence
 from .tables import (
-    FLAG_TEXT, FieldLookup, check_order, csv_field, member_parser, named_rows,
+    FLAG_TEXT, FieldLookup, Memo, check_order, csv_field, member_parser, named_rows,
     parse_flag, parse_scores, read_csv_blocks, score_texts, write_table,
 )
 from .temporal import minute_of_day
+
+if TYPE_CHECKING:
+    from .ingestion import OccurrenceRecord
 
 
 class EmotionLabel(str, Enum):
@@ -78,15 +83,6 @@ def train_ux_mapper(
     return UXModel(table=table, window=window, epsilon=epsilon, bucket_width=bucket_width)
 
 
-def map_ux(model: UXModel, emotion: EmotionLabel, activity: str, bucket: int) -> UXLabel:
-    """Look up the learned label, falling back to the sign of the emotion."""
-    if model.table:
-        learned = model.table.get((EMOTION_TEXT[emotion], activity, bucket))
-        if learned is not None:
-            return learned
-    return UXLabel.GOOD if emotion is EmotionLabel.POSITIVE else UXLabel.BAD
-
-
 # ---------------------------------------------------------------------------
 # Annotation pass
 # ---------------------------------------------------------------------------
@@ -104,7 +100,9 @@ class AffectAnnotation(NamedTuple):
 
 
 def annotate(
-    items: Iterable[tuple[ComplexActivityDefinition, Evidence, ScoredOccurrence]],
+    items: Iterable[
+        tuple[ComplexActivityDefinition, Observation | OccurrenceRecord, ScoredOccurrence]
+    ],
     model: UXModel,
 ) -> list[AffectAnnotation]:
     """Label each occurrence positive or negative, then good or bad.
@@ -116,9 +114,9 @@ def annotate(
     of the activity's last ``window`` scores less ``epsilon`` (vacuous for
     its first).  Histories are kept per activity, so one activity's run of
     poor scores cannot sour another's.  UX is the model's learned label for
-    the emotion, activity and end time's bucket, else the emotion's sign
-    (`map_ux`).  The model's parameters are checked once per call, and
-    definitions are told apart by name.
+    the emotion, activity and end time's bucket, else the emotion's sign.
+    The model's parameters are checked once per call, and definitions are
+    told apart by name.
     """
     window, epsilon, bucket_width = model.window, model.epsilon, model.bucket_width
     check_param("window", window)
@@ -129,28 +127,18 @@ def annotate(
     positive, negative = EmotionLabel.POSITIVE, EmotionLabel.NEGATIVE
     good, bad = UXLabel.GOOD, UXLabel.BAD
     # each activity's last ``window`` scores: only those are ever read
-    histories: dict[str, deque[float]] = {}
-    # rows repeat few distinct evidence sets, so each is tested once for the
-    # most important atomic and its paired context
-    has_pair: dict[tuple, bool] = {}
+    histories = Memo(lambda name: deque(maxlen=window))
     new = tuple.__new__
     annotations: list[AffectAnnotation] = []
     append = annotations.append
     for defn, observation, verdict in items:
         name = defn.name
         _, start, end, score, completed = verdict
-        atomics = observation.observed_atomics
-        contexts = observation.satisfied_contexts
-        key = (name, atomics, contexts)
-        paired = has_pair.get(key)
-        if paired is None:
-            atomic_id, context_id = defn.most_important_pair
-            paired = has_pair[key] = atomic_id in atomics and context_id in contexts
-        history = histories.get(name)
-        if history is None:
-            history = histories[name] = deque(maxlen=window)
+        atomic_id, context_id = defn.most_important_pair
+        history = histories[name]
         emotion = positive
-        if not (completed and paired):
+        if not (completed and atomic_id in observation.observed_atomics
+                and context_id in observation.satisfied_contexts):
             emotion = negative
         elif history:
             # fmean's own arithmetic, without its per-call dispatch

@@ -450,7 +450,7 @@ _INPUTS = {
     "features": _Input(
         _read_features, None, "features",
         "feature rows CSV "
-        "(time_bucket,previous_activity,emotion,ux,day_kind[,activity])",
+        "(time_bucket,[previous_activity,]emotion,ux,day_kind[,activity])",
     ),
     "predictions": _Input(
         _read_predictions, _FILE_OF["recommend"], "predictions", "predictions CSV"
@@ -471,10 +471,18 @@ def _cmd_validate(config: RunConfig | None, args: argparse.Namespace) -> int:
     total = 0
     passed = 0
     failures: list[str] = []
+    names: set[str] = set()
     for path in paths:
-        for defn in defs_mod.parse_definition_file(path):
+        parsed = defs_mod.parse_definition_file(path)
+        # the stages refuse an empty file and a name an earlier file defined
+        if not parsed:
+            failures.append(f"{path}: definition set is empty")
+        for defn in parsed:
             total += 1
             violations = defs_mod.validate_definition(defn)
+            if defn.name in names:
+                violations.append(f"duplicate definition {defn.name!r} across files")
+            names.add(defn.name)
             if violations:
                 failures.extend(f"{path}: {v}" for v in violations)
             else:
@@ -482,7 +490,7 @@ def _cmd_validate(config: RunConfig | None, args: argparse.Namespace) -> int:
     for failure in failures:
         print(f"FAIL {failure}")
     print(f"{passed} of {total} definitions passed")
-    return 0 if passed == total else 2
+    return 2 if failures else 0
 
 
 # ---------------------------------------------------------------------------

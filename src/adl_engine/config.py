@@ -70,8 +70,10 @@ PARAMS = (
     Param("bucket_width", int, 30, "time bucket width in minutes",
           lambda v: 1 <= v <= MINUTES_PER_DAY, f"in [1, {MINUTES_PER_DAY}]",
           "bucket_width", "--bucket-width"),
-    Param("alpha", float, 1.0, "additive smoothing constant",
-          lambda v: v > 0, "> 0", "alpha", "--alpha"),
+    # a posterior weight is six factors each >= alpha / (count + alpha * size),
+    # so these ends keep every factor finite and every weight above zero
+    Param("alpha", float, 1.0, "additive smoothing constant in [1e-12, 1e12]",
+          lambda v: 1e-12 <= v <= 1e12, "in [1e-12, 1e12]", "alpha", "--alpha"),
     Param("train_fraction", float, 0.7, "training share in (0, 1)",
           lambda v: 0.0 < v < 1.0, "in (0, 1)", "train_fraction", "--train-fraction"),
     Param("split", str, "chronological", f"split discipline, one of {SPLIT_KINDS}",

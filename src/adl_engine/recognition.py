@@ -12,7 +12,7 @@ are named tuples, so building one per occurrence stays cheap.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 from .config import DEFAULTS, check_param
 from .definitions import ComplexActivityDefinition
@@ -23,17 +23,6 @@ from .tables import (
 
 if TYPE_CHECKING:
     from .ingestion import OccurrenceRecord
-
-
-class Evidence(Protocol):
-    """What scoring reads of an occurrence: an `Observation` or an
-    `ingestion.OccurrenceRecord`."""
-
-    @property
-    def observed_atomics(self) -> frozenset[int]: ...
-
-    @property
-    def satisfied_contexts(self) -> frozenset[int]: ...
 
 
 class Observation(NamedTuple):
@@ -59,7 +48,7 @@ class OccurrenceVerdict(NamedTuple):
 
 def occurrence_weight(
     defn: ComplexActivityDefinition,
-    observation: Evidence,
+    observation: Observation | OccurrenceRecord,
     lam: float = DEFAULTS.lam,
 ) -> float:
     """Blend of observed atomic and satisfied context weight fractions.
@@ -90,7 +79,7 @@ def occurrence_weight(
 
 def detect_occurrence(
     defn: ComplexActivityDefinition,
-    observation: Evidence,
+    observation: Observation | OccurrenceRecord,
     lam: float = DEFAULTS.lam,
 ) -> OccurrenceVerdict:
     """Score an observation and compare against the threshold (inclusive)."""

@@ -33,7 +33,6 @@ from adl_engine.affect import (
     UXLabel,
     UXModel,
     annotate,
-    map_ux,
     parse_emotion,
     parse_ux,
 )
@@ -397,7 +396,8 @@ def emotion_after(
 def per_row_annotate(items, model) -> list[AffectAnnotation]:
     """`affect.annotate` a row at a time, checking its parameters as it does:
     each row's emotion is `oracle_infer_emotion` on the activity's score
-    history, and its UX is `map_ux` at the end time's bucket."""
+    history, and its UX is the model's learned label at the end time's
+    bucket, else the emotion's sign."""
     if model.window < 1:
         raise ValueError(f"window must be >= 1, got {model.window}")
     if model.epsilon < 0:
@@ -412,7 +412,9 @@ def per_row_annotate(items, model) -> list[AffectAnnotation]:
             defn, history, observation, verdict, model.window, model.epsilon
         )
         bucket = minute_of_day(verdict.end) // model.bucket_width
-        ux = map_ux(model, emotion, defn.name, bucket)
+        ux = model.table.get((emotion.value, defn.name, bucket))
+        if ux is None:
+            ux = UXLabel.GOOD if emotion is EmotionLabel.POSITIVE else UXLabel.BAD
         annotations.append(AffectAnnotation(
             defn.name, verdict.start, verdict.end, verdict.score, verdict.completed,
             emotion, ux,

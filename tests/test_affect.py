@@ -13,7 +13,6 @@ from adl_engine.affect import (
     UXLabel,
     UXModel,
     annotate,
-    map_ux,
     read_annotated,
     train_ux_mapper,
     write_annotated,
@@ -243,29 +242,35 @@ def test_tied_vote_resolves_to_good():
     assert model.table[("negative", "Lunch", 24)] is UXLabel.GOOD
 
 
-def test_map_ux_falls_back_to_emotion_sign():
-    model = UXModel()
-    assert map_ux(model, EmotionLabel.POSITIVE, "Lunch", 24) is UXLabel.GOOD
-    assert map_ux(model, EmotionLabel.NEGATIVE, "Lunch", 24) is UXLabel.BAD
+# an end in bucket 24 of width 30, the half hour from noon
+_NOON = 86400 + 24 * 30 * 60
 
 
-def test_trained_entry_overrides_fallback():
+def _ux_after(defn, model, end, completed=True):
+    """The UX `annotate` gives one full occurrence of ``defn`` ending at
+    ``end``: positive when ``completed``, else negative."""
+    item = _item(defn, _full(defn), end - 60, end)
+    if not completed:
+        item = (defn, item[1], item[2]._replace(completed=False))
+    return annotate([item], model)[0].ux
+
+
+def test_ux_falls_back_to_emotion_sign(adl_defs):
+    # an empty table gives the sign of the emotion
+    defn = adl_defs["Eating Lunch"]
+    assert _ux_after(defn, UXModel(), _NOON) is UXLabel.GOOD
+    assert _ux_after(defn, UXModel(), _NOON, completed=False) is UXLabel.BAD
+
+
+def test_trained_entry_overrides_fallback(adl_defs):
+    defn = adl_defs["Eating Lunch"]
     model = train_ux_mapper([
-        (EmotionLabel.POSITIVE, "Lunch", 24, UXLabel.BAD),
+        (EmotionLabel.POSITIVE, defn.name, 24, UXLabel.BAD),
     ])
-    assert map_ux(model, EmotionLabel.POSITIVE, "Lunch", 24) is UXLabel.BAD
+    assert _ux_after(defn, model, _NOON) is UXLabel.BAD
     # untrained keys still use the fallback
-    assert map_ux(model, EmotionLabel.POSITIVE, "Lunch", 25) is UXLabel.GOOD
-
-
-@settings(max_examples=100, derandomize=True)
-@given(
-    emotion=st.sampled_from(list(EmotionLabel)),
-    activity=st.text(min_size=1, max_size=8),
-    bucket=st.integers(min_value=0, max_value=47),
-)
-def test_map_ux_is_total(emotion, activity, bucket):
-    assert map_ux(UXModel(), emotion, activity, bucket) in (UXLabel.GOOD, UXLabel.BAD)
+    assert _ux_after(defn, model, _NOON + 30 * 60) is UXLabel.GOOD
+    assert _ux_after(defn, model, _NOON, completed=False) is UXLabel.BAD
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,21 @@ def test_out_of_range_run_parameter_is_an_input_error(tmp_path, capsys, name, ro
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("alpha", ["1e308", "1e-308"])
+def test_pipeline_rejects_an_alpha_that_zeroes_the_posterior(tmp_path, capsys, alpha):
+    # at 1e308 every prior overflows to 0, and at 1e-308 every product of
+    # conditionals underflows to 0, so prediction would divide by zero
+    out = tmp_path / "out"
+    assert main([
+        "pipeline", "--config", str(ADL_CONFIG), "--out", str(out),
+        "--alpha", alpha,
+    ]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config key 'alpha': must be in [1e-12, 1e12], got {float(alpha)!r}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("member, flags, key", [
     ('"alpha": Infinity', [], "alpha"),
     ('"on_watts": 1e400', [], "on_watts"),
@@ -346,6 +361,29 @@ def test_validate_reports_individual_failures(tmp_path, capsys):
     assert "FAIL" in out
     assert "threshold 1.5" in out
     assert "1 of 2 definitions passed" in out
+
+
+def test_validate_fails_a_name_an_earlier_file_defined(tmp_path, capsys):
+    # `pipeline` refuses the same file listed twice, so `validate` does too,
+    # with the stages' text
+    adl = DEFINITIONS_DIR / "adl.json"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"definitions": [str(adl), str(adl)]}))
+    for argv in (["validate", str(adl), str(adl)], ["validate", "--config", str(config)]):
+        assert main(argv) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"FAIL {adl}: duplicate definition 'Sleeping' across files"
+        assert len(out) == 8
+        assert out[-1] == "7 of 14 definitions passed"
+
+
+def test_validate_fails_a_file_with_no_definitions(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"definitions": []}')
+    assert main(["validate", str(empty)]) == 2
+    assert capsys.readouterr().out == (
+        f"FAIL {empty}: definition set is empty\n0 of 0 definitions passed\n"
+    )
 
 
 def test_validate_without_files_or_config(capsys):
@@ -1140,15 +1178,17 @@ def test_recommend_names_a_model_feature_that_is_missing(tmp_path, capsys, table
     assert err == f"error: {model}: model {table} lacks feature 'ux'\n"
 
 
-@pytest.mark.parametrize("alpha", [-0.5, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, float("nan"), float("inf"), 1e308, 1e-308])
 def test_recommend_rejects_a_model_alpha_that_is_not_finite_and_positive(
     tmp_path, capsys, alpha
 ):
-    # json writes nan and inf as NaN and Infinity, and reads them back
+    # json writes nan and inf as NaN and Infinity, and reads them back; 1e308
+    # and 1e-308 are finite and positive, but a posterior weight at either
+    # overflows or underflows to zero
     model, code, err = _recommend_with_edited_model(
         tmp_path, capsys, lambda payload: payload.update(alpha=alpha)
     )
-    rule = "> 0" if math.isfinite(alpha) else "finite"
+    rule = "in [1e-12, 1e12]" if math.isfinite(alpha) else "finite"
     assert code == 2
     assert err == f"error: {model}: alpha must be {rule}, got {alpha}\n"
 

@@ -463,10 +463,12 @@ def _transient_bytes(rows: int, path, activity: str = "Watching TV") -> int:
 
 
 def test_read_occurrences_memory_does_not_grow_with_table_length(tmp_path):
-    # a 20k-row table is 1.2 MB of text, so reading it whole would not fit
+    # a 20k-row table is 1.2 MB of text, so reading it whole would not fit;
+    # the reader's own transient is under 200 KiB, so at 50k rows a leak of
+    # more than about 7 bytes a row, less than one list slot, breaks the bound
     bound = 512 * 1024
     assert _transient_bytes(20_000, tmp_path / "short.csv") < bound
-    assert _transient_bytes(200_000, tmp_path / "long.csv") < bound
+    assert _transient_bytes(50_000, tmp_path / "long.csv") < bound
 
 
 def test_quoted_table_memory_does_not_grow_with_table_length(tmp_path):
@@ -474,4 +476,4 @@ def test_quoted_table_memory_does_not_grow_with_table_length(tmp_path):
     bound = 512 * 1024
     name = "Watching TV, late"
     assert _transient_bytes(20_000, tmp_path / "short.csv", name) < bound
-    assert _transient_bytes(200_000, tmp_path / "long.csv", name) < bound
+    assert _transient_bytes(50_000, tmp_path / "long.csv", name) < bound

@@ -21,7 +21,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adl_engine.cli import main
@@ -47,7 +47,10 @@ def _mutate(draw, lines: list[str]) -> str:
         kind = draw(st.sampled_from(["token", "delete", "duplicate", "swap", "truncate"]))
         if kind == "token":
             tokens = lines[i].rstrip("\n").split(" ")
-            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_TOKENS))
+            j = draw(st.integers(0, len(tokens) - 1))
+            # a JSON line's last token keeps its comma, so the line still parses
+            comma = "," if tokens[j].endswith(",") else ""
+            tokens[j] = draw(st.sampled_from(_TOKENS)) + comma
             lines[i] = " ".join(tokens) + "\n"
         elif kind == "delete":
             del lines[i]
@@ -119,8 +122,19 @@ def _mutated_model(draw):
     return _mutate(draw, _model_lines())
 
 
+def _model_with_alpha(alpha: float) -> str:
+    """The bundled run's model text with its ``alpha`` set to ``alpha``."""
+    payload = json.loads("".join(_model_lines()))
+    payload["alpha"] = alpha
+    return json.dumps(payload)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(text=_mutated_model())
+# finite and positive, yet the prior overflows, or the product of
+# conditionals underflows, to zero
+@example(text=_model_with_alpha(1e308))
+@example(text=_model_with_alpha(1e-308))
 def test_mutated_model_is_used_or_rejected_as_an_input_error(text):
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.json"
