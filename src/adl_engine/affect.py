@@ -23,8 +23,8 @@ from .config import DEFAULTS, check_param
 from .definitions import ComplexActivityDefinition
 from .recognition import Observation, ScoredOccurrence
 from .tables import (
-    FLAG_TEXT, FieldLookup, Memo, check_order, csv_field, member_parser, named_rows,
-    parse_flag, parse_scores, read_csv_blocks, score_texts, write_table,
+    FLAG_TEXT, FieldLookup, Memo, check_order, member_parser, named_rows, parse_flag,
+    parse_scores, read_csv_blocks, write_timed_table,
 )
 from .temporal import minute_of_day
 
@@ -159,13 +159,15 @@ def annotate(
 ANNOTATED_FIELDS = list(AffectAnnotation._fields)
 
 
-def write_annotated(rows: Iterable[AffectAnnotation], stream: TextIO) -> None:
-    score_text = score_texts()
-    write_table(stream, ANNOTATED_FIELDS, (
-        f"{csv_field(activity)},{start!s},{end!s},{score_text(score)},"
-        f"{FLAG_TEXT[completed]},{EMOTION_TEXT[emotion]},{UX_TEXT[ux]}\n"
-        for activity, start, end, score, completed, emotion, ux in rows
-    ))
+def write_annotated(
+    rows: Iterable[AffectAnnotation], stream: TextIO, heads: Iterable[str] | None = None
+) -> None:
+    def tail(fields: tuple[float, bool, EmotionLabel, UXLabel]) -> str:
+        score, completed, emotion, ux = fields
+        return (f"{score!r},{FLAG_TEXT[completed]},{EMOTION_TEXT[emotion]},"
+                f"{UX_TEXT[ux]}\n")
+
+    write_timed_table(stream, ANNOTATED_FIELDS, rows, heads, tail, scored=True)
 
 
 def read_annotated(

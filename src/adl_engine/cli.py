@@ -4,7 +4,8 @@ The engine is one ordered table of stages, `STAGES`: ingest, recognize,
 affect, cluster, train, recommend, evaluate.  A stage reads its inputs from
 the invocation's value store and returns its one-line summary with one
 writer per artifact it names; the stage loop in `main` writes each artifact
-into the configured output directory before the next stage runs.
+into the configured output directory before the next stage runs, then
+drops each store value that no later stage of the run reads.
 `pipeline` runs every stage on one store, so each value passes to later
 stages in memory.  A stage subcommand runs its one entry; an input that no
 stage of the run made is loaded from the previous stage's file in the
@@ -34,7 +35,7 @@ from . import recommender as recom_mod
 from . import temporal as temporal_mod
 from . import InputError
 from .config import PARAMS, ConfigError, RunConfig, load_config, with_overrides
-from .tables import FieldLookup, Memo, csv_field, read_csv_columns, write_table
+from .tables import FieldLookup, Memo, csv_field, read_csv_columns, timed_heads, write_table
 
 _timed_of = attrgetter("activity", "start", "end")
 _activity_of, _completed_of, _emotion_of = map(
@@ -100,15 +101,20 @@ def _parse_file(path: str | Path, parse: Callable[[TextIO], Any]) -> Any:
 # ---------------------------------------------------------------------------
 
 class Store(dict):
-    """Values of one invocation, by name; a missing input is loaded on first use."""
+    """Values of one invocation, by name; a missing input is loaded on first use.
 
-    __slots__ = ("config", "args", "out")
+    ``later`` names the values that a later stage of the run, or the summary
+    line of `pipeline`, reads.
+    """
+
+    __slots__ = ("config", "args", "out", "later")
 
     def __init__(self, config: RunConfig, args: argparse.Namespace) -> None:
         super().__init__()
         self.config = config
         self.args = args
         self.out = Path(config.out_dir)
+        self.later: set[str] = set()
 
     def __missing__(self, key: str) -> Any:
         source = _INPUTS[key]
@@ -297,8 +303,10 @@ def _ingest(store: Store) -> StageResult:
         _log("info", f"ingested {len(records)} occurrences from {spec.path}")
         per_file.append(records)
     records = store["records"] = ingest_mod.merge_sorted(per_file)
+    # when later stages write the same rows, their heads are formatted once
+    heads = store["heads"] = timed_heads(records) if "heads" in store.later else None
     return (f"wrote {len(records)} occurrences to {{path}}",
-            [partial(ingest_mod.write_occurrences, records)])
+            [partial(ingest_mod.write_occurrences, records, heads=heads)])
 
 
 def _recognize(store: Store) -> StageResult:
@@ -307,7 +315,7 @@ def _recognize(store: Store) -> StageResult:
     )
     completed = countOf(map(_completed_of, verdicts), True)
     return (f"wrote {len(verdicts)} verdicts ({completed} completed) to {{path}}",
-            [partial(recog_mod.write_verdicts, verdicts)])
+            [partial(recog_mod.write_verdicts, verdicts, heads=store["heads"])])
 
 
 def _affect(store: Store) -> StageResult:
@@ -324,7 +332,7 @@ def _affect(store: Store) -> StageResult:
     annotations = store["annotations"] = affect_mod.annotate(items, ux_model)
     positive = countOf(map(_emotion_of, annotations), affect_mod.EmotionLabel.POSITIVE)
     return (f"wrote {len(annotations)} annotations ({positive} positive) to {{path}}",
-            [partial(affect_mod.write_annotated, annotations)])
+            [partial(affect_mod.write_annotated, annotations, heads=store["heads"])])
 
 
 def _cluster(store: Store) -> StageResult:
@@ -420,9 +428,9 @@ STAGES = (
     Stage("ingest", "parse datasets into occurrence records", ("defs",),
           ("occurrences.csv",), _ingest),
     Stage("recognize", "score occurrences against their definitions",
-          ("defs", "records"), ("verdicts.csv",), _recognize),
+          ("defs", "records", "heads"), ("verdicts.csv",), _recognize),
     Stage("affect", "attach emotion and UX labels to occurrences",
-          ("defs", "records", "verdicts"), ("annotated.csv",), _affect),
+          ("defs", "records", "verdicts", "heads"), ("annotated.csv",), _affect),
     Stage("cluster", "lay out occurrences on the day clock", ("records",),
           ("clusters.csv",), _cluster),
     Stage("train", "fit the next-activity model on the training split",
@@ -435,6 +443,9 @@ STAGES = (
 )
 
 
+# the store values the summary line of `pipeline` reads after the last stage
+_SUMMARY_INPUTS = ("records", "model", "features")
+
 # each stage's first artifact, which a later stage subcommand reads back
 _FILE_OF = {stage.name: stage.outputs[0] for stage in STAGES}
 _INPUTS = {
@@ -443,6 +454,7 @@ _INPUTS = {
         _read_records, _FILE_OF["ingest"], "occurrences", "occurrence CSV"
     ),
     "verdicts": _Input(_read_verdicts, _FILE_OF["recognize"]),
+    "heads": _Input(lambda store, path: None),  # each writer formats its own
     "annotations": _Input(
         _read_annotations, _FILE_OF["affect"], "annotated", "annotated CSV"
     ),
@@ -553,15 +565,20 @@ def main(argv: list[str] | None = None) -> int:
         if config is None:
             parser.error(f"{args.command} requires --config")
         store = Store(config, args)
-        for stage in STAGES:
-            if args.command in (stage.name, "pipeline"):
-                line, writers = stage.run(store)
-                paths = [store.out / name for name in stage.outputs]
-                for path, write in zip(paths, writers):
-                    with _open_write(path) as stream:
-                        write(stream)
-                print(line.format(path=paths[0]))
-                writers = write = None  # the next stage runs without these values
+        run = [stage for stage in STAGES if args.command in (stage.name, "pipeline")]
+        for i, stage in enumerate(run):
+            store.later = {key for after in run[i + 1:] for key in after.inputs}
+            if args.command == "pipeline":
+                store.later.update(_SUMMARY_INPUTS)
+            line, writers = stage.run(store)
+            paths = [store.out / name for name in stage.outputs]
+            for path, write in zip(paths, writers):
+                with _open_write(path) as stream:
+                    write(stream)
+            print(line.format(path=paths[0]))
+            writers = write = None  # the next stage runs without these values
+            for key in store.keys() - store.later:  # nor those no later stage reads
+                del store[key]
         if args.command == "pipeline":
             trained = store["model"].n_transitions
             tested = len(store["features"])

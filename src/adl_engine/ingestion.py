@@ -49,8 +49,8 @@ from . import InputError
 from .config import check_param
 from .definitions import ComplexActivityDefinition
 from .tables import (
-    FieldLookup, Memo, check_order, csv_field, line_blocks, member_parser, named_rows,
-    read_csv_blocks, write_table,
+    FieldLookup, Memo, check_order, line_blocks, member_parser, named_rows, read_csv_blocks,
+    write_timed_table,
 )
 
 
@@ -517,14 +517,15 @@ def _field_to_ids(field_text: str) -> frozenset[int]:
     return frozenset(int(p) for p in field_text.split(";"))
 
 
-def write_occurrences(records: Iterable[OccurrenceRecord], stream: TextIO) -> None:
-    # records share few distinct id sets, so each is formatted once
-    field_of = Memo(_ids_to_field)
-    write_table(stream, OCCURRENCE_FIELDS, (
-        f"{csv_field(activity)},{start!s},{end!s},"
-        f"{field_of[atomics]},{field_of[contexts]},{SOURCE_TEXT[source]}\n"
-        for activity, start, end, atomics, contexts, source in records
-    ))
+def write_occurrences(
+    records: Iterable[OccurrenceRecord], stream: TextIO, heads: Iterable[str] | None = None
+) -> None:
+    def tail(fields: tuple[frozenset[int], frozenset[int], Source]) -> str:
+        atomics, contexts, source = fields
+        return f"{_ids_to_field(atomics)},{_ids_to_field(contexts)},{SOURCE_TEXT[source]}\n"
+
+    # records share few distinct evidence sets, so each tail is formatted once
+    write_timed_table(stream, OCCURRENCE_FIELDS, records, heads, tail, scored=False)
 
 
 _parse_source = member_parser(Source, "source")

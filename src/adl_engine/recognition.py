@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 from .config import DEFAULTS, check_param
 from .definitions import ComplexActivityDefinition
 from .tables import (
-    FLAG_TEXT, Memo, csv_field, named_rows, parse_flag, parse_scores, read_csv_blocks,
-    score_texts, write_table,
+    FLAG_TEXT, Memo, named_rows, parse_flag, parse_scores, read_csv_blocks,
+    write_timed_table,
 )
 
 if TYPE_CHECKING:
@@ -133,13 +133,14 @@ def score_occurrences(
     return rows
 
 
-def write_verdicts(rows: Iterable[ScoredOccurrence], stream: TextIO) -> None:
-    score_text = score_texts()
-    write_table(stream, VERDICT_FIELDS, (
-        f"{csv_field(activity)},{start!s},{end!s},{score_text(score)},"
-        f"{FLAG_TEXT[completed]}\n"
-        for activity, start, end, score, completed in rows
-    ))
+def write_verdicts(
+    rows: Iterable[ScoredOccurrence], stream: TextIO, heads: Iterable[str] | None = None
+) -> None:
+    def tail(fields: tuple[float, bool]) -> str:
+        score, completed = fields
+        return f"{score!r},{FLAG_TEXT[completed]}\n"
+
+    write_timed_table(stream, VERDICT_FIELDS, rows, heads, tail, scored=True)
 
 
 def _verdict_columns(

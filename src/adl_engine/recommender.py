@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from enum import Enum
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, floordiv
 from typing import Any, Iterable, NamedTuple, Sequence, TextIO
 
@@ -142,8 +143,9 @@ class RecommenderModel(NamedTuple):
         Text that is not JSON, a document that is not an object, a missing
         key, a value that does not convert, no activities, an activity that
         is not a string or a repeated one, feature domains or counts that
-        lack a name of `FEATURE_NAMES`, an ``alpha`` or ``bucket_width`` that
-        `check_param` rejects, and a negative count raise ValueError.
+        lack a name of `FEATURE_NAMES`, an empty feature domain, an
+        ``alpha`` or ``bucket_width`` that `check_param` rejects, a negative
+        count and a count too large for a float raise ValueError.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -166,7 +168,7 @@ class RecommenderModel(NamedTuple):
             )
         except KeyError as exc:
             raise ValueError(f"model lacks key {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed model: {exc}") from exc
         if not model.activities:
             raise ValueError("model activities must not be empty")
@@ -179,15 +181,23 @@ class RecommenderModel(NamedTuple):
             for f in FEATURE_NAMES:
                 if f not in getattr(model, key):
                     raise ValueError(f"model {key} lacks feature {f!r}")
+        for f in FEATURE_NAMES:  # a trained model saw each feature take a value
+            if not model.feature_domains[f]:
+                raise ValueError(f"model feature_domains[{f!r}] must not be empty")
         check_param("alpha", model.alpha)
         check_param("bucket_width", model.bucket_width)
-        lowest = min((
-            model.n_transitions, *model.class_counts.values(),
-            *(n for per_class in model.feature_counts.values()
-              for values in per_class.values() for n in values.values()),
-        ))
+        counts = {
+            "n_transitions": [model.n_transitions],
+            "class_counts": list(model.class_counts.values()),
+            "feature_counts": [n for per_class in model.feature_counts.values()
+                               for values in per_class.values() for n in values.values()],
+        }
+        lowest = min(chain.from_iterable(counts.values()))
         if lowest < 0:
             raise ValueError(f"model counts must be >= 0, got {lowest}")
+        for key, values in counts.items():  # prediction computes with them as floats
+            if max(values, default=0) > sys.float_info.max:
+                raise ValueError(f"model {key} holds a count too large for a float")
         return model
 
 

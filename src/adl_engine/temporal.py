@@ -7,6 +7,7 @@ cluster report lays out each activity's start instants by day for plotting.
 
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .tables import csv_field, write_table
@@ -44,13 +45,18 @@ def cluster_report(
     Day indices are shifted so the earliest observed day is 0; rows group by
     activity name and sort by day then minute within each group.
     """
-    # day_index never decreases with the stamp, so the earliest day is that
-    # of the earliest start
-    base_day = day_index(min((r.start for r in records), default=0))
-    return sorted(
+    # (day, minute) never decreases as the start grows, so records in start
+    # order give each activity's rows in order, and a stable sort by activity
+    # alone finishes; timsort takes the records, which ingest merged in start
+    # order, in one pass
+    ordered = sorted(records, key=attrgetter("start"))
+    base_day = day_index(ordered[0].start) if ordered else 0
+    rows = [
         (r.activity, day_index(r.start) - base_day, minute_of_day(r.start))
-        for r in records
-    )
+        for r in ordered
+    ]
+    rows.sort(key=itemgetter(0))
+    return rows
 
 
 CLUSTER_FIELDS = ["activity", "day_index", "minute_of_day"]

@@ -10,7 +10,8 @@ to, a helper that runs `annotate` on one occurrence after a score history,
 the per-row loops `score_occurrences`, `annotate`,
 `extract_transitions` and `cluster_report` are held to, the field-by-field
 ``csv.writer`` table writer the line-formatted stage writers are held to,
-and the per-row parsers the stage-table, annotation-log and user-table
+the per-row f-string writers the occurrence-table writers are held to, and
+the per-row parsers the stage-table, annotation-log and user-table
 readers are held to.
 """
 
@@ -65,6 +66,7 @@ from adl_engine.recommender import (
     RecommenderModel,
     parse_day_kind,
 )
+from adl_engine.tables import FLAG_TEXT, Memo, csv_field
 from adl_engine.temporal import day_index, minute_of_day
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -490,6 +492,53 @@ def oracle_table(header: list[str], rows) -> str:
     buffer = io.StringIO()
     oracle_write_table(buffer, header, rows)
     return buffer.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Per-row f-string writers: `write_occurrences`, `write_verdicts` and
+# `write_annotated` as they were before the three tables shared each row's
+# ``activity,start,end,`` head, each line one f-string, streamed a line at a
+# time
+# ---------------------------------------------------------------------------
+
+def _oracle_score_texts():
+    """``repr`` of a score, made once per distinct nonzero float."""
+    texts = Memo(repr)
+    return lambda score: texts[score] if score and type(score) is float else repr(score)
+
+
+def _oracle_header(stream, header: list[str]) -> None:
+    stream.write(",".join(map(csv_field, header)) + "\n")
+
+
+def per_row_write_occurrences(records, stream) -> None:
+    field_of = Memo(lambda ids: ";".join(str(i) for i in sorted(ids)))
+    _oracle_header(stream, OCCURRENCE_FIELDS)
+    stream.writelines(
+        f"{csv_field(activity)},{start!s},{end!s},"
+        f"{field_of[atomics]},{field_of[contexts]},{source.value}\n"
+        for activity, start, end, atomics, contexts, source in records
+    )
+
+
+def per_row_write_verdicts(rows, stream) -> None:
+    score_text = _oracle_score_texts()
+    _oracle_header(stream, VERDICT_FIELDS)
+    stream.writelines(
+        f"{csv_field(activity)},{start!s},{end!s},{score_text(score)},"
+        f"{FLAG_TEXT[completed]}\n"
+        for activity, start, end, score, completed in rows
+    )
+
+
+def per_row_write_annotated(rows, stream) -> None:
+    score_text = _oracle_score_texts()
+    _oracle_header(stream, ANNOTATED_FIELDS)
+    stream.writelines(
+        f"{csv_field(activity)},{start!s},{end!s},{score_text(score)},"
+        f"{FLAG_TEXT[completed]},{emotion.value},{ux.value}\n"
+        for activity, start, end, score, completed, emotion, ux in rows
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -757,7 +757,7 @@ def test_failed_write_keeps_the_previous_artifact(
     assert main(["pipeline", *config]) == 0
     before = _snapshot(out)
 
-    def failing(rows, stream):
+    def failing(rows, stream, heads=None):
         stream.write("activity,start\npartial,")
         raise OSError("disk full")
 
@@ -865,12 +865,50 @@ def test_pipeline_calls_each_writer_replaced_after_import_once(
     calls = []
     write = getattr(module, writer)
 
-    def spy(rows, stream):
+    def spy(rows, stream, **heads):
         calls.append(len(rows))
-        write(rows, stream)
+        write(rows, stream, **heads)
 
     monkeypatch.setattr(module, writer, spy)
     assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == [144]
+
+
+def test_pipeline_drops_verdicts_and_heads_before_cluster_runs(
+    tmp_path, capsys, monkeypatch
+):
+    held = []
+
+    def cluster(store):
+        held.append(set(store))
+        return cli._cluster(store)
+
+    monkeypatch.setattr(cli, "STAGES", tuple(
+        stage._replace(run=cluster) if stage.name == "cluster" else stage
+        for stage in cli.STAGES
+    ))
+    assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert held == [{"defs", "records", "annotations"}]
+
+
+def test_pipeline_formats_the_heads_once_and_a_subcommand_not_at_all(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    heads = cli.timed_heads
+
+    def spy(rows):
+        calls.append(len(rows))
+        return heads(rows)
+
+    monkeypatch.setattr(cli, "timed_heads", spy)
+    config = ["--config", str(ADL_CONFIG), "--out", str(tmp_path)]
+    assert main(["pipeline", *config]) == 0
+    assert calls == [144]
+    for stage in ("ingest", "recognize", "affect"):
+        assert main([stage, *config]) == 0
     capsys.readouterr()
     assert calls == [144]
 
@@ -1202,6 +1240,44 @@ def test_recommend_rejects_a_negative_model_count(tmp_path, capsys, edit):
     model, code, err = _recommend_with_edited_model(tmp_path, capsys, edit)
     assert code == 2
     assert err == f"error: {model}: model counts must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda payload: payload.update(n_transitions=10**400), "n_transitions"),
+    (lambda payload: payload["class_counts"].update(Sleeping=10**400), "class_counts"),
+    (lambda payload: payload["feature_counts"]["ux"]["Sleeping"].update(good=10**400),
+     "feature_counts"),
+], ids=["n_transitions", "class_counts", "feature_counts"])
+def test_recommend_rejects_a_model_count_too_large_for_a_float(
+    tmp_path, capsys, edit, key
+):
+    model, code, err = _recommend_with_edited_model(tmp_path, capsys, edit)
+    assert code == 2
+    assert err == f"error: {model}: model {key} holds a count too large for a float\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: payload.update(alpha=10**400),
+    lambda payload: payload.update(n_transitions=1e400),
+], ids=["int-alpha", "float-count"])
+def test_recommend_rejects_a_model_number_that_overflows_its_conversion(
+    tmp_path, capsys, edit
+):
+    # json reads 1e400 as inf; float() of a 401-digit int and int() of inf overflow
+    model, code, err = _recommend_with_edited_model(tmp_path, capsys, edit)
+    assert code == 2
+    assert err.startswith(f"error: {model}: malformed model: ")
+
+
+def test_recommend_rejects_a_model_with_an_empty_feature_domain(tmp_path, capsys):
+    def edit(payload):
+        payload["feature_domains"]["ux"] = []
+        payload["feature_counts"]["ux"] = {}
+        payload["class_counts"] = {}
+
+    model, code, err = _recommend_with_edited_model(tmp_path, capsys, edit)
+    assert code == 2
+    assert err == f"error: {model}: model feature_domains['ux'] must not be empty\n"
 
 
 @pytest.mark.parametrize("bucket_width", [0, 1441])

@@ -122,11 +122,16 @@ def _mutated_model(draw):
     return _mutate(draw, _model_lines())
 
 
+def _edited_model(edit) -> str:
+    """The bundled run's model text after ``edit`` changed its JSON object."""
+    payload = json.loads("".join(_model_lines()))
+    edit(payload)
+    return json.dumps(payload)
+
+
 def _model_with_alpha(alpha: float) -> str:
     """The bundled run's model text with its ``alpha`` set to ``alpha``."""
-    payload = json.loads("".join(_model_lines()))
-    payload["alpha"] = alpha
-    return json.dumps(payload)
+    return _edited_model(lambda payload: payload.update(alpha=alpha))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -135,6 +140,11 @@ def _model_with_alpha(alpha: float) -> str:
 # conditionals underflows, to zero
 @example(text=_model_with_alpha(1e308))
 @example(text=_model_with_alpha(1e-308))
+# a count too large for a float, and a feature domain with no value
+@example(text=_edited_model(lambda payload: payload["class_counts"].update(Sleeping=10**400)))
+@example(text=_edited_model(lambda payload: payload.update(
+    feature_domains={**payload["feature_domains"], "ux": []}, class_counts={},
+)))
 def test_mutated_model_is_used_or_rejected_as_an_input_error(text):
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.json"

@@ -33,10 +33,14 @@ from adl_engine.recognition import (
     VERDICT_FIELDS, ScoredOccurrence, read_verdicts, write_verdicts,
 )
 from adl_engine.tables import (
-    FLAG_TEXT, csv_field, parse_flag, read_csv_blocks, write_table,
+    FLAG_TEXT, WRITE_LINES, csv_field, parse_flag, read_csv_blocks, timed_heads,
+    write_table,
 )
 from adl_engine.temporal import CLUSTER_FIELDS, write_clusters
-from helpers import oracle_table
+from helpers import (
+    oracle_table, per_row_write_annotated, per_row_write_occurrences,
+    per_row_write_verdicts,
+)
 
 _HEADER = ["name", "count"]
 
@@ -53,6 +57,30 @@ def test_write_table_then_read_table_round_trips():
     assert buf.getvalue() == 'name,count\n"a,b",1\n"say ""hi""",2\n'
     assert read_csv_blocks(io.StringIO(buf.getvalue()), _HEADER, _pairs) == [
         ("a,b", 1), ('say "hi"', 2),
+    ]
+
+
+class _RecordingStream(io.StringIO):
+    """A text buffer that keeps the text of each ``write`` call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_write_table_writes_the_lines_in_chunks_of_write_lines():
+    lines = [f"row {i},{i}\n" for i in range(2 * WRITE_LINES + 1)]
+    buf = _RecordingStream()
+    write_table(buf, _HEADER, iter(lines))
+    assert buf.writes == [
+        "name,count\n",
+        "".join(lines[:WRITE_LINES]),
+        "".join(lines[WRITE_LINES:-1]),
+        lines[-1],
     ]
 
 
@@ -230,6 +258,39 @@ def test_score_texts_keep_equal_scores_that_print_differently_apart():
          a.emotion, a.ux]
         for a in annotations
     ])
+
+
+# few distinct values of each field after the end, so tails repeat, with the
+# trap scores among them
+_TAIL_SCORE = st.sampled_from(_TRAP_SCORES) | _SCORE
+_FEW_IDS = st.sampled_from([frozenset(), frozenset({1, 2}), frozenset({-3, 10_000})]) | _IDS
+_TIMED_ROWS = {
+    "occurrences": (write_occurrences, per_row_write_occurrences, st.builds(
+        OccurrenceRecord, _NAME, st.integers(), st.integers(), _FEW_IDS, _FEW_IDS,
+        st.sampled_from(Source),
+    )),
+    "verdicts": (write_verdicts, per_row_write_verdicts, st.builds(
+        ScoredOccurrence, _NAME, st.integers(), st.integers(), _TAIL_SCORE, st.booleans(),
+    )),
+    "annotated": (write_annotated, per_row_write_annotated, st.builds(
+        AffectAnnotation, _NAME, st.integers(), st.integers(), _TAIL_SCORE, st.booleans(),
+        st.sampled_from(EmotionLabel), st.sampled_from(UXLabel),
+    )),
+}
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-heads", "shared-heads"])
+@pytest.mark.parametrize("table", sorted(_TIMED_ROWS))
+@_WRITER_SETTINGS
+@given(data=st.data())
+def test_occurrence_table_writers_match_the_per_row_writers(table, shared, data):
+    write, oracle, row = _TIMED_ROWS[table]
+    rows = data.draw(st.lists(row, max_size=12))
+    expected = io.StringIO()
+    oracle(rows, expected)
+    got = io.StringIO()
+    write(rows, got, timed_heads(rows) if shared else None)
+    assert got.getvalue() == expected.getvalue()
 
 
 @_WRITER_SETTINGS

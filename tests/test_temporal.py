@@ -106,6 +106,21 @@ def test_cluster_report_matches_the_per_row_loop(rows):
     assert cluster_report(records) == per_row_cluster_report(records)
 
 
+# starts in any order, on days either side of the epoch, many of them in one
+# (day, minute) at different seconds
+_CROWDED_START = st.builds(
+    lambda day, minute, second: day * 86400 + minute * 60 + second,
+    st.integers(-1, 1), st.sampled_from([0, 1, 1439]), st.integers(0, 59),
+)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(rows=st.lists(st.tuples(st.sampled_from(["A", "B", "C"]), _CROWDED_START), max_size=40))
+def test_cluster_report_matches_the_per_row_loop_when_rows_share_a_minute(rows):
+    records = [_record(activity, start, start + 60) for activity, start in rows]
+    assert cluster_report(records) == per_row_cluster_report(records)
+
+
 def test_cluster_csv_round_trip():
     rows = [("Breakfast", 0, 480), ("Lunch", 1, 770)]
     buf = io.StringIO()
