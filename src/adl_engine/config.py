@@ -70,8 +70,9 @@ PARAMS = (
     Param("bucket_width", int, 30, "time bucket width in minutes",
           lambda v: 1 <= v <= MINUTES_PER_DAY, f"in [1, {MINUTES_PER_DAY}]",
           "bucket_width", "--bucket-width"),
-    # a posterior weight is six factors each >= alpha / (count + alpha * size),
-    # so these ends keep every factor finite and every weight above zero
+    # a posterior weight is six factors in [alpha / (2**53 + alpha * size), 1],
+    # as `RecommenderModel.from_json` holds each count to at most its class
+    # count and n_transitions <= 2**53: these ends keep every weight above zero
     Param("alpha", float, 1.0, "additive smoothing constant in [1e-12, 1e12]",
           lambda v: 1e-12 <= v <= 1e12, "in [1e-12, 1e12]", "alpha", "--alpha"),
     Param("train_fraction", float, 0.7, "training share in (0, 1)",

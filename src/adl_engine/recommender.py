@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import Counter
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import attrgetter, floordiv
 from typing import Any, Iterable, NamedTuple, Sequence, TextIO
 
@@ -120,7 +119,7 @@ class RecommenderModel(NamedTuple):
         return -(-MINUTES_PER_DAY // self.bucket_width)
 
     def prior(self, activity: str) -> float:
-        count = self.class_counts.get(activity, 0)
+        count = self.class_counts[activity]
         denom = self.n_transitions + self.alpha * len(self.activities)
         return (count + self.alpha) / denom
 
@@ -141,11 +140,16 @@ class RecommenderModel(NamedTuple):
         """The model that `to_json` wrote as ``text``.
 
         Text that is not JSON, a document that is not an object, a missing
-        key, a value that does not convert, no activities, an activity that
-        is not a string or a repeated one, feature domains or counts that
-        lack a name of `FEATURE_NAMES`, an empty feature domain, an
-        ``alpha`` or ``bucket_width`` that `check_param` rejects, a negative
-        count and a count too large for a float raise ValueError.
+        key, a value that does not convert, an ``alpha`` or ``bucket_width``
+        that `check_param` rejects, and a model that `train` could not have
+        written raise ValueError.  In every model that `train` writes,
+        ``activities`` are the sorted keys of ``class_counts``, whose counts
+        sum to ``n_transitions`` in [1, 2**53]; ``feature_counts`` and
+        ``feature_domains`` have the keys `FEATURE_NAMES`; and for each
+        feature, the classes of nonzero count and no others have counts,
+        each >= 1 and summing to the class count, and the domain is the
+        sorted values those counts name.  No count then exceeds
+        ``n_transitions``, and every prior and conditional is in (0, 1].
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -170,34 +174,30 @@ class RecommenderModel(NamedTuple):
             raise ValueError(f"model lacks key {exc}") from exc
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed model: {exc}") from exc
-        if not model.activities:
-            raise ValueError("model activities must not be empty")
-        for name in model.activities:
-            if not isinstance(name, str):
-                raise ValueError(f"model activities must be strings, got {name!r}")
-            if model.activities.count(name) > 1:
-                raise ValueError(f"model activities must be distinct, got {name!r} twice")
-        for key in ("feature_domains", "feature_counts"):
-            for f in FEATURE_NAMES:
-                if f not in getattr(model, key):
-                    raise ValueError(f"model {key} lacks feature {f!r}")
-        for f in FEATURE_NAMES:  # a trained model saw each feature take a value
-            if not model.feature_domains[f]:
-                raise ValueError(f"model feature_domains[{f!r}] must not be empty")
         check_param("alpha", model.alpha)
         check_param("bucket_width", model.bucket_width)
-        counts = {
-            "n_transitions": [model.n_transitions],
-            "class_counts": list(model.class_counts.values()),
-            "feature_counts": [n for per_class in model.feature_counts.values()
-                               for values in per_class.values() for n in values.values()],
-        }
-        lowest = min(chain.from_iterable(counts.values()))
-        if lowest < 0:
-            raise ValueError(f"model counts must be >= 0, got {lowest}")
-        for key, values in counts.items():  # prediction computes with them as floats
-            if max(values, default=0) > sys.float_info.max:
-                raise ValueError(f"model {key} holds a count too large for a float")
+        n, counts = model.n_transitions, model.class_counts
+        if model.activities != tuple(sorted(counts)):
+            raise ValueError("model activities must be the sorted keys of class_counts")
+        if not 1 <= n <= 2**53 or n != sum(counts.values()):
+            raise ValueError("model n_transitions must be in [1, 2**53] "
+                             "and the sum of class_counts")
+        for key in ("feature_domains", "feature_counts"):
+            if getattr(model, key).keys() != set(FEATURE_NAMES):
+                raise ValueError(f"model {key} must name exactly {', '.join(FEATURE_NAMES)}")
+        seen = {c for c, count in counts.items() if count}
+        for f in FEATURE_NAMES:
+            per_class = model.feature_counts[f]
+            if per_class.keys() != seen:
+                raise ValueError(f"model feature_counts[{f!r}] must name exactly "
+                                 "the classes of nonzero count")
+            for c, values in per_class.items():
+                if min(values.values(), default=0) < 1 or sum(values.values()) != counts[c]:
+                    raise ValueError(f"model feature_counts[{f!r}][{c!r}] must be "
+                                     f"counts >= 1 that sum to class_counts[{c!r}]")
+            if model.feature_domains[f] != tuple(sorted(set().union(*per_class.values()))):
+                raise ValueError(f"model feature_domains[{f!r}] must be the sorted "
+                                 f"values of feature_counts[{f!r}]")
         return model
 
 
@@ -299,7 +299,7 @@ def predict_confidences(
     weights = {}
     for a in model.activities:
         weight = model.prior(a)
-        class_count = model.class_counts.get(a, 0)
+        class_count = model.class_counts[a]
         for f in FEATURE_NAMES:
             count = model.feature_counts[f].get(a, {}).get(encoded[f], 0)
             domain_size = len(model.feature_domains[f])
@@ -313,13 +313,8 @@ def recommend(confidences: dict[str, float]) -> str:
     """Argmax activity; ties go to the lexicographically first name."""
     if not confidences:
         raise ValueError("cannot recommend from an empty confidence vector")
-    best_name: str | None = None
-    best_value = -1.0
-    for name, value in sorted(confidences.items()):
-        if value > best_value:
-            best_name = name
-            best_value = value
-    return best_name
+    # max keeps the first of equal values, and the names are sorted
+    return max(sorted(confidences), key=confidences.__getitem__)
 
 
 def write_model(model: RecommenderModel, stream: TextIO) -> None:

@@ -361,6 +361,30 @@ def per_transition_train(
     )
 
 
+def model_counts(payload: dict) -> list[tuple[dict, str]]:
+    """Each count of a parsed ``model.json`` as the dict and key that hold it:
+    ``n_transitions``, then each class count, then each feature count."""
+    return [
+        (payload, "n_transitions"),
+        *((payload["class_counts"], c) for c in payload["class_counts"]),
+        *((values, v) for per_class in payload["feature_counts"].values()
+          for values in per_class.values() for v in values),
+    ]
+
+
+def set_feature_counts(payload: dict, count: int) -> None:
+    """Set every feature count of a parsed ``model.json`` to ``count``."""
+    for table, key in model_counts(payload)[1 + len(payload["class_counts"]):]:
+        table[key] = count
+
+
+def scale_counts(payload: dict, factor: int) -> None:
+    """Multiply every count of a parsed ``model.json`` by ``factor``: the
+    counts stay consistent with one another."""
+    for table, key in model_counts(payload):
+        table[key] *= factor
+
+
 def oracle_infer_emotion(
     defn, history, observation, verdict, window: int, epsilon: float
 ) -> EmotionLabel:

@@ -40,7 +40,15 @@ from adl_engine.config import (
     with_overrides,
 )
 from adl_engine.ingestion import OccurrenceRecord, Source, write_occurrences
-from helpers import CONFIGS_DIR, DATA_DIR, DEFINITIONS_DIR, REPO_ROOT, load_adl_defs
+from helpers import (
+    CONFIGS_DIR,
+    DATA_DIR,
+    DEFINITIONS_DIR,
+    REPO_ROOT,
+    load_adl_defs,
+    scale_counts,
+    set_feature_counts,
+)
 
 PIPELINE_ARTIFACTS = {
     "occurrences.csv", "verdicts.csv", "annotated.csv", "clusters.csv", "model.json", "predictions.csv", "confusion.csv",
@@ -1125,6 +1133,18 @@ def test_recommend_names_a_malformed_model_file(tmp_path, capsys, text, message)
     assert capsys.readouterr().err == f"error: {model}: {message}\n"
 
 
+# what `RecommenderModel.from_json` says when a model breaks part of the
+# invariant that every model `train` writes holds
+_ACTIVITIES_RULE = "model activities must be the sorted keys of class_counts"
+_N_TRANSITIONS_RULE = (
+    "model n_transitions must be in [1, 2**53] and the sum of class_counts"
+)
+_SLEEPING_UX_RULE = (
+    "model feature_counts['ux']['Sleeping'] must be counts >= 1 "
+    "that sum to class_counts['Sleeping']"
+)
+
+
 def _recommend_with_edited_model(tmp_path, capsys, edit) -> tuple[Path, int, str]:
     """The model path, exit code and stderr of ``recommend --features`` on
     the bundled run's model.json after ``edit`` changed its JSON object."""
@@ -1152,7 +1172,7 @@ def test_recommend_rejects_a_model_with_no_activities(tmp_path, capsys):
         tmp_path, capsys, lambda payload: payload.update(activities=[], class_counts={})
     )
     assert code == 2
-    assert err == f"error: {model}: model activities must not be empty\n"
+    assert err == f"error: {model}: {_N_TRANSITIONS_RULE}\n"
 
 
 def test_recommend_rejects_a_model_that_repeats_an_activity(tmp_path, capsys):
@@ -1160,22 +1180,19 @@ def test_recommend_rejects_a_model_that_repeats_an_activity(tmp_path, capsys):
         tmp_path, capsys, lambda payload: payload["activities"].append("Eating Breakfast")
     )
     assert code == 2
-    assert err == (
-        f"error: {model}: model activities must be distinct, "
-        "got 'Eating Breakfast' twice\n"
-    )
+    assert err == f"error: {model}: {_ACTIVITIES_RULE}\n"
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda activities: activities.__setitem__(0, 7),
-     "model activities must be strings, got 7"),
-    (lambda activities: activities.append("Jogging"),
+    (lambda payload: payload["activities"].__setitem__(0, 7), _ACTIVITIES_RULE),
+    (lambda payload: payload["activities"].append("Jogging"), _ACTIVITIES_RULE),
+    # a class that training never saw has count 0, as `train` writes it
+    (lambda payload: (payload.update(activities=sorted([*payload["activities"], "Jogging"])),
+                      payload["class_counts"].update(Jogging=0)),
      "model activity 'Jogging' is not defined"),
-], ids=["not-a-string", "undefined"])
+], ids=["not-a-string", "undefined", "undefined-class"])
 def test_recommend_rejects_a_model_activity(tmp_path, capsys, edit, message):
-    model, code, err = _recommend_with_edited_model(
-        tmp_path, capsys, lambda payload: edit(payload["activities"])
-    )
+    model, code, err = _recommend_with_edited_model(tmp_path, capsys, edit)
     assert code == 2
     assert err == f"error: {model}: {message}\n"
 
@@ -1213,7 +1230,10 @@ def test_recommend_names_a_model_feature_that_is_missing(tmp_path, capsys, table
         tmp_path, capsys, lambda payload: payload[table].pop("ux")
     )
     assert code == 2
-    assert err == f"error: {model}: model {table} lacks feature 'ux'\n"
+    assert err == (
+        f"error: {model}: model {table} must name exactly "
+        "time_bucket, previous_activity, emotion, ux, day_kind\n"
+    )
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, float("nan"), float("inf"), 1e308, 1e-308])
@@ -1231,29 +1251,47 @@ def test_recommend_rejects_a_model_alpha_that_is_not_finite_and_positive(
     assert err == f"error: {model}: alpha must be {rule}, got {alpha}\n"
 
 
-@pytest.mark.parametrize("edit", [
-    lambda payload: payload.update(n_transitions=-1),
-    lambda payload: payload["class_counts"].update(Sleeping=-1),
-    lambda payload: payload["feature_counts"]["ux"]["Sleeping"].update(good=-1),
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: payload.update(n_transitions=-1), _N_TRANSITIONS_RULE),
+    (lambda payload: payload["class_counts"].update(Sleeping=-1), _N_TRANSITIONS_RULE),
+    (lambda payload: payload["feature_counts"]["ux"]["Sleeping"].update(good=-1),
+     _SLEEPING_UX_RULE),
 ], ids=["n_transitions", "class_counts", "feature_counts"])
-def test_recommend_rejects_a_negative_model_count(tmp_path, capsys, edit):
+def test_recommend_rejects_a_negative_model_count(tmp_path, capsys, edit, message):
     model, code, err = _recommend_with_edited_model(tmp_path, capsys, edit)
     assert code == 2
-    assert err == f"error: {model}: model counts must be >= 0, got -1\n"
+    assert err == f"error: {model}: {message}\n"
 
 
-@pytest.mark.parametrize("edit, key", [
-    (lambda payload: payload.update(n_transitions=10**400), "n_transitions"),
-    (lambda payload: payload["class_counts"].update(Sleeping=10**400), "class_counts"),
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: payload.update(n_transitions=10**400), _N_TRANSITIONS_RULE),
+    (lambda payload: payload["class_counts"].update(Sleeping=10**400), _N_TRANSITIONS_RULE),
     (lambda payload: payload["feature_counts"]["ux"]["Sleeping"].update(good=10**400),
-     "feature_counts"),
+     _SLEEPING_UX_RULE),
 ], ids=["n_transitions", "class_counts", "feature_counts"])
 def test_recommend_rejects_a_model_count_too_large_for_a_float(
-    tmp_path, capsys, edit, key
+    tmp_path, capsys, edit, message
 ):
     model, code, err = _recommend_with_edited_model(tmp_path, capsys, edit)
     assert code == 2
-    assert err == f"error: {model}: model {key} holds a count too large for a float\n"
+    assert err == f"error: {model}: {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    # each conditional is about 1e300, so a weight overflows to inf
+    (lambda payload: set_feature_counts(payload, 10**300),
+     "model feature_counts['time_bucket']['Eating Breakfast'] must be counts >= 1 "
+     "that sum to class_counts['Eating Breakfast']"),
+    # consistent counts, but at this alpha every weight underflows to 0
+    (lambda payload: (scale_counts(payload, 10**298), payload.update(alpha=1e-12)),
+     _N_TRANSITIONS_RULE),
+], ids=["feature-counts-above-class-count", "counts-scaled-past-2**53"])
+def test_recommend_rejects_a_model_that_train_could_not_write(
+    tmp_path, capsys, edit, message
+):
+    model, code, err = _recommend_with_edited_model(tmp_path, capsys, edit)
+    assert code == 2
+    assert err == f"error: {model}: {message}\n"
 
 
 @pytest.mark.parametrize("edit", [
@@ -1277,7 +1315,7 @@ def test_recommend_rejects_a_model_with_an_empty_feature_domain(tmp_path, capsys
 
     model, code, err = _recommend_with_edited_model(tmp_path, capsys, edit)
     assert code == 2
-    assert err == f"error: {model}: model feature_domains['ux'] must not be empty\n"
+    assert err == f"error: {model}: {_ACTIVITIES_RULE}\n"
 
 
 @pytest.mark.parametrize("bucket_width", [0, 1441])

@@ -8,16 +8,20 @@ zone fragment; a line is deleted, duplicated or swapped; the file is
 truncated anywhere.  The fast readers fall back to a slower per-line reader
 on anything unusual, and these runs check that each fallback still yields
 an input error, not a crash.  The same menu applied to a bundled run's
-``model.json`` checks that `recommend` loads a model or rejects it as an
-input error.
+``model.json``, and edits of its parsed object (a count moved by one, a
+value added to a domain, a class added or removed, every count scaled),
+check that `recommend` rejects a model as an input error or predicts, for
+every row, a model activity with finite confidences that sum to 1.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import functools
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -25,7 +29,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adl_engine.cli import main
-from helpers import CONFIGS_DIR, DEFINITIONS_DIR
+from adl_engine.recommender import FEATURE_NAMES
+from helpers import (
+    CONFIGS_DIR,
+    DEFINITIONS_DIR,
+    model_counts,
+    scale_counts,
+    set_feature_counts,
+)
 
 _UKDALE = json.loads((CONFIGS_DIR / "ukdale.json").read_text())
 # each bundled power trace, by channel, as its lines with their line ends
@@ -134,6 +145,77 @@ def _model_with_alpha(alpha: float) -> str:
     return _edited_model(lambda payload: payload.update(alpha=alpha))
 
 
+@st.composite
+def _edited_model_object(draw):
+    """The bundled run's model text after 1-2 edits of its parsed object."""
+    payload = json.loads("".join(_model_lines()))
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["count", "domain", "add", "remove", "scale"]))
+        if kind == "count":
+            table, key = draw(st.sampled_from(model_counts(payload)))
+            table[key] += draw(st.sampled_from([-1, 1]))
+        elif kind == "domain":
+            domain = payload["feature_domains"][draw(st.sampled_from(FEATURE_NAMES))]
+            value = draw(st.sampled_from(["0", "47", "none", "Jogging", *domain[:1]]))
+            domain.insert(draw(st.integers(0, len(domain))), value)
+        elif kind == "add":
+            # a name no definition defines, or one the model already holds
+            name = draw(st.sampled_from(["Jogging", *payload["activities"]]))
+            activities = payload["activities"]
+            activities.insert(draw(st.integers(0, len(activities))), name)
+            count = draw(st.integers(0, 2))
+            payload["class_counts"][name] = count
+            if count and draw(st.booleans()):  # seen by training too
+                payload["n_transitions"] += count
+                for f in FEATURE_NAMES:
+                    value = payload["feature_domains"][f][0]
+                    payload["feature_counts"][f][name] = {value: count}
+        elif kind == "remove":
+            name = draw(st.sampled_from(payload["activities"]))
+            payload["activities"].remove(name)
+            count = payload["class_counts"].pop(name, 0)
+            if draw(st.booleans()):  # as if training had never seen it
+                payload["n_transitions"] -= count
+                for f, per_class in payload["feature_counts"].items():
+                    per_class.pop(name, None)
+                    payload["feature_domains"][f] = sorted(set().union(*per_class.values()))
+        else:
+            # up to 10**13 the counts stay within 2**53, a model `train` could write
+            scale_counts(payload, 10 ** draw(st.one_of(st.integers(1, 13), st.integers(14, 300))))
+            payload["alpha"] = draw(st.sampled_from([payload["alpha"], 1e-12, 1e12]))
+    return json.dumps(payload)
+
+
+def _recommend(text: str) -> None:
+    """Run `recommend` on model ``text`` and the fixed feature rows: it exits
+    2 with one ``error:`` line, or 0 with a prediction for every row that is
+    a model activity, whose confidences are finite and sum to 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.json"
+        model.write_text(text, encoding="utf-8")
+        features = Path(tmp) / "features.csv"
+        features.write_text(_FEATURES)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([
+                "recommend", "--config", str(ADL_CONFIG), "--out", str(Path(tmp) / "out"),
+                "--model", str(model), "--features", str(features),
+            ])
+        _assert_ran_or_rejected(code, err.getvalue())
+        if code:
+            return
+        activities = json.loads(text)["activities"]
+        with open(Path(tmp) / "out" / "predictions.csv", newline="") as stream:
+            header, *rows = csv.reader(stream)
+    assert header[2:] == [f"confidence({name})" for name in activities]
+    assert len(rows) == _FEATURES.count("\n") - 1
+    for _, predicted, *confidences in rows:
+        assert predicted in activities
+        values = list(map(float, confidences))
+        assert all(map(math.isfinite, values))
+        assert abs(math.fsum(values) - 1) <= 1e-12
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(text=_mutated_model())
 # finite and positive, yet the prior overflows, or the product of
@@ -146,15 +228,16 @@ def _model_with_alpha(alpha: float) -> str:
     feature_domains={**payload["feature_domains"], "ux": []}, class_counts={},
 )))
 def test_mutated_model_is_used_or_rejected_as_an_input_error(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        model = Path(tmp) / "model.json"
-        model.write_text(text, encoding="utf-8")
-        features = Path(tmp) / "features.csv"
-        features.write_text(_FEATURES)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([
-                "recommend", "--config", str(ADL_CONFIG), "--out", str(Path(tmp) / "out"),
-                "--model", str(model), "--features", str(features),
-            ])
-    _assert_ran_or_rejected(code, err.getvalue())
+    _recommend(text)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(text=_edited_model_object())
+# feature counts far above their class count: each weight overflows to inf
+@example(text=_edited_model(lambda payload: set_feature_counts(payload, 10**300)))
+# consistent counts scaled past 2**53: at this alpha each weight underflows to 0
+@example(text=_edited_model(
+    lambda payload: (scale_counts(payload, 10**298), payload.update(alpha=1e-12))
+))
+def test_edited_model_object_is_used_or_rejected_as_an_input_error(text):
+    _recommend(text)

@@ -426,16 +426,34 @@ def test_confidence_vector_tolerates_rounded_totals():
 # Serialization
 # ---------------------------------------------------------------------------
 
-def test_model_json_round_trip():
-    transitions = [
-        _t(0, "X", "A"), _t(0, "Y", "A"), _t(1, "X", "B"), _t(1, "Y", "C"),
-    ]
-    model = train(transitions, alpha=0.5, bucket_width=60)
+_NAMES = st.one_of(st.sampled_from(["A", "B", "C", "none"]), st.text(max_size=6))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(
+    transitions=st.lists(st.builds(
+        _t, st.integers(0, 47), st.one_of(st.none(), _NAMES), _NAMES,
+        emotion=st.sampled_from(list(EmotionLabel)), ux=st.sampled_from(list(UXLabel)),
+        day=st.sampled_from(list(DayKind)),
+    ), min_size=1, max_size=12),
+    # names no transition leads to are classes of count 0
+    unseen=st.lists(_NAMES, max_size=3),
+    alpha=st.floats(min_value=1e-12, max_value=1e12),
+    bucket_width=st.integers(1, 1440),
+)
+@example(
+    transitions=[_t(0, "X", "A"), _t(0, "Y", "A"), _t(1, "X", "B"), _t(1, "Y", "C")],
+    unseen=["D"], alpha=0.5, bucket_width=60,
+)
+def test_model_json_round_trip(transitions, unseen, alpha, bucket_width):
+    # `from_json` must accept every model that `train` writes
+    activities = [t.next_activity for t in transitions] + unseen
+    model = train(transitions, alpha=alpha, bucket_width=bucket_width, activities=activities)
     buf = io.StringIO()
     write_model(model, buf)
     restored = read_model(io.StringIO(buf.getvalue()))
     assert restored == model
-    query = _q(0, "X")
+    query = transitions[0].features
     assert predict_confidences(restored, query) == predict_confidences(model, query)
 
 
