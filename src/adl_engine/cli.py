@@ -127,19 +127,10 @@ class Store(dict):
 def _read_definitions(
     store: Store, _path: None
 ) -> dict[str, defs_mod.ComplexActivityDefinition]:
-    """The definitions of every configured file; no name may repeat across files."""
+    """The definitions of every configured file, which must break no catalogue rule."""
     if not store.config.definitions:
         raise ConfigError("config key 'definitions': at least one file is required")
-    merged: dict[str, defs_mod.ComplexActivityDefinition] = {}
-    for path in store.config.definitions:
-        for name, defn in defs_mod.load_definitions(path).items():
-            if name in merged:
-                raise defs_mod.DefinitionError(
-                    f"{path}: duplicate definition {name!r} across files",
-                    violations=[name],
-                )
-            merged[name] = defn
-    return merged
+    return defs_mod.load_definitions(*store.config.definitions)
 
 
 def _read_records(store: Store, path: Path) -> list[ingest_mod.OccurrenceRecord]:
@@ -480,29 +471,12 @@ def _cmd_validate(config: RunConfig | None, args: argparse.Namespace) -> int:
         print("error: no definition files given (positional or via --config)",
               file=sys.stderr)
         return 2
-    total = 0
-    passed = 0
-    failures: list[str] = []
-    names: set[str] = set()
-    for path in paths:
-        parsed = defs_mod.parse_definition_file(path)
-        # the stages refuse an empty file and a name an earlier file defined
-        if not parsed:
-            failures.append(f"{path}: definition set is empty")
-        for defn in parsed:
-            total += 1
-            violations = defs_mod.validate_definition(defn)
-            if defn.name in names:
-                violations.append(f"duplicate definition {defn.name!r} across files")
-            names.add(defn.name)
-            if violations:
-                failures.extend(f"{path}: {v}" for v in violations)
-            else:
-                passed += 1
-    for failure in failures:
-        print(f"FAIL {failure}")
-    print(f"{passed} of {total} definitions passed")
-    return 2 if failures else 0
+    # the rules the stages apply, through the same function
+    passed, faults, total = defs_mod.check_definitions(paths)
+    for fault in faults:
+        print(f"FAIL {fault}")
+    print(f"{len(passed)} of {total} definitions passed")
+    return 2 if faults else 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ context attributes, core/start/end id sets, and a completion threshold.
 A definition file is one JSON document holding a list of definitions; the
 repository ships two catalogues, ``definitions/ukdale.json`` (appliance
 activities) and ``definitions/adl.json`` (daily-living activities).
-`load_definitions` returns a dict from each name to its definition, in file
-order.
+`check_definitions` applies every catalogue rule to a list of files, for
+the `validate` subcommand and for `load_definitions`, which the stages call:
+a file with no definitions, a name that an earlier definition took
+(``duplicate definition 'Sleeping'``) and a `validate_definition` violation
+are each a fault.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import json
 import math
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from . import InputError
+from . import InputError, json_integer, json_number
 
 WEIGHT_SUM_TOLERANCE = 1e-6
 
@@ -24,11 +27,16 @@ WEIGHT_SUM_TOLERANCE = 1e-6
 # no definition may take this name
 NO_PREVIOUS = "none"
 
+# the fields that hold a set of atomic or context ids
+_ID_SETS = ("core_atomics", "core_contexts", "start_atomics", "start_contexts",
+            "end_atomics", "end_contexts")
+
 
 class DefinitionError(InputError):
-    """Raised when a definition file cannot be parsed or fails validation.
+    """Raised when a definition file cannot be parsed or breaks a rule.
 
-    ``violations`` lists every individual problem found, not just the first.
+    ``violations`` lists every fault found, as ``<path>: <fault>``, not just
+    the first.
     """
 
     def __init__(self, message: str, violations: list[str] | None = None):
@@ -145,6 +153,7 @@ def validate_definition(defn: ComplexActivityDefinition) -> list[str]:
     elif context_ids != atomic_ids:
         problems.append(prefix + f"context ids must mirror atomic ids, got {context_ids}")
 
+    before = len(problems)
     for a in defn.atomics:
         if not 0.0 <= a.weight <= 1.0:
             problems.append(prefix + f"At{a.id} weight {a.weight} outside [0, 1]")
@@ -152,28 +161,22 @@ def validate_definition(defn: ComplexActivityDefinition) -> list[str]:
         if not 0.0 <= c.weight <= 1.0:
             problems.append(prefix + f"Ct{c.id} weight {c.weight} outside [0, 1]")
 
-    if abs(defn.atomic_weight_total - 1.0) > WEIGHT_SUM_TOLERANCE:
+    # a weight out of range is not summed: fsum raises on 1e308 twice, or inf and -inf
+    in_range = len(problems) == before
+    if in_range and abs(defn.atomic_weight_total - 1.0) > WEIGHT_SUM_TOLERANCE:
         problems.append(
             prefix + f"atomic weights sum to {defn.atomic_weight_total}, expected 1 "
             f"(tolerance {WEIGHT_SUM_TOLERANCE})"
         )
-    if abs(defn.context_weight_total - 1.0) > WEIGHT_SUM_TOLERANCE:
+    if in_range and abs(defn.context_weight_total - 1.0) > WEIGHT_SUM_TOLERANCE:
         problems.append(
             prefix + f"context weights sum to {defn.context_weight_total}, expected 1 "
             f"(tolerance {WEIGHT_SUM_TOLERANCE})"
         )
 
-    valid_at = set(atomic_ids)
-    valid_ct = set(context_ids)
-    for set_name, ids, valid in (
-        ("core_atomics", defn.core_atomics, valid_at),
-        ("core_contexts", defn.core_contexts, valid_ct),
-        ("start_atomics", defn.start_atomics, valid_at),
-        ("start_contexts", defn.start_contexts, valid_ct),
-        ("end_atomics", defn.end_atomics, valid_at),
-        ("end_contexts", defn.end_contexts, valid_ct),
-    ):
-        dangling = sorted(set(ids) - valid)
+    for set_name in _ID_SETS:
+        valid = defn.atomic_ids if set_name.endswith("atomics") else defn.context_ids
+        dangling = sorted(set(getattr(defn, set_name)) - valid)
         if dangling:
             problems.append(prefix + f"{set_name} references missing ids {dangling}")
 
@@ -195,11 +198,13 @@ def validate_definition(defn: ComplexActivityDefinition) -> list[str]:
 def _definition_from_dict(raw: dict, source: str) -> ComplexActivityDefinition:
     try:
         atomics = tuple(
-            AtomicActivity(id=int(a["id"]), label=str(a["label"]), weight=float(a["weight"]))
+            AtomicActivity(id=json_integer(a["id"]), label=str(a["label"]),
+                           weight=json_number(a["weight"]))
             for a in raw["atomics"]
         )
         contexts = tuple(
-            ContextAttribute(id=int(c["id"]), label=str(c["label"]), weight=float(c["weight"]))
+            ContextAttribute(id=json_integer(c["id"]), label=str(c["label"]),
+                             weight=json_number(c["weight"]))
             for c in raw["contexts"]
         )
         return ComplexActivityDefinition(
@@ -207,24 +212,19 @@ def _definition_from_dict(raw: dict, source: str) -> ComplexActivityDefinition:
             short_code=str(raw["short_code"]),
             atomics=atomics,
             contexts=contexts,
-            core_atomics=frozenset(int(i) for i in raw["core_atomics"]),
-            core_contexts=frozenset(int(i) for i in raw["core_contexts"]),
-            start_atomics=frozenset(int(i) for i in raw["start_atomics"]),
-            start_contexts=frozenset(int(i) for i in raw["start_contexts"]),
-            end_atomics=frozenset(int(i) for i in raw["end_atomics"]),
-            end_contexts=frozenset(int(i) for i in raw["end_contexts"]),
-            threshold=float(raw["threshold"]),
+            **{key: frozenset(map(json_integer, raw[key])) for key in _ID_SETS},
+            threshold=json_number(raw["threshold"]),
             comment=str(raw.get("comment", "")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DefinitionError(f"{source}: malformed definition entry: {exc}") from exc
 
 
 def parse_definition_file(path: str | Path) -> list[ComplexActivityDefinition]:
-    """Parse a definition file without running validation.
+    """Parse a definition file without applying any catalogue rule.
 
-    Parse failures and duplicate names still raise; invariant violations are
-    left for the caller, so tools can report them definition by definition.
+    A file that cannot be read, is not JSON, or holds an entry that does not
+    convert raises; the rules are left to `check_definitions`.
     """
     path = Path(path)
     try:
@@ -236,36 +236,45 @@ def parse_definition_file(path: str | Path) -> list[ComplexActivityDefinition]:
 
     if not isinstance(raw, dict) or not isinstance(raw.get("definitions"), list):
         raise DefinitionError(f"{path}: expected an object with a 'definitions' list")
-
-    parsed: list[ComplexActivityDefinition] = []
-    seen: set[str] = set()
-    for entry in raw["definitions"]:
-        defn = _definition_from_dict(entry, str(path))
-        if defn.name in seen:
-            raise DefinitionError(f"{path}: duplicate activity name {defn.name!r}")
-        seen.add(defn.name)
-        parsed.append(defn)
-    return parsed
+    return [_definition_from_dict(entry, str(path)) for entry in raw["definitions"]]
 
 
-def load_definitions(path: str | Path) -> dict[str, ComplexActivityDefinition]:
-    """Load and validate a definition file: ``{name: definition}`` in file order.
+def check_definitions(
+    paths: Iterable[str | Path],
+) -> tuple[dict[str, ComplexActivityDefinition], list[str], int]:
+    """Apply every catalogue rule to the definition files ``paths``, in order.
 
-    Raises DefinitionError on parse failure, duplicate names, or any
-    validation violation (all violations are reported together).
+    Returns the definitions that break no rule, by name in file order; every
+    fault, as ``<path>: <fault>``; and the number of definitions read.  A
+    file that cannot be parsed raises DefinitionError.
     """
-    path = Path(path)
-    parsed = parse_definition_file(path)
+    passed: dict[str, ComplexActivityDefinition] = {}
+    faults: list[str] = []
+    names: set[str] = set()
+    total = 0
+    for path in paths:
+        parsed = parse_definition_file(path)
+        if not parsed:
+            faults.append(f"{path}: definition set is empty")
+        total += len(parsed)
+        for defn in parsed:
+            problems = validate_definition(defn)
+            if defn.name in names:
+                problems.insert(0, f"duplicate definition {defn.name!r}")
+            names.add(defn.name)
+            faults.extend(f"{path}: {problem}" for problem in problems)
+            if not problems:
+                passed[defn.name] = defn
+    return passed, faults, total
 
-    violations: list[str] = []
-    for defn in parsed:
-        violations.extend(validate_definition(defn))
-    if violations:
+
+def load_definitions(*paths: str | Path) -> dict[str, ComplexActivityDefinition]:
+    """``{name: definition}`` of the files ``paths``, in file order; a
+    DefinitionError lists every fault `check_definitions` finds."""
+    passed, faults, _ = check_definitions(paths)
+    if faults:
         raise DefinitionError(
-            f"{path}: {len(violations)} validation violation(s):\n  "
-            + "\n  ".join(violations),
-            violations=violations,
+            f"{len(faults)} definition fault(s):\n  " + "\n  ".join(faults),
+            violations=faults,
         )
-    if not parsed:
-        raise DefinitionError(f"{path}: definition set is empty")
-    return {d.name: d for d in parsed}
+    return passed

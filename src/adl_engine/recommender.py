@@ -22,6 +22,7 @@ from itertools import islice, repeat
 from operator import attrgetter, floordiv
 from typing import Any, Iterable, NamedTuple, Sequence, TextIO
 
+from . import json_integer, json_number
 from .affect import AffectAnnotation, EmotionLabel, UXLabel
 from .config import DEFAULTS, check_param
 from .definitions import NO_PREVIOUS
@@ -139,17 +140,18 @@ class RecommenderModel(NamedTuple):
     def from_json(text: str) -> "RecommenderModel":
         """The model that `to_json` wrote as ``text``.
 
-        Text that is not JSON, a document that is not an object, a missing
-        key, a value that does not convert, an ``alpha`` or ``bucket_width``
-        that `check_param` rejects, and a model that `train` could not have
-        written raise ValueError.  In every model that `train` writes,
-        ``activities`` are the sorted keys of ``class_counts``, whose counts
-        sum to ``n_transitions`` in [1, 2**53]; ``feature_counts`` and
+        Text that is not JSON, a document that is not an object, a missing key,
+        a count, ``n_transitions`` or ``bucket_width`` that is not a JSON
+        integer, an ``alpha`` that is not a JSON number, an ``alpha`` or
+        ``bucket_width`` that `check_param` rejects, and a model that `train`
+        could not have written raise ValueError.  In every model that `train`
+        writes, ``activities`` are the sorted keys of ``class_counts``, whose
+        counts sum to ``n_transitions`` in [1, 2**53]; ``feature_counts`` and
         ``feature_domains`` have the keys `FEATURE_NAMES`; and for each
-        feature, the classes of nonzero count and no others have counts,
-        each >= 1 and summing to the class count, and the domain is the
-        sorted values those counts name.  No count then exceeds
-        ``n_transitions``, and every prior and conditional is in (0, 1].
+        feature, the classes of nonzero count and no others have counts, each
+        >= 1 and summing to the class count, and the domain is the sorted
+        values those counts name.  No count then exceeds ``n_transitions``, and
+        every prior and conditional is in (0, 1].
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -157,15 +159,15 @@ class RecommenderModel(NamedTuple):
         try:
             model = RecommenderModel(
                 activities=tuple(payload["activities"]),
-                alpha=float(payload["alpha"]),
-                bucket_width=int(payload["bucket_width"]),
-                n_transitions=int(payload["n_transitions"]),
-                class_counts={k: int(v) for k, v in payload["class_counts"].items()},
+                alpha=json_number(payload["alpha"]),
+                bucket_width=json_integer(payload["bucket_width"]),
+                n_transitions=json_integer(payload["n_transitions"]),
+                class_counts={k: json_integer(v) for k, v in payload["class_counts"].items()},
                 feature_domains={
                     f: tuple(d) for f, d in payload["feature_domains"].items()
                 },
                 feature_counts={
-                    f: {c: {v: int(n) for v, n in values.items()}
+                    f: {c: {v: json_integer(n) for v, n in values.items()}
                         for c, values in classes.items()}
                     for f, classes in payload["feature_counts"].items()
                 },

@@ -380,7 +380,7 @@ def test_validate_fails_a_name_an_earlier_file_defined(tmp_path, capsys):
     for argv in (["validate", str(adl), str(adl)], ["validate", "--config", str(config)]):
         assert main(argv) == 2
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == f"FAIL {adl}: duplicate definition 'Sleeping' across files"
+        assert out[0] == f"FAIL {adl}: duplicate definition 'Sleeping'"
         assert len(out) == 8
         assert out[-1] == "7 of 14 definitions passed"
 
@@ -392,6 +392,94 @@ def test_validate_fails_a_file_with_no_definitions(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"FAIL {empty}: definition set is empty\n0 of 0 definitions passed\n"
     )
+
+
+def _catalogue(tmp_path: Path, name: str, source: str, edit=lambda entries: None) -> Path:
+    """The bundled catalogue ``source`` after ``edit`` changed its entries,
+    written to ``name``."""
+    document = json.loads((DEFINITIONS_DIR / source).read_text())
+    edit(document["definitions"])
+    path = tmp_path / name
+    path.write_text(json.dumps(document))
+    return path
+
+
+def _repeat_first(entries: list) -> None:
+    entries.append(entries[0])
+
+
+def _name_repeated_within_a_file(tmp_path):
+    path = _catalogue(tmp_path, "dup.json", "adl.json", _repeat_first)
+    return [path], [f"{path}: duplicate definition 'Sleeping'"]
+
+
+def _same_file_twice(tmp_path):
+    path = DEFINITIONS_DIR / "adl.json"
+    names = [entry["name"] for entry in json.loads(path.read_text())["definitions"]]
+    return [path, path], [f"{path}: duplicate definition {name!r}" for name in names]
+
+
+def _empty_file(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"definitions": []}')
+    return [path], [f"{path}: definition set is empty"]
+
+
+def _violation_then_repeat(tmp_path):
+    bad = _catalogue(tmp_path, "bad.json", "adl.json",
+                     lambda entries: entries[0].update(threshold=2.0))
+    dup = _catalogue(tmp_path, "dup.json", "ukdale.json", _repeat_first)
+    return [bad, dup], [
+        f"{bad}: Sleeping: threshold 2.0 outside (0, 1]",
+        f"{dup}: duplicate definition 'Watching TV'",
+    ]
+
+
+@pytest.mark.parametrize("catalogue", [
+    _name_repeated_within_a_file, _same_file_twice, _empty_file, _violation_then_repeat,
+], ids=["repeated-within-a-file", "same-file-twice", "empty-file", "violation-then-repeat"])
+def test_validate_and_the_stages_refuse_a_catalogue_with_the_same_faults(
+    tmp_path, capsys, catalogue
+):
+    paths, faults = catalogue(tmp_path)
+    assert main(["validate", *map(str, paths)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[:-1] == [f"FAIL {fault}" for fault in faults]
+    assert out[-1].endswith(" definitions passed")
+
+    out_dir = tmp_path / "out"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "definitions": list(map(str, paths)),
+        "datasets": [{"path": str(DATA_DIR / "adl_log.csv"), "kind": "adl-log"}],
+        "out_dir": str(out_dir),
+    }))
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {len(faults)} definition fault(s):\n" + "".join(
+        f"  {fault}\n" for fault in faults
+    )
+    assert not out_dir.exists()
+
+
+def test_validate_and_ingest_refuse_an_atomic_id_that_is_not_a_json_integer(
+    tmp_path, capsys
+):
+    # JSON reads 1e400 as inf, which int() could not convert
+    path = _catalogue(tmp_path, "adl.json", "adl.json",
+                      lambda entries: entries[0]["atomics"][0].update(id=1e400))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "definitions": [str(path)],
+        "datasets": [{"path": str(DATA_DIR / "adl_log.csv"), "kind": "adl-log"}],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    for argv in (["validate", str(path)], ["ingest", "--config", str(config)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: malformed definition entry: expected an integer, got inf\n"
+        )
 
 
 def test_validate_without_files_or_config(capsys):
@@ -1285,7 +1373,27 @@ def test_recommend_rejects_a_model_count_too_large_for_a_float(
     # consistent counts, but at this alpha every weight underflows to 0
     (lambda payload: (scale_counts(payload, 10**298), payload.update(alpha=1e-12)),
      _N_TRANSITIONS_RULE),
-], ids=["feature-counts-above-class-count", "counts-scaled-past-2**53"])
+    # `train` writes each count and the bucket width as a JSON integer and
+    # alpha as a JSON number; none is truncated or parsed from a string
+    (lambda payload: payload["class_counts"].update(Sleeping=15.9),
+     "malformed model: expected an integer, got 15.9"),
+    (lambda payload: payload.update(n_transitions="101"),
+     "malformed model: expected an integer, got '101'"),
+    (lambda payload: payload.update(n_transitions=True),
+     "malformed model: expected an integer, got True"),
+    (lambda payload: payload["feature_counts"]["ux"]["Sleeping"].update(good=15.2),
+     "malformed model: expected an integer, got 15.2"),
+    (lambda payload: payload.update(bucket_width=30.7),
+     "malformed model: expected an integer, got 30.7"),
+    (lambda payload: payload.update(alpha="1.0"),
+     "malformed model: expected a number, got '1.0'"),
+    (lambda payload: payload.update(alpha=True),
+     "malformed model: expected a number, got True"),
+], ids=[
+    "feature-counts-above-class-count", "counts-scaled-past-2**53", "fractional-class-count",
+    "string-n_transitions", "bool-n_transitions", "fractional-feature-count",
+    "fractional-bucket_width", "string-alpha", "bool-alpha",
+])
 def test_recommend_rejects_a_model_that_train_could_not_write(
     tmp_path, capsys, edit, message
 ):
@@ -1301,7 +1409,7 @@ def test_recommend_rejects_a_model_that_train_could_not_write(
 def test_recommend_rejects_a_model_number_that_overflows_its_conversion(
     tmp_path, capsys, edit
 ):
-    # json reads 1e400 as inf; float() of a 401-digit int and int() of inf overflow
+    # json reads 1e400 as inf, which is no integer; float() of a 401-digit int overflows
     model, code, err = _recommend_with_edited_model(tmp_path, capsys, edit)
     assert code == 2
     assert err.startswith(f"error: {model}: malformed model: ")
@@ -1782,8 +1890,7 @@ def test_control_character_in_a_definition_name_is_rejected(tmp_path, capsys):
 
     assert main(["ingest", "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert f"error: {definitions}: 1 validation violation(s):" in err
-    assert violation in err
+    assert err == f"error: 1 definition fault(s):\n  {definitions}: {violation}\n"
     assert not out.exists()
 
 
@@ -1813,8 +1920,7 @@ def test_a_definition_named_none_is_rejected(tmp_path, capsys):
 
     assert main(["ingest", "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert f"error: {definitions}: 1 validation violation(s):" in err
-    assert violation in err
+    assert err == f"error: 1 definition fault(s):\n  {definitions}: {violation}\n"
     assert not out.exists()
 
 

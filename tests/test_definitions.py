@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from adl_engine.definitions import (
     ContextAttribute,
     DefinitionError,
     WEIGHT_SUM_TOLERANCE,
+    check_definitions,
     load_definitions,
     validate_definition,
 )
@@ -255,6 +257,79 @@ def test_load_aggregates_all_violations(tmp_path):
     with pytest.raises(DefinitionError) as excinfo:
         load_definitions(path)
     assert len(excinfo.value.violations) == 2
+
+
+def _set_field(field: str, value):
+    """An edit of a definition entry that sets ``field`` (of its first atomic,
+    for ``id`` and ``weight``) to ``value``."""
+    def edit(entry: dict) -> None:
+        (entry["atomics"][0] if field in ("id", "weight") else entry)[field] = value
+    return edit
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", 1e400), ("id", 2.7), ("id", True), ("id", "1"), ("id", None),
+    ("end_contexts", [4, 1e400]), ("core_atomics", [2.0]), ("start_atomics", [True]),
+    ("end_atomics", ["4"]), ("weight", 10**400), ("weight", True), ("weight", "0.12"),
+    ("weight", None), ("threshold", False), ("threshold", "0.72"), ("threshold", 10**400),
+], ids=[
+    "id-inf", "id-fraction", "id-bool", "id-string", "id-null",
+    "id-set-member-inf", "id-set-member-float", "id-set-member-bool", "id-set-member-string",
+    "weight-beyond-floats", "weight-bool", "weight-string", "weight-null",
+    "threshold-bool", "threshold-string", "threshold-beyond-floats",
+])
+def test_load_rejects_a_field_of_the_wrong_json_type(tmp_path, field, value):
+    # an id is a JSON integer and a weight or threshold a JSON number; a bool
+    # is neither, and no value is truncated or overflows as it converts
+    doc = _adl_document()
+    _set_field(field, value)(doc["definitions"][0])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DefinitionError, match=f"^{re.escape(str(path))}: malformed definition entry: "):
+        load_definitions(path)
+
+
+def test_an_integer_weight_and_threshold_are_numbers(tmp_path):
+    doc = _adl_document()
+    entry = doc["definitions"][0]
+    for key in ("atomics", "contexts"):
+        entry[key] = [{"id": 1, "label": "all", "weight": 1}]
+    entry.update(threshold=1, core_atomics=[1], core_contexts=[1], start_atomics=[1],
+                 start_contexts=[1], end_atomics=[1], end_contexts=[1])
+    path = tmp_path / "whole.json"
+    path.write_text(json.dumps(doc))
+    sleeping = load_definitions(path)["Sleeping"]
+    assert sleeping.threshold == 1.0
+    assert sleeping.atomics == (AtomicActivity(1, "all", 1.0),)
+
+
+@pytest.mark.parametrize("weights", [(1e308, 1e308), (math.inf, -math.inf)])
+def test_weights_out_of_range_are_reported_not_summed(weights):
+    defn = _simple(n=2, atomics=tuple(
+        AtomicActivity(id=i + 1, label="x", weight=w) for i, w in enumerate(weights)
+    ))
+    problems = validate_definition(defn)
+    assert sum("outside [0, 1]" in p for p in problems) == 2
+    assert not any("sum to" in p for p in problems)
+
+
+def test_check_definitions_returns_passed_definitions_faults_and_count(tmp_path):
+    # the first Sleeping breaks a rule, so the second is still a repeat
+    doc = _adl_document()
+    first = dict(doc["definitions"][0], threshold=2.0)
+    doc["definitions"] = [first, *doc["definitions"]]
+    path = tmp_path / "adl.json"
+    path.write_text(json.dumps(doc))
+    passed, faults, total = check_definitions([path])
+    assert list(passed) == [entry["name"] for entry in doc["definitions"][2:]]
+    assert faults == [
+        f"{path}: Sleeping: threshold 2.0 outside (0, 1]",
+        f"{path}: duplicate definition 'Sleeping'",
+    ]
+    assert total == 8
+    with pytest.raises(DefinitionError) as excinfo:
+        load_definitions(path)
+    assert excinfo.value.violations == faults
 
 
 # ---------------------------------------------------------------------------

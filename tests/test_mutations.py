@@ -11,7 +11,9 @@ an input error, not a crash.  The same menu applied to a bundled run's
 ``model.json``, and edits of its parsed object (a count moved by one, a
 value added to a domain, a class added or removed, every count scaled),
 check that `recommend` rejects a model as an input error or predicts, for
-every row, a model activity with finite confidences that sum to 1.
+every row, a model activity with finite confidences that sum to 1.  The
+menu applied to the bundled ADL catalogue, and edits of its leaves, check
+that `validate` and `ingest` refuse a catalogue for the same faults.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from adl_engine.cli import main
 from adl_engine.recommender import FEATURE_NAMES
 from helpers import (
     CONFIGS_DIR,
+    DATA_DIR,
     DEFINITIONS_DIR,
     model_counts,
     scale_counts,
@@ -241,3 +244,78 @@ def test_mutated_model_is_used_or_rejected_as_an_input_error(text):
 ))
 def test_edited_model_object_is_used_or_rejected_as_an_input_error(text):
     _recommend(text)
+
+
+_CATALOGUE = DEFINITIONS_DIR / "adl.json"
+_LEAF_VALUES = [None, True, "x", -1, 2.7, [], 1e400, 10**400]
+
+
+def _leaves(node) -> list[tuple[dict | list, str | int]]:
+    """Each (container, key) below ``node`` that holds neither an object nor
+    a list."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    found = []
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            found.extend(_leaves(value))
+        else:
+            found.append((node, key))
+    return found
+
+
+def _edited_catalogue(edit) -> str:
+    """The bundled ADL catalogue's text after ``edit`` changed its entries."""
+    document = json.loads(_CATALOGUE.read_text())
+    edit(document["definitions"])
+    return json.dumps(document)
+
+
+@st.composite
+def _mutated_catalogue(draw):
+    """The bundled ADL catalogue's text after 1-3 mutations from the menu,
+    or after 1-3 of its leaves took a value of another type or range."""
+    if draw(st.booleans()):
+        return _mutate(draw, _CATALOGUE.read_text().splitlines(keepends=True))
+    document = json.loads(_CATALOGUE.read_text())
+    leaves = _leaves(document)
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(leaves))
+        container[key] = draw(st.sampled_from(_LEAF_VALUES))
+    return json.dumps(document)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(text=_mutated_catalogue())
+# JSON reads 1e400 as inf, which int() could not convert
+@example(text=_edited_catalogue(lambda entries: entries[0]["atomics"][0].update(id=1e400)))
+@example(text=_edited_catalogue(lambda entries: entries.append(entries[0])))
+# summed, two weights of 1e308 overflow fsum
+@example(text=_edited_catalogue(lambda entries: [
+    atomic.update(weight=1e308) for atomic in entries[0]["atomics"][:2]
+]))
+def test_mutated_catalogue_is_refused_by_validate_and_ingest_alike(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        catalogue = Path(tmp) / "adl.json"
+        catalogue.write_text(text, encoding="utf-8")
+        config = Path(tmp) / "run.json"
+        config.write_text(json.dumps({
+            "definitions": [str(catalogue)],
+            "datasets": [{"path": str(DATA_DIR / "adl_log.csv"), "kind": "adl-log"}],
+            "out_dir": str(Path(tmp) / "out"),
+        }))
+        runs = []
+        for argv in (["validate", str(catalogue)], ["ingest", "--config", str(config)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                runs.append((main(argv), out.getvalue(), err.getvalue()))
+    (code, out, err), (ingest_code, _, ingest_err) = runs
+    # a fault text holds no line break: a name with a control character is quoted
+    faults = [line[5:] for line in out.split("\n") if line.startswith("FAIL ")]
+    if faults:
+        assert code == 2 and ingest_code == 2
+        assert "error:" not in err
+        for fault in faults:
+            assert f"  {fault}\n" in ingest_err
+    else:
+        _assert_ran_or_rejected(code, err)
+    _assert_ran_or_rejected(ingest_code, ingest_err)

@@ -445,6 +445,8 @@ _NAMES = st.one_of(st.sampled_from(["A", "B", "C", "none"]), st.text(max_size=6)
     transitions=[_t(0, "X", "A"), _t(0, "Y", "A"), _t(1, "X", "B"), _t(1, "Y", "C")],
     unseen=["D"], alpha=0.5, bucket_width=60,
 )
+# `train(alpha=1)` writes ``"alpha": 1``, a JSON integer
+@example(transitions=[_t(0, "X", "A")], unseen=[], alpha=1, bucket_width=30)
 def test_model_json_round_trip(transitions, unseen, alpha, bucket_width):
     # `from_json` must accept every model that `train` writes
     activities = [t.next_activity for t in transitions] + unseen
