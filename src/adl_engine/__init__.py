@@ -11,6 +11,13 @@ class InputError(ValueError):
     reports it in one line and exits 2; any other exception is a bug."""
 
 
+def json_string(value: object) -> str:
+    """A JSON string as it stands; null, a number or a list is not one."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def json_integer(value: object) -> int:
     """A JSON integer as it stands; a bool or a number with a fraction is not one."""
     if type(value) is not int:

@@ -338,11 +338,9 @@ def _train(store: Store) -> StageResult:
     transitions = recom_mod.extract_transitions(
         store["annotations"], config.bucket_width
     )
-    if config.split == "random":
-        parts = eval_mod.split_random(transitions, config.train_fraction, config.seed)
-    else:
-        parts = eval_mod.split_chronological(transitions, config.train_fraction)
-    train_part, test_part = parts
+    train_part, test_part = eval_mod.split_chronological(
+        transitions, config.train_fraction
+    )
     if not transitions:
         raise InputError("train needs at least one transition")
     if not (train_part and test_part):
@@ -396,7 +394,7 @@ def _evaluate(store: Store) -> StageResult:
     return (
         f"accuracy: {report.accuracy * 100:.2f}% over {report.grand_total} pairs",
         [partial(eval_mod.write_confusion, cm),
-         partial(eval_mod.write_report_csv, report, store.config.seed),
+         partial(eval_mod.write_report_csv, report),
          partial(eval_mod.write_report_json, report)],
     )
 

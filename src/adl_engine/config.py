@@ -23,7 +23,6 @@ from . import InputError
 from .temporal import MINUTES_PER_DAY
 
 DATASET_KINDS = ("power-trace", "adl-log")
-SPLIT_KINDS = ("chronological", "random")
 
 
 class ConfigError(InputError):
@@ -55,16 +54,16 @@ class Param(NamedTuple):
 PARAMS = (
     Param("out_dir", str, "out", "output directory (overrides config)",
           lambda v: v != "", "non-empty", "out_dir", "--out"),
-    Param("seed", int, 0, "seed for randomized splitting",
-          lambda v: v >= 0, ">= 0", "seed", "--seed"),
     Param("on_watts", float, 10.0, "power on-threshold in watts",
           lambda v: v > 0, "> 0", "on_watts", "--on-watts"),
     Param("gap_tolerance", int, 2, "max off-samples bridged inside an occurrence",
           lambda v: v >= 0, ">= 0", "gap_tolerance", "--gap-tolerance"),
     Param("lam", float, 0.5, "atomic-side blend share in [0, 1]",
           lambda v: 0.0 <= v <= 1.0, "in [0, 1]", "lambda", "--lambda"),
-    Param("window", int, 5, "score history window size",
-          lambda v: v >= 1, ">= 1", "window", "--window"),
+    # the window is a deque's maxlen, a C ssize_t: at most 2**31 - 1 on a
+    # 32-bit build
+    Param("window", int, 5, "score history window size in [1, 2147483647]",
+          lambda v: 1 <= v <= 2**31 - 1, "in [1, 2147483647]", "window", "--window"),
     Param("epsilon", float, 0.05, "score slack below history mean",
           lambda v: v >= 0, ">= 0", "epsilon", "--epsilon"),
     Param("bucket_width", int, 30, "time bucket width in minutes",
@@ -77,8 +76,6 @@ PARAMS = (
           lambda v: 1e-12 <= v <= 1e12, "in [1e-12, 1e12]", "alpha", "--alpha"),
     Param("train_fraction", float, 0.7, "training share in (0, 1)",
           lambda v: 0.0 < v < 1.0, "in (0, 1)", "train_fraction", "--train-fraction"),
-    Param("split", str, "chronological", f"split discipline, one of {SPLIT_KINDS}",
-          lambda v: v in SPLIT_KINDS, f"one of {SPLIT_KINDS}", "split", "--split"),
 )
 _PARAM_OF = {p.name: p for p in PARAMS}
 
@@ -134,7 +131,10 @@ def _typed(p: Param, value: Any) -> Any:
         not isinstance(value, bool) and isinstance(value, accepted),
         p.key, f"must be {name}, got {value!r}",
     )
-    value = p.type(value)
+    try:
+        value = p.type(value)
+    except OverflowError as exc:  # an integer beyond every float
+        raise ConfigError(f"config key {p.key!r}: {exc}") from None
     _check(p, value)
     return value
 

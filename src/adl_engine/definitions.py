@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from . import InputError, json_integer, json_number
+from . import InputError, json_integer, json_number, json_string
 
 WEIGHT_SUM_TOLERANCE = 1e-6
 
@@ -198,23 +198,23 @@ def validate_definition(defn: ComplexActivityDefinition) -> list[str]:
 def _definition_from_dict(raw: dict, source: str) -> ComplexActivityDefinition:
     try:
         atomics = tuple(
-            AtomicActivity(id=json_integer(a["id"]), label=str(a["label"]),
+            AtomicActivity(id=json_integer(a["id"]), label=json_string(a["label"]),
                            weight=json_number(a["weight"]))
             for a in raw["atomics"]
         )
         contexts = tuple(
-            ContextAttribute(id=json_integer(c["id"]), label=str(c["label"]),
+            ContextAttribute(id=json_integer(c["id"]), label=json_string(c["label"]),
                              weight=json_number(c["weight"]))
             for c in raw["contexts"]
         )
         return ComplexActivityDefinition(
-            name=str(raw["name"]),
-            short_code=str(raw["short_code"]),
+            name=json_string(raw["name"]),
+            short_code=json_string(raw["short_code"]),
             atomics=atomics,
             contexts=contexts,
             **{key: frozenset(map(json_integer, raw[key])) for key in _ID_SETS},
             threshold=json_number(raw["threshold"]),
-            comment=str(raw.get("comment", "")),
+            comment=json_string(raw.get("comment", "")),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DefinitionError(f"{source}: malformed definition entry: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Dataset splitting, confusion matrices, and accuracy/precision/recall.
+"""Chronological splitting, confusion matrices, and accuracy/precision/recall.
 
 The confusion matrix follows the predicted-rows/true-columns orientation and
 records its label order.  `build_report` derives every metric from the
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from typing import NamedTuple, Sequence, TextIO, TypeVar
 
 from .config import check_param
@@ -44,29 +43,14 @@ class ConfusionMatrix:
 # Splitting
 # ---------------------------------------------------------------------------
 
-def _cut(n: int, train_fraction: float) -> int:
-    check_param("train_fraction", train_fraction)
-    # guard against float products like 93*0.7 landing a hair above the integer
-    return math.ceil(n * train_fraction - 1e-9)
-
-
 def split_chronological(
     records: Sequence[T], train_fraction: float
 ) -> tuple[list[T], list[T]]:
     """First ceil(n * fraction) records train, the rest test; no shuffling."""
-    cut = _cut(len(records), train_fraction)
+    check_param("train_fraction", train_fraction)
+    # guard against float products like 93*0.7 landing a hair above the integer
+    cut = math.ceil(len(records) * train_fraction - 1e-9)
     return list(records[:cut]), list(records[cut:])
-
-
-def split_random(
-    records: Sequence[T], train_fraction: float, seed: int
-) -> tuple[list[T], list[T]]:
-    """Seeded shuffle, then the same ceiling cut as the chronological split."""
-    cut = _cut(len(records), train_fraction)
-    check_param("seed", seed)
-    shuffled = list(records)
-    random.Random(seed).shuffle(shuffled)
-    return shuffled[:cut], shuffled[cut:]
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +117,11 @@ def _percent(value: float | None) -> str:
     return "n/a" if value is None else f"{value * 100:.2f}%"
 
 
-def write_report_csv(report: MetricsReport, seed: int, stream: TextIO) -> None:
-    """The report as a metric,label,value table headed by the run's seed;
-    percentages print with two decimals, n/a when undefined."""
-    lines = [f"seed,,{seed}\n", f"accuracy,,{_percent(report.accuracy)}\n"]
+def write_report_csv(report: MetricsReport, stream: TextIO) -> None:
+    """The report as a metric,label,value table: accuracy, then precision and
+    recall per label, then the grand total; percentages print with two
+    decimals, n/a when undefined."""
+    lines = [f"accuracy,,{_percent(report.accuracy)}\n"]
     for metric, values in (("precision", report.precision), ("recall", report.recall)):
         lines.extend(
             f"{metric},{csv_field(label)},{_percent(values[label])}\n"

@@ -424,8 +424,8 @@ def per_row_annotate(items, model) -> list[AffectAnnotation]:
     each row's emotion is `oracle_infer_emotion` on the activity's score
     history, and its UX is the model's learned label at the end time's
     bucket, else the emotion's sign."""
-    if model.window < 1:
-        raise ValueError(f"window must be >= 1, got {model.window}")
+    if not 1 <= model.window <= 2**31 - 1:
+        raise ValueError(f"window must be in [1, 2147483647], got {model.window}")
     if model.epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {model.epsilon}")
     if not 1 <= model.bucket_width <= 1440:

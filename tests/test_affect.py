@@ -362,11 +362,12 @@ def test_annotate_matches_the_per_row_loop(
 
 
 @pytest.mark.parametrize("parameters, message", [
-    ({"window": 0}, "window must be >= 1, got 0"),
+    ({"window": 0}, "window must be in [1, 2147483647], got 0"),
+    ({"window": 2**31}, "window must be in [1, 2147483647], got 2147483648"),
     ({"epsilon": -0.01}, "epsilon must be >= 0, got -0.01"),
     ({"bucket_width": 0}, "bucket_width must be in [1, 1440], got 0"),
     ({"bucket_width": 1441}, "bucket_width must be in [1, 1440], got 1441"),
-], ids=["window", "epsilon", "bucket-width-low", "bucket-width-high"])
+], ids=["window", "window-high", "epsilon", "bucket-width-low", "bucket-width-high"])
 def test_annotate_rejects_bad_parameters_as_the_per_row_loop_did(
     ukdale_defs, parameters, message
 ):

@@ -75,17 +75,16 @@ def test_empty_config_uses_defaults(tmp_path):
     assert config.on_watts == defaults.on_watts
     assert config.lam == defaults.lam
     assert config.train_fraction == defaults.train_fraction
-    assert config.split == "chronological"
     assert config.out_dir == str(tmp_path / "out")
 
 
 def test_config_overrides_defaults(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"on_watts": 25, "lambda": 0.8, "seed": 3}))
+    path.write_text(json.dumps({"on_watts": 25, "lambda": 0.8, "window": 3}))
     config = load_config(path)
     assert config.on_watts == 25.0
     assert config.lam == 0.8
-    assert config.seed == 3
+    assert config.window == 3
 
 
 def test_config_relative_paths_resolve_against_config_dir(tmp_path):
@@ -115,6 +114,19 @@ def test_config_rejects_removed_k_key(tmp_path):
     path.write_text(json.dumps({"k": 3}))
     with pytest.raises(ConfigError, match="unknown config keys"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key, value", [("split", "random"), ("seed", 3)])
+def test_the_removed_split_and_seed_are_unknown_keys_and_flags(tmp_path, capsys, key, value):
+    # one evaluation protocol: the chronological split, which needs no seed
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}))
+    assert main(["pipeline", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: unknown config keys [{key!r}]\n"
+    with pytest.raises(SystemExit) as exited:
+        main(["pipeline", "--config", str(ADL_CONFIG), f"--{key}", str(value)])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
 
 
 def test_config_rejects_out_of_range_value(tmp_path):
@@ -148,7 +160,6 @@ def test_config_rejects_malformed_dataset_entries(tmp_path):
     ({"channel_map": {"tv": ["Watching TV"]}}, "channel_map"),
     ({"out_dir": None}, "out_dir"),
     ({"out_dir": 5}, "out_dir"),
-    ({"split": None}, "split"),
 ])
 def test_config_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, payload, key):
     path = tmp_path / "run.json"
@@ -163,7 +174,6 @@ def test_config_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, payl
 # value and an out-of-range one
 RUN_PARAMETERS = {
     "out_dir": ("out_dir", "--out", "elsewhere", ""),
-    "seed": ("seed", "--seed", 7, -1),
     "on_watts": ("on_watts", "--on-watts", 25.0, 0.0),
     "gap_tolerance": ("gap_tolerance", "--gap-tolerance", 4, -1),
     "lam": ("lambda", "--lambda", 0.8, 1.5),
@@ -172,7 +182,6 @@ RUN_PARAMETERS = {
     "bucket_width": ("bucket_width", "--bucket-width", 60, 1441),
     "alpha": ("alpha", "--alpha", 0.5, 0.0),
     "train_fraction": ("train_fraction", "--train-fraction", 0.6, 1.0),
-    "split": ("split", "--split", "random", "shuffled"),
 }
 
 
@@ -275,6 +284,40 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys, member, flags, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", [p.key for p in PARAMS if p.type is float])
+def test_a_float_parameter_beyond_every_float_is_an_input_error(tmp_path, capsys, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: 10**400}))
+    assert main(["pipeline", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config key {key!r}: int too large to convert to float\n"
+    )
+
+
+@pytest.mark.parametrize("route", ["key", "flag"])
+@pytest.mark.parametrize("window", [2**31 - 1, 2**31, 10**30])
+def test_window_is_at_most_what_a_deque_maxlen_takes_on_every_platform(
+    tmp_path, capsys, route, window
+):
+    out = tmp_path / "out"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "definitions": [str(DEFINITIONS_DIR / "adl.json")],
+        "datasets": [{"path": str(DATA_DIR / "adl_log.csv"), "kind": "adl-log"}],
+        "out_dir": str(out),
+        **({"window": window} if route == "key" else {}),
+    }))
+    flags = ["--window", str(window)] if route == "flag" else []
+    code = main(["pipeline", "--config", str(config), *flags])
+    err = capsys.readouterr().err
+    if window < 2**31:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert err == f"error: config key 'window': must be in [1, 2147483647], got {window}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("route", ["key", "flag"])
 def test_empty_out_dir_is_an_input_error_that_writes_nothing(
     tmp_path, capsys, monkeypatch, route
@@ -304,10 +347,10 @@ def test_power_trace_dataset_requires_channel():
 
 def test_with_overrides_ignores_none_and_revalidates():
     config = RunConfig()
-    same = with_overrides(config, seed=None, lam=None)
+    same = with_overrides(config, window=None, lam=None)
     assert same == config
-    bumped = with_overrides(config, seed=9)
-    assert bumped.seed == 9
+    bumped = with_overrides(config, window=9)
+    assert bumped.window == 9
     with pytest.raises(ConfigError, match="lambda"):
         with_overrides(config, lam=2.0)
 
@@ -461,12 +504,10 @@ def test_validate_and_the_stages_refuse_a_catalogue_with_the_same_faults(
     assert not out_dir.exists()
 
 
-def test_validate_and_ingest_refuse_an_atomic_id_that_is_not_a_json_integer(
-    tmp_path, capsys
-):
-    # JSON reads 1e400 as inf, which int() could not convert
-    path = _catalogue(tmp_path, "adl.json", "adl.json",
-                      lambda entries: entries[0]["atomics"][0].update(id=1e400))
+def _validate_and_ingest_refuse(tmp_path, capsys, edit, fault: str) -> None:
+    """`validate` and `ingest` each print one ``malformed definition entry``
+    line ending in ``fault`` and exit 2 on the bundled catalogue after ``edit``."""
+    path = _catalogue(tmp_path, "adl.json", "adl.json", edit)
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "definitions": [str(path)],
@@ -477,9 +518,25 @@ def test_validate_and_ingest_refuse_an_atomic_id_that_is_not_a_json_integer(
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: {path}: malformed definition entry: expected an integer, got inf\n"
-        )
+        assert captured.err == f"error: {path}: malformed definition entry: {fault}\n"
+
+
+def test_validate_and_ingest_refuse_an_atomic_id_that_is_not_a_json_integer(
+    tmp_path, capsys
+):
+    # JSON reads 1e400 as inf, which int() could not convert
+    _validate_and_ingest_refuse(
+        tmp_path, capsys, lambda entries: entries[0]["atomics"][0].update(id=1e400),
+        "expected an integer, got inf",
+    )
+
+
+def test_validate_and_ingest_refuse_a_name_that_is_not_a_json_string(tmp_path, capsys):
+    # str() would read a null name as an activity named 'None'
+    _validate_and_ingest_refuse(
+        tmp_path, capsys, lambda entries: entries[0].update(name=None),
+        "expected a string, got None",
+    )
 
 
 def test_validate_without_files_or_config(capsys):
@@ -511,7 +568,7 @@ def test_pipeline_writes_all_artifacts(tmp_path, capsys):
 
     report_lines = (out / "report.csv").read_text().splitlines()
     assert report_lines[0] == "metric,label,value"
-    assert report_lines[1] == "seed,,0"
+    assert report_lines[1] == "accuracy,,85.71%"
 
 
 # sha256 of each artifact `pipeline` writes for the bundled configs; a change to
@@ -524,7 +581,7 @@ GOLDEN_DIGESTS = {
         "model.json": "71fa7a9b4b6a87a93b40a2f77c2b49e609493de53877496d062a84288e72c930",
         "occurrences.csv": "e4de5c2b36c1c3165c3d6f2fa7cf3d8f7c3b7dd50e6baa5fa04ea3b208aed418",
         "predictions.csv": "055fc8cc87cff778ef1b0d4de4505cdbfc5f791cb5beb8ad57a75efff128f51f",
-        "report.csv": "797a1cbe73925973f7d949ee310e97df06f84b7a4c96e80a5ebdd89eb4a292e3",
+        "report.csv": "fa88968c828b958b574a3710e8a892cc45b30ee97d182da7c4a959d5eaf0ce4c",
         "report.json": "87a37b8c12d565c33672c5f7705fcc265382a5b6627c7c642758a499f50290e2",
         "verdicts.csv": "ba74ecead181c1c73496f2a4a4585e4d3e4e62c2b463da03c46836b175ac5fd8",
     },
@@ -535,7 +592,7 @@ GOLDEN_DIGESTS = {
         "model.json": "0fc83001af667b9847205a6149ef594cafe5999ffd2cda08697a529358cdb54e",
         "occurrences.csv": "0842517b319a7daa1df91cab779899843a6952726975fef142bd3253fee3a523",
         "predictions.csv": "a11efd94294307c1c8b0f9ca924eb1bbe093c598e6f2562d36dfc8a677ce48be",
-        "report.csv": "26a4c5211295110d5361ee4c7207c86764ef972f90590d9ddb973e5f29e918ee",
+        "report.csv": "d6d06f4ca48966ac5511b5a1428602f35a008caa0d2032b4e3bf6b301cc48116",
         "report.json": "9484ade9d9118d2fd7e957d52137b49c43bea21f2226268847f4e414b1ba381d",
         "verdicts.csv": "55e03422e776328cb86820378905e022ee8f3fd18df4e813c34fd1cd551c110e",
     },

@@ -261,9 +261,9 @@ def test_load_aggregates_all_violations(tmp_path):
 
 def _set_field(field: str, value):
     """An edit of a definition entry that sets ``field`` (of its first atomic,
-    for ``id`` and ``weight``) to ``value``."""
+    for ``id``, ``label`` and ``weight``) to ``value``."""
     def edit(entry: dict) -> None:
-        (entry["atomics"][0] if field in ("id", "weight") else entry)[field] = value
+        (entry["atomics"][0] if field in ("id", "label", "weight") else entry)[field] = value
     return edit
 
 
@@ -272,15 +272,21 @@ def _set_field(field: str, value):
     ("end_contexts", [4, 1e400]), ("core_atomics", [2.0]), ("start_atomics", [True]),
     ("end_atomics", ["4"]), ("weight", 10**400), ("weight", True), ("weight", "0.12"),
     ("weight", None), ("threshold", False), ("threshold", "0.72"), ("threshold", 10**400),
+    ("name", None), ("name", 7), ("short_code", None), ("label", 7), ("label", None),
+    ("comment", ["x"]),
 ], ids=[
     "id-inf", "id-fraction", "id-bool", "id-string", "id-null",
     "id-set-member-inf", "id-set-member-float", "id-set-member-bool", "id-set-member-string",
     "weight-beyond-floats", "weight-bool", "weight-string", "weight-null",
     "threshold-bool", "threshold-string", "threshold-beyond-floats",
+    "name-null", "name-number", "short-code-null", "label-number", "label-null",
+    "comment-list",
 ])
 def test_load_rejects_a_field_of_the_wrong_json_type(tmp_path, field, value):
-    # an id is a JSON integer and a weight or threshold a JSON number; a bool
-    # is neither, and no value is truncated or overflows as it converts
+    # an id is a JSON integer, a weight or threshold a JSON number and a name,
+    # code, label or comment a JSON string; a bool is neither number nor
+    # integer, and no value is truncated, overflows or turns into text as it
+    # converts
     doc = _adl_document()
     _set_field(field, value)(doc["definitions"][0])
     path = tmp_path / "bad.json"

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import io
 import json
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +13,6 @@ from adl_engine.evaluation import (
     build_confusion,
     build_report,
     split_chronological,
-    split_random,
     write_confusion,
     write_report_csv,
     write_report_json,
@@ -62,31 +60,6 @@ def test_chronological_split_ninety_three():
 def test_split_fraction_validation(fraction):
     with pytest.raises(ValueError):
         split_chronological([1, 2, 3], fraction)
-    with pytest.raises(ValueError):
-        split_random([1, 2, 3], fraction, seed=0)
-
-
-def test_random_split_is_deterministic_per_seed():
-    records = list(range(20))
-    a = split_random(records, 0.7, seed=5)
-    b = split_random(records, 0.7, seed=5)
-    c = split_random(records, 0.7, seed=6)
-    assert a == b
-    assert a != c
-
-
-@settings(max_examples=100, derandomize=True)
-@given(
-    records=st.lists(st.integers(), min_size=1, max_size=40),
-    seed=st.integers(0, 1000),
-    fraction=st.floats(min_value=0.1, max_value=0.9),
-)
-def test_random_split_preserves_the_multiset(records, seed, fraction):
-    train, test = split_random(records, fraction, seed)
-    assert Counter(train) + Counter(test) == Counter(records)
-    chron_train, chron_test = split_chronological(records, fraction)
-    assert len(train) == len(chron_train)
-    assert len(test) == len(chron_test)
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +188,15 @@ def test_tally_conserves_pairs(labels, pairs):
 # Reports
 # ---------------------------------------------------------------------------
 
-def _report_csv(report: MetricsReport, seed: int = 0) -> str:
+def _report_csv(report: MetricsReport) -> str:
     buf = io.StringIO()
-    write_report_csv(report, seed, buf)
+    write_report_csv(report, buf)
     return buf.getvalue()
 
 
 def test_emit_report_csv_has_percent_rows():
-    lines = _report_csv(build_report(ROUTINE_CM), seed=42).splitlines()
-    assert lines[:2] == ["metric,label,value", "seed,,42"]
-    assert "accuracy,,73.12%" in lines
+    lines = _report_csv(build_report(ROUTINE_CM)).splitlines()
+    assert lines[:2] == ["metric,label,value", "accuracy,,73.12%"]
     assert "precision,Eating Breakfast,100.00%" in lines
     assert "recall,Showering,94.12%" in lines
     assert lines[-1] == "grand_total,,93"

@@ -114,7 +114,7 @@ def _model() -> recommender.RecommenderModel:
 
 
 @pytest.mark.parametrize("make, field", [
-    (lambda defs: config.RunConfig(), "seed"),
+    (lambda defs: config.RunConfig(), "train_fraction"),
     (lambda defs: defs["Sleeping"], "threshold"),
     (lambda defs: _model(), "alpha"),
     (lambda defs: affect.UXModel(), "window"),
@@ -138,8 +138,8 @@ def test_derived_values_are_computed_once_per_record(adl_defs):
 
 def test_with_overrides_returns_a_new_validated_config():
     base = config.RunConfig()
-    bumped = config.with_overrides(base, seed=9, alpha=None)
-    assert (bumped.seed, bumped.alpha, base.seed) == (9, base.alpha, 0)
+    bumped = config.with_overrides(base, window=9, alpha=None)
+    assert (bumped.window, bumped.alpha, base.window) == (9, base.alpha, 5)
     assert type(bumped) is config.RunConfig
     with pytest.raises(config.ConfigError, match="'lambda'"):
         config.with_overrides(bumped, lam=2.0)

@@ -13,7 +13,9 @@ value added to a domain, a class added or removed, every count scaled),
 check that `recommend` rejects a model as an input error or predicts, for
 every row, a model activity with finite confidences that sum to 1.  The
 menu applied to the bundled ADL catalogue, and edits of its leaves, check
-that `validate` and `ingest` refuse a catalogue for the same faults.
+that `validate` and `ingest` refuse a catalogue for the same faults.  The
+same leaf values set as keys of the bundled ADL config check that
+`pipeline` runs or refuses the config as an input error.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adl_engine.cli import main
+from adl_engine.config import PARAMS
 from adl_engine.recommender import FEATURE_NAMES
 from helpers import (
     CONFIGS_DIR,
@@ -319,3 +322,36 @@ def test_mutated_catalogue_is_refused_by_validate_and_ingest_alike(text):
     else:
         _assert_ran_or_rejected(code, err)
     _assert_ran_or_rejected(ingest_code, ingest_err)
+
+
+def _adl_config() -> dict:
+    """The bundled ADL config, its input paths made absolute and its output
+    directory beside the file that holds it."""
+    document = json.loads(ADL_CONFIG.read_text())
+    document["definitions"] = [str(CONFIGS_DIR / path) for path in document["definitions"]]
+    for spec in document["datasets"]:
+        spec["path"] = str(CONFIGS_DIR / spec["path"])
+    document["out_dir"] = "out"
+    return document
+
+
+_CONFIG_KEYS = sorted({*_adl_config(), *(p.key for p in PARAMS)})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(edits=st.dictionaries(
+    st.sampled_from(_CONFIG_KEYS), st.sampled_from([*_LEAF_VALUES, 10**30]),
+    min_size=1, max_size=2,
+))
+# an integer beyond every float, as a float parameter
+@example(edits={"alpha": 10**400})
+# a window beyond what a deque's maxlen takes
+@example(edits={"window": 10**30})
+def test_edited_config_is_run_or_refused_as_an_input_error(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.json"
+        config.write_text(json.dumps({**_adl_config(), **edits}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["pipeline", "--config", str(config)])
+    _assert_ran_or_rejected(code, err.getvalue())

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from adl_engine import cli
 from adl_engine.affect import EmotionLabel, UXLabel, UXModel, annotate
 from adl_engine.config import PARAMS, ConfigError, load_config
-from adl_engine.evaluation import split_chronological, split_random
+from adl_engine.evaluation import split_chronological
 from adl_engine.ingestion import (
     SensorSample, binarize, power_trace_blocks, trace_occurrences,
 )
@@ -86,10 +86,6 @@ CALLS = {
     ("train_fraction", "split_chronological"): lambda defn, value: split_chronological(
         [1, 2, 3], value
     ),
-    ("train_fraction", "split_random"): lambda defn, value: split_random(
-        [1, 2, 3], value, 0
-    ),
-    ("seed", "split_random"): lambda defn, value: split_random([1, 2, 3], 0.5, value),
 }
 # values of each parameter type: in and out of every range, and not finite
 VALUES = {
@@ -128,11 +124,10 @@ def test_an_engine_function_takes_exactly_the_values_a_config_may_hold(
      "bucket_width must be in [1, 1440], got 1441"),
     (lambda defn: trace_occurrences([(["1"], [0])], defn, NAN),
      "gap_tolerance must be finite, got nan"),
-    (lambda defn: split_random([1, 2, 3], 0.5, -1), "seed must be >= 0, got -1"),
 ], ids=[
     "annotate-epsilon-nan", "train-alpha-nan", "train-alpha-inf",
     "train-bucket_width-0", "train-bucket_width-1441",
-    "trace_occurrences-gap_tolerance-nan", "split_random-seed--1",
+    "trace_occurrences-gap_tolerance-nan",
 ])
 def test_an_engine_function_rejects_a_value_no_config_may_hold(adl_defs, call, message):
     with pytest.raises(ValueError) as raised:

@@ -330,12 +330,12 @@ def _percent(value: float | None) -> str:
 def test_emit_report_matches_the_csv_writer_oracle(cm):
     assume(any(map(any, cm.counts)))
     report = build_report(cm)
-    rows = [["seed", "", "7"], ["accuracy", "", _percent(report.accuracy)]]
+    rows = [["accuracy", "", _percent(report.accuracy)]]
     rows += [["precision", label, _percent(report.precision[label])] for label in cm.labels]
     rows += [["recall", label, _percent(report.recall[label])] for label in cm.labels]
     rows.append(["grand_total", "", str(report.grand_total)])
     buf = io.StringIO()
-    write_report_csv(report, 7, buf)
+    write_report_csv(report, buf)
     assert buf.getvalue() == oracle_table(["metric", "label", "value"], rows)
 
 
