@@ -35,7 +35,9 @@ from . import recommender as recom_mod
 from . import temporal as temporal_mod
 from . import InputError
 from .config import PARAMS, ConfigError, RunConfig, load_config, with_overrides
-from .tables import FieldLookup, Memo, csv_field, read_csv_columns, timed_heads, write_table
+from .tables import (
+    FieldLookup, Memo, csv_field, named_rows, read_csv_columns, timed_heads, write_table,
+)
 
 _timed_of = attrgetter("activity", "start", "end")
 _activity_of, _completed_of, _emotion_of = map(
@@ -168,9 +170,7 @@ def _read_model(store: Store, path: Path) -> recom_mod.RecommenderModel:
     return model
 
 
-def _read_features(
-    store: Store, path: Path
-) -> list[tuple[str, recom_mod.FeatureVector]]:
+def _read_features(store: Store, path: Path) -> list[recom_mod.LabeledTransition]:
     """Feature rows, each with its true next activity ("" when unknown).
 
     Columns are read by name; ``previous_activity`` and ``activity`` may be
@@ -210,11 +210,10 @@ def _read_features(
     def columns(
         time_bucket: Sequence[str], emotion: Sequence[str], ux: Sequence[str],
         day_kind: Sequence[str], previous: Sequence[str], activity: Sequence[str],
-    ) -> list[tuple[str, recom_mod.FeatureVector]]:
-        features = list(map(
-            vectors.__getitem__, zip(time_bucket, previous, emotion, ux, day_kind)
-        ))
-        return list(zip(map(true_of.__getitem__, map(str.strip, activity)), features))
+    ) -> list[recom_mod.LabeledTransition]:
+        features = map(vectors.__getitem__, zip(time_bucket, previous, emotion, ux, day_kind))
+        labels = map(true_of.__getitem__, map(str.strip, activity))
+        return named_rows(recom_mod.LabeledTransition, features, labels)
 
     return _parse_file(path, lambda stream: read_csv_columns(
         stream, ("time_bucket", "emotion", "ux", "day_kind"),
@@ -355,7 +354,7 @@ def _train(store: Store) -> StageResult:
         bucket_width=config.bucket_width,
         activities=list(store["defs"]),
     )
-    store["features"] = [(label, features) for features, label in test_part]
+    store["features"] = test_part
     return (f"trained on {len(train_part)} of {len(transitions)} transitions, "
             "wrote {path}", [partial(recom_mod.write_model, model)])
 
@@ -374,12 +373,12 @@ def _recommend(store: Store) -> StageResult:
     # prediction and confidences formatted, once
     memo = Memo(predict)
     rows = store["features"]
-    known = [memo[features] for _, features in rows]
-    pairs = [(predicted, label) for (label, _), (predicted, _) in zip(rows, known)]
+    known = [memo[features] for features, _ in rows]
+    pairs = [(predicted, label) for (_, label), (predicted, _) in zip(rows, known)]
     header = ["activity", "prediction"] + [
         f"confidence({name})" for name in model.activities
     ]
-    lines = (f"{csv_field(label)},{tail}" for (label, _), (_, tail) in zip(rows, known))
+    lines = (f"{csv_field(label)},{tail}" for (_, label), (_, tail) in zip(rows, known))
     store["predictions"] = pairs
     return (f"wrote {len(pairs)} predictions to {{path}}",
             [partial(write_table, header=header, lines=lines)])
@@ -401,29 +400,33 @@ def _evaluate(store: Store) -> StageResult:
 
 class Stage(NamedTuple):
     """One pipeline step: the store values it reads, the artifacts it makes,
-    and what it does.  `run` returns the summary line, whose ``{path}`` the
-    loop in `main` fills with the first artifact's path, and one writer per
-    artifact; it looks writers up on their modules when it runs, so a writer
-    replaced there after import is the one called."""
+    what it does, and the run parameters it reads from ``store.config``,
+    whose flags its subcommand takes.  `run` returns the summary line, whose
+    ``{path}`` the loop in `main` fills with the first artifact's path, and
+    one writer per artifact; it looks writers up on their modules when it
+    runs, so a writer replaced there after import is the one called."""
 
     name: str
     help: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     run: Callable[[Store], StageResult]
+    params: tuple[str, ...] = ()  # `RunConfig` fields besides ``out_dir``
 
 
 STAGES = (
     Stage("ingest", "parse datasets into occurrence records", ("defs",),
-          ("occurrences.csv",), _ingest),
+          ("occurrences.csv",), _ingest, ("on_watts", "gap_tolerance")),
     Stage("recognize", "score occurrences against their definitions",
-          ("defs", "records", "heads"), ("verdicts.csv",), _recognize),
+          ("defs", "records", "heads"), ("verdicts.csv",), _recognize, ("lam",)),
     Stage("affect", "attach emotion and UX labels to occurrences",
-          ("defs", "records", "verdicts", "heads"), ("annotated.csv",), _affect),
+          ("defs", "records", "verdicts", "heads"), ("annotated.csv",), _affect,
+          ("window", "epsilon", "bucket_width")),
     Stage("cluster", "lay out occurrences on the day clock", ("records",),
           ("clusters.csv",), _cluster),
     Stage("train", "fit the next-activity model on the training split",
-          ("defs", "annotations"), ("model.json",), _train),
+          ("defs", "annotations"), ("model.json",), _train,
+          ("bucket_width", "alpha", "train_fraction")),
     Stage("recommend", "predict confidence vectors for feature rows",
           ("model", "features"), ("predictions.csv",), _recommend),
     Stage("evaluate", "score saved predictions into a metrics report",
@@ -490,24 +493,28 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the flags every subcommand takes, declared once
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to the JSON run configuration")
-    for param in PARAMS:
-        common.add_argument(param.flag, type=param.type, dest=param.name, help=param.help)
 
-    p_validate = sub.add_parser("validate", help="check definition files", parents=[common])
-    p_validate.add_argument("files", nargs="*", help="definition JSON files")
+    def add(name: str, text: str, params: set[str]) -> argparse.ArgumentParser:
+        """A subcommand taking ``--config`` and the flags of ``params``."""
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="path to the JSON run configuration")
+        for param in PARAMS:
+            if param.name in params:
+                p.add_argument(param.flag, type=param.type, dest=param.name, help=param.help)
+        return p
 
+    p = add("validate", "check definition files", set())
+    p.add_argument("files", nargs="*", help="definition JSON files")
     for stage in STAGES:
-        p = sub.add_parser(stage.name, help=stage.help, parents=[common])
+        p = add(stage.name, stage.help, {"out_dir", *stage.params})
         for key in stage.inputs:
             source = _INPUTS[key]
             if source.option:
                 default = f" (default: <out>/{source.default})" if source.default else ""
                 p.add_argument(f"--{source.option}", required=source.default is None,
                                help=source.help + default)
-    sub.add_parser("pipeline", help="run every stage end to end", parents=[common])
+    add("pipeline", "run every stage end to end",
+        {"out_dir", *(name for stage in STAGES for name in stage.params)})
 
     return parser
 
@@ -515,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> RunConfig | None:
     if args.config is None:
         return None
-    overrides = {p.name: getattr(args, p.name) for p in PARAMS}
+    overrides = {p.name: getattr(args, p.name, None) for p in PARAMS}
     return with_overrides(load_config(args.config), **overrides)
 
 

@@ -1,15 +1,17 @@
 """Run configuration: one JSON document collecting every tunable knob.
 
-Flags override config keys, config keys override defaults.  Relative paths
-inside a config file resolve against the file's own directory, so a config
-can travel with its data.  Each scalar parameter is declared once, as one
-`Param` row of `PARAMS`: its `RunConfig` field name, type and default, its
-flag's help, its range check and that check's text, its config key and its
-flag.  The loader, `validate_config` and the CLI flags all read that row: a
-wrong type, a non-finite number or an out-of-range value is a `ConfigError`
-naming the config key, from JSON or from a flag.  Engine functions take
-their parameters' defaults from `DEFAULTS` and check a value with
-`check_param`, which applies the same rule.
+Flags override config keys, config keys override defaults.  A document
+describes the whole run and every key in it is checked, but a subcommand
+takes the flags of only the parameters it reads (`cli.Stage.params`).
+Relative paths inside a config file resolve against the file's own
+directory, so a config can travel with its data.  Each scalar parameter is
+declared once, as one `Param` row of `PARAMS`: its `RunConfig` field name,
+type and default, its flag's help, its range check and that check's text,
+its config key and its flag.  The loader, `validate_config` and the CLI
+flags all read that row: a wrong type, a non-finite number or an
+out-of-range value is a `ConfigError` naming the config key, from JSON or
+from a flag.  Engine functions take their parameters' defaults from
+`DEFAULTS` and check a value with `check_param`, which applies the same rule.
 """
 
 import json

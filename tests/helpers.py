@@ -798,7 +798,7 @@ def oracle_read_features(store, path) -> list:
                 raise ValueError(f"unknown true activity {true_label!r}")
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        rows.append((true_label, features))
+        rows.append((features, true_label))
     return rows
 
 

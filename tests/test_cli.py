@@ -185,33 +185,136 @@ RUN_PARAMETERS = {
 }
 
 
-def test_run_parameters_keep_their_keys_and_flags():
-    assert [(p.name, p.key) for p in PARAMS] == [
-        (name, key) for name, (key, *_) in RUN_PARAMETERS.items()
-    ]
-    pinned = ["-h", "--help", "--config", *(flag for _, flag, *_ in RUN_PARAMETERS.values())]
+# the run-parameter flags each subcommand takes, in `PARAMS` order: those of
+# the parameters its stages read, and `--out` for every stage
+SUBCOMMAND_FLAGS = {
+    "validate": [],
+    "ingest": ["--out", "--on-watts", "--gap-tolerance"],
+    "recognize": ["--out", "--lambda"],
+    "affect": ["--out", "--window", "--epsilon", "--bucket-width"],
+    "cluster": ["--out"],
+    "train": ["--out", "--bucket-width", "--alpha", "--train-fraction"],
+    "recommend": ["--out"],
+    "evaluate": ["--out"],
+    "pipeline": [flag for _, flag, *_ in RUN_PARAMETERS.values()],
+}
+# each subcommand's file options, after its run-parameter flags
+FILE_OPTIONS = {
+    "recognize": ["--occurrences"],
+    "affect": ["--occurrences"],
+    "cluster": ["--occurrences"],
+    "train": ["--annotated"],
+    "recommend": ["--model", "--features"],
+    "evaluate": ["--predictions"],
+}
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
     parser = _build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command, sub in commands.choices.items():
+    return next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+def test_run_parameters_keep_their_keys_and_flags():
+    assert [(p.name, p.key, p.flag) for p in PARAMS] == [
+        (name, key, flag) for name, (key, flag, *_) in RUN_PARAMETERS.items()
+    ]
+    commands = _subcommands()
+    assert list(commands) == list(SUBCOMMAND_FLAGS)
+    for command, sub in commands.items():
         flags = [s for action in sub._actions for s in action.option_strings]
-        assert flags[:len(pinned)] == pinned, command
+        assert flags == [
+            "-h", "--help", "--config",
+            *SUBCOMMAND_FLAGS[command], *FILE_OPTIONS.get(command, []),
+        ], command
+    # one run-parameter flag on one subcommand is a flag slot
+    assert sum(map(len, SUBCOMMAND_FLAGS.values())) == 25
 
 
 def test_each_subcommand_takes_the_shared_flags_in_params_order():
-    shared = [("config", None, "path to the JSON run configuration")] + [
-        (p.name, p.type, p.help) for p in PARAMS
-    ]
-    parser = _build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     stages = {stage.name: stage for stage in cli.STAGES}
-    assert list(commands.choices) == ["validate", *stages, "pipeline"]
-    for command, sub in commands.choices.items():
+    read = {"out_dir", *(name for stage in cli.STAGES for name in stage.params)}
+    # every run parameter is read by some stage, so `pipeline` takes all nine
+    assert read == {p.name for p in PARAMS}
+    wanted = {
+        "validate": set(),
+        **{name: {"out_dir", *stage.params} for name, stage in stages.items()},
+        "pipeline": read,
+    }
+    commands = _subcommands()
+    assert list(commands) == ["validate", *stages, "pipeline"]
+    for command, sub in commands.items():
+        shared = [("config", None, "path to the JSON run configuration")] + [
+            (p.name, p.type, p.help) for p in PARAMS if p.name in wanted[command]
+        ]
         options = [a for a in sub._actions if a.option_strings and a.dest != "help"]
         assert [(a.dest, a.type, a.help) for a in options[:len(shared)]] == shared, command
         inputs = [cli._INPUTS[key] for key in getattr(stages.get(command), "inputs", ())]
         assert [a.option_strings for a in options[len(shared):]] == [
             [f"--{source.option}"] for source in inputs if source.option
         ], command
+
+
+@pytest.mark.parametrize("argv", [
+    ["recommend", "--config", str(ADL_CONFIG), "--features", "features.csv",
+     "--alpha", "0.5"],
+    ["evaluate", "--config", str(ADL_CONFIG), "--train-fraction", "0.2"],
+    ["cluster", "--config", str(ADL_CONFIG), "--on-watts", "3"],
+    ["validate", "--config", str(ADL_CONFIG), "--alpha", "-1"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_unrecognized(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+class _RecordingConfig:
+    """A run configuration that records each field name read from it."""
+
+    def __init__(self, config: RunConfig, read: set[str]) -> None:
+        self._config = config
+        self._read = read
+
+    def __getattr__(self, name: str):
+        self._read.add(name)
+        return getattr(self._config, name)
+
+
+def test_each_stage_reads_exactly_the_run_parameters_it_declares(
+    tmp_path, capsys, monkeypatch
+):
+    # the annotation-log config reads no trace parameter, so the reads of
+    # both bundled configs together must make up each stage's `params`
+    read = {stage.name: set() for stage in cli.STAGES}
+
+    def recording(stage: cli.Stage) -> cli.Stage:
+        def run(store: cli.Store) -> cli.StageResult:
+            store.config = _RecordingConfig(store.config, read[stage.name])
+            return stage.run(store)
+
+        return stage._replace(run=run)
+
+    monkeypatch.setattr(cli, "STAGES", tuple(map(recording, cli.STAGES)))
+    for config in (ADL_CONFIG, UKDALE_CONFIG):
+        argv = ["--config", str(config), "--out", str(tmp_path / config.stem)]
+        for stage in ("ingest", "recognize", "affect", "cluster", "train"):
+            assert main([stage, *argv]) == 0
+        # feature rows labelled with a model activity, so evaluate has pairs
+        model = json.loads((tmp_path / config.stem / "model.json").read_text())
+        features = tmp_path / f"{config.stem}.csv"
+        features.write_text("time_bucket,emotion,ux,day_kind,activity\n" + "".join(
+            f"{bucket},positive,good,weekday,{model['activities'][0]}\n"
+            for bucket in (0, 17)
+        ))
+        assert main(["recommend", *argv, "--features", str(features)]) == 0
+        assert main(["evaluate", *argv]) == 0
+    capsys.readouterr()
+    params = {p.name for p in PARAMS} - {"out_dir"}
+    assert {name: names & params for name, names in read.items()} == {
+        stage.name: set(stage.params) for stage in cli.STAGES
+    }
 
 
 @pytest.mark.parametrize("name", list(RUN_PARAMETERS))

@@ -7,8 +7,10 @@ accept, a character the plain-block checks must catch, or a CSV or time
 zone fragment; a line is deleted, duplicated or swapped; the file is
 truncated anywhere.  The fast readers fall back to a slower per-line reader
 on anything unusual, and these runs check that each fallback still yields
-an input error, not a crash.  The same menu applied to a bundled run's
-``model.json``, and edits of its parsed object (a count moved by one, a
+an input error, not a crash.  The menu applied to the bundled annotation
+log, with more time-stamp tokens, checks that `pipeline` runs it or
+refuses it.  The same menu applied to a bundled run's ``model.json``, and
+edits of its parsed object (a count moved by one, a
 value added to a domain, a class added or removed, every count scaled),
 check that `recommend` rejects a model as an input error or predicts, for
 every row, a model activity with finite confidences that sum to 1.  The
@@ -54,8 +56,9 @@ _TOKENS = ["nan", "inf", "-1", "1e308", "\0", "\ufeff", '"', ",", "+01:00"]
 ADL_CONFIG = CONFIGS_DIR / "adl.json"
 
 
-def _mutate(draw, lines: list[str]) -> str:
-    """``lines`` joined after 1-3 mutations from the menu."""
+def _mutate(draw, lines: list[str], sep: str = " ", tokens: list[str] = _TOKENS) -> str:
+    """``lines`` joined after 1-3 mutations from the menu, a token being a
+    part of a line split at ``sep`` and its replacement one of ``tokens``."""
     lines = list(lines)
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
@@ -63,12 +66,12 @@ def _mutate(draw, lines: list[str]) -> str:
         i = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from(["token", "delete", "duplicate", "swap", "truncate"]))
         if kind == "token":
-            tokens = lines[i].rstrip("\n").split(" ")
-            j = draw(st.integers(0, len(tokens) - 1))
+            parts = lines[i].rstrip("\n").split(sep)
+            j = draw(st.integers(0, len(parts) - 1))
             # a JSON line's last token keeps its comma, so the line still parses
-            comma = "," if tokens[j].endswith(",") else ""
-            tokens[j] = draw(st.sampled_from(_TOKENS)) + comma
-            lines[i] = " ".join(tokens) + "\n"
+            comma = "," if parts[j].endswith(",") else ""
+            parts[j] = draw(st.sampled_from(tokens)) + comma
+            lines[i] = sep.join(parts) + "\n"
         elif kind == "delete":
             del lines[i]
         elif kind == "duplicate":
@@ -105,6 +108,37 @@ def test_mutated_trace_is_ingested_or_rejected_as_an_input_error(mutated):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["ingest", "--config", str(config)])
+    _assert_ran_or_rejected(code, err.getvalue())
+
+
+_LOG_LINES = (DATA_DIR / "adl_log.csv").read_text().splitlines(keepends=True)
+# activity names hold spaces, so a log line's tokens are its comma-separated
+# fields; besides the menu, a field may become empty, a bare zone, a day no
+# month has, or the last second of the calendar at the easternmost offset
+_LOG_TOKENS = [*_TOKENS, "", "Z", "2024-02-30T00:00:00", "9999-12-31T23:59:59+14:00"]
+
+
+@st.composite
+def _mutated_log(draw):
+    """The bundled annotation log's text after 1-3 mutations."""
+    return _mutate(draw, _LOG_LINES, ",", _LOG_TOKENS)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(text=_mutated_log())
+def test_mutated_log_is_run_or_rejected_as_an_input_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "adl_log.csv"
+        log.write_text(text, encoding="utf-8")
+        config = Path(tmp) / "run.json"
+        config.write_text(json.dumps({
+            "definitions": [str(DEFINITIONS_DIR / "adl.json")],
+            "datasets": [{"path": str(log), "kind": "adl-log"}],
+            "out_dir": str(Path(tmp) / "out"),
+        }))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["pipeline", "--config", str(config)])
     _assert_ran_or_rejected(code, err.getvalue())
 
 

@@ -10,6 +10,7 @@ exactly when a config document may hold it, and rejects the rest with
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import re
@@ -178,13 +179,27 @@ def test_readme_configuration_table_matches_the_parameters():
         [cell.strip() for cell in line.strip("|").split("|")]
         for line in section.splitlines() if line.startswith("| `")
     ]
-    # a scalar row names its flag; the others hold the config's lists and maps
-    readme = {key.strip("`"): (flag, default) for key, flag, default, _ in rows if flag}
+    # a scalar row names its flag and the subcommands that take it; the
+    # others hold the config's lists and maps
+    readme = {
+        key.strip("`"): (flag, readers, default)
+        for key, flag, readers, default, _ in rows if flag
+    }
     assert set(readme) == {p.key for p in PARAMS}
     parser = cli._build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
     for f in PARAMS:
-        flag, default = readme[f.key]
+        flag, readers, default = readme[f.key]
         assert default == f"`{json.dumps(f.default)}`", f.name
         [flag] = re.fullmatch(r"`(--[a-z-]+)`", flag).groups()
         args = parser.parse_args(["pipeline", flag, str(f.default)])
         assert getattr(args, f.name) == f.default, f.name
+        named = set(re.findall(r"`([a-z]+)`", readers))
+        if readers.startswith("every subcommand but "):
+            named = set(commands) - named
+        assert named == {
+            command for command, sub in commands.items()
+            if flag in sub._option_string_actions
+        }, f.name

@@ -358,7 +358,8 @@ def _model_and_features(draw):
     ))
     model = recom_mod.train(transitions, activities=activities)
     rows = draw(st.lists(
-        st.tuples(st.sampled_from(activities) | _NAME, features), max_size=8,
+        st.builds(recom_mod.LabeledTransition, features, st.sampled_from(activities) | _NAME),
+        max_size=8,
     ))
     return model, rows
 
@@ -368,7 +369,7 @@ def _model_and_features(draw):
 def test_recommend_stage_matches_the_csv_writer_oracle(case):
     model, rows = case
     oracle_rows = []
-    for true_label, features in rows:
+    for features, true_label in rows:
         vector = recom_mod.predict_confidences(model, features)
         oracle_rows.append([
             true_label, recom_mod.recommend(vector),
