@@ -21,7 +21,7 @@ from typing import (
 
 from .config import DEFAULTS, check_param
 from .definitions import ComplexActivityDefinition
-from .recognition import Observation, ScoredOccurrence
+from .recognition import OccurrenceVerdict, ScoredOccurrence
 from .tables import (
     FLAG_TEXT, FieldLookup, Memo, check_order, member_parser, named_rows, parse_flag,
     parse_scores, read_csv_blocks, write_timed_table,
@@ -100,23 +100,23 @@ class AffectAnnotation(NamedTuple):
 
 
 def annotate(
-    items: Iterable[
-        tuple[ComplexActivityDefinition, Observation | OccurrenceRecord, ScoredOccurrence]
-    ],
+    items: Iterable[tuple[
+        ComplexActivityDefinition, OccurrenceRecord, OccurrenceVerdict | ScoredOccurrence
+    ]],
     model: UXModel,
 ) -> list[AffectAnnotation]:
     """Label each occurrence positive or negative, then good or bad.
 
-    ``items`` gives each occurrence's definition, evidence and verdict (its
-    start, end, score and completion), in chronological order.  An occurrence
-    is positive when it completed, its definition's most important atomic was
-    observed and its paired context held, and its score is at least the mean
-    of the activity's last ``window`` scores less ``epsilon`` (vacuous for
-    its first).  Histories are kept per activity, so one activity's run of
-    poor scores cannot sour another's.  UX is the model's learned label for
-    the emotion, activity and end time's bucket, else the emotion's sign.
-    The model's parameters are checked once per call, and definitions are
-    told apart by name.
+    ``items`` gives each occurrence's definition, record (its start, end and
+    evidence) and verdict (its score and completion), in chronological
+    order.  An occurrence is positive when it completed, its definition's
+    most important atomic was observed and its paired context held, and its
+    score is at least the mean of the activity's last ``window`` scores less
+    ``epsilon`` (vacuous for its first).  Histories are kept per activity, so
+    one activity's run of poor scores cannot sour another's.  UX is the
+    model's learned label for the emotion, activity and end time's bucket,
+    else the emotion's sign.  The model's parameters are checked once per
+    call, and definitions are told apart by name.
     """
     window, epsilon, bucket_width = model.window, model.epsilon, model.bucket_width
     check_param("window", window)
@@ -131,14 +131,13 @@ def annotate(
     new = tuple.__new__
     annotations: list[AffectAnnotation] = []
     append = annotations.append
-    for defn, observation, verdict in items:
+    for defn, (_, start, end, atomics, contexts, _), verdict in items:
         name = defn.name
-        _, start, end, score, completed = verdict
+        score, completed = verdict.score, verdict.completed
         atomic_id, context_id = defn.most_important_pair
         history = histories[name]
         emotion = positive
-        if not (completed and atomic_id in observation.observed_atomics
-                and context_id in observation.satisfied_contexts):
+        if not (completed and atomic_id in atomics and context_id in contexts):
             emotion = negative
         elif history:
             # fmean's own arithmetic, without its per-call dispatch

@@ -12,6 +12,15 @@ stage of the run made is loaded from the previous stage's file in the
 output directory, or from the file its flag names.  Outputs carry no
 timestamps or machine state: identical inputs and config produce
 byte-identical artifacts.
+
+Stage values hold no per-row copy of a shared value.  A record parsed from
+an annotation log holds its definition's own name object.  `recognize`
+stores the verdict column, one reference per record to the verdict its
+evidence set shares; `affect` takes each occurrence's time and evidence from
+its record and only score and completion from its verdict, which in an
+`affect` subcommand is the verdict file's row.  `cluster` keeps the records
+in report order with the first day, and its writer reads each row's day
+and minute as it writes.
 """
 
 from __future__ import annotations
@@ -300,12 +309,13 @@ def _ingest(store: Store) -> StageResult:
 
 
 def _recognize(store: Store) -> StageResult:
+    records = store["records"]
     verdicts = store["verdicts"] = recog_mod.score_occurrences(
-        store["defs"], store["records"], store.config.lam
+        store["defs"], records, store.config.lam
     )
     completed = countOf(map(_completed_of, verdicts), True)
     return (f"wrote {len(verdicts)} verdicts ({completed} completed) to {{path}}",
-            [partial(recog_mod.write_verdicts, verdicts, heads=store["heads"])])
+            [partial(recog_mod.write_verdicts, records, verdicts, heads=store["heads"])])
 
 
 def _affect(store: Store) -> StageResult:
@@ -326,9 +336,9 @@ def _affect(store: Store) -> StageResult:
 
 
 def _cluster(store: Store) -> StageResult:
-    rows = temporal_mod.cluster_report(store["records"])
-    return (f"wrote {len(rows)} cluster rows to {{path}}",
-            [partial(temporal_mod.write_clusters, rows)])
+    ordered, base_day = temporal_mod.cluster_report(store["records"])
+    return (f"wrote {len(ordered)} cluster rows to {{path}}",
+            [partial(temporal_mod.write_clusters, ordered, base_day)])
 
 
 def _train(store: Store) -> StageResult:
@@ -529,10 +539,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig | None:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns its exit code.
 
+    At ``ADL_ENGINE_LOG=info`` each stage logs the seconds it spent computing
+    and writing its artifacts to stderr, never to stdout or an artifact.
     It runs with the cyclic garbage collector off: the stages' per-row
     values hold no reference cycles, so its passes would find nothing to
     free.  The collector is switched back on afterwards if it was on before.
     """
+    from time import perf_counter  # only the stage timings read it
+
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -549,11 +563,15 @@ def main(argv: list[str] | None = None) -> int:
             store.later = {key for after in run[i + 1:] for key in after.inputs}
             if args.command == "pipeline":
                 store.later.update(_SUMMARY_INPUTS)
+            started = perf_counter()
             line, writers = stage.run(store)
+            computed = perf_counter()
             paths = [store.out / name for name in stage.outputs]
             for path, write in zip(paths, writers):
                 with _open_write(path) as stream:
                     write(stream)
+            _log("info", f"{stage.name}: compute {computed - started:.4f} s, "
+                         f"write {perf_counter() - computed:.4f} s")
             print(line.format(path=paths[0]))
             writers = write = None  # the next stage runs without these values
             for key in store.keys() - store.later:  # nor those no later stage reads

@@ -449,25 +449,24 @@ def parse_adl_log(
     those of each field.  A bad row raises AnnotationParseError naming its
     line.
     """
-    atomics = FieldLookup(
-        {name: d.atomic_ids for name, d in defs.items()},
-        "unknown activity label",
+    # each label maps to its definition's own name object, so every record
+    # of an activity shares one string, whose hash later lookups find cached
+    names = FieldLookup(
+        {name: d.name for name, d in defs.items()}, "unknown activity label"
     )
-    contexts = {name: d.context_ids for name, d in defs.items()}
+    atomics = {d.name: d.atomic_ids for d in defs.values()}
+    contexts = {d.name: d.context_ids for d in defs.values()}
 
     def columns(
         starts: Sequence[str], ends: Sequence[str], labels: Sequence[str]
     ) -> list[OccurrenceRecord]:
         start_ts, end_ts = _stamps(starts), _stamps(ends)
-        activities = list(map(str.strip, labels))
-        atomic_ids = list(map(atomics.__getitem__, activities))
-        for i in compress(count(), map(lt, end_ts, start_ts)):
-            raise ValueError(
-                f"end {ends[i].strip()!r} before start {starts[i].strip()!r}"
-            )
+        activities = list(map(names.__getitem__, map(str.strip, labels)))
+        check_order(start_ts, end_ts, (starts, ends))
         return named_rows(
-            OccurrenceRecord, activities, start_ts, end_ts, atomic_ids,
-            map(contexts.__getitem__, activities), repeat(Source.ANNOTATION),
+            OccurrenceRecord, activities, start_ts, end_ts,
+            map(atomics.__getitem__, activities), map(contexts.__getitem__, activities),
+            repeat(Source.ANNOTATION),
         )
 
     try:

@@ -5,20 +5,26 @@ attributes held.  Its occurrence weight blends the observed share of atomic
 weight mass with the satisfied share of context weight mass; the occurrence
 counts as completed when that weight reaches the definition's threshold.
 
-A verdict (`OccurrenceVerdict`) and a verdict-table row (`ScoredOccurrence`)
-are named tuples, so building one per occurrence stays cheap.
+A run's records repeat few distinct evidence sets, so `score_occurrences`
+scores each set once and returns the verdict column: one reference per
+record to the `OccurrenceVerdict` its evidence set shares, not one new row.
+`write_verdicts` writes each row from its record and that column.  A
+verdict-table row read back from a file is a `ScoredOccurrence`, which
+carries the same ``score`` and ``completed`` fields, so it stands in the
+column too.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 from .config import DEFAULTS, check_param
 from .definitions import ComplexActivityDefinition
 from .tables import (
-    FLAG_TEXT, Memo, named_rows, parse_flag, parse_scores, read_csv_blocks,
-    write_timed_table,
+    FLAG_TEXT, Memo, csv_field, named_rows, parse_flag, parse_scores, read_csv_blocks,
+    write_table,
 )
 
 if TYPE_CHECKING:
@@ -97,7 +103,8 @@ def detect_occurrence(
 # ---------------------------------------------------------------------------
 
 class ScoredOccurrence(NamedTuple):
-    """A timed occurrence with its recognition score, as written to disk."""
+    """A verdict-table row: a timed occurrence with its recognition score, as
+    `read_verdicts` reads it back."""
 
     activity: str
     start: int
@@ -108,39 +115,54 @@ class ScoredOccurrence(NamedTuple):
 
 VERDICT_FIELDS = list(ScoredOccurrence._fields)
 
+# a record's evidence set: its activity, observed atomics and satisfied contexts
+_EVIDENCE = itemgetter(0, 3, 4)
+
 
 def score_occurrences(
     defs: dict[str, ComplexActivityDefinition], records: Iterable[OccurrenceRecord],
     lam: float = DEFAULTS.lam,
-) -> list[ScoredOccurrence]:
-    """One `ScoredOccurrence` per record, in order, scored by `detect_occurrence`.
+) -> list[OccurrenceVerdict]:
+    """The verdict column: for each record, in order, the `OccurrenceVerdict`
+    of its evidence set (activity, observed atomics, satisfied contexts).
 
-    Records repeat few distinct evidence sets (activity, observed atomics,
-    satisfied contexts), so each set is scored once, when a record first
-    shows it: the first record naming an unknown activity or id raises its
-    KeyError.
+    Records repeat few distinct evidence sets, so `detect_occurrence` scores
+    each set once, when a record first shows it, and every record showing it
+    shares that one verdict object: the first record naming an unknown
+    activity or id raises its KeyError.
     """
     verdicts = Memo(
         lambda evidence: detect_occurrence(defs[evidence[0]], Observation(*evidence), lam)
     )
-    new = tuple.__new__
-    rows: list[ScoredOccurrence] = []
-    for activity, start, end, atomics, contexts, _ in records:
-        verdict = verdicts[activity, atomics, contexts]
-        rows.append(new(
-            ScoredOccurrence, (activity, start, end, verdict.score, verdict.completed)
-        ))
-    return rows
+    return list(map(verdicts.__getitem__, map(_EVIDENCE, records)))
 
 
 def write_verdicts(
-    rows: Iterable[ScoredOccurrence], stream: TextIO, heads: Iterable[str] | None = None
+    records: Sequence[OccurrenceRecord],
+    verdicts: Sequence[OccurrenceVerdict | ScoredOccurrence],
+    stream: TextIO, heads: Iterable[str] | None = None,
 ) -> None:
-    def tail(fields: tuple[float, bool]) -> str:
-        score, completed = fields
-        return f"{score!r},{FLAG_TEXT[completed]}\n"
+    """Write each record's activity, start and end with its verdict's score
+    and completion; ``heads``, when given, is `tables.timed_heads` of the
+    records.
 
-    write_timed_table(stream, VERDICT_FIELDS, rows, heads, tail, scored=True)
+    The ``score,completed`` text is made once per distinct verdict object,
+    keyed by identity: ``0.0 == -0.0`` and ``1 == 1.0``, so a key by value
+    would print one of each pair as the other.
+    """
+    tails = {
+        key: f"{verdict.score!r},{FLAG_TEXT[verdict.completed]}\n"
+        for key, verdict in dict(zip(map(id, verdicts), verdicts)).items()
+    }
+    tail_of = map(tails.__getitem__, map(id, verdicts))
+    if heads is not None:
+        lines: Iterable[str] = map(add, heads, tail_of)
+    else:  # one text a row costs less than a head and a tail added
+        lines = (
+            f"{csv_field(record[0])},{record[1]!s},{record[2]!s},{tail}"
+            for record, tail in zip(records, tail_of)
+        )
+    write_table(stream, VERDICT_FIELDS, lines)
 
 
 def _verdict_columns(

@@ -13,11 +13,13 @@ enum's `member_parser`, and scores with ``repr``.  Text that users name
 csv module how it quotes a field and remembers the answer, so the bytes are
 those ``csv.writer`` writes, without its per-field work on every row.
 `write_table` joins the lines into chunks of `WRITE_LINES` and writes each
-chunk at once.  The three occurrence tables (occurrences, verdicts,
-annotations) are written by `write_timed_table`: each row is its
-``activity,start,end,`` head, which `timed_heads` formats and `pipeline`
-formats once for all three, then the text of its other fields, made once per
-distinct value of those fields.
+chunk at once.  Each row of the three occurrence tables (occurrences,
+verdicts, annotations) is its ``activity,start,end,`` head, which
+`timed_heads` formats and `pipeline` formats once for all three, then the
+text of its other fields.  `write_timed_table` writes the occurrence and
+annotation tables, making that text once per distinct value of those
+fields; `recognition.write_verdicts` makes it once per distinct verdict
+object of its verdict column.
 
 The stage tables and the annotation log are read by `read_csv_blocks`, which
 wants the exact header and the header's field count on every row.  The
@@ -388,10 +390,20 @@ def named_rows(cls: type[T], *columns: Iterable[Any]) -> list[T]:
     return list(map(tuple.__new__, repeat(cls), zip(*columns)))
 
 
-def check_order(starts: list[int], ends: list[int]) -> None:
-    """Raise ValueError at the first row whose end is before its start."""
+def check_order(
+    starts: list[int], ends: list[int],
+    texts: tuple[Sequence[str], Sequence[str]] | None = None,
+) -> None:
+    """Raise ValueError at the first row whose end is before its start.
+
+    The error names the row's end and start or, given ``texts``, the start
+    and end texts they were read from, stripped of their edge spaces.
+    """
     for i in compress(count(), map(lt, ends, starts)):
-        raise ValueError(f"end {ends[i]} before start {starts[i]}")
+        if texts is None:
+            raise ValueError(f"end {ends[i]} before start {starts[i]}")
+        start_text, end_text = texts[0][i].strip(), texts[1][i].strip()
+        raise ValueError(f"end {end_text!r} before start {start_text!r}")
 
 
 def parse_scores(texts: Iterable[str]) -> list[float]:

@@ -2,13 +2,16 @@
 
 A unix timestamp maps to a minute within its UTC day, a whole-day index and
 a weekday flag; these three functions are the engine's only clock.  The
-cluster report lays out each activity's start instants by day for plotting.
+cluster report lays out each activity's start instants by day for plotting:
+`cluster_report` orders the records and finds the first day, and
+`write_clusters` reads each row's day and minute off its record's start
+through this clock as it writes, so no row is held between the two.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Sequence, TextIO
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from .tables import csv_field, write_table
 
@@ -39,30 +42,32 @@ def is_weekday(timestamp: int) -> bool:
 
 def cluster_report(
     records: Sequence[OccurrenceRecord],
-) -> list[tuple[str, int, int]]:
-    """Rows of (activity, day_index, minute_of_day) for the cluster CSV.
+) -> tuple[list[OccurrenceRecord], int]:
+    """The records in cluster-report order, with the day index of the
+    earliest start, which the report counts as day 0.
 
-    Day indices are shifted so the earliest observed day is 0; rows group by
-    activity name and sort by day then minute within each group.
+    Records group by activity name and sort by start, so by day and then
+    minute, within each group.
     """
-    # (day, minute) never decreases as the start grows, so records in start
-    # order give each activity's rows in order, and a stable sort by activity
-    # alone finishes; timsort takes the records, which ingest merged in start
-    # order, in one pass
+    # sorting by start, then stably by activity alone, gives that order;
+    # timsort takes the records, which ingest merged in start order, in one pass
     ordered = sorted(records, key=attrgetter("start"))
     base_day = day_index(ordered[0].start) if ordered else 0
-    rows = [
-        (r.activity, day_index(r.start) - base_day, minute_of_day(r.start))
-        for r in ordered
-    ]
-    rows.sort(key=itemgetter(0))
-    return rows
+    ordered.sort(key=attrgetter("activity"))
+    return ordered, base_day
 
 
 CLUSTER_FIELDS = ["activity", "day_index", "minute_of_day"]
 
 
-def write_clusters(rows: list[tuple[str, int, int]], stream: TextIO) -> None:
+def write_clusters(
+    records: Iterable[OccurrenceRecord], base_day: int, stream: TextIO
+) -> None:
+    """Write each record's activity, the day index of its start counted from
+    ``base_day``, and the minute of day of its start, as `cluster_report`
+    gives them."""
     write_table(stream, CLUSTER_FIELDS, (
-        f"{csv_field(activity)},{day!s},{minute!s}\n" for activity, day, minute in rows
+        f"{csv_field(record[0])},{day_index(record[1]) - base_day!s},"
+        f"{minute_of_day(record[1])!s}\n"
+        for record in records
     ))

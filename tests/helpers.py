@@ -53,7 +53,7 @@ from adl_engine.ingestion import (
 )
 from adl_engine.recognition import (
     VERDICT_FIELDS,
-    Observation,
+    OccurrenceVerdict,
     ScoredOccurrence,
     detect_occurrence,
 )
@@ -408,14 +408,19 @@ def emotion_after(
     defn, history, evidence, verdict,
     window: int = DEFAULTS.window, epsilon: float = DEFAULTS.epsilon,
 ) -> EmotionLabel:
-    """The emotion `affect.annotate` gives an occurrence of ``defn`` with
-    ``evidence`` and the ``score`` and ``completed`` of ``verdict``, run after
-    occurrences of the same activity that scored ``history``, oldest first."""
-    full = Observation(defn.name, defn.atomic_ids, defn.context_ids)
-    items = [(defn, full, ScoredOccurrence(defn.name, 0, 0, h, True)) for h in history]
-    items.append((defn, evidence, ScoredOccurrence(
-        defn.name, 0, 0, verdict.score, verdict.completed,
-    )))
+    """The emotion `affect.annotate` gives an occurrence of ``defn`` with the
+    id sets of ``evidence`` (an observation or a record) in its record and the
+    ``score`` and ``completed`` of ``verdict``, run after occurrences of the
+    same activity that scored ``history``, oldest first."""
+    full = OccurrenceRecord(
+        defn.name, 0, 0, defn.atomic_ids, defn.context_ids, Source.ANNOTATION
+    )
+    items = [(defn, full, OccurrenceVerdict(defn.name, h, defn.threshold, True))
+             for h in history]
+    items.append((defn, full._replace(
+        observed_atomics=evidence.observed_atomics,
+        satisfied_contexts=evidence.satisfied_contexts,
+    ), verdict))
     return annotate(items, UXModel(window=window, epsilon=epsilon))[-1].emotion
 
 
@@ -432,17 +437,17 @@ def per_row_annotate(items, model) -> list[AffectAnnotation]:
         raise ValueError(f"bucket_width must be in [1, 1440], got {model.bucket_width}")
     histories: dict[str, list[float]] = {}
     annotations = []
-    for defn, observation, verdict in items:
+    for defn, record, verdict in items:
         history = histories.setdefault(defn.name, [])
         emotion = oracle_infer_emotion(
-            defn, history, observation, verdict, model.window, model.epsilon
+            defn, history, record, verdict, model.window, model.epsilon
         )
-        bucket = minute_of_day(verdict.end) // model.bucket_width
+        bucket = minute_of_day(record.end) // model.bucket_width
         ux = model.table.get((emotion.value, defn.name, bucket))
         if ux is None:
             ux = UXLabel.GOOD if emotion is EmotionLabel.POSITIVE else UXLabel.BAD
         annotations.append(AffectAnnotation(
-            defn.name, verdict.start, verdict.end, verdict.score, verdict.completed,
+            defn.name, record.start, record.end, verdict.score, verdict.completed,
             emotion, ux,
         ))
         history.append(verdict.score)
@@ -451,8 +456,8 @@ def per_row_annotate(items, model) -> list[AffectAnnotation]:
 
 def per_row_score_occurrences(defs, records, lam: float = 0.5) -> list:
     """`recognition.score_occurrences` as it was when the ``recognize`` stage
-    ran it inline: a record's evidence set is scored when first seen, and each
-    row is built by the named tuple's constructor from the record's attributes."""
+    ran it inline: a record's evidence set is scored when first seen, read
+    from the record's attributes, and its verdict is appended for each row."""
     memo = {}
     verdicts = []
     for r in records:
@@ -460,9 +465,7 @@ def per_row_score_occurrences(defs, records, lam: float = 0.5) -> list:
         verdict = memo.get(key)
         if verdict is None:
             verdict = memo[key] = detect_occurrence(defs[r.activity], r, lam)
-        verdicts.append(ScoredOccurrence(
-            r.activity, r.start, r.end, verdict.score, verdict.completed,
-        ))
+        verdicts.append(verdict)
     return verdicts
 
 
@@ -492,8 +495,9 @@ def per_row_extract_transitions(annotated, bucket_width: int = 30) -> list:
 
 
 def per_row_cluster_report(records) -> list:
-    """`temporal.cluster_report` a record at a time: the day index of every
-    start, then each row rebased on the earliest, sorted."""
+    """The rows `temporal.write_clusters` writes for `cluster_report`, made
+    a record at a time as ``cluster_report`` once made them: the day index of
+    every start, then each row rebased on the earliest, sorted."""
     days = [day_index(r.start) for r in records]
     base_day = min(days, default=0)
     return sorted(
@@ -545,13 +549,13 @@ def per_row_write_occurrences(records, stream) -> None:
     )
 
 
-def per_row_write_verdicts(rows, stream) -> None:
+def per_row_write_verdicts(records, verdicts, stream) -> None:
     score_text = _oracle_score_texts()
     _oracle_header(stream, VERDICT_FIELDS)
     stream.writelines(
-        f"{csv_field(activity)},{start!s},{end!s},{score_text(score)},"
-        f"{FLAG_TEXT[completed]}\n"
-        for activity, start, end, score, completed in rows
+        f"{csv_field(record.activity)},{record.start!s},{record.end!s},"
+        f"{score_text(verdict.score)},{FLAG_TEXT[verdict.completed]}\n"
+        for record, verdict in zip(records, verdicts)
     )
 
 

@@ -18,6 +18,7 @@ from adl_engine.affect import (
     write_annotated,
 )
 from adl_engine.config import DEFAULTS
+from adl_engine.ingestion import OccurrenceRecord, Source
 from adl_engine.recognition import (
     Observation,
     OccurrenceVerdict,
@@ -36,12 +37,17 @@ def _verdict(defn, score, completed) -> OccurrenceVerdict:
     return OccurrenceVerdict(defn.name, score, defn.threshold, completed)
 
 
+def _record(defn, observation, start, end) -> OccurrenceRecord:
+    return OccurrenceRecord(
+        defn.name, start, end, observation.observed_atomics,
+        observation.satisfied_contexts, Source.ANNOTATION,
+    )
+
+
 def _item(defn, observation, start, end):
     """An `annotate` item: the occurrence as recognition scores it."""
-    verdict = detect_occurrence(defn, observation)
-    return defn, observation, ScoredOccurrence(
-        defn.name, start, end, verdict.score, verdict.completed,
-    )
+    return (defn, _record(defn, observation, start, end),
+            detect_occurrence(defn, observation))
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +350,18 @@ def test_annotate_matches_the_per_row_loop(
     # may be incomplete
     defs = list(ukdale_defs.values())[:3]
     items = []
-    for which, atomics, contexts, score, completed, start, duration in rows:
+    for i, (which, atomics, contexts, score, completed, start, duration) in enumerate(rows):
         defn = defs[which]
         observation = Observation(
             defn.name, _subset(defn.atomic_ids, atomics),
             _subset(defn.context_ids, contexts),
         )
-        verdict = ScoredOccurrence(defn.name, start, start + duration, score, completed)
-        items.append((defn, observation, verdict))
+        # a verdict as recognition scores it, or as a verdict file gives it
+        verdict = (
+            OccurrenceVerdict(defn.name, score, defn.threshold, completed) if i % 2
+            else ScoredOccurrence(defn.name, start, start + duration, score, completed)
+        )
+        items.append((defn, _record(defn, observation, start, start + duration), verdict))
     # an empty table, or one trained on the drawn examples
     model = train_ux_mapper([
         (emotion, defs[which].name, minute // bucket_width, label)

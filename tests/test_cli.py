@@ -6,6 +6,7 @@ import gc
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import logging
 import math
@@ -14,6 +15,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -793,10 +795,7 @@ def test_recognize_writes_one_verdict_per_row(data):
         recog_mod.detect_occurrence(_ADL_DEFS[r.activity], r, lam) for r in records
     ]
     want = io.StringIO()
-    recog_mod.write_verdicts([
-        recog_mod.ScoredOccurrence(r.activity, r.start, r.end, v.score, v.completed)
-        for r, v in zip(records, verdicts)
-    ], want)
+    recog_mod.write_verdicts(records, verdicts, want)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         with open(out / "occurrences.csv", "w", newline="") as stream:
@@ -1013,7 +1012,8 @@ def test_failed_write_keeps_the_previous_artifact(
     assert main(["pipeline", *config]) == 0
     before = _snapshot(out)
 
-    def failing(rows, stream, heads=None):
+    def failing(*rows_then_stream, heads=None):
+        stream = rows_then_stream[-1]
         stream.write("activity,start\npartial,")
         raise OSError("disk full")
 
@@ -1097,9 +1097,9 @@ def test_cluster_calls_the_writer_its_module_holds_when_it_runs(
     calls = []
     write = temporal_mod.write_clusters
 
-    def spy(rows, stream):
-        calls.append(rows)
-        write(rows, stream)
+    def spy(ordered, base_day, stream):
+        calls.append((ordered, base_day))
+        write(ordered, base_day, stream)
 
     monkeypatch.setattr(temporal_mod, "write_clusters", spy)
     assert main(["cluster", *config]) == 0
@@ -1121,9 +1121,9 @@ def test_pipeline_calls_each_writer_replaced_after_import_once(
     calls = []
     write = getattr(module, writer)
 
-    def spy(rows, stream, **heads):
+    def spy(rows, *rest, **heads):
         calls.append(len(rows))
-        write(rows, stream, **heads)
+        write(rows, *rest, **heads)
 
     monkeypatch.setattr(module, writer, spy)
     assert main(["pipeline", "--config", str(ADL_CONFIG), "--out", str(tmp_path)]) == 0
@@ -1167,6 +1167,66 @@ def test_pipeline_formats_the_heads_once_and_a_subcommand_not_at_all(
         assert main([stage, *config]) == 0
     capsys.readouterr()
     assert calls == [144]
+
+
+# ---------------------------------------------------------------------------
+# Per-row values a stage does not copy
+# ---------------------------------------------------------------------------
+
+def _stage_store(tmp_path, rows: int) -> cli.Store:
+    """A store holding the ADL definitions and ``rows`` records that cycle
+    through their activities, each with its definition's full or empty
+    atomics, over about one start every 43 minutes."""
+    defs = load_adl_defs()
+    records = [
+        OccurrenceRecord(
+            defn.name, 1_700_000_000 + 2_593 * i, 1_700_000_600 + 2_593 * i,
+            defn.atomic_ids if i % 3 else frozenset(), defn.context_ids,
+            Source.ANNOTATION,
+        )
+        for i, defn in zip(range(rows), itertools.cycle(defs.values()))
+    ]
+    store = cli.Store(RunConfig(out_dir=str(tmp_path)), argparse.Namespace())
+    store["defs"] = defs
+    store["records"] = records
+    return store
+
+
+def _stage_named(name: str) -> cli.Stage:
+    return next(stage for stage in cli.STAGES if stage.name == name)
+
+
+def test_recognize_keeps_one_verdict_object_per_evidence_set(tmp_path):
+    store = _stage_store(tmp_path, 500)
+    _stage_named("recognize").run(store)
+    records, verdicts = store["records"], store["verdicts"]
+    evidence = {(r.activity, r.observed_atomics, r.satisfied_contexts) for r in records}
+    assert len(verdicts) == len(records)
+    assert len(set(map(id, verdicts))) == len(evidence) == 14
+    assert verdicts == [
+        recog_mod.detect_occurrence(store["defs"][r.activity], r) for r in records
+    ]
+
+
+def _cluster_held_bytes(tmp_path, rows: int) -> int:
+    """Traced memory that the cluster stage's summary line and writer hold
+    when its run returns, before the loop in `main` writes the table."""
+    store = _stage_store(tmp_path, rows)
+    tracemalloc.start()
+    try:
+        result = _stage_named("cluster").run(store)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result[0] == f"wrote {rows} cluster rows to {{path}}"
+    return held
+
+
+def test_cluster_state_before_its_write_holds_no_row(tmp_path):
+    # the stage keeps the records in report order, one list slot (8 bytes)
+    # a record; a row tuple with its day and minute would add over 100
+    added = _cluster_held_bytes(tmp_path, 40_000) - _cluster_held_bytes(tmp_path, 20_000)
+    assert added < 12 * 20_000
 
 
 def test_recommend_subcommand(tmp_path, capsys):
@@ -1985,9 +2045,29 @@ def test_info_level_names_each_ingested_file(tmp_path, capsys, monkeypatch, leve
     monkeypatch.setenv("ADL_ENGINE_LOG", level)
     assert main(["ingest", "--config", str(ADL_CONFIG), "--out", str(tmp_path)]) == 0
     (log,) = load_config(ADL_CONFIG).datasets
-    assert capsys.readouterr().err == (
-        f"INFO adl_engine: ingested 144 occurrences from {log.path}\n"
-    )
+    ingested, timing = capsys.readouterr().err.split("\n", 1)
+    assert ingested == f"INFO adl_engine: ingested 144 occurrences from {log.path}"
+    assert re.fullmatch(_TIMING_LINE.format(stage="ingest") + "\n", timing)
+
+
+# the line each stage logs at ``info``: its compute and write seconds
+_TIMING_LINE = r"INFO adl_engine: {stage}: compute \d+\.\d{{4}} s, write \d+\.\d{{4}} s"
+
+
+@pytest.mark.parametrize("config", [ADL_CONFIG, UKDALE_CONFIG], ids=["adl", "ukdale"])
+def test_info_level_times_each_stage_on_stderr_only(tmp_path, capsys, monkeypatch, config):
+    monkeypatch.delenv("ADL_ENGINE_LOG", raising=False)
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr().out.replace(str(tmp_path / "plain"), "<out>")
+    monkeypatch.setenv("ADL_ENGINE_LOG", "info")
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "info")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.replace(str(tmp_path / "info"), "<out>") == plain
+    assert _snapshot(tmp_path / "info") == _snapshot(tmp_path / "plain")
+    timings = [line for line in captured.err.splitlines() if " compute " in line]
+    assert len(timings) == len(cli.STAGES)
+    for stage, line in zip(cli.STAGES, timings):
+        assert re.fullmatch(_TIMING_LINE.format(stage=stage.name), line)
 
 
 def test_debug_level_prints_a_failed_run_traceback(tmp_path, capsys, monkeypatch):

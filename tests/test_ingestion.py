@@ -601,6 +601,23 @@ def test_records_share_their_definitions_id_sets(adl_defs, ukdale_defs):
         assert r.satisfied_contexts is defn.context_ids
 
 
+def test_records_share_their_definitions_name_objects(adl_defs, ukdale_defs):
+    # each record holds its definition's own name object, not a copy split
+    # out of its row: from a plain log with padded labels, from a log that
+    # csv.reader reads (one quoted field), and from a trace
+    rows = ADL_CSV.split("\n", 1)[1]
+    padded = ADL_CSV + rows.replace(",", ", ")
+    quoted = ADL_CSV + rows.replace("Eating Lunch", '"Eating Lunch"')
+    for log in (padded, quoted):
+        records = parse_adl_log(io.StringIO(log), adl_defs)
+        assert len(records) == 14
+        for r in records:
+            assert r.activity is adl_defs[r.activity].name
+    tv = ukdale_defs["Watching TV"]
+    (record,) = trace_occurrences([(["0", "6", "12"], [0, 1])], tv, 2)
+    assert record.activity is tv.name
+
+
 def test_parse_adl_log_empty_stream(adl_defs):
     assert parse_adl_log(io.StringIO(""), adl_defs) == []
     header_only = "start_iso8601,end_iso8601,activity\n"

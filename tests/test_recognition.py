@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from adl_engine.definitions import (
 from adl_engine.ingestion import OccurrenceRecord, Source
 from adl_engine.recognition import (
     Observation,
+    OccurrenceVerdict,
     ScoredOccurrence,
     detect_occurrence,
     occurrence_weight,
@@ -192,8 +195,16 @@ def test_verdict_csv_round_trip():
         ScoredOccurrence("Watching TV", 100, 200, 1.0, True),
         ScoredOccurrence("Sleeping", 300, 400, 0.8599999999999999, False),
     ]
+    records = [
+        OccurrenceRecord(r.activity, r.start, r.end, frozenset(), frozenset(),
+                         Source.ANNOTATION)
+        for r in rows
+    ]
+    verdicts = [
+        OccurrenceVerdict(r.activity, r.score, 0.9, r.completed) for r in rows
+    ]
     buf = io.StringIO()
-    write_verdicts(rows, buf)
+    write_verdicts(records, verdicts, buf)
     assert read_verdicts(io.StringIO(buf.getvalue())) == rows
 
 
@@ -264,11 +275,14 @@ def test_scores_the_engine_writes_pass_the_score_check(defn, data):
             st.lists(st.tuples(evidence, evidence), min_size=1, max_size=8)))
     ]
     lam = data.draw(st.floats(min_value=0.0, max_value=1.0))
-    rows = score_occurrences({defn.name: defn}, records, lam)
-    assert all(0.0 <= row.score <= 1.0 for row in rows)
+    verdicts = score_occurrences({defn.name: defn}, records, lam)
+    assert all(0.0 <= verdict.score <= 1.0 for verdict in verdicts)
     buf = io.StringIO()
-    write_verdicts(rows, buf)
-    assert read_verdicts(io.StringIO(buf.getvalue())) == rows
+    write_verdicts(records, verdicts, buf)
+    assert read_verdicts(io.StringIO(buf.getvalue())) == [
+        ScoredOccurrence(r.activity, r.start, r.end, v.score, v.completed)
+        for r, v in zip(records, verdicts)
+    ]
 
 
 def _subset(ids: frozenset[int], mask: int) -> frozenset[int]:
@@ -320,3 +334,28 @@ def test_score_occurrences_matches_the_per_row_loop(ukdale_defs, rows, faults, l
         assert str(raised.value) == str(exc)
     else:
         assert score_occurrences(ukdale_defs, records, lam) == expected
+
+
+def test_score_occurrences_allocates_under_16_bytes_a_record(ukdale_defs):
+    # 50,000 records over six evidence sets: the verdict column is one list
+    # slot a record, each referring to its set's one verdict, not a new row
+    evidence = [
+        (d.name, atomics, d.context_ids)
+        for d in list(ukdale_defs.values())[:3]
+        for atomics in (d.atomic_ids, frozenset())
+    ]
+    rows = 50_000
+    records = [
+        OccurrenceRecord(name, 1_700_000_000 + 60 * i, 1_700_000_030 + 60 * i,
+                         atomics, contexts, Source.POWER_TRACE)
+        for i, (name, atomics, contexts) in zip(range(rows), cycle(evidence))
+    ]
+    tracemalloc.start()
+    try:
+        verdicts = score_occurrences(ukdale_defs, records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(verdicts) == rows
+    assert peak < 16 * rows
+    assert len(set(map(id, verdicts))) == len(evidence)

@@ -30,13 +30,13 @@ from adl_engine.ingestion import (
     write_occurrences,
 )
 from adl_engine.recognition import (
-    VERDICT_FIELDS, ScoredOccurrence, read_verdicts, write_verdicts,
+    VERDICT_FIELDS, OccurrenceVerdict, ScoredOccurrence, read_verdicts, write_verdicts,
 )
 from adl_engine.tables import (
     FLAG_TEXT, WRITE_LINES, csv_field, parse_flag, read_csv_blocks, timed_heads,
     write_table,
 )
-from adl_engine.temporal import CLUSTER_FIELDS, write_clusters
+from adl_engine.temporal import CLUSTER_FIELDS, SECONDS_PER_DAY, write_clusters
 from helpers import (
     oracle_table, per_row_write_annotated, per_row_write_occurrences,
     per_row_write_verdicts,
@@ -211,15 +211,44 @@ def test_write_occurrences_matches_the_csv_writer_oracle(records):
     ])
 
 
+def _verdicts_written(records, verdicts, heads=None) -> str:
+    buf = io.StringIO()
+    write_verdicts(records, verdicts, buf, heads)
+    return buf.getvalue()
+
+
+_RECORD = st.builds(
+    OccurrenceRecord, _NAME, st.integers(), st.integers(), _IDS, _IDS,
+    st.sampled_from(Source),
+)
+
+
+@st.composite
+def _verdict_column(draw, score=_SCORE):
+    """Records and a verdict column for them, as `score_occurrences` gives
+    one: some verdict objects stand in several rows, and some distinct
+    objects are equal in value but print their scores differently."""
+    verdict = st.builds(OccurrenceVerdict, _NAME, score, _SCORE, st.booleans())
+    pool = draw(st.lists(verdict, min_size=1, max_size=4))
+    for one, other in draw(st.lists(st.sampled_from(
+        [(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)]
+    ), max_size=2)):
+        twin = draw(verdict)
+        pool += [twin._replace(score=one), twin._replace(score=other)]
+    column = draw(st.lists(st.sampled_from(pool) | verdict, max_size=12))
+    return draw(st.lists(_RECORD, min_size=len(column), max_size=len(column))), column
+
+
 @_WRITER_SETTINGS
-@given(st.lists(st.builds(
-    ScoredOccurrence, _NAME, st.integers(), st.integers(), _SCORE, st.booleans(),
-), max_size=6))
-def test_write_verdicts_matches_the_csv_writer_oracle(rows):
-    assert _written(write_verdicts, rows) == oracle_table(VERDICT_FIELDS, [
-        [r.activity, r.start, r.end, repr(r.score), _flag_text(r.completed)]
-        for r in rows
+@given(_verdict_column())
+def test_write_verdicts_matches_the_csv_writer_oracle(columns):
+    records, verdicts = columns
+    expected = oracle_table(VERDICT_FIELDS, [
+        [r.activity, r.start, r.end, repr(v.score), _flag_text(v.completed)]
+        for r, v in zip(records, verdicts)
     ])
+    assert _verdicts_written(records, verdicts) == expected
+    assert _verdicts_written(records, verdicts, timed_heads(records)) == expected
 
 
 @_WRITER_SETTINGS
@@ -249,7 +278,15 @@ def test_score_texts_keep_equal_scores_that_print_differently_apart():
     annotations = [
         AffectAnnotation(*v, EmotionLabel.POSITIVE, UXLabel.BAD) for v in verdicts
     ]
-    assert _written(write_verdicts, verdicts) == oracle_table(VERDICT_FIELDS, [
+    # the column `write_verdicts` takes: one verdict object a row, each equal
+    # in value to some other row's where their scores print differently
+    records = [
+        OccurrenceRecord(v.activity, v.start, v.end, frozenset(), frozenset(),
+                         Source.ANNOTATION)
+        for v in verdicts
+    ]
+    column = [OccurrenceVerdict(v.activity, v.score, 0.5, v.completed) for v in verdicts]
+    assert _verdicts_written(records, column) == oracle_table(VERDICT_FIELDS, [
         [v.activity, v.start, v.end, repr(v.score), _flag_text(v.completed)]
         for v in verdicts
     ])
@@ -264,18 +301,18 @@ def test_score_texts_keep_equal_scores_that_print_differently_apart():
 # trap scores among them
 _TAIL_SCORE = st.sampled_from(_TRAP_SCORES) | _SCORE
 _FEW_IDS = st.sampled_from([frozenset(), frozenset({1, 2}), frozenset({-3, 10_000})]) | _IDS
+# each table's writer, its per-row oracle, and its columns: the rows, or for
+# verdicts the records and the verdict column; the heads are the first's
 _TIMED_ROWS = {
-    "occurrences": (write_occurrences, per_row_write_occurrences, st.builds(
+    "occurrences": (write_occurrences, per_row_write_occurrences, st.tuples(st.lists(st.builds(
         OccurrenceRecord, _NAME, st.integers(), st.integers(), _FEW_IDS, _FEW_IDS,
         st.sampled_from(Source),
-    )),
-    "verdicts": (write_verdicts, per_row_write_verdicts, st.builds(
-        ScoredOccurrence, _NAME, st.integers(), st.integers(), _TAIL_SCORE, st.booleans(),
-    )),
-    "annotated": (write_annotated, per_row_write_annotated, st.builds(
+    ), max_size=12))),
+    "verdicts": (write_verdicts, per_row_write_verdicts, _verdict_column(_TAIL_SCORE)),
+    "annotated": (write_annotated, per_row_write_annotated, st.tuples(st.lists(st.builds(
         AffectAnnotation, _NAME, st.integers(), st.integers(), _TAIL_SCORE, st.booleans(),
         st.sampled_from(EmotionLabel), st.sampled_from(UXLabel),
-    )),
+    ), max_size=12))),
 }
 
 
@@ -284,19 +321,32 @@ _TIMED_ROWS = {
 @_WRITER_SETTINGS
 @given(data=st.data())
 def test_occurrence_table_writers_match_the_per_row_writers(table, shared, data):
-    write, oracle, row = _TIMED_ROWS[table]
-    rows = data.draw(st.lists(row, max_size=12))
+    write, oracle, columns = _TIMED_ROWS[table]
+    columns = data.draw(columns)
     expected = io.StringIO()
-    oracle(rows, expected)
+    oracle(*columns, expected)
     got = io.StringIO()
-    write(rows, got, timed_heads(rows) if shared else None)
+    write(*columns, got, timed_heads(columns[0]) if shared else None)
     assert got.getvalue() == expected.getvalue()
 
 
 @_WRITER_SETTINGS
-@given(st.lists(st.tuples(_NAME, st.integers(), st.integers()), max_size=6))
-def test_write_clusters_matches_the_csv_writer_oracle(rows):
-    assert _written(write_clusters, rows) == oracle_table(CLUSTER_FIELDS, rows)
+@given(
+    st.lists(st.tuples(_NAME, st.integers(), st.integers(0, 1439)), max_size=6),
+    st.integers(), st.lists(st.integers(0, 59), min_size=6, max_size=6),
+)
+def test_write_clusters_matches_the_csv_writer_oracle(rows, base_day, seconds):
+    # each row's record starts at that second of its minute of its day
+    records = [
+        OccurrenceRecord(
+            activity, (base_day + day) * SECONDS_PER_DAY + minute * 60 + second, 0,
+            frozenset(), frozenset(), Source.ANNOTATION,
+        )
+        for (activity, day, minute), second in zip(rows, seconds)
+    ]
+    buf = io.StringIO()
+    write_clusters(records, base_day, buf)
+    assert buf.getvalue() == oracle_table(CLUSTER_FIELDS, rows)
 
 
 @st.composite

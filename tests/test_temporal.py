@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 from collections import Counter
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from adl_engine.ingestion import OccurrenceRecord, Source
 from adl_engine.temporal import (
-    cluster_report, day_index, is_weekday, minute_of_day, write_clusters,
+    CLUSTER_FIELDS, cluster_report, day_index, is_weekday, minute_of_day, write_clusters,
 )
 from helpers import per_row_cluster_report
 
@@ -16,6 +17,16 @@ from helpers import per_row_cluster_report
 def _record(activity: str, start: int, end: int) -> OccurrenceRecord:
     return OccurrenceRecord(
         activity, start, end, frozenset(), frozenset(), Source.ANNOTATION)
+
+
+def _cluster_rows(records: list[OccurrenceRecord]) -> list[tuple[str, int, int]]:
+    """The (activity, day_index, minute_of_day) rows that `write_clusters`
+    writes for `cluster_report` of ``records``."""
+    buf = io.StringIO()
+    write_clusters(*cluster_report(records), buf)
+    header, *rows = csv.reader(io.StringIO(buf.getvalue()))
+    assert header == CLUSTER_FIELDS
+    return [(activity, int(day), int(minute)) for activity, day, minute in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +57,15 @@ def test_instants_use_start_times():
         _record("Breakfast", day + 480 * 60, day + 500 * 60),
     ]
     # Sleeping starts on day 0 and ends on day 1; its row is day 0, minute 1380
-    assert cluster_report(records) == [
+    assert _cluster_rows(records) == [
         ("Breakfast", 1, 480),
         ("Sleeping", 0, 1380),
     ]
 
 
 def test_cluster_report_empty():
-    assert cluster_report([]) == []
+    assert cluster_report([]) == ([], 0)
+    assert _cluster_rows([]) == []
 
 
 def test_cluster_report_groups_and_rebases_days():
@@ -66,7 +78,7 @@ def test_cluster_report_groups_and_rebases_days():
         _record("Breakfast", 6 * day + 485 * 60, 6 * day + 495 * 60),
         _record("Lunch", 7 * day + 785 * 60, 7 * day + 805 * 60),
     ]
-    rows = cluster_report(records)
+    rows = _cluster_rows(records)
     assert rows == [
         ("Breakfast", 0, 480),
         ("Breakfast", 1, 485),
@@ -89,7 +101,7 @@ def test_cluster_report_preserves_cardinality_per_activity(starts, data):
     records = [
         _record(lab, s, s + 60) for s, lab in zip(starts, labels)
     ]
-    rows = cluster_report(records)
+    rows = _cluster_rows(records)
     assert len(rows) == len(records)
     assert Counter(r[0] for r in rows) == Counter(labels)
     if rows:
@@ -103,7 +115,7 @@ def test_cluster_report_preserves_cardinality_per_activity(starts, data):
 ), max_size=30))
 def test_cluster_report_matches_the_per_row_loop(rows):
     records = [_record(activity, start, start + 60) for activity, start in rows]
-    assert cluster_report(records) == per_row_cluster_report(records)
+    assert _cluster_rows(records) == per_row_cluster_report(records)
 
 
 # starts in any order, on days either side of the epoch, many of them in one
@@ -118,13 +130,17 @@ _CROWDED_START = st.builds(
 @given(rows=st.lists(st.tuples(st.sampled_from(["A", "B", "C"]), _CROWDED_START), max_size=40))
 def test_cluster_report_matches_the_per_row_loop_when_rows_share_a_minute(rows):
     records = [_record(activity, start, start + 60) for activity, start in rows]
-    assert cluster_report(records) == per_row_cluster_report(records)
+    assert _cluster_rows(records) == per_row_cluster_report(records)
 
 
 def test_cluster_csv_round_trip():
-    rows = [("Breakfast", 0, 480), ("Lunch", 1, 770)]
+    base_day = 20_000
+    records = [
+        _record("Breakfast", base_day * 86400 + 480 * 60 + 59, 0),
+        _record("Lunch", (base_day + 1) * 86400 + 770 * 60, 0),
+    ]
     buf = io.StringIO()
-    write_clusters(rows, buf)
+    write_clusters(records, base_day, buf)
     assert buf.getvalue() == (
         "activity,day_index,minute_of_day\nBreakfast,0,480\nLunch,1,770\n"
     )
